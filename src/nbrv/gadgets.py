@@ -21,9 +21,10 @@ intermediate values staying within the per-level bounds).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property, partial
 
+from .explore import search
 from .machines import (
     DEC,
     INC,
@@ -34,25 +35,13 @@ from .machines import (
     MachineConfig,
     MachineError,
     MachineTransition,
+    machine_successors,
 )
+from .reductions import _Names
 
 
 class LevelError(ValueError):
     """Requested level outside the configured range."""
-
-
-class _Names:
-    def __init__(self, taken) -> None:
-        self.taken = set(taken)
-
-    def fresh(self, base: str) -> str:
-        cand = base
-        i = 1
-        while cand in self.taken:
-            cand = f"{base}_{i}"
-            i += 1
-        self.taken.add(cand)
-        return cand
 
 
 @dataclass(frozen=True)
@@ -139,6 +128,11 @@ class ProceduralMachine:
             nonblocking=self.nonblocking,
             restore=restore,
         )
+
+    @cached_property
+    def machine(self) -> CounterMachine:
+        """The fragment as a machine without restore jumps, built once."""
+        return self.to_machine()
 
 
 class _Builder:
@@ -423,58 +417,24 @@ def admissible_entry(ctx: LevelContext, level: int, overrides: dict[str, int] | 
 def reachable_configs(
     pm: ProceduralMachine, entry_valuation: dict[str, int], budget: int = 200_000
 ) -> set[MachineConfig]:
-    """All configurations reachable from the entry (no restore jumps).
-
-    Specialized flat search: contract suites simulate thousands of entry
-    valuations, so transitions are indexed by source location and applied
-    on bare tuples.
-    """
-    machine = pm.to_machine(restore=False)
+    """All configurations reachable from the entry (no restore jumps)."""
+    machine = pm.machine
     start = machine.config(pm.entry, entry_valuation)
-    by_src: dict[str, list[tuple[int, int, str]]] = {}
-    for src, op, dst in machine.blocking + machine.nonblocking:
-        kind = {NOP: 0, INC: 1, DEC: 2, NBDEC: 4}.get(op.kind, 3)
-        idx = machine.index(op.counter) if op.counter is not None else -1
-        by_src.setdefault(src, []).append((kind, idx, dst))
-
-    seen: set[tuple[str, tuple[int, ...]]] = {(start.loc, start.values)}
-    queue: deque[tuple[str, tuple[int, ...]]] = deque([(start.loc, start.values)])
-    while queue:
-        loc, values = queue.popleft()
-        for kind, idx, dst in by_src.get(loc, ()):
-            if kind == 0:
-                nxt_values = values
-            elif kind == 1:
-                nxt_values = values[:idx] + (values[idx] + 1,) + values[idx + 1:]
-            elif kind == 2:
-                if values[idx] < 1:
-                    continue
-                nxt_values = values[:idx] + (values[idx] - 1,) + values[idx + 1:]
-            elif kind == 4:
-                nxt_values = values[:idx] + (max(0, values[idx] - 1),) + values[idx + 1:]
-            else:
-                if values[idx] != 0:
-                    continue
-                nxt_values = values
-            node = (dst, nxt_values)
-            if node not in seen:
-                if len(seen) >= budget:
-                    raise MachineError(f"budget {budget} exceeded while simulating {pm.name}")
-                seen.add(node)
-                queue.append(node)
-    return {MachineConfig(loc, values) for loc, values in seen}
+    overflow = MachineError(f"budget {budget} exceeded while simulating {pm.name}")
+    parents, _labels, _hit, _pruned = search(start, partial(machine_successors, machine),
+                                             budget=budget, overflow=overflow)
+    return set(parents)
 
 
 def exit_valuations(
     pm: ProceduralMachine, entry_valuation: dict[str, int], budget: int = 200_000
 ) -> dict[str, list[dict[str, int]]]:
     """Valuations observed at each exit location, keyed by exit name."""
-    machine = pm.to_machine(restore=False)
     out: dict[str, set[tuple[int, ...]]] = {o: set() for o in pm.outs}
     for cfg in reachable_configs(pm, entry_valuation, budget):
         if cfg.loc in out:
             out[cfg.loc].add(cfg.values)
     return {
-        o: [dict(zip(machine.counters, values)) for values in sorted(vals)]
+        o: [dict(zip(pm.machine.counters, values)) for values in sorted(vals)]
         for o, vals in out.items()
     }

@@ -13,11 +13,11 @@ a NO produced under a cap is only valid within that cap and is flagged so.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from typing import Iterable, NamedTuple
 
-from .explore import DEFAULT_BUDGET, ResourceLimitError, Verdict, Witness
+from .explore import DEFAULT_BUDGET, ResourceLimitError, Verdict, Witness, _rebuild, search
 
 NOP = "nop"
 INC = "inc"
@@ -68,9 +68,11 @@ def _mt_key(t: MachineTransition) -> tuple:
     return (t[0], t[1].sort_key(), t[2])
 
 
-@dataclass(frozen=True)
-class MachineConfig:
-    """Current location plus one value per counter (machine counter order)."""
+class MachineConfig(NamedTuple):
+    """Current location plus one value per counter (machine counter order).
+
+    A named tuple, so that the searches hash and compare configurations in C.
+    """
 
     loc: str
     values: tuple[int, ...]
@@ -120,6 +122,9 @@ class CounterMachine:
             if op.counter not in ctrs:
                 raise MachineError(f"undeclared counter {op.counter!r}")
         self._index = {x: i for i, x in enumerate(self.counters)}
+        self._locs = locs
+        self._moves: dict[str, tuple[tuple[MachineTransition, str, int, str], ...]] = {}
+        self._by_src: dict[str, list[MachineTransition]] | None = None
 
     def _key(self) -> tuple:
         return (
@@ -134,16 +139,12 @@ class CounterMachine:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        kind = "NB-R-CM" if self.is_nbrcm else ("NB-CM" if self.is_nbcm else "CM")
+        kind = "NB-R-CM" if self.is_nbrcm else ("NB-CM" if self.is_test_free else "CM")
         return f"CounterMachine({self.name!r}, {kind}, |L|={len(self.locations)})"
 
     @property
     def is_test_free(self) -> bool:
         return all(op.kind != ZEROTEST for _s, op, _d in self.blocking)
-
-    @property
-    def is_nbcm(self) -> bool:
-        return self.is_test_free
 
     @property
     def is_nbrcm(self) -> bool:
@@ -172,47 +173,61 @@ class CounterMachine:
         return dict(zip(self.counters, cfg.values))
 
     def check_config(self, cfg: MachineConfig) -> MachineConfig:
-        if cfg.loc not in set(self.locations):
+        if cfg.loc not in self._locs:
             raise MalformedMachineConfigError(f"unknown location {cfg.loc!r}")
-        if len(cfg.values) != len(self.counters):
+        values = cfg.values
+        if len(values) != len(self.counters):
             raise MalformedMachineConfigError("valuation arity mismatch")
-        if any(v < 0 for v in cfg.values):
+        if values and min(values) < 0:
             raise MalformedMachineConfigError("counter values must be non-negative")
         return cfg
 
+    def moves(self, loc: str) -> tuple[tuple[MachineTransition, str, int, str], ...]:
+        """The moves out of ``loc`` as (transition, op kind, counter index, target).
 
-def _apply_op(m: CounterMachine, op: CounterOp, values: tuple[int, ...]) -> tuple[int, ...] | None:
-    if op.kind == NOP:
-        return values
-    i = m.index(op.counter or "")
-    v = values[i]
-    if op.kind == INC:
-        return values[:i] + (v + 1,) + values[i + 1:]
-    if op.kind == DEC:
-        if v < 1:
-            return None
-        return values[:i] + (v - 1,) + values[i + 1:]
-    if op.kind == ZEROTEST:
-        return values if v == 0 else None
-    return values[:i] + (max(0, v - 1),) + values[i + 1:]
+        Restore jumps are included, each transition appears once, and the
+        order is ``_mt_key``.  A location's moves are compiled on first use.
+        """
+        moves = self._moves.get(loc)
+        if moves is None:
+            if self._by_src is None:
+                self._by_src = {}
+                for t in self.blocking + self.nonblocking:
+                    self._by_src.setdefault(t[0], []).append(t)
+            out = list(self._by_src.get(loc, ()))
+            jump = (loc, CounterOp(NOP), self.init)
+            if self.restore and jump not in out:
+                out.append(jump)
+            out.sort(key=_mt_key)
+            moves = self._moves[loc] = tuple(
+                (t, t[1].kind, self._index.get(t[1].counter, -1), t[2]) for t in out
+            )
+        return moves
 
 
 def machine_successors(
     m: CounterMachine, cfg: MachineConfig
 ) -> list[tuple[MachineTransition, MachineConfig]]:
     """All enabled one-step moves, restore jumps included, in a fixed order."""
-    m.check_config(cfg)
-    out: set[tuple[MachineTransition, MachineConfig]] = set()
-    for src, op, dst in m.blocking + m.nonblocking:
-        if src != cfg.loc:
-            continue
-        values = _apply_op(m, op, cfg.values)
-        if values is not None:
-            out.add(((src, op, dst), MachineConfig(dst, values)))
-    if m.restore:
-        restore_t = (cfg.loc, CounterOp(NOP), m.init)
-        out.add((restore_t, MachineConfig(m.init, cfg.values)))
-    return sorted(out, key=lambda pair: (_mt_key(pair[0]), pair[1].loc, pair[1].values))
+    values = m.check_config(cfg).values
+    out: list[tuple[MachineTransition, MachineConfig]] = []
+    for trans, kind, i, dst in m.moves(cfg.loc):
+        if kind == NOP:
+            nxt = values
+        elif kind == INC:
+            nxt = values[:i] + (values[i] + 1,) + values[i + 1:]
+        elif kind == DEC:
+            if values[i] < 1:
+                continue
+            nxt = values[:i] + (values[i] - 1,) + values[i + 1:]
+        elif kind == ZEROTEST:
+            if values[i] != 0:
+                continue
+            nxt = values
+        else:
+            nxt = values[:i] + (max(0, values[i] - 1),) + values[i + 1:]
+        out.append((trans, MachineConfig(dst, nxt)))
+    return out
 
 
 def cover_bounded(
@@ -228,39 +243,19 @@ def cover_bounded(
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    if target_loc not in set(m.locations):
+    if target_loc not in m._locs:
         raise MachineError(f"unknown target location {target_loc!r}")
     start = m.initial_config()
-    if start.loc == target_loc:
-        return Verdict("yes", Witness(start, ()))
-    parents: dict[MachineConfig, tuple[MachineTransition, MachineConfig] | None] = {start: None}
-    queue: deque[MachineConfig] = deque([start])
-    pruned = 0
-    while queue:
-        cur = queue.popleft()
-        for trans, nxt in machine_successors(m, cur):
-            if nxt in parents:
-                continue
-            if any(v > cap for v in nxt.values):
-                pruned += 1
-                continue
-            if len(parents) >= budget:
-                raise ResourceLimitError(f"node budget {budget} exceeded (cap {cap})")
-            parents[nxt] = (trans, cur)
-            if nxt.loc == target_loc:
-                steps: list[tuple[MachineTransition, MachineConfig]] = []
-                walk = nxt
-                while walk != start:
-                    entry = parents[walk]
-                    assert entry is not None
-                    steps.append((entry[0], walk))
-                    walk = entry[1]
-                steps.reverse()
-                return Verdict("yes", Witness(start, tuple(steps)),
-                               stats={"visited": len(parents), "pruned": pruned})
-            queue.append(nxt)
-    return Verdict("no", explored_bound=cap, note="within-cap",
-                   stats={"visited": len(parents), "pruned": pruned})
+    parents, labels, hit, pruned = search(
+        start, partial(machine_successors, m), budget=budget,
+        overflow=ResourceLimitError(f"node budget {budget} exceeded (cap {cap})"),
+        goal=lambda c: c.loc == target_loc,
+        prune=lambda c: max(c.values, default=0) > cap,
+    )
+    stats = {"visited": len(parents), "pruned": pruned}
+    if hit is not None:
+        return Verdict("yes", _rebuild(parents, labels, start, hit), stats=stats)
+    return Verdict("no", explored_bound=cap, note="within-cap", stats=stats)
 
 
 def replay_machine(m: CounterMachine, witness: Witness) -> bool:
@@ -313,10 +308,9 @@ def step_strict(v: Vector, t: VasTransition) -> Vector | None:
     t_b, t_nb = t
     if len(v) != len(t_b):
         raise VasError("vector arity mismatch")
-    moved = tuple(a + b for a, b in zip(v, t_b))
-    if any(x < 0 for x in moved):
+    if any(a + b < 0 for a, b in zip(v, t_b)):
         return None
-    return tuple(max(0, a - b) for a, b in zip(moved, t_nb))
+    return tuple(max(0, a + b - c) for a, b, c in zip(v, t_b, t_nb))
 
 
 def step_relaxed(v: Vector, t: VasTransition) -> Vector:
@@ -331,35 +325,19 @@ def vas_cover_bounded(vas: Vas, cap: int, budget: int = DEFAULT_BUDGET) -> Verdi
     """Strict-step search for a vector covering the target, coordinates <= cap."""
     if cap < max(vas.v_init):
         raise ValueError("cap must cover the initial vector")
-    start = vas.v_init
-    if all(a >= b for a, b in zip(start, vas.v_target)):
-        return Verdict("yes", Witness(start, ()))
-    parents: dict[Vector, tuple[VasTransition, Vector] | None] = {start: None}
-    queue: deque[Vector] = deque([start])
-    pruned = 0
-    while queue:
-        cur = queue.popleft()
-        for t in vas.transitions:
-            nxt = step_strict(cur, t)
-            if nxt is None or nxt in parents:
-                continue
-            if any(x > cap for x in nxt):
-                pruned += 1
-                continue
-            if len(parents) >= budget:
-                raise ResourceLimitError(f"node budget {budget} exceeded (cap {cap})")
-            parents[nxt] = (t, cur)
-            if all(a >= b for a, b in zip(nxt, vas.v_target)):
-                steps: list[tuple[VasTransition, Vector]] = []
-                walk = nxt
-                while walk != start:
-                    entry = parents[walk]
-                    assert entry is not None
-                    steps.append((entry[0], walk))
-                    walk = entry[1]
-                steps.reverse()
-                return Verdict("yes", Witness(start, tuple(steps)),
-                               stats={"visited": len(parents), "pruned": pruned})
-            queue.append(nxt)
-    return Verdict("no", explored_bound=cap, note="within-cap",
-                   stats={"visited": len(parents), "pruned": pruned})
+    start, target = vas.v_init, vas.v_target
+
+    def succ(cur: Vector):
+        return ((t, nxt) for t in vas.transitions
+                if (nxt := step_strict(cur, t)) is not None)
+
+    parents, labels, hit, pruned = search(
+        start, succ, budget=budget,
+        overflow=ResourceLimitError(f"node budget {budget} exceeded (cap {cap})"),
+        goal=lambda v: all(a >= b for a, b in zip(v, target)),
+        prune=lambda v: max(v) > cap,
+    )
+    stats = {"visited": len(parents), "pruned": pruned}
+    if hit is not None:
+        return Verdict("yes", _rebuild(parents, labels, start, hit), stats=stats)
+    return Verdict("no", explored_bound=cap, note="within-cap", stats=stats)

@@ -1,0 +1,51 @@
+"""The benchmark's traced run wraps nbrv's module attributes from outside.
+
+These tests load ``bench/tracing.py`` by path and check that every hook it
+names still exists, and that the searches still look their successor
+functions up through those module globals, so that a refactor cannot
+silently empty the per-layer metrics.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from nbrv import explore, machines, reductions
+from nbrv.explore import Problem
+from nbrv.model import Configuration
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_wrapped_attributes_are_callable():
+    tracing = load_tracing()
+    assert tracing.WRAPPED
+    for module, attr, _name in tracing.WRAPPED:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_searches_reach_the_wrapped_globals(p1):
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        explore.reachable(p1, 3)
+        assert explore.decide_fixed(p1, Problem("scover"), 3).is_yes()
+        m, loc, _report = reductions.protocol_to_machine(p1, Configuration((("q1", 1),)))
+        assert machines.cover_bounded(m, loc, 1).is_yes()
+        machines.vas_cover_bounded(reductions.machine_to_vas(m, loc), 1)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    for name in ("model.successors", "explore.rebuild", "machines.machine_successors",
+                 "machines.step_strict"):
+        assert name in names, name

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import nbrv
 from conftest import PROTOCOL_DIR
 from nbrv import fileio
 from nbrv.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
@@ -224,3 +230,25 @@ class TestGen:
         code2, out2, _ = run(capsys, "explore", "machine", str(out_path),
                              "--loc", "lf", "--cap", "2")
         assert out2.splitlines()[0] == "RESULT YES"
+
+
+class TestBrokenPipe:
+    """A reader that stops early must not turn into a traceback or exit code."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "scover", P1],
+        ["explore", "protocol", P1, "--procs", "10", "--list"],
+    ])
+    def test_closed_stdout(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(nbrv.__file__).parent.parent))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "nbrv.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr

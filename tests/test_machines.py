@@ -18,6 +18,7 @@ from nbrv.machines import (
     MachineError,
     Vas,
     VasError,
+    _mt_key,
     cover_bounded,
     machine_successors,
     replay_machine,
@@ -83,6 +84,57 @@ class TestMachineSuccessors:
             assert any(c.loc == m.init and c.values == cfg.values for _t, c in succ)
 
 
+def with_zero_tests(rng: random.Random, m: CounterMachine) -> CounterMachine:
+    """``m`` plus up to two random zero-test edges."""
+    extra = {(rng.choice(m.locations), CounterOp(ZEROTEST, rng.choice(m.counters)),
+              rng.choice(m.locations)) for _ in range(rng.randint(0, 2))}
+    return CounterMachine(m.name, m.locations, m.counters, m.init,
+                          m.blocking + tuple(extra), m.nonblocking, m.restore)
+
+
+def enabled(m: CounterMachine, op: CounterOp, values: tuple[int, ...]) -> bool:
+    if op.kind == DEC:
+        return values[m.index(op.counter)] >= 1
+    if op.kind == ZEROTEST:
+        return values[m.index(op.counter)] == 0
+    return True
+
+
+class TestSuccessorOrder:
+    """Witnesses take the first move that reaches a configuration, so the
+    successor order is part of every machine verdict's output."""
+
+    def test_sorted_by_transition_key(self):
+        rng = random.Random(45)
+        merged = 0
+        for _ in range(400):
+            m = with_zero_tests(rng, random_machine(rng, max_t=8,
+                                                    restore=rng.random() < 0.5))
+            cfg = m.config(rng.choice(m.locations),
+                           {x: rng.randint(0, 2) for x in m.counters})
+            succ = machine_successors(m, cfg)
+            trans = [t for t, _c in succ]
+            assert trans == sorted(trans, key=_mt_key)
+            assert len(set(trans)) == len(trans)
+            want = {t for t in m.blocking + m.nonblocking
+                    if t[0] == cfg.loc and enabled(m, t[1], cfg.values)}
+            if m.restore:
+                jump = (cfg.loc, CounterOp(NOP), m.init)
+                merged += jump in want
+                want.add(jump)
+            assert set(trans) == want
+            assert all(c.loc == t[2] for t, c in succ)
+        assert merged > 0
+
+    def test_restore_jump_merges_with_nop_edge(self):
+        m = simple(blocking=[("l1", CounterOp(NOP), "l0"),
+                             ("l1", CounterOp(INC, "x"), "l0")],
+                   nonblocking=[("l1", CounterOp(NBDEC, "x"), "l0")], restore=True)
+        succ = machine_successors(m, m.config("l1", {"x": 1}))
+        assert [(t[1].kind, c.values) for t, c in succ] == [
+            (NOP, (1,)), (INC, (2,)), (NBDEC, (0,))]
+
+
 class TestMachineValidation:
     def test_nbdec_not_allowed_in_blocking(self):
         with pytest.raises(MachineError):
@@ -94,7 +146,7 @@ class TestMachineValidation:
 
     def test_class_predicates(self):
         m = simple(blocking=[("l0", CounterOp(INC, "x"), "l1")])
-        assert m.is_test_free and m.is_nbcm and not m.is_nbrcm
+        assert m.is_test_free and not m.is_nbrcm
         r = simple(blocking=[("l0", CounterOp(INC, "x"), "l1")], restore=True)
         assert r.is_nbrcm
         z = simple(blocking=[("l0", CounterOp(ZEROTEST, "x"), "l1")])
