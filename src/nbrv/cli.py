@@ -16,9 +16,10 @@ Exit codes: 0 the analysis ran (whatever the verdict), 2 parse error in an
 input file, 3 precondition violation (bad flag combination, wrong model
 class for the requested method...).
 
-The first result line is ``RESULT YES|NO|UNKNOWN``; YES verdicts found by
-search are followed by ``STEP <label> <config>`` lines that replay the
-witness.
+The first result line is ``RESULT YES|NO|UNKNOWN``, followed by the
+verdict's note when it has one (``RESULT NO within-cap``, ``RESULT UNKNOWN
+budget``); YES verdicts found by search are followed by ``STEP <label>
+<config>`` lines that replay the witness.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ def _machine_config_literal(m: machines.CounterMachine, cfg: machines.MachineCon
 
 
 def _print_verdict(verdict: Verdict, render_step) -> None:
-    print(f"RESULT {verdict.answer.upper()}")
+    note = f" {verdict.note}" if verdict.note else ""
+    print(f"RESULT {verdict.answer.upper()}{note}")
     if verdict.is_yes() and verdict.witness is not None:
         for label, state in verdict.witness.steps:
             print(f"STEP {render_step(label, state)}")

@@ -7,7 +7,9 @@ semi-decision procedure for the parameterised questions: it can answer YES
 with a witness but never NO.
 
 ``search`` is the one breadth-first search of the package: the counter
-machine, VAS and gadget searches run on it too.
+machine, VAS and gadget searches run on it too.  The explorer runs it on the
+dense count tuples of the protocol's compiled ``MoveTable``; ``Configuration``
+objects are built only for witnesses and for the set ``reachable`` returns.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Hashable, Iterable
 
-from .model import (
-    Configuration,
-    Protocol,
-    check_configuration,
-    initial,
-    successors,
-)
+from . import model
+from .model import Configuration, MoveTable, Protocol, initial
+
+# The explorer's successor function, looked up as ``explore.successors`` on
+# every search so that a wrapper installed on this name sees each call.
+successors = model.dense_successors
 
 DEFAULT_BUDGET = 10**6
 
@@ -51,13 +52,16 @@ class Problem:
         if self.kind != CCOVER and self.target is not None:
             raise ValueError(f"{self.kind} takes no target configuration")
 
-    def holds(self, p: Protocol, c: Configuration) -> bool:
+    def goal(self, p: Protocol, t: MoveTable, n: int) -> Callable[[tuple[int, ...]], bool]:
+        """The test of this problem on ``t``'s dense configurations of size ``n``."""
+        f = t.index[p.final]
         if self.kind == SCOVER:
-            return c.get(p.final) > 0
+            return lambda v: v[f] > 0
         if self.kind == CCOVER:
             assert self.target is not None
-            return c.covers(self.target)
-        return c.get(p.final) == c.total()
+            need = [(i, k) for i, k in enumerate(t.encode(self.target)) if k]
+            return lambda v: all(v[i] >= k for i, k in need)
+        return lambda v: v[f] == n
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,7 @@ class Verdict:
     ``answer`` is ``yes``, ``no`` or ``unknown``.  A ``yes`` from a search
     carries a witness; ``explored_bound`` records the population size or
     counter cap that was exhausted; ``note`` qualifies incomplete NOs
-    (``within-cap``).
+    (``within-cap``) and sweeps cut short by the node budget (``budget``).
     """
 
     answer: str
@@ -137,10 +141,12 @@ def search(
 
 def reachable(p: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> set[Configuration]:
     """The exact set of configurations reachable from ``n`` initial processes."""
+    t = p.moves()
     overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
-    parents, _labels, _hit, _pruned = search(initial(p, n), partial(successors, p),
-                                             budget=budget, overflow=overflow)
-    return set(parents)
+    # Only the parent map's keys are needed: the label map is dropped at once.
+    parents = search(t.encode(initial(p, n)), partial(successors, t),
+                     budget=budget, overflow=overflow)[0]
+    return set(map(t.decode, parents))
 
 
 def _rebuild(parents: dict, labels: dict, start: Any, end: Any) -> Witness:
@@ -159,25 +165,35 @@ def decide_fixed(
     """Decide ``prob`` exactly for initial configurations of size ``n``."""
     if n < 1:
         raise ValueError("population must be at least 1")
-    if prob.target is not None:
-        check_configuration(p, prob.target)
-    start = initial(p, n)
+    t = p.moves()
+    goal = prob.goal(p, t, n)
+    start = t.encode(initial(p, n))
     overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
-    parents, labels, hit, _pruned = search(start, partial(successors, p), budget=budget,
-                                           overflow=overflow, goal=partial(prob.holds, p))
+    parents, labels, hit, _pruned = search(start, partial(successors, t), budget=budget,
+                                           overflow=overflow, goal=goal)
     if hit is not None:
-        return Verdict("yes", _rebuild(parents, labels, start, hit), explored_bound=n)
+        dense = _rebuild(parents, labels, start, hit)
+        witness = Witness(t.decode(start),
+                          tuple((label, t.decode(v)) for label, v in dense.steps))
+        return Verdict("yes", witness, explored_bound=n)
     return Verdict("no", explored_bound=n, stats={"visited": len(parents)})
 
 
 def decide_sweep(
     p: Protocol, prob: Problem, max_n: int, budget: int = DEFAULT_BUDGET
 ) -> Verdict:
-    """Try population sizes 1..max_n; YES at the first hit, else UNKNOWN."""
+    """Try population sizes 1..max_n; YES at the first hit, else UNKNOWN.
+
+    A population that exceeds ``budget`` ends the sweep with UNKNOWN, noted
+    ``budget``, whose ``explored_bound`` is the last population completed.
+    """
     if max_n < 1:
         raise ValueError("population bound must be at least 1")
     for n in range(1, max_n + 1):
-        verdict = decide_fixed(p, prob, n, budget)
+        try:
+            verdict = decide_fixed(p, prob, n, budget)
+        except ResourceLimitError:
+            return Verdict("unknown", explored_bound=n - 1, note="budget")
         if verdict.is_yes():
             return verdict
     return Verdict("unknown", explored_bound=max_n)
@@ -191,7 +207,7 @@ def replay(p: Protocol, witness: Witness) -> bool:
     if set(cur.states()) != {p.init}:
         return False
     for label, nxt in witness.steps:
-        if (label, nxt) not in successors(p, cur):
+        if (label, nxt) not in model.successors(p, cur):
             return False
         cur = nxt
     return True

@@ -16,6 +16,7 @@ The one-step relation has three rules:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping
 
 IDENTIFIER_RE = r"[A-Za-z_][A-Za-z0-9_']*"
@@ -132,16 +133,13 @@ class Protocol:
             (src, dst) for src, act, dst in self.transitions if act.kind == TAU
         )
         recv_by_msg: dict[str, list[tuple[str, str]]] = {m: [] for m in self.messages}
-        send_by_msg: dict[str, list[tuple[str, str]]] = {m: [] for m in self.messages}
         receivable: dict[str, set[str]] = {q: set() for q in self.states}
         for src, m, dst in self._recvs:
             recv_by_msg[m].append((src, dst))
             receivable[src].add(m)
-        for src, m, dst in self._sends:
-            send_by_msg[m].append((src, dst))
         self._recv_by_msg = {m: tuple(v) for m, v in recv_by_msg.items()}
-        self._send_by_msg = {m: tuple(v) for m, v in send_by_msg.items()}
         self._receivable = {q: frozenset(v) for q, v in receivable.items()}
+        self._moves: MoveTable | None = None
 
     def _key(self) -> tuple:
         return (self.name, self.states, self.messages, self.init, self.final, self.transitions)
@@ -172,6 +170,16 @@ class Protocol:
     def taus(self) -> tuple[tuple[str, str], ...]:
         """(source, target) for every internal transition."""
         return self._taus
+
+    def moves(self) -> "MoveTable":
+        """The protocol compiled for :func:`dense_successors`, on first use.
+
+        Compiling is left to the first search: most protocols that are
+        parsed are never explored.
+        """
+        if self._moves is None:
+            self._moves = MoveTable(self)
+        return self._moves
 
 
 def receivers(p: Protocol, message: str) -> frozenset[str]:
@@ -281,45 +289,115 @@ class StepLabel:
         return f"{self.kind}:{self.message}"
 
 
+class MoveTable:
+    """A protocol compiled into int-indexed moves over dense count tuples.
+
+    A dense configuration is a tuple of counts, one per state, in
+    ``p.states`` order.  ``taus`` holds the ``(src, dst)`` index pairs of the
+    internal edges.  ``sends`` holds one ``(src, dst, receivers, msg, nb)``
+    entry per send edge: ``receivers`` are the ``(src, dst)`` index pairs of
+    the receptions of its message, and ``msg`` and ``nb`` are the ranks of
+    its rendez-vous and non-blocking labels.  ``labels[rank]`` is the shared
+    :class:`StepLabel` of each rank; ranks follow ``StepLabel.sort_key``.
+    """
+
+    def __init__(self, p: Protocol) -> None:
+        self.name = p.name
+        self.states = p.states
+        self.index = {q: i for i, q in enumerate(p.states)}
+        ix = self.index
+        nm = len(p.messages)
+        rank = {m: 1 + k for k, m in enumerate(p.messages)}
+        self.labels: tuple[StepLabel, ...] = (
+            (StepLabel("tau"),)
+            + tuple(StepLabel("msg", m) for m in p.messages)
+            + tuple(StepLabel("nb", m) for m in p.messages)
+        )
+        self.taus = tuple((ix[src], ix[dst]) for src, dst in p._taus)
+        self.sends = tuple(
+            (ix[src], ix[dst],
+             tuple((ix[q], ix[qp]) for q, qp in p._recv_by_msg[m]),
+             rank[m], rank[m] + nm)
+            for src, m, dst in p._sends
+        )
+
+    def encode(self, c: Configuration) -> tuple[int, ...]:
+        """The dense form of ``c``; rejects states outside the protocol."""
+        v = [0] * len(self.states)
+        for state, n in c.items:
+            i = self.index.get(state)
+            if i is None:
+                raise MalformedConfigurationError(f"state {state!r} not in protocol {self.name}")
+            v[i] = n
+        return tuple(v)
+
+    def decode(self, v: tuple[int, ...]) -> Configuration:
+        """The sparse form of the dense configuration ``v``."""
+        return Configuration(tuple(compress(zip(self.states, v), v)))
+
+
+def _items_order(v: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    # States are indexed in name order, so this orders dense tuples exactly as
+    # ``Configuration.items`` orders their sparse forms.
+    return tuple((i, n) for i, n in enumerate(v) if n)
+
+
+def dense_successors(
+    t: MoveTable, v: tuple[int, ...], allow_nonblocking: bool = True
+) -> list[tuple[StepLabel, tuple[int, ...]]]:
+    """All one-step successors of the dense configuration ``v``.
+
+    The result is deduplicated and ordered by label rank, then by the sparse
+    order of the successors, as :func:`successors` promises.
+    """
+    found: dict[int, list[tuple[int, ...]]] = {}
+    for src, dst in t.taus:
+        if v[src]:
+            w = list(v)
+            w[src] -= 1
+            w[dst] += 1
+            found.setdefault(0, []).append(tuple(w))
+    for src, dst, receivers, msg, nb in t.sends:
+        n1 = v[src]
+        if not n1:
+            continue
+        blocked = False
+        for q2, q2p in receivers:
+            # Self rendez-vous needs two processes in the shared state.
+            if v[q2] and (q2 != src or n1 >= 2):
+                w = list(v)
+                w[src] -= 1
+                w[q2] -= 1
+                w[dst] += 1
+                w[q2p] += 1
+                found.setdefault(msg, []).append(tuple(w))
+                blocked = True
+        if allow_nonblocking and not blocked:
+            w = list(v)
+            w[src] -= 1
+            w[dst] += 1
+            found.setdefault(nb, []).append(tuple(w))
+    out: list[tuple[StepLabel, tuple[int, ...]]] = []
+    labels = t.labels
+    for rank in sorted(found):
+        group = found[rank]
+        if len(group) > 1:
+            group = sorted(set(group), key=_items_order)
+        label = labels[rank]
+        out += [(label, w) for w in group]
+    return out
+
+
 def successors(
     p: Protocol, c: Configuration, *, allow_nonblocking: bool = True
 ) -> list[tuple[StepLabel, Configuration]]:
     """All one-step successors of ``c``, deduplicated and deterministically ordered.
 
+    Successors are ordered by label (``tau``, then ``msg:<m>``, then
+    ``nb:<m>``, messages in name order), then by ``Configuration.items``.
     ``allow_nonblocking=False`` restricts to the classical rendez-vous
     semantics (internal and rendez-vous rules only).
     """
-    check_configuration(p, c)
-    if c.total() < 1:
-        raise MalformedConfigurationError("empty configuration")
-    counts = c.counts()
-    out: set[tuple[StepLabel, Configuration]] = set()
-
-    def moved(*deltas: tuple[str, int]) -> Configuration:
-        nxt = dict(counts)
-        for state, d in deltas:
-            nxt[state] = nxt.get(state, 0) + d
-        return Configuration.from_counts(nxt)
-
-    for src, dst in p._taus:
-        if counts.get(src, 0) > 0:
-            out.add((StepLabel("tau"), moved((src, -1), (dst, 1))))
-
-    for q1, m, q1p in p._sends:
-        n1 = counts.get(q1, 0)
-        if n1 == 0:
-            continue
-        blocked = False
-        for q2, q2p in p._recv_by_msg[m]:
-            n2 = counts.get(q2, 0)
-            if n2 == 0:
-                continue
-            # Self rendez-vous needs two processes in the shared state.
-            if q2 != q1 or n1 >= 2:
-                nxt = moved((q1, -1), (q2, -1), (q1p, 1), (q2p, 1))
-                out.add((StepLabel("msg", m), nxt))
-                blocked = True
-        if allow_nonblocking and not blocked:
-            out.add((StepLabel("nb", m), moved((q1, -1), (q1p, 1))))
-
-    return sorted(out, key=lambda pair: (pair[0].sort_key(), pair[1].items))
+    t = p.moves()
+    return [(label, t.decode(w))
+            for label, w in dense_successors(t, t.encode(c), allow_nonblocking)]

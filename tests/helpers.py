@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from nbrv.machines import DEC, INC, NBDEC, NOP, CounterMachine, CounterOp
-from nbrv.model import Configuration, Protocol, recv, send, tau
+from nbrv.model import Configuration, Protocol, StepLabel, recv, send, tau
 
 
 def random_protocol(rng: random.Random, max_q: int = 5, max_m: int = 3,
@@ -74,3 +75,43 @@ def random_machine(rng: random.Random, max_loc: int = 4, max_ctr: int = 2,
             nonblocking.add((src, CounterOp(NBDEC, rng.choice(ctrs)), dst))
     return CounterMachine("rnd", locs, ctrs, locs[0], blocking, nonblocking,
                           restore=restore)
+
+
+def spec_successors(p: Protocol, c: Configuration,
+                    allow_nonblocking: bool = True) -> list[tuple[StepLabel, Configuration]]:
+    """One-step successors written straight from the three rules in ``nbrv.model``.
+
+    A sparse reference for the compiled interpreter: it works on a count
+    dict, pairs every send edge with every receive edge of its message, and
+    sorts by ``(label.sort_key(), items)``.
+    """
+    counts = Counter(c.counts())
+
+    def present(*states: str) -> bool:
+        # Each listed state hosts its own process: a repeated state needs two.
+        return all(counts[q] >= k for q, k in Counter(states).items())
+
+    def moved(*edges: tuple[str, str]) -> Configuration:
+        nxt = Counter(counts)
+        for src, dst in edges:
+            nxt[src] -= 1
+            nxt[dst] += 1
+        return Configuration.from_counts(nxt)
+
+    found = set()
+    for src, act, dst in p.transitions:
+        if act.kind == "tau" and present(src):
+            found.add((StepLabel("tau"), moved((src, dst))))
+    for src, act, dst in p.transitions:
+        if act.kind != "send" or not present(src):
+            continue
+        receptions = [(q, qp) for q, b, qp in p.transitions
+                      if b.kind == "recv" and b.message == act.message]
+        for q, qp in receptions:
+            if present(src, q):
+                found.add((StepLabel("msg", act.message), moved((src, dst), (q, qp))))
+        others = Counter(counts)
+        others[src] -= 1
+        if allow_nonblocking and not any(others[q] > 0 for q, _qp in receptions):
+            found.add((StepLabel("nb", act.message), moved((src, dst))))
+    return sorted(found, key=lambda pair: (pair[0].sort_key(), pair[1].items))

@@ -17,6 +17,37 @@ P1 = str(PROTOCOL_DIR / "p1.rvp")
 P2 = str(PROTOCOL_DIR / "p2.rvp")
 
 
+# Full stdout of the explorer's YES answers, pinned so that a change to the
+# successor order or to the search shows up as a different witness.
+GOLDEN_WITNESSES = [
+    (["check", "scover", FIG1, "--method", "explore", "--max-procs", "4"],
+     "RESULT YES\n"
+     "STEP nb:a q5,q_in\n"
+     "STEP msg:b q1,q6\n"),
+    (["check", "ccover", FIG1, "--target", "q6:2", "--max-procs", "8"],
+     "RESULT YES\n"
+     "STEP nb:a q5,q_in:2\n"
+     "STEP msg:b q1,q6,q_in\n"
+     "STEP nb:a q1,q5,q6\n"
+     "STEP nb:b q1,q6:2\n"),
+    (["check", "ccover", P1, "--target", "q7:3", "--method", "explore", "--max-procs", "10"],
+     "RESULT YES\n"
+     "STEP nb:c q5,q_in:5\n"
+     "STEP msg:d q4,q7,q_in:4\n"
+     "STEP nb:c q4,q5,q7,q_in:3\n"
+     "STEP msg:d q4:2,q7:2,q_in:2\n"
+     "STEP nb:c q4:2,q5,q7:2,q_in\n"
+     "STEP msg:d q4:3,q7:3\n"),
+    (["check", "ccover", P2, "--target", "q3:4", "--method", "explore", "--max-procs", "10"],
+     "RESULT YES\n"
+     "STEP nb:a q1,q_in:4\n"
+     "STEP msg:a q1,q3,q_in:3\n"
+     "STEP msg:a q1,q3:2,q_in:2\n"
+     "STEP msg:a q1,q3:3,q_in\n"
+     "STEP msg:a q1,q3:4\n"),
+]
+
+
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -76,6 +107,18 @@ class TestCheck:
                            "--method", "explore", "--max-procs", "6")
         assert code == EXIT_OK and out.splitlines()[0] == "RESULT UNKNOWN"
 
+    @pytest.mark.parametrize(
+        "argv, expected", GOLDEN_WITNESSES,
+        ids=["fig1-scover", "fig1-ccover-q6", "p1-ccover-q7", "p2-ccover-q3"])
+    def test_golden_witness(self, capsys, argv, expected):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK and out == expected
+
+    def test_sweep_budget_is_unknown(self, capsys):
+        code, out, _ = run(capsys, "check", "ccover", FIG1, "--target", "q4",
+                           "--max-procs", "30", "--max-steps", "300")
+        assert code == EXIT_OK and out == "RESULT UNKNOWN budget\n"
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.rvp"
         bad.write_text("protocol p\nstates a\n")
@@ -125,6 +168,22 @@ class TestExplore:
                            "--loc", "b", "--cap", "1")
         assert code == EXIT_OK
         assert out.splitlines() == ["RESULT YES", "STEP inc x b;x=1"]
+
+    def test_protocol_budget_is_error(self, capsys):
+        code, out, err = run(capsys, "explore", "protocol", FIG1, "--procs", "6",
+                             "--budget", "5")
+        assert code == EXIT_PRECONDITION and out == "" and "budget" in err
+
+    def test_machine_within_cap_note(self, capsys, tmp_path):
+        path = tmp_path / "fig1.nbm"
+        _, out, _ = run(capsys, "translate", "p2cm", FIG1, str(path), "--target", "q3:2")
+        assert out.splitlines()[0] == "TARGET at_20"
+        _, out1, _ = run(capsys, "explore", "machine", str(path), "--loc", "at_20",
+                         "--cap", "1")
+        _, out2, _ = run(capsys, "explore", "machine", str(path), "--loc", "at_20",
+                         "--cap", "2")
+        assert out1 == "RESULT NO within-cap\n"
+        assert out2.splitlines()[0] == "RESULT YES"
 
     def test_vas(self, capsys, tmp_path):
         path = tmp_path / "v.vas"

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
-from helpers import random_config, random_protocol
+from helpers import random_config, random_protocol, spec_successors
 from nbrv.explore import (
     Problem,
     ResourceLimitError,
@@ -34,6 +35,20 @@ class TestReachable:
     def test_budget_enforced(self, fig1):
         with pytest.raises(ResourceLimitError):
             reachable(fig1, 6, budget=5)
+
+    def test_matches_spec_search(self):
+        rng = random.Random(25)
+        for _ in range(60):
+            p = random_protocol(rng, max_q=4, max_t=8)
+            for n in range(1, 5):
+                start = Configuration(((p.init, n),))
+                seen, queue = {start}, deque([start])
+                while queue:
+                    for _label, nxt in spec_successors(p, queue.popleft()):
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            queue.append(nxt)
+                assert reachable(p, n) == seen
 
 
 class TestDecideFixed:
@@ -91,6 +106,12 @@ class TestDecideSweep:
         assert verdict.is_yes()
         assert replay(fig1, verdict.witness)
         assert verdict.witness.final().covers(cfg(q3=3))
+
+    def test_budget_ends_sweep_with_unknown(self, fig1):
+        # Population 13 is the first whose search exceeds 300 nodes.
+        verdict = decide_sweep(fig1, Problem("ccover", cfg(q4=1)), 30, budget=300)
+        assert verdict.answer == "unknown" and verdict.note == "budget"
+        assert verdict.explored_bound == 12
 
     def test_never_answers_no(self, fig1):
         rng = random.Random(22)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_config, random_protocol
+from helpers import random_config, random_protocol, spec_successors
 from nbrv.model import (
     Configuration,
     MalformedConfigurationError,
@@ -218,6 +218,28 @@ class TestInvariants:
             for q in p.states:
                 if c.get(q) >= 2 * steps:
                     assert path[-1].get(q) >= c.get(q) - 2 * steps
+
+    def test_matches_spec_in_order(self):
+        # Half the protocols get a state that both sends and receives one
+        # message, so that self rendez-vous are tried with one and with two
+        # processes in the shared state.
+        rng = random.Random(16)
+        shared = {1: 0, 2: 0}
+        for k in range(300):
+            p = random_protocol(rng, max_m=2)
+            if k % 2:
+                q, m = rng.choice(p.states), rng.choice(p.messages)
+                extra = ((q, send(m), rng.choice(p.states)), (q, recv(m), rng.choice(p.states)))
+                p = Protocol(p.name, p.states, p.messages, p.init, p.final,
+                             p.transitions + extra)
+            for _ in range(4):
+                c = random_config(rng, p, max_items=4)
+                for nb in (True, False):
+                    assert successors(p, c, allow_nonblocking=nb) == spec_successors(p, c, nb)
+                for q, m, _q1p in p.sends:
+                    if q in receivers(p, m) and c.get(q) in shared:
+                        shared[c.get(q)] += 1
+        assert min(shared.values()) > 20, shared
 
     def test_successors_deterministic(self):
         rng = random.Random(15)
