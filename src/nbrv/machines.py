@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, NamedTuple
+from itertools import chain, compress, repeat
+from operator import add, ge, sub
+from typing import Callable, Iterable, NamedTuple
 
 from .explore import DEFAULT_BUDGET, ResourceLimitError, Verdict, Witness, _rebuild, search
 
@@ -303,14 +305,25 @@ class Vas:
                 raise VasError("the non-blocking part must be non-negative")
 
 
+def _clamp(u: Iterable[int], t_nb: Vector) -> Vector:
+    """The clamp-subtract of a non-blocking step: ``max(0, u_i - t_nb_i)``."""
+    return tuple(map(max, repeat(0), map(sub, u, t_nb)))
+
+
 def step_strict(v: Vector, t: VasTransition) -> Vector | None:
-    """Apply the blocking part (must stay non-negative), then clamp-subtract."""
+    """Apply the blocking part (must stay non-negative), then clamp-subtract.
+
+    ``None`` when some coordinate of ``v + t_b`` is negative; otherwise
+    ``max(0, v_i + t_b_i - t_nb_i)`` for every coordinate ``i``.
+    """
     t_b, t_nb = t
     if len(v) != len(t_b):
         raise VasError("vector arity mismatch")
-    if any(a + b < 0 for a, b in zip(v, t_b)):
+    moved = tuple(map(add, v, t_b))
+    if min(moved, default=0) < 0:
         return None
-    return tuple(max(0, a + b - c) for a, b, c in zip(v, t_b, t_nb))
+    # ``moved`` is non-negative, so a zero clamp part leaves it as it is.
+    return _clamp(moved, t_nb) if any(t_nb) else moved
 
 
 def step_relaxed(v: Vector, t: VasTransition) -> Vector:
@@ -318,23 +331,57 @@ def step_relaxed(v: Vector, t: VasTransition) -> Vector:
     t_b, t_nb = t
     if len(v) != len(t_b):
         raise VasError("vector arity mismatch")
-    return tuple(max(0, a + b - c) for a, b, c in zip(v, t_b, t_nb))
+    return _clamp(map(add, v, t_b), t_nb)
+
+
+def _candidates(vas: Vas) -> Callable[[Vector], tuple[VasTransition, ...]]:
+    """Index ``vas`` so that each vector is offered only transitions that may fire.
+
+    A transition is filed under the first coordinate where its blocking part
+    is negative: on a vector that is zero there, the step is blocked.  The
+    candidates of a vector are the transitions filed under none (the free
+    ones) or under one of its nonzero coordinates, in ``vas.transitions``
+    order, so the search meets successors in the same order as a scan of
+    every transition.  They are memoised per set of nonzero coordinates.
+    """
+    free: list[int] = []
+    buckets: list[list[int]] = [[] for _ in range(vas.dim)]
+    for j, (t_b, _t_nb) in enumerate(vas.transitions):
+        first = next((i for i, b in enumerate(t_b) if b < 0), None)
+        (free if first is None else buckets[first]).append(j)
+    coords = range(vas.dim)
+    memo: dict[tuple[int, ...], tuple[VasTransition, ...]] = {}
+
+    def candidates(v: Vector) -> tuple[VasTransition, ...]:
+        support = tuple(compress(coords, v))
+        found = memo.get(support)
+        if found is None:
+            found = memo[support] = tuple(
+                vas.transitions[j]
+                for j in sorted(chain(free, *(buckets[i] for i in support))))
+        return found
+
+    return candidates
 
 
 def vas_cover_bounded(vas: Vas, cap: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Strict-step search for a vector covering the target, coordinates <= cap."""
     if cap < max(vas.v_init):
         raise ValueError("cap must cover the initial vector")
-    start, target = vas.v_init, vas.v_target
+    start = vas.v_init
+    candidates = _candidates(vas)
+    # Only the target's nonzero coordinates can fail to be covered.
+    need = [i for i, b in enumerate(vas.v_target) if b]
+    floor = [vas.v_target[i] for i in need]
 
     def succ(cur: Vector):
-        return ((t, nxt) for t in vas.transitions
+        return ((t, nxt) for t in candidates(cur)
                 if (nxt := step_strict(cur, t)) is not None)
 
     parents, labels, hit, pruned = search(
         start, succ, budget=budget,
         overflow=ResourceLimitError(f"node budget {budget} exceeded (cap {cap})"),
-        goal=lambda v: all(a >= b for a, b in zip(v, target)),
+        goal=lambda v: all(map(ge, map(v.__getitem__, need), floor)),
         prune=lambda v: max(v) > cap,
     )
     stats = {"visited": len(parents), "pruned": pruned}

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 
-from nbrv.machines import DEC, INC, NBDEC, NOP, CounterMachine, CounterOp
+from nbrv.explore import ResourceLimitError
+from nbrv.machines import DEC, INC, NBDEC, NOP, CounterMachine, CounterOp, Vas
 from nbrv.model import Configuration, Protocol, StepLabel, recv, send, tau
 
 
@@ -115,3 +116,82 @@ def spec_successors(p: Protocol, c: Configuration,
         if allow_nonblocking and not any(others[q] > 0 for q, _qp in receptions):
             found.add((StepLabel("nb", act.message), moved((src, dst))))
     return sorted(found, key=lambda pair: (pair[0].sort_key(), pair[1].items))
+
+
+def random_vas(rng: random.Random, max_dim: int = 5, max_t: int = 8) -> Vas:
+    """A small non-blocking VAS: sparse blocking parts, some of them without a
+    negative coordinate, some nonzero clamp parts, and a start vector that
+    may have several nonzero coordinates."""
+    dim = rng.randint(1, max_dim)
+
+    def sparse(lo: int, hi: int, density: float) -> tuple[int, ...]:
+        return tuple(rng.randint(lo, hi) if rng.random() < density else 0
+                     for _ in range(dim))
+
+    transitions = []
+    for _ in range(rng.randint(1, max_t)):
+        lo = 0 if rng.random() < 0.2 else -2
+        t_nb = sparse(0, 2, 0.3) if rng.random() < 0.5 else (0,) * dim
+        transitions.append((sparse(lo, 2, 0.5), t_nb))
+    return Vas("rnd", dim, tuple(transitions), sparse(0, 2, 0.6), sparse(1, 4, 0.6))
+
+
+def spec_step_strict(v: tuple[int, ...], t) -> tuple[int, ...] | None:
+    """``step_strict`` as its docstring states it, with generator expressions."""
+    t_b, t_nb = t
+    if len(v) != len(t_b):
+        raise ValueError("vector arity mismatch")
+    if any(a + b < 0 for a, b in zip(v, t_b)):
+        return None
+    return tuple(max(0, a + b - c) for a, b, c in zip(v, t_b, t_nb))
+
+
+def spec_step_relaxed(v: tuple[int, ...], t) -> tuple[int, ...]:
+    """``step_relaxed`` as its docstring states it, with a generator expression."""
+    t_b, t_nb = t
+    if len(v) != len(t_b):
+        raise ValueError("vector arity mismatch")
+    return tuple(max(0, a + b - c) for a, b, c in zip(v, t_b, t_nb))
+
+
+def spec_vas_cover(vas: Vas, cap: int, budget: int):
+    """Brute-force strict-step BFS: every transition on every vector, in order.
+
+    Returns ``(answer, steps, stats)`` with the witness as ``(transition,
+    vector)`` steps, or raises ``ResourceLimitError`` when admitting a vector
+    would exceed ``budget``.  A successor already seen is skipped before the
+    cap is checked, and only new ones over the cap count as pruned.
+    """
+    def covers(v: tuple[int, ...]) -> bool:
+        return all(a >= b for a, b in zip(v, vas.v_target))
+
+    start = vas.v_init
+    parent: dict = {start: None}
+    pruned = 0
+    end = start if covers(start) else None
+    queue = deque([start] if end is None else [])
+    while queue and end is None:
+        cur = queue.popleft()
+        for t in vas.transitions:
+            nxt = spec_step_strict(cur, t)
+            if nxt is None or nxt in parent:
+                continue
+            if max(nxt) > cap:
+                pruned += 1
+                continue
+            if len(parent) >= budget:
+                raise ResourceLimitError("budget")
+            parent[nxt] = (cur, t)
+            if covers(nxt):
+                end = nxt
+                break
+            queue.append(nxt)
+    stats = {"visited": len(parent), "pruned": pruned}
+    if end is None:
+        return "no", None, stats
+    steps = []
+    while parent[end] is not None:
+        prev, t = parent[end]
+        steps.append((t, end))
+        end = prev
+    return "yes", steps[::-1], stats

@@ -15,6 +15,7 @@ from nbrv.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
 FIG1 = str(PROTOCOL_DIR / "fig1.rvp")
 P1 = str(PROTOCOL_DIR / "p1.rvp")
 P2 = str(PROTOCOL_DIR / "p2.rvp")
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 # Full stdout of the explorer's YES answers, pinned so that a change to the
@@ -185,11 +186,41 @@ class TestExplore:
         assert out1 == "RESULT NO within-cap\n"
         assert out2.splitlines()[0] == "RESULT YES"
 
+    @pytest.mark.parametrize("protocol,target,expected", [
+        (P1, "q2:2", (GOLDEN_DIR / "vas_p1_q2x2_cap2.txt").read_text()),
+        (FIG1, "q4", "RESULT NO within-cap\n"),
+    ])
+    def test_golden_vas(self, capsys, tmp_path, protocol, target, expected):
+        """Full stdout of ``explore vas`` on the ``cm2vas`` of a ``p2cm`` output."""
+        machine, vas = tmp_path / "m.nbm", tmp_path / "m.vas"
+        _, out, _ = run(capsys, "translate", "p2cm", protocol, str(machine),
+                        "--target", target)
+        loc = out.splitlines()[0].removeprefix("TARGET ")
+        run(capsys, "translate", "cm2vas", str(machine), str(vas), "--target-loc", loc)
+        code, out, _ = run(capsys, "explore", "vas", str(vas), "--cap", "2")
+        assert code == EXIT_OK
+        assert out == expected
+
     def test_vas(self, capsys, tmp_path):
         path = tmp_path / "v.vas"
         path.write_text("vas v dim 1\ninit 0\ntarget 1\ntrans 1 ; 0\n")
         code, out, _ = run(capsys, "explore", "vas", str(path), "--cap", "2")
         assert code == EXIT_OK and out.splitlines()[0] == "RESULT YES"
+
+
+class TestRepeatedCalls:
+    """Calls of ``main`` in one process are independent: none leaks into the next."""
+
+    def test_calls_are_independent(self, capsys):
+        code, out, _ = run(capsys, "explore", "protocol", P1, "--procs", "3", "--list")
+        assert code == EXIT_OK and "CONFIG" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "protocol", P1, "--procs", "three"])
+        assert exc.value.code == EXIT_PARSE
+        code, out2, _ = run(capsys, "explore", "protocol", P1, "--procs", "3")
+        assert code == EXIT_OK
+        assert out2 == out.splitlines()[0] + "\n"
+        assert "CONFIG" not in out2
 
 
 class TestTranslate:

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_machine
+from helpers import (
+    random_machine,
+    random_vas,
+    spec_step_relaxed,
+    spec_step_strict,
+    spec_vas_cover,
+)
 from nbrv.explore import ResourceLimitError
 from nbrv.machines import (
     DEC,
@@ -207,6 +214,33 @@ class TestVasSteps:
     def test_relaxed_explicit(self):
         assert step_relaxed((5,), ((-1,), (2,))) == (2,)
 
+    def test_match_spec(self):
+        rng = random.Random(31)
+        seen = Counter()
+        for _ in range(3000):
+            d = rng.randint(1, 6)
+            v = tuple(rng.randint(0, 3) for _ in range(d))
+            t_b = tuple(rng.randint(-3, 3) for _ in range(d))
+            t_nb = tuple(rng.choice((0, 0, 1, 4)) for _ in range(d))
+            t = (t_b, t_nb)
+            strict = step_strict(v, t)
+            assert strict == spec_step_strict(v, t)
+            assert step_relaxed(v, t) == spec_step_relaxed(v, t)
+            assert type(step_relaxed(v, t)) is tuple
+            seen["blocked" if strict is None else "fired"] += 1
+            if strict is not None:
+                assert type(strict) is tuple
+                seen["clamped"] += any(a + b - c < 0 for a, b, c in zip(v, t_b, t_nb))
+                seen["no clamp part"] += not any(t_nb)
+        assert min(seen.values()) > 50, seen
+
+    @pytest.mark.parametrize("step", [step_strict, step_relaxed])
+    def test_arity_mismatch(self, step):
+        with pytest.raises(VasError):
+            step((1, 2), ((0,), (0,)))
+        with pytest.raises(VasError):
+            step((1,), ((0, 1), (0, 0)))
+
     @given(
         st.integers(1, 4).flatmap(
             lambda d: st.tuples(
@@ -251,6 +285,34 @@ class TestVasCover:
         v = Vas("v", 1, (), (4,), (1,))
         with pytest.raises(ValueError):
             vas_cover_bounded(v, cap=2)
+
+    def test_matches_brute_force_spec(self):
+        rng = random.Random(5)
+        seen = Counter()
+        for _ in range(800):
+            vas = random_vas(rng)
+            cap = max(vas.v_init) + rng.randint(0, 3)
+            budget = rng.choice((6, 40, 10_000))
+            try:
+                answer, steps, stats = spec_vas_cover(vas, cap, budget)
+            except ResourceLimitError:
+                with pytest.raises(ResourceLimitError):
+                    vas_cover_bounded(vas, cap, budget)
+                seen["overflow"] += 1
+                continue
+            verdict = vas_cover_bounded(vas, cap, budget)
+            assert verdict.answer == answer
+            assert verdict.stats == stats
+            seen[answer] += 1
+            seen["pruned"] += stats["pruned"] > 0
+            seen["free"] += any(min(t_b) >= 0 for t_b, _ in vas.transitions)
+            seen["multi-start"] += sum(map(bool, vas.v_init)) > 1
+            seen["clamp"] += any(any(t_nb) for _, t_nb in vas.transitions)
+            if answer == "yes":
+                assert verdict.witness.initial == vas.v_init
+                assert list(verdict.witness.steps) == steps
+                seen["long witness"] += len(steps) > 2
+        assert min(seen.values()) >= 15, seen
 
     def test_vas_validation(self):
         with pytest.raises(VasError):
