@@ -89,14 +89,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if method == "abstract":
         if args.problem == "synchro":
             raise PreconditionError("the abstract analysis does not decide synchro")
-        try:
-            if args.problem == "scover":
-                verdict = waitonly.decide_state_cover(p)
-            else:
-                assert problem.target is not None
-                verdict = waitonly.decide_cover(p, problem.target)
-        except waitonly.NotWaitOnlyError as exc:
-            raise PreconditionError(str(exc)) from exc
+        if args.problem == "scover":
+            verdict = waitonly.decide_state_cover(p)
+        else:
+            assert problem.target is not None
+            verdict = waitonly.decide_cover(p, problem.target)
     else:
         verdict = explore.decide_sweep(p, problem, args.max_procs, args.max_steps)
     _print_verdict(verdict, lambda label, cfg: f"{label} {cfg}")
@@ -105,10 +102,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_abstract(args: argparse.Namespace) -> int:
     p = _load_protocol(args.file)
-    try:
-        _gamma, trace = waitonly.fixpoint(p)
-    except waitonly.NotWaitOnlyError as exc:
-        raise PreconditionError(str(exc)) from exc
+    _gamma, trace = waitonly.fixpoint(p)
     shown = trace if args.trace else trace[-1:]
     for gamma in shown:
         states = ",".join(gamma.sorted_states())
@@ -123,7 +117,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         configs = explore.reachable(p, args.procs, args.budget)
         print(f"REACHABLE {len(configs)}")
         if args.list:
-            for c in sorted(configs, key=lambda c: c.items):
+            for c in sorted(map(p.moves().decode, configs), key=lambda c: c.items):
                 print(f"CONFIG {c}")
         return EXIT_OK
     if args.kind == "machine":
@@ -161,19 +155,13 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         if args.target_loc is None:
             raise PreconditionError("cm2p requires --target-loc")
         m = _load_machine(args.infile)
-        try:
-            protocol, report = reductions.machine_to_protocol(m, args.target_loc)
-        except machines.MachineError as exc:
-            raise PreconditionError(str(exc)) from exc
+        protocol, report = reductions.machine_to_protocol(m, args.target_loc)
         out.write_text(fileio.serialize_protocol(protocol))
     elif kind == "cm2vas":
         if args.target_loc is None:
             raise PreconditionError("cm2vas requires --target-loc")
         m = _load_machine(args.infile)
-        try:
-            vas = reductions.machine_to_vas(m, args.target_loc)
-        except machines.MachineError as exc:
-            raise PreconditionError(str(exc)) from exc
+        vas = reductions.machine_to_vas(m, args.target_loc)
         out.write_text(fileio.serialize_vas(vas))
         print(f"SIZE dim={vas.dim} transitions={len(vas.transitions)}")
         return EXIT_OK
@@ -185,18 +173,15 @@ def _cmd_translate(args: argparse.Namespace) -> int:
             raise PreconditionError(
                 "minsky2p takes a plain two-counter machine "
                 "(no nbdec transitions, restore off)")
-        try:
-            mm = reductions.MinskyMachine(
-                name=m.name,
-                locations=m.locations,
-                init=m.init,
-                final=args.target_loc,
-                counters=tuple(m.counters),  # type: ignore[arg-type]
-                transitions=m.blocking,
-            )
-            protocol, report = reductions.minsky_to_protocol(mm)
-        except machines.MachineError as exc:
-            raise PreconditionError(str(exc)) from exc
+        mm = reductions.MinskyMachine(
+            name=m.name,
+            locations=m.locations,
+            init=m.init,
+            final=args.target_loc,
+            counters=tuple(m.counters),  # type: ignore[arg-type]
+            transitions=m.blocking,
+        )
+        protocol, report = reductions.minsky_to_protocol(mm)
         out.write_text(fileio.serialize_protocol(protocol))
     print(f"SIZE source={report.source_size} target={report.target_size}")
     return EXIT_OK
@@ -207,19 +192,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "lipton":
         m = _load_machine(args.infile)
         target = args.target_loc or m.init
-        try:
-            shell = gadgets.restore_shell(m, args.levels, target)
-        except (machines.MachineError, gadgets.LevelError) as exc:
-            raise PreconditionError(str(exc)) from exc
+        shell = gadgets.restore_shell(m, args.levels, target)
         out.write_text(fileio.serialize_machine(shell))
         print(f"TARGET {target}")
         print(f"SIZE locations={len(shell.locations)} counters={len(shell.counters)}")
     else:
-        try:
-            ctx = gadgets.LevelContext.create(args.levels)
-            pm = gadgets.reset_level(ctx, args.level)
-        except gadgets.LevelError as exc:
-            raise PreconditionError(str(exc)) from exc
+        ctx = gadgets.LevelContext.create(args.levels)
+        pm = gadgets.reset_level(ctx, args.level)
         out.write_text(fileio.serialize_machine(pm.to_machine()))
         print(f"SIZE locations={len(pm.locations)} counters={len(pm.counters)}")
     return EXIT_OK
@@ -298,15 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     except fileio.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (
-        explore.ResourceLimitError,
-        machines.MachineError,
-        machines.VasError,
-        ValueError,
-    ) as exc:
+    except (PreconditionError, explore.ResourceLimitError, ValueError) as exc:
+        # The library's model-class errors (not wait-only, zero tests, bad
+        # level...) are all ValueErrors: they are mapped here and nowhere else.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except FileNotFoundError as exc:

@@ -9,7 +9,7 @@ with a witness but never NO.
 ``search`` is the one breadth-first search of the package: the counter
 machine, VAS and gadget searches run on it too.  The explorer runs it on the
 dense count tuples of the protocol's compiled ``MoveTable``; ``Configuration``
-objects are built only for witnesses and for the set ``reachable`` returns.
+objects are built only for witnesses.
 """
 
 from __future__ import annotations
@@ -139,14 +139,18 @@ def search(
     return parents, labels, None, pruned
 
 
-def reachable(p: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> set[Configuration]:
-    """The exact set of configurations reachable from ``n`` initial processes."""
+def reachable(p: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> set[tuple[int, ...]]:
+    """The exact set of configurations reachable from ``n`` initial processes.
+
+    The configurations are ``p.moves()``'s dense count tuples; its ``decode``
+    gives their sparse forms.
+    """
     t = p.moves()
     overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
     # Only the parent map's keys are needed: the label map is dropped at once.
     parents = search(t.encode(initial(p, n)), partial(successors, t),
                      budget=budget, overflow=overflow)[0]
-    return set(map(t.decode, parents))
+    return set(parents)
 
 
 def _rebuild(parents: dict, labels: dict, start: Any, end: Any) -> Witness:

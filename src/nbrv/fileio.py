@@ -190,10 +190,6 @@ def parse_config(text: str, p: Protocol, file: str = "<config>") -> Configuratio
     return Configuration.from_counts(counts)
 
 
-def config_literal(c: Configuration) -> str:
-    return str(c)
-
-
 _OPS_ONE_TOKEN = {"nop": "nop"}
 _OPS_TWO_TOKEN = {"inc": "inc", "dec": "dec", "nbdec": "nbdec", "zero?": "zerotest"}
 

@@ -166,6 +166,18 @@ class _Builder:
         if not ops:
             self.edge(start, CounterOp(NOP), end)
 
+    def machine(self, name: str, entry: str, outs: tuple[str, ...]) -> ProceduralMachine:
+        """The fragment built so far, entered at ``entry`` and left at ``outs``."""
+        return ProceduralMachine(
+            name=name,
+            locations=tuple(self.locations),
+            counters=self.ctx.all_counters(),
+            blocking=tuple(self.blocking),
+            nonblocking=tuple(self.nonblocking),
+            entry=entry,
+            outs=outs,
+        )
+
 
 def _emit_test_swap(b: _Builder, level: int, dual_counter: str, prefix: str) -> tuple[str, str, str]:
     """Emit a test-and-swap block; returns (entry, zero_exit, nonzero_exit)."""
@@ -249,15 +261,7 @@ def zero_test_swap(ctx: LevelContext, level: int, dual_counter: str) -> Procedur
     """
     b = _Builder(ctx)
     entry, z_exit, nz_exit = _emit_test_swap(b, level, dual_counter, "ts_")
-    return ProceduralMachine(
-        name=f"test_swap_{level}_{dual_counter}",
-        locations=tuple(b.locations),
-        counters=ctx.all_counters(),
-        blocking=tuple(b.blocking),
-        nonblocking=tuple(b.nonblocking),
-        entry=entry,
-        outs=(z_exit, nz_exit),
-    )
+    return b.machine(f"test_swap_{level}_{dual_counter}", entry, (z_exit, nz_exit))
 
 
 def _emit_init(b: _Builder, level: int, prefix: str) -> tuple[str, str]:
@@ -281,15 +285,7 @@ def init_level(ctx: LevelContext, level: int) -> ProceduralMachine:
         raise LevelError(f"level {level} outside 0..{ctx.levels - 1}")
     b = _Builder(ctx)
     entry, out = _emit_init(b, level, "ic_")
-    return ProceduralMachine(
-        name=f"init_level_{level}",
-        locations=tuple(b.locations),
-        counters=ctx.all_counters(),
-        blocking=tuple(b.blocking),
-        nonblocking=tuple(b.nonblocking),
-        entry=entry,
-        outs=(out,),
-    )
+    return b.machine(f"init_level_{level}", entry, (out,))
 
 
 def _emit_reset(b: _Builder, level: int, prefix: str) -> tuple[str, str]:
@@ -316,15 +312,7 @@ def reset_level(ctx: LevelContext, level: int) -> ProceduralMachine:
         raise LevelError(f"level {level} outside 0..{ctx.levels}")
     b = _Builder(ctx)
     entry, out = _emit_reset(b, level, "rs_")
-    return ProceduralMachine(
-        name=f"reset_level_{level}",
-        locations=tuple(b.locations),
-        counters=ctx.all_counters(),
-        blocking=tuple(b.blocking),
-        nonblocking=tuple(b.nonblocking),
-        entry=entry,
-        outs=(out,),
-    )
+    return b.machine(f"reset_level_{level}", entry, (out,))
 
 
 def reset_chain(ctx: LevelContext) -> ProceduralMachine:
@@ -347,15 +335,7 @@ def reset_chain(ctx: LevelContext) -> ProceduralMachine:
     r_in, r_out = _emit_reset(b, ctx.levels, f"ri_r{ctx.levels}_")
     b.edge(cur, CounterOp(NOP), r_in)
     b.edge(r_out, CounterOp(NOP), out)
-    return ProceduralMachine(
-        name="reset_chain",
-        locations=tuple(b.locations),
-        counters=ctx.all_counters(),
-        blocking=tuple(b.blocking),
-        nonblocking=tuple(b.nonblocking),
-        entry=entry,
-        outs=(out,),
-    )
+    return b.machine("reset_chain", entry, (out,))
 
 
 def restore_shell(m: CounterMachine, levels: int, target_loc: str) -> CounterMachine:

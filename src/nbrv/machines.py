@@ -159,30 +159,19 @@ class CounterMachine:
             raise MalformedMachineConfigError(f"unknown counter {counter!r}") from None
 
     def config(self, loc: str, valuation: dict[str, int] | None = None) -> MachineConfig:
+        """A checked configuration: where configurations enter the searches."""
         valuation = valuation or {}
         for x in valuation:
             self.index(x)
+        if loc not in self._locs:
+            raise MalformedMachineConfigError(f"unknown location {loc!r}")
         values = tuple(valuation.get(x, 0) for x in self.counters)
-        return self.check_config(MachineConfig(loc, values))
+        if values and min(values) < 0:
+            raise MalformedMachineConfigError("counter values must be non-negative")
+        return MachineConfig(loc, values)
 
     def initial_config(self) -> MachineConfig:
         return self.config(self.init)
-
-    def value(self, cfg: MachineConfig, counter: str) -> int:
-        return cfg.values[self.index(counter)]
-
-    def valuation(self, cfg: MachineConfig) -> dict[str, int]:
-        return dict(zip(self.counters, cfg.values))
-
-    def check_config(self, cfg: MachineConfig) -> MachineConfig:
-        if cfg.loc not in self._locs:
-            raise MalformedMachineConfigError(f"unknown location {cfg.loc!r}")
-        values = cfg.values
-        if len(values) != len(self.counters):
-            raise MalformedMachineConfigError("valuation arity mismatch")
-        if values and min(values) < 0:
-            raise MalformedMachineConfigError("counter values must be non-negative")
-        return cfg
 
     def moves(self, loc: str) -> tuple[tuple[MachineTransition, str, int, str], ...]:
         """The moves out of ``loc`` as (transition, op kind, counter index, target).
@@ -210,8 +199,12 @@ class CounterMachine:
 def machine_successors(
     m: CounterMachine, cfg: MachineConfig
 ) -> list[tuple[MachineTransition, MachineConfig]]:
-    """All enabled one-step moves, restore jumps included, in a fixed order."""
-    values = m.check_config(cfg).values
+    """All enabled one-step moves, restore jumps included, in a fixed order.
+
+    ``cfg`` is trusted: it comes from :meth:`CounterMachine.config` or from
+    an earlier step, so it is not checked again.
+    """
+    values = cfg.values
     out: list[tuple[MachineTransition, MachineConfig]] = []
     for trans, kind, i, dst in m.moves(cfg.loc):
         if kind == NOP:
@@ -247,12 +240,17 @@ def cover_bounded(
         raise ValueError("cap must be non-negative")
     if target_loc not in m._locs:
         raise MachineError(f"unknown target location {target_loc!r}")
-    start = m.initial_config()
+    return _capped(m.initial_config(), partial(machine_successors, m), cap, budget,
+                   goal=lambda c: c.loc == target_loc,
+                   prune=lambda c: max(c.values, default=0) > cap)
+
+
+def _capped(start, succ, cap: int, budget: int, *, goal, prune) -> Verdict:
+    """The search of a cap-bounded model: YES with the run, else NO ``within-cap``."""
     parents, labels, hit, pruned = search(
-        start, partial(machine_successors, m), budget=budget,
+        start, succ, budget=budget,
         overflow=ResourceLimitError(f"node budget {budget} exceeded (cap {cap})"),
-        goal=lambda c: c.loc == target_loc,
-        prune=lambda c: max(c.values, default=0) > cap,
+        goal=goal, prune=prune,
     )
     stats = {"visited": len(parents), "pruned": pruned}
     if hit is not None:
@@ -368,7 +366,6 @@ def vas_cover_bounded(vas: Vas, cap: int, budget: int = DEFAULT_BUDGET) -> Verdi
     """Strict-step search for a vector covering the target, coordinates <= cap."""
     if cap < max(vas.v_init):
         raise ValueError("cap must cover the initial vector")
-    start = vas.v_init
     candidates = _candidates(vas)
     # Only the target's nonzero coordinates can fail to be covered.
     need = [i for i, b in enumerate(vas.v_target) if b]
@@ -378,13 +375,6 @@ def vas_cover_bounded(vas: Vas, cap: int, budget: int = DEFAULT_BUDGET) -> Verdi
         return ((t, nxt) for t in candidates(cur)
                 if (nxt := step_strict(cur, t)) is not None)
 
-    parents, labels, hit, pruned = search(
-        start, succ, budget=budget,
-        overflow=ResourceLimitError(f"node budget {budget} exceeded (cap {cap})"),
-        goal=lambda v: all(map(ge, map(v.__getitem__, need), floor)),
-        prune=lambda v: max(v) > cap,
-    )
-    stats = {"visited": len(parents), "pruned": pruned}
-    if hit is not None:
-        return Verdict("yes", _rebuild(parents, labels, start, hit), stats=stats)
-    return Verdict("no", explored_bound=cap, note="within-cap", stats=stats)
+    return _capped(vas.v_init, succ, cap, budget,
+                   goal=lambda v: all(map(ge, map(v.__getitem__, need), floor)),
+                   prune=lambda v: max(v) > cap)

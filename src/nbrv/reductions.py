@@ -53,9 +53,6 @@ class TranslationReport:
     target_size: int
     tables: dict[str, dict[str, str]] = field(default_factory=dict)
 
-    def fresh_names(self) -> list[str]:
-        return [v for table in self.tables.values() for v in table.values()]
-
 
 class _Names:
     """Deterministic fresh-name allocator avoiding a set of taken names."""
@@ -92,8 +89,6 @@ def protocol_to_machine(
     the loops that simulate sends, one per potential receiver state.
     """
     check_configuration(p, target)
-    if target.total() < 1:
-        raise ValueError("target configuration must be non-empty")
 
     names = _Names([])
     hub = names.fresh("lin")
@@ -196,7 +191,7 @@ def machine_to_protocol(
         gadget[f"qd[{x}]"] = names.fresh(f"qd_{x}")
 
     aux: dict[MachineTransition, str] = {}
-    for i, t in enumerate(sorted(m.blocking, key=_mt_key)):
+    for i, t in enumerate(m.blocking):
         aux[t] = names.fresh(f"at_{i}")
 
     msg = _Names([])
@@ -273,25 +268,20 @@ def machine_to_vas(m: CounterMachine, target_loc: str) -> Vas:
     """Compile location coverability of a non-blocking machine into VAS covering.
 
     One coordinate per location (kept 0/1, exactly one active) plus one per
-    counter.  Self-loops are split through a fresh location first; restore
-    jumps, when present, are materialized as explicit transitions.
+    counter.  The transitions are the machine's moves (restore jumps
+    included) in ``CounterMachine.moves`` order; self-loops are split
+    through a fresh location first.
     """
     if not m.is_test_free:
         raise MachineError(f"{m.name} has zero tests; VAS compilation needs a test-free machine")
     if target_loc not in set(m.locations):
         raise MachineError(f"unknown target location {target_loc!r}")
 
-    trans: list[MachineTransition] = list(m.blocking) + list(m.nonblocking)
-    if m.restore:
-        for loc in m.locations:
-            t = (loc, CounterOp(NOP), m.init)
-            if t not in trans:
-                trans.append(t)
-
+    trans = [move[0] for loc in m.locations for move in m.moves(loc)]
     names = _Names(m.locations)
     locations = list(m.locations)
     split: list[MachineTransition] = []
-    for i, (src, op, dst) in enumerate(sorted(trans, key=_mt_key)):
+    for i, (src, op, dst) in enumerate(trans):
         if src == dst:
             mid = names.fresh(f"at_{i}")
             locations.append(mid)

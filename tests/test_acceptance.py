@@ -327,7 +327,8 @@ def test_criterion_8_semantics_properties():
         replayed = 0
         while replayed < 1000:
             p = random_protocol(rng, max_q=4, max_t=8)
-            pool = sorted(reachable(p, rng.randint(1, 3)), key=lambda c: c.items)
+            pool = sorted(map(p.moves().decode, reachable(p, rng.randint(1, 3))),
+                          key=lambda c: c.items)
             target = rng.choice(pool)
             verdict = decide_sweep(p, Problem("ccover", target), 3)
             if verdict.is_yes():

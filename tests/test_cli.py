@@ -11,6 +11,7 @@ import nbrv
 from conftest import PROTOCOL_DIR
 from nbrv import fileio
 from nbrv.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
+from nbrv.model import MoveTable
 
 FIG1 = str(PROTOCOL_DIR / "fig1.rvp")
 P1 = str(PROTOCOL_DIR / "p1.rvp")
@@ -320,6 +321,55 @@ class TestGen:
         code2, out2, _ = run(capsys, "explore", "machine", str(out_path),
                              "--loc", "lf", "--cap", "2")
         assert out2.splitlines()[0] == "RESULT YES"
+
+
+ZERO_TEST_MACHINE = ("machine z\nlocations a b\ninit a\ncounters x\nrestore off\n"
+                     "trans a zero? x b\n")
+RESTORE_OFF_MACHINE = ("machine m\nlocations lin lf\ninit lin\ncounters x\nrestore off\n"
+                       "trans lin inc x lf\n")
+THREE_COUNTER_MACHINE = ("machine t\nlocations l0 lf\ninit l0\ncounters x1 x2 x3\n"
+                         "restore off\ntrans l0 inc x1 lf\n")
+
+
+class TestErrorMap:
+    """Model-class errors raised by the library reach the user through ``main`` alone."""
+
+    @pytest.mark.parametrize("machine, argv, message", [
+        (None, ["check", "ccover", FIG1, "--target", "q4", "--method", "abstract"],
+         "protocol fig1 is not wait-only (mixed states: q5, q_in)"),
+        (None, ["abstract", FIG1],
+         "protocol fig1 is not wait-only (mixed states: q5, q_in)"),
+        (ZERO_TEST_MACHINE, ["translate", "cm2vas", "IN", "OUT", "--target-loc", "b"],
+         "z has zero tests; VAS compilation needs a test-free machine"),
+        (ZERO_TEST_MACHINE, ["gen", "lipton", "IN", "OUT", "--levels", "1"],
+         "z has zero tests"),
+        (RESTORE_OFF_MACHINE, ["translate", "cm2p", "IN", "OUT", "--target-loc", "lf"],
+         "m is not a test-free restore machine"),
+        (THREE_COUNTER_MACHINE, ["translate", "minsky2p", "IN", "OUT", "--target-loc", "lf"],
+         "a Minsky machine has exactly two counters"),
+        (RESTORE_OFF_MACHINE, ["gen", "lipton", "IN", "OUT", "--levels", "0"],
+         "need at least one level"),
+        (None, ["gen", "rst", "OUT", "--levels", "1", "--level", "5"],
+         "level 5 outside 0..1"),
+    ], ids=["check-abstract", "abstract", "cm2vas-zero-test", "lipton-zero-test",
+            "cm2p-restore-off", "minsky2p-three-counters", "lipton-levels-0",
+            "rst-level-out-of-range"])
+    def test_precondition_message(self, capsys, tmp_path, machine, argv, message):
+        paths = {"IN": str(tmp_path / "in.nbm"), "OUT": str(tmp_path / "out")}
+        if machine is not None:
+            Path(paths["IN"]).write_text(machine)
+        code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+        assert (code, out, err) == (EXIT_PRECONDITION, "", f"error: {message}\n")
+        assert not Path(paths["OUT"]).exists()
+
+    def test_reachable_count_decodes_nothing(self, capsys, monkeypatch):
+        """Without ``--list``, ``explore protocol`` only counts the dense configurations."""
+        def refuse(_self, _v):
+            raise AssertionError("decode called")
+
+        monkeypatch.setattr(MoveTable, "decode", refuse)
+        code, out, _ = run(capsys, "explore", "protocol", P1, "--procs", "3")
+        assert code == EXIT_OK and out == "REACHABLE 31\n"
 
 
 class TestBrokenPipe:

@@ -7,7 +7,6 @@ import pytest
 from helpers import random_machine, random_protocol
 from nbrv.fileio import (
     ParseError,
-    config_literal,
     parse_config,
     parse_machine,
     parse_protocol,
@@ -102,7 +101,7 @@ class TestConfigLiteral:
 
     def test_round_trip(self, fig1):
         c = Configuration.from_counts({"q1": 2, "q5": 1})
-        assert parse_config(config_literal(c), fig1) == c
+        assert parse_config(str(c), fig1) == c
 
 
 class TestMachineFormat:

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 
 from helpers import random_config, random_machine, random_protocol
 from nbrv import waitonly
+from nbrv.fileio import serialize_vas
 from nbrv.explore import Problem, decide_fixed, decide_sweep
 from nbrv.machines import (
     DEC,
@@ -29,6 +31,9 @@ from nbrv.reductions import (
     minsky_to_protocol,
     protocol_to_machine,
 )
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def cfg(**counts: int) -> Configuration:
@@ -193,6 +198,18 @@ class TestMachineToVas:
                     break
             for vec in seen:
                 assert sum(vec[:k]) == 1 and all(x in (0, 1) for x in vec[:k])
+
+    def test_restore_machines_golden(self):
+        """Restore jumps, self-loop splits and fresh names, pinned byte for byte."""
+        rng = random.Random(1)
+        ms = [random_machine(rng, restore=True) for _ in range(20)]
+        # The seed covers an explicit self-loop and a nop edge to init that
+        # coincides with a restore jump.
+        assert any(s == d for m in ms for s, _op, d in m.blocking + m.nonblocking)
+        assert any(s != d and op == CounterOp(NOP) and d == m.init
+                   for m in ms for s, op, d in m.blocking)
+        text = "".join(serialize_vas(machine_to_vas(m, m.locations[-1])) for m in ms)
+        assert text == (GOLDEN_DIR / "vas_restore_machines.txt").read_text()
 
     def test_verdict_agreement(self):
         rng = random.Random(1234)
