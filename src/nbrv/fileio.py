@@ -42,33 +42,35 @@ class ParseError(ValueError):
         super().__init__(f"{file}:{line}:{column}: {message}")
 
 
+# A token is its text, its 1-based line number and its index among the words
+# of that line; the column is worked out only when an error reports it.
 Token = tuple[str, int, int]
 
 
-def _tokenize(text: str) -> list[list[Token]]:
-    """Token lists per line, comments stripped, with 1-based positions."""
-    lines: list[list[Token]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        toks: list[Token] = []
-        for piece in re.finditer(r"\S+", body):
-            toks.append((piece.group(), lineno, piece.start() + 1))
-        if toks:
-            lines.append(toks)
-    return lines
+def _tokenize(lines: list[str]) -> list[list[Token]]:
+    """Token lists per non-empty line, comments stripped."""
+    out: list[list[Token]] = []
+    for lineno, raw in enumerate(lines, start=1):
+        words = raw.split("#", 1)[0].split()
+        if words:
+            out.append([(word, lineno, i) for i, word in enumerate(words)])
+    return out
 
 
 class _Reader:
     def __init__(self, text: str, file: str) -> None:
         self.file = file
-        self.lines = _tokenize(text)
+        self.raw = text.splitlines()
+        self.lines = _tokenize(self.raw)
         self.pos = 0
 
     def error(self, token: Token | None, message: str) -> ParseError:
         if token is None:
             line = self.lines[-1][0][1] if self.lines else 1
             return ParseError(self.file, line, 1, message)
-        return ParseError(self.file, token[1], token[2], message)
+        _text, line, index = token
+        starts = [m.start() for m in re.finditer(r"\S+", self.raw[line - 1].split("#", 1)[0])]
+        return ParseError(self.file, line, starts[index] + 1, message)
 
     def peek_keyword(self) -> str | None:
         if self.pos >= len(self.lines):
@@ -178,7 +180,7 @@ def parse_config(text: str, p: Protocol, file: str = "<config>") -> Configuratio
             raise ParseError(file, 1, col, "empty configuration item")
         state, _, count_text = piece.partition(":")
         if count_text:
-            if not count_text.isdigit() or int(count_text) < 1:
+            if not count_text.isdecimal() or int(count_text) < 1:
                 raise ParseError(file, 1, col, f"count {count_text!r} must be a positive integer")
             count = int(count_text)
         else:
@@ -274,7 +276,7 @@ def _int_tokens(rd: _Reader, toks: list[Token], want: int, what: str, signed: bo
     for tok in toks:
         text = tok[0]
         body = text[1:] if signed and text and text[0] in "+-" else text
-        if not body.isdigit():
+        if not body.isdecimal():
             raise rd.error(tok, f"invalid {what} value {text!r}")
         value = int(text)
         if not signed and value < 0:
@@ -290,7 +292,7 @@ def parse_vas(text: str, file: str = "<string>") -> Vas:
     if len(head) != 4 or head[2][0] != "dim":
         raise rd.error(head[0], "'vas' line must be: vas NAME dim D")
     name = _ident(rd, head[1], "vas")
-    if not head[3][0].isdigit() or int(head[3][0]) < 1:
+    if not head[3][0].isdecimal() or int(head[3][0]) < 1:
         raise rd.error(head[3], "dimension must be a positive integer")
     dim = int(head[3][0])
 

@@ -19,7 +19,8 @@ from itertools import chain, compress, repeat
 from operator import add, ge, sub
 from typing import Callable, Iterable, NamedTuple
 
-from .explore import DEFAULT_BUDGET, ResourceLimitError, Verdict, Witness, _rebuild, search
+from . import explore
+from .explore import DEFAULT_BUDGET, ResourceLimitError, Verdict, Witness, search
 
 NOP = "nop"
 INC = "inc"
@@ -254,7 +255,8 @@ def _capped(start, succ, cap: int, budget: int, *, goal, prune) -> Verdict:
     )
     stats = {"visited": len(parents), "pruned": pruned}
     if hit is not None:
-        return Verdict("yes", _rebuild(parents, labels, start, hit), stats=stats)
+        # Looked up through the module, so that a wrapper on it sees machine witnesses.
+        return Verdict("yes", explore._rebuild(parents, labels, start, hit), stats=stats)
     return Verdict("no", explored_bound=cap, note="within-cap", stats=stats)
 
 

@@ -134,11 +134,15 @@ class Protocol:
         )
         recv_by_msg: dict[str, list[tuple[str, str]]] = {m: [] for m in self.messages}
         receivable: dict[str, set[str]] = {q: set() for q in self.states}
+        recv_targets: dict[tuple[str, str], list[str]] = {}
         for src, m, dst in self._recvs:
             recv_by_msg[m].append((src, dst))
             receivable[src].add(m)
+            recv_targets.setdefault((src, m), []).append(dst)
         self._recv_by_msg = {m: tuple(v) for m, v in recv_by_msg.items()}
+        self._receivers = {m: frozenset(src for src, _dst in v) for m, v in recv_by_msg.items()}
         self._receivable = {q: frozenset(v) for q, v in receivable.items()}
+        self._recv_targets = {k: tuple(v) for k, v in recv_targets.items()}
         self._moves: MoveTable | None = None
 
     def _key(self) -> tuple:
@@ -184,9 +188,14 @@ class Protocol:
 
 def receivers(p: Protocol, message: str) -> frozenset[str]:
     """States from which ``message`` can be received (the R(m) set)."""
-    if message not in p._recv_by_msg:
+    if message not in p._receivers:
         raise UnknownMessageError(f"message {message!r} not in alphabet of {p.name}")
-    return frozenset(src for src, _dst in p._recv_by_msg[message])
+    return p._receivers[message]
+
+
+def reception_targets(p: Protocol, state: str, message: str) -> tuple[str, ...]:
+    """Targets of the receptions of ``message`` at ``state``; empty when there are none."""
+    return p._recv_targets.get((state, message), ())
 
 
 def receivable(p: Protocol, state: str) -> frozenset[str]:

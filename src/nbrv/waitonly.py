@@ -21,6 +21,7 @@ from .model import (
     check_configuration,
     receivable,
     receivers,
+    reception_targets,
 )
 
 
@@ -205,10 +206,7 @@ def _shielded(p: Protocol, grown: tuple[str, str], shield: tuple[str, str]) -> b
     (q1, m1), (q2, m2) = grown, shield
     if m1 == m2 or m2 in receivable(p, q1):
         return False
-    return any(
-        src == q2 and m == m1 and m2 not in receivable(p, dst)
-        for src, m, dst in p.recvs
-    )
+    return any(m2 not in receivable(p, dst) for dst in reception_targets(p, q2, m1))
 
 
 def abstract_post(gamma: AbstractSet, p: Protocol) -> AbstractSet:
@@ -219,11 +217,11 @@ def abstract_post(gamma: AbstractSet, p: Protocol) -> AbstractSet:
     that can actually host unboundedly many processes; tokens of promoted
     states are dropped.
     """
-    S = set(gamma.states)
-    toks = set(gamma.tokens)
+    S = gamma.states
+    toks = gamma.tokens
     s2 = set(S)
     t2 = set(toks)
-    sendable = _senders_from(p, frozenset(S))
+    sendable = _senders_from(p, S)
 
     for src, dst in p.taus:
         if src in S:
@@ -233,19 +231,22 @@ def abstract_post(gamma: AbstractSet, p: Protocol) -> AbstractSet:
         if src not in S:
             continue
         rec_dst = receivable(p, dst)
-        answered = any(q in S for q in receivers(p, m))
+        answered = not S.isdisjoint(receivers(p, m))
         if m not in rec_dst or answered:
             s2.add(dst)
         else:
             t2.add((dst, m))
 
+    tok_msgs: dict[str, list[str]] = {}
+    for q, tok_m in toks:
+        tok_msgs.setdefault(q, []).append(tok_m)
     for src, m, dst in p.recvs:
         if m not in sendable:
             continue
         if src in S or (src, m) in toks:
             s2.add(dst)
-        for q, tok_m in toks:
-            if q == src and tok_m != m:
+        for tok_m in tok_msgs.get(src, ()):
+            if tok_m != m:
                 if tok_m not in receivable(p, dst):
                     s2.add(dst)
                 else:
@@ -262,11 +263,8 @@ def abstract_post(gamma: AbstractSet, p: Protocol) -> AbstractSet:
     # itself tracked as a token with the shield's message.
     for q1, m1 in tok_list:
         for q2, m2 in tok_list:
-            if m1 == m2:
-                continue
-            for src, m, dst in p.recvs:
-                if src == q2 and m == m1 and (dst, m2) in t2:
-                    s3.add(q1)
+            if m1 != m2 and any((dst, m2) in t2 for dst in reception_targets(p, q2, m1)):
+                s3.add(q1)
 
     # Three-way rotation: a third token state absorbs both messages.  The
     # roles are fully symmetric up to renaming, so instances are considered

@@ -49,3 +49,14 @@ def test_searches_reach_the_wrapped_globals(p1):
     for name in ("model.successors", "explore.rebuild", "machines.machine_successors",
                  "machines.step_strict"):
         assert name in names, name
+
+
+def test_machine_witness_reaches_the_wrapped_rebuild(p1):
+    m, loc, _report = reductions.protocol_to_machine(p1, Configuration((("q1", 1),)))
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert machines.cover_bounded(m, loc, 1).is_yes()
+    finally:
+        tracer.uninstall()
+    assert "explore.rebuild" in {span[0] for span in tracer.spans}

@@ -10,7 +10,7 @@ import pytest
 import nbrv
 from conftest import PROTOCOL_DIR
 from nbrv import fileio
-from nbrv.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
+from nbrv.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, _read_text, build_parser, main
 from nbrv.model import MoveTable
 
 FIG1 = str(PROTOCOL_DIR / "fig1.rvp")
@@ -128,6 +128,26 @@ class TestCheck:
         assert code == EXIT_PARSE and "bad.rvp" in err
 
 
+class TestUnicodeDigits:
+    """``²`` passes ``str.isdigit`` but not ``int``: it must be a positioned parse error."""
+
+    def test_vas_dimension(self, capsys, tmp_path):
+        path = tmp_path / "v.vas"
+        path.write_text("vas v dim ²\ninit 0\ntarget 1\n")
+        assert run(capsys, "explore", "vas", str(path)) == (
+            EXIT_PARSE, "", f"error: {path}:1:11: dimension must be a positive integer\n")
+
+    def test_vas_init_value(self, capsys, tmp_path):
+        path = tmp_path / "v.vas"
+        path.write_text("vas v dim 1\ninit ²\ntarget 1\n")
+        assert run(capsys, "explore", "vas", str(path)) == (
+            EXIT_PARSE, "", f"error: {path}:2:6: invalid init value '²'\n")
+
+    def test_target_count(self, capsys):
+        assert run(capsys, "check", "ccover", P1, "--target", "q1:²") == (
+            EXIT_PARSE, "", "error: <config>:1:1: count '²' must be a positive integer\n")
+
+
 class TestAbstract:
     def test_p2_final_line(self, capsys):
         code, out, _ = run(capsys, "abstract", P2)
@@ -222,6 +242,53 @@ class TestRepeatedCalls:
         assert code == EXIT_OK
         assert out2 == out.splitlines()[0] + "\n"
         assert "CONFIG" not in out2
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_method_returns_to_auto(self, capsys):
+        code, out, _ = run(capsys, "check", "scover", P1, "--method", "explore")
+        assert code == EXIT_OK and "STEP" in out
+        assert build_parser().parse_args(["check", "scover", P1]).method == "auto"
+        # p1 is wait-only, so auto routes to the abstraction, which prints no run.
+        code, out, _ = run(capsys, "check", "scover", P1)
+        assert (code, out) == (EXIT_OK, "RESULT YES\n")
+
+    def test_gen_kinds_do_not_mix(self, capsys, tmp_path):
+        rst_argv = ["gen", "rst", str(tmp_path / "rst.nbm"), "--levels", "1", "--level", "0"]
+        first = run(capsys, *rst_argv), (tmp_path / "rst.nbm").read_bytes()
+        machine = tmp_path / "m.nbm"
+        machine.write_text(RESTORE_OFF_MACHINE)
+        code, out, _ = run(capsys, "gen", "lipton", str(machine), str(tmp_path / "shell.nbm"),
+                           "--levels", "1", "--target-loc", "lf")
+        assert code == EXIT_OK and out.startswith("TARGET lf\n")
+        args = build_parser().parse_args(rst_argv)
+        assert args.kind == "rst" and not hasattr(args, "infile")
+        assert not hasattr(args, "target_loc")
+        assert (run(capsys, *rst_argv), (tmp_path / "rst.nbm").read_bytes()) == first
+
+    @pytest.mark.parametrize("bad", [
+        ["frobnicate"],
+        ["check", "scover"],
+        ["gen", "rst", "OUT", "--levels", "1"],
+        ["check", "scover", P1, "--method", "guess"],
+    ])
+    def test_bad_argv_then_valid_call(self, capsys, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == EXIT_PARSE
+        capsys.readouterr()
+        assert run(capsys, "check", "scover", P1) == (EXIT_OK, "RESULT YES\n", "")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["gen", "rst", "--help"]])
+    def test_help_is_stable(self, capsys, argv):
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out and outputs[0] == outputs[1]
 
 
 class TestTranslate:
@@ -325,6 +392,38 @@ class TestGen:
 
 ZERO_TEST_MACHINE = ("machine z\nlocations a b\ninit a\ncounters x\nrestore off\n"
                      "trans a zero? x b\n")
+class TestInputFiles:
+    """Input files are read through the descriptor and decoded as UTF-8."""
+
+    @pytest.mark.parametrize("data", [
+        b"", b"a\r\nb\rc\r\r\nd\n", "\ufeffq\u3000r\x85s\n".encode(), b"abc def\n" * 2000,
+    ], ids=["empty", "line-ends", "unicode", "several-reads"])
+    def test_lines_match_text_mode(self, tmp_path, data):
+        path = tmp_path / "in.rvp"
+        path.write_bytes(data)
+        assert _read_text(str(path)).splitlines() == path.read_text().splitlines()
+
+    def test_crlf_file_reports_the_same_position(self, capsys, tmp_path):
+        text = (PROTOCOL_DIR / "p1.rvp").read_text().replace("trans", "trans ?", 1)
+        lf, crlf = tmp_path / "lf.rvp", tmp_path / "crlf.rvp"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        code, _, err = run(capsys, "check", "scover", str(lf))
+        assert code == EXIT_PARSE
+        assert run(capsys, "check", "scover", str(crlf)) == (
+            EXIT_PARSE, "", err.replace("lf.rvp", "crlf.rvp"))
+
+    def test_missing_file(self, capsys, tmp_path):
+        path = tmp_path / "none.rvp"
+        assert run(capsys, "abstract", str(path)) == (
+            EXIT_PARSE, "", f"error: [Errno 2] No such file or directory: '{path}'\n")
+
+    def test_directory_is_named(self, tmp_path):
+        with pytest.raises(IsADirectoryError) as exc:
+            _read_text(str(tmp_path))
+        assert exc.value.filename == str(tmp_path)
+
+
 RESTORE_OFF_MACHINE = ("machine m\nlocations lin lf\ninit lin\ncounters x\nrestore off\n"
                        "trans lin inc x lf\n")
 THREE_COUNTER_MACHINE = ("machine t\nlocations l0 lf\ninit l0\ncounters x1 x2 x3\n"

@@ -40,6 +40,14 @@ class TestProtocolFormat:
         assert exc.value.line == 6
         assert exc.value.column == 9
 
+    @pytest.mark.parametrize("space", ["\t", "\u3000", "\x1f", "  "])
+    def test_column_after_any_whitespace(self, space):
+        text = (f"protocol p\nstates a b\ninit a\nfinal b\nmessages m\n"
+                f"trans{space}a{space}!m{space}c # !x\n")
+        with pytest.raises(ParseError) as exc:
+            parse_protocol(text, "x.rvp")
+        assert (exc.value.line, exc.value.column) == (6, 12 + 3 * (len(space) - 1))
+
     def test_undeclared_state_in_trans(self):
         text = ("protocol p\nstates a b\ninit a\nfinal b\nmessages m\n"
                 "trans a !m c\n")

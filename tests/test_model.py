@@ -17,6 +17,7 @@ from nbrv.model import (
     initial,
     receivable,
     receivers,
+    reception_targets,
     recv,
     send,
     successors,
@@ -83,6 +84,21 @@ class TestReceivable:
     def test_unknown_state(self, p1):
         with pytest.raises(UnknownStateError):
             receivable(p1, "nope")
+
+
+class TestReceptionTargets:
+    def test_fig1(self, fig1):
+        assert reception_targets(fig1, "q5", "b") == ("q4",)
+        assert reception_targets(fig1, "q_in", "b") == ("q1",)
+
+    def test_two_targets(self):
+        p = Protocol("p", ["a", "b", "c"], ["m"], "a", "a",
+                     [("a", recv("m"), "c"), ("a", recv("m"), "b")])
+        assert sorted(reception_targets(p, "a", "m")) == ["b", "c"]
+
+    def test_none_is_empty(self, fig1):
+        assert reception_targets(fig1, "q5", "zz") == ()
+        assert reception_targets(fig1, "q1", "b") == ()
 
 
 class TestSuccessors:
