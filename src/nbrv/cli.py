@@ -192,19 +192,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         if args.target_loc is None:
             raise PreconditionError("minsky2p requires --target-loc")
         m = _load_machine(args.infile)
-        if m.nonblocking or m.restore:
-            raise PreconditionError(
-                "minsky2p takes a plain two-counter machine "
-                "(no nbdec transitions, restore off)")
-        mm = reductions.MinskyMachine(
-            name=m.name,
-            locations=m.locations,
-            init=m.init,
-            final=args.target_loc,
-            counters=tuple(m.counters),  # type: ignore[arg-type]
-            transitions=m.blocking,
-        )
-        protocol, report = reductions.minsky_to_protocol(mm)
+        protocol, report = reductions.minsky_to_protocol(m, args.target_loc)
         out.write_text(fileio.serialize_protocol(protocol))
     print(f"SIZE source={report.source_size} target={report.target_size}")
     return EXIT_OK
@@ -222,7 +210,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     else:
         ctx = gadgets.LevelContext.create(args.levels)
         pm = gadgets.reset_level(ctx, args.level)
-        out.write_text(fileio.serialize_machine(pm.to_machine()))
+        out.write_text(fileio.serialize_machine(pm))
         print(f"SIZE locations={len(pm.locations)} counters={len(pm.counters)}")
     return EXIT_OK
 

@@ -103,22 +103,19 @@ def search(
     overflow: Exception,
     goal: Callable[[Any], bool] | None = None,
     prune: Callable[[Any], bool] | None = None,
-) -> tuple[dict, dict, Any, int]:
+) -> tuple[dict, Any, int]:
     """Breadth-first search from ``start`` over ``succ(node) -> [(label, node)]``.
 
-    Returns ``(parents, labels, hit, pruned)``: the node and the label every
-    admitted node was first reached by (``start`` has parent ``None`` and no
-    label), the first admitted node meeting ``goal`` (``None`` if the search
-    ran out), and how many new successors ``prune`` turned away.  Admitting
-    more than ``budget`` nodes raises ``overflow``.  Parents and labels are
-    two maps, not one map to pairs: a pair per node is one more object for
-    the garbage collector to trace, and made the largest explorer searches
-    about a tenth slower.
+    Returns ``(parents, hit, pruned)``: the node every admitted node was
+    first reached from (``start`` has parent ``None``), the first admitted
+    node meeting ``goal`` (``None`` if the search ran out), and how many new
+    successors ``prune`` turned away.  Admitting more than ``budget`` nodes
+    raises ``overflow``.  The labels are not kept: :func:`_rebuild` finds
+    those of a witness again.
     """
     parents: dict = {start: None}
-    labels: dict = {}
     if goal is not None and goal(start):
-        return parents, labels, start, 0
+        return parents, start, 0
     queue = deque([start])
     pruned = 0
     while queue:
@@ -132,11 +129,10 @@ def search(
             if len(parents) >= budget:
                 raise overflow
             parents[nxt] = cur
-            labels[nxt] = label
             if goal is not None and goal(nxt):
-                return parents, labels, nxt, pruned
+                return parents, nxt, pruned
             queue.append(nxt)
-    return parents, labels, None, pruned
+    return parents, None, pruned
 
 
 def reachable(p: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> set[tuple[int, ...]]:
@@ -147,18 +143,23 @@ def reachable(p: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> set[tuple[in
     """
     t = p.moves()
     overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
-    # Only the parent map's keys are needed: the label map is dropped at once.
     parents = search(t.encode(initial(p, n)), partial(successors, t),
                      budget=budget, overflow=overflow)[0]
     return set(parents)
 
 
-def _rebuild(parents: dict, labels: dict, start: Any, end: Any) -> Witness:
+def _rebuild(parents: dict, succ: Callable, start: Any, end: Any) -> Witness:
+    """The run from ``start`` to ``end`` through ``parents``.
+
+    Each step's label is the first that ``succ`` gives from the parent to the
+    node: the one the search admitted the node by.
+    """
     steps: list[tuple[Any, Any]] = []
     cur = end
     while cur != start:
-        steps.append((labels[cur], cur))
-        cur = parents[cur]
+        parent = parents[cur]
+        steps.append((next(label for label, nxt in succ(parent) if nxt == cur), cur))
+        cur = parent
     steps.reverse()
     return Witness(initial=start, steps=tuple(steps))
 
@@ -173,10 +174,10 @@ def decide_fixed(
     goal = prob.goal(p, t, n)
     start = t.encode(initial(p, n))
     overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
-    parents, labels, hit, _pruned = search(start, partial(successors, t), budget=budget,
-                                           overflow=overflow, goal=goal)
+    succ = partial(successors, t)
+    parents, hit, _pruned = search(start, succ, budget=budget, overflow=overflow, goal=goal)
     if hit is not None:
-        dense = _rebuild(parents, labels, start, hit)
+        dense = _rebuild(parents, succ, start, hit)
         witness = Witness(t.decode(start),
                           tuple((label, t.decode(v)) for label, v in dense.steps))
         return Verdict("yes", witness, explored_bound=n)

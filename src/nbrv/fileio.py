@@ -72,11 +72,6 @@ class _Reader:
         starts = [m.start() for m in re.finditer(r"\S+", self.raw[line - 1].split("#", 1)[0])]
         return ParseError(self.file, line, starts[index] + 1, message)
 
-    def peek_keyword(self) -> str | None:
-        if self.pos >= len(self.lines):
-            return None
-        return self.lines[self.pos][0][0]
-
     def take(self, keyword: str) -> list[Token]:
         if self.pos >= len(self.lines):
             raise self.error(None, f"missing '{keyword}' line")
@@ -192,7 +187,6 @@ def parse_config(text: str, p: Protocol, file: str = "<config>") -> Configuratio
     return Configuration.from_counts(counts)
 
 
-_OPS_ONE_TOKEN = {"nop": "nop"}
 _OPS_TWO_TOKEN = {"inc": "inc", "dec": "dec", "nbdec": "nbdec", "zero?": "zerotest"}
 
 
@@ -228,7 +222,7 @@ def parse_machine(text: str, file: str = "<string>") -> CounterMachine:
                 raise rd.error(tok, f"location {tok[0]!r} not declared")
         op_tok = line[2]
         if len(line) == 4:
-            if op_tok[0] not in _OPS_ONE_TOKEN:
+            if op_tok[0] != "nop":
                 raise rd.error(op_tok, f"operation {op_tok[0]!r} needs a counter")
             op = CounterOp("nop")
         else:
@@ -268,9 +262,10 @@ def serialize_machine(m: CounterMachine) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _int_tokens(rd: _Reader, toks: list[Token], want: int, what: str, signed: bool) -> tuple[int, ...]:
+def _int_tokens(rd: _Reader, keyword: Token, toks: list[Token], want: int, what: str,
+                signed: bool) -> tuple[int, ...]:
     if len(toks) != want:
-        tok = toks[0] if toks else None
+        tok = toks[0] if toks else keyword  # an empty vector is reported at its line
         raise rd.error(tok, f"expected {want} {what} values, found {len(toks)}")
     out = []
     for tok in toks:
@@ -296,8 +291,10 @@ def parse_vas(text: str, file: str = "<string>") -> Vas:
         raise rd.error(head[3], "dimension must be a positive integer")
     dim = int(head[3][0])
 
-    v_init = _int_tokens(rd, rd.take("init")[1:], dim, "init", signed=False)
-    v_target = _int_tokens(rd, rd.take("target")[1:], dim, "target", signed=False)
+    line = rd.take("init")
+    v_init = _int_tokens(rd, line[0], line[1:], dim, "init", signed=False)
+    line = rd.take("target")
+    v_target = _int_tokens(rd, line[0], line[1:], dim, "target", signed=False)
 
     transitions = []
     while not rd.done():
@@ -306,8 +303,8 @@ def parse_vas(text: str, file: str = "<string>") -> Vas:
         split = [i for i, t in enumerate(toks) if t[0] == ";"]
         if len(split) != 1:
             raise rd.error(line[0], "'trans' needs one ';' between blocking and non-blocking parts")
-        t_b = _int_tokens(rd, toks[: split[0]], dim, "blocking", signed=True)
-        t_nb = _int_tokens(rd, toks[split[0] + 1:], dim, "non-blocking", signed=False)
+        t_b = _int_tokens(rd, line[0], toks[: split[0]], dim, "blocking", signed=True)
+        t_nb = _int_tokens(rd, line[0], toks[split[0] + 1:], dim, "non-blocking", signed=False)
         transitions.append((t_b, t_nb))
 
     return Vas(name=name, dim=dim, transitions=tuple(sorted(set(transitions))),

@@ -22,7 +22,8 @@ intermediate values staying within the per-level bounds).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
+from typing import Iterable
 
 from .explore import search
 from .machines import (
@@ -98,41 +99,29 @@ class LevelContext:
         return i
 
 
-@dataclass(frozen=True)
-class ProceduralMachine:
-    """A machine fragment with one entry and identified exits (no exit has outgoing edges)."""
+class ProceduralMachine(CounterMachine):
+    """A machine fragment entered at ``init`` and left at its exits ``outs``.
 
-    name: str
-    locations: tuple[str, ...]
-    counters: tuple[str, ...]
-    blocking: tuple[MachineTransition, ...]
-    nonblocking: tuple[MachineTransition, ...]
-    entry: str
-    outs: tuple[str, ...]
+    No exit has an outgoing transition, and the fragment has no restore jumps.
+    """
 
-    def __post_init__(self) -> None:
-        locs = set(self.locations)
-        if self.entry not in locs or not set(self.outs) <= locs:
-            raise MachineError("entry/outs must be declared locations")
+    def __init__(
+        self,
+        name: str,
+        locations: Iterable[str],
+        counters: Iterable[str],
+        blocking: Iterable[MachineTransition],
+        nonblocking: Iterable[MachineTransition],
+        entry: str,
+        outs: Iterable[str],
+    ) -> None:
+        super().__init__(name, locations, counters, entry, blocking, nonblocking)
+        self.outs: tuple[str, ...] = tuple(outs)
+        if not set(self.outs) <= self._locs:
+            raise MachineError("outs must be declared locations")
         for src, _op, _dst in self.blocking + self.nonblocking:
             if src in self.outs:
                 raise MachineError(f"output location {src!r} has outgoing transitions")
-
-    def to_machine(self, restore: bool = False) -> CounterMachine:
-        return CounterMachine(
-            name=self.name,
-            locations=self.locations,
-            counters=self.counters,
-            init=self.entry,
-            blocking=self.blocking,
-            nonblocking=self.nonblocking,
-            restore=restore,
-        )
-
-    @cached_property
-    def machine(self) -> CounterMachine:
-        """The fragment as a machine without restore jumps, built once."""
-        return self.to_machine()
 
 
 class _Builder:
@@ -168,15 +157,8 @@ class _Builder:
 
     def machine(self, name: str, entry: str, outs: tuple[str, ...]) -> ProceduralMachine:
         """The fragment built so far, entered at ``entry`` and left at ``outs``."""
-        return ProceduralMachine(
-            name=name,
-            locations=tuple(self.locations),
-            counters=self.ctx.all_counters(),
-            blocking=tuple(self.blocking),
-            nonblocking=tuple(self.nonblocking),
-            entry=entry,
-            outs=outs,
-        )
+        return ProceduralMachine(name, self.locations, self.ctx.all_counters(),
+                                 self.blocking, self.nonblocking, entry, outs)
 
 
 def _emit_test_swap(b: _Builder, level: int, dual_counter: str, prefix: str) -> tuple[str, str, str]:
@@ -365,7 +347,7 @@ def restore_shell(m: CounterMachine, levels: int, target_loc: str) -> CounterMac
 
     locations = [entry] + [renamed[x] for x in chain.locations] + list(m.locations)
     blocking: list[MachineTransition] = [
-        (entry, CounterOp(NOP), renamed[chain.entry]),
+        (entry, CounterOp(NOP), renamed[chain.init]),
         (renamed[chain.outs[0]], CounterOp(NOP), m.init),
     ]
     blocking += [(renamed[s], op, renamed[d]) for s, op, d in chain.blocking]
@@ -398,11 +380,10 @@ def reachable_configs(
     pm: ProceduralMachine, entry_valuation: dict[str, int], budget: int = 200_000
 ) -> set[MachineConfig]:
     """All configurations reachable from the entry (no restore jumps)."""
-    machine = pm.machine
-    start = machine.config(pm.entry, entry_valuation)
+    start = pm.config(pm.init, entry_valuation)
     overflow = MachineError(f"budget {budget} exceeded while simulating {pm.name}")
-    parents, _labels, _hit, _pruned = search(start, partial(machine_successors, machine),
-                                             budget=budget, overflow=overflow)
+    parents, _hit, _pruned = search(start, partial(machine_successors, pm),
+                                    budget=budget, overflow=overflow)
     return set(parents)
 
 
@@ -415,6 +396,6 @@ def exit_valuations(
         if cfg.loc in out:
             out[cfg.loc].add(cfg.values)
     return {
-        o: [dict(zip(pm.machine.counters, values)) for values in sorted(vals)]
+        o: [dict(zip(pm.counters, values)) for values in sorted(vals)]
         for o, vals in out.items()
     }

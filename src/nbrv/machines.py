@@ -248,7 +248,7 @@ def cover_bounded(
 
 def _capped(start, succ, cap: int, budget: int, *, goal, prune) -> Verdict:
     """The search of a cap-bounded model: YES with the run, else NO ``within-cap``."""
-    parents, labels, hit, pruned = search(
+    parents, hit, pruned = search(
         start, succ, budget=budget,
         overflow=ResourceLimitError(f"node budget {budget} exceeded (cap {cap})"),
         goal=goal, prune=prune,
@@ -256,7 +256,7 @@ def _capped(start, succ, cap: int, budget: int, *, goal, prune) -> Verdict:
     stats = {"visited": len(parents), "pruned": pruned}
     if hit is not None:
         # Looked up through the module, so that a wrapper on it sees machine witnesses.
-        return Verdict("yes", explore._rebuild(parents, labels, start, hit), stats=stats)
+        return Verdict("yes", explore._rebuild(parents, succ, start, hit), stats=stats)
     return Verdict("no", explored_bound=cap, note="within-cap", stats=stats)
 
 

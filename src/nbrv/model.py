@@ -123,19 +123,20 @@ class Protocol:
             if act.kind != TAU and act.message not in msg_set:
                 raise ProtocolError(f"transition on undeclared message {act.message!r}")
 
-        self._sends: tuple[tuple[str, str, str], ...] = tuple(
+        # (source, message, target) of every send and receive, (source, target) of every tau.
+        self.sends: tuple[tuple[str, str, str], ...] = tuple(
             (src, act.message, dst) for src, act, dst in self.transitions if act.kind == SEND
         )
-        self._recvs: tuple[tuple[str, str, str], ...] = tuple(
+        self.recvs: tuple[tuple[str, str, str], ...] = tuple(
             (src, act.message, dst) for src, act, dst in self.transitions if act.kind == RECV
         )
-        self._taus: tuple[tuple[str, str], ...] = tuple(
+        self.taus: tuple[tuple[str, str], ...] = tuple(
             (src, dst) for src, act, dst in self.transitions if act.kind == TAU
         )
         recv_by_msg: dict[str, list[tuple[str, str]]] = {m: [] for m in self.messages}
         receivable: dict[str, set[str]] = {q: set() for q in self.states}
         recv_targets: dict[tuple[str, str], list[str]] = {}
-        for src, m, dst in self._recvs:
+        for src, m, dst in self.recvs:
             recv_by_msg[m].append((src, dst))
             receivable[src].add(m)
             recv_targets.setdefault((src, m), []).append(dst)
@@ -159,21 +160,6 @@ class Protocol:
             f"Protocol({self.name!r}, |Q|={len(self.states)}, |Sigma|={len(self.messages)}, "
             f"|T|={len(self.transitions)})"
         )
-
-    @property
-    def sends(self) -> tuple[tuple[str, str, str], ...]:
-        """(source, message, target) for every send transition."""
-        return self._sends
-
-    @property
-    def recvs(self) -> tuple[tuple[str, str, str], ...]:
-        """(source, message, target) for every receive transition."""
-        return self._recvs
-
-    @property
-    def taus(self) -> tuple[tuple[str, str], ...]:
-        """(source, target) for every internal transition."""
-        return self._taus
 
     def moves(self) -> "MoveTable":
         """The protocol compiled for :func:`dense_successors`, on first use.
@@ -239,19 +225,6 @@ class Configuration:
 
     def states(self) -> tuple[str, ...]:
         return tuple(s for s, _ in self.items)
-
-    def add(self, state: str, k: int = 1) -> "Configuration":
-        counts = self.counts()
-        counts[state] = counts.get(state, 0) + k
-        return Configuration.from_counts(counts)
-
-    def remove(self, state: str, k: int = 1) -> "Configuration":
-        counts = self.counts()
-        have = counts.get(state, 0)
-        if have < k:
-            raise MalformedConfigurationError(f"cannot remove {k} from {have} in {state!r}")
-        counts[state] = have - k
-        return Configuration.from_counts(counts)
 
     def covers(self, other: "Configuration") -> bool:
         counts = self.counts()
@@ -322,12 +295,12 @@ class MoveTable:
             + tuple(StepLabel("msg", m) for m in p.messages)
             + tuple(StepLabel("nb", m) for m in p.messages)
         )
-        self.taus = tuple((ix[src], ix[dst]) for src, dst in p._taus)
+        self.taus = tuple((ix[src], ix[dst]) for src, dst in p.taus)
         self.sends = tuple(
             (ix[src], ix[dst],
              tuple((ix[q], ix[qp]) for q, qp in p._recv_by_msg[m]),
              rank[m], rank[m] + nm)
-            for src, m, dst in p._sends
+            for src, m, dst in p.sends
         )
 
     def encode(self, c: Configuration) -> tuple[int, ...]:

@@ -31,7 +31,6 @@ from .machines import (
     MachineError,
     MachineTransition,
     Vas,
-    _mt_key,
 )
 from .model import (
     Configuration,
@@ -323,37 +322,11 @@ def machine_to_vas(m: CounterMachine, target_loc: str) -> Vas:
     )
 
 
-@dataclass(frozen=True)
-class MinskyMachine:
-    """Two-counter machine with increments, decrements and zero tests."""
-
-    name: str
-    locations: tuple[str, ...]
-    init: str
-    final: str
-    counters: tuple[str, str]
-    transitions: tuple[MachineTransition, ...]
-
-    def __post_init__(self) -> None:
-        locs = set(self.locations)
-        if len(self.counters) != 2 or len(set(self.counters)) != 2:
-            raise MachineError("a Minsky machine has exactly two counters")
-        if self.init not in locs or self.final not in locs:
-            raise MachineError("init/final locations must be declared")
-        for src, op, dst in self.transitions:
-            if src not in locs or dst not in locs:
-                raise MachineError(f"transition {src!r} -> {dst!r} uses undeclared location")
-            if op.kind not in (INC, DEC, ZEROTEST):
-                raise MachineError(f"op {op.kind!r} not allowed in a Minsky machine")
-            if op.counter not in self.counters:
-                raise MachineError(f"undeclared counter {op.counter!r}")
-            if src == self.final:
-                raise MachineError("the final location must have no outgoing transition")
-
-
-def minsky_to_protocol(mm: MinskyMachine) -> tuple[Protocol, TranslationReport]:
+def minsky_to_protocol(mm: CounterMachine, final: str) -> tuple[Protocol, TranslationReport]:
     """Compile halting-with-empty-counters into protocol synchronization.
 
+    ``mm`` must be a plain two-counter (Minsky) machine: increments,
+    decrements and zero tests, no restore, and no move out of ``final``.
     The produced protocol is wait-only.  One process simulates the control
     flow, a witness process guards leader uniqueness, counter units are
     processes parked in a per-counter gadget, and zero tests are lost sends
@@ -361,6 +334,19 @@ def minsky_to_protocol(mm: MinskyMachine) -> tuple[Protocol, TranslationReport]:
     processes can gather in the final location iff the machine halts there
     with both counters at zero.
     """
+    if mm.nonblocking or mm.restore:
+        raise MachineError("minsky2p takes a plain two-counter machine "
+                           "(no nbdec transitions, restore off)")
+    if len(mm.counters) != 2:
+        raise MachineError("a Minsky machine has exactly two counters")
+    if final not in mm.locations:
+        raise MachineError("init/final locations must be declared")
+    for src, op, _dst in mm.blocking:
+        if op.kind not in (INC, DEC, ZEROTEST):
+            raise MachineError(f"op {op.kind!r} not allowed in a Minsky machine")
+        if src == final:
+            raise MachineError("the final location must have no outgoing transition")
+
     names = _Names(mm.locations)
     q_in = names.fresh("qin")
     q1 = names.fresh("q1")
@@ -394,8 +380,8 @@ def minsky_to_protocol(mm: MinskyMachine) -> tuple[Protocol, TranslationReport]:
         (q1, recv(messages["init"]), q2),
         (q2, send(messages["ackinit"]), mm.init),
         (w, recv(messages["ackinit"]), wp),
-        (wp, send(messages["w"]), mm.final),
-        (mm.final, recv(messages["w"]), sink),
+        (wp, send(messages["w"]), final),
+        (final, recv(messages["w"]), sink),
     ]
     for i in (1, 2):
         c0, pi = gadget[f"zero[{i}]"], gadget[f"pending_inc[{i}]"]
@@ -405,11 +391,11 @@ def minsky_to_protocol(mm: MinskyMachine) -> tuple[Protocol, TranslationReport]:
             (pi, send(messages[f"ackinc[{i}]"]), c1),
             (c1, recv(messages[f"dec[{i}]"]), pd),
             (c1, recv(messages[f"zero[{i}]"]), sink),
-            (pd, send(messages[f"ackdec[{i}]"]), mm.final),
+            (pd, send(messages[f"ackdec[{i}]"]), final),
         ]
 
     aux: dict[MachineTransition, str] = {}
-    for j, t in enumerate(sorted(mm.transitions, key=_mt_key)):
+    for j, t in enumerate(mm.blocking):
         src, op, dst = t
         i = cidx[op.counter]
         if op.kind == INC:
@@ -434,11 +420,11 @@ def minsky_to_protocol(mm: MinskyMachine) -> tuple[Protocol, TranslationReport]:
         states=states,
         messages=messages.values(),
         init=q_in,
-        final=mm.final,
+        final=final,
         transitions=transitions,
     )
     report = TranslationReport(
-        source_size=len(mm.locations) + 2 + len(mm.transitions),
+        source_size=_machine_size(mm),
         target_size=_protocol_size(protocol),
         tables={
             "states": {

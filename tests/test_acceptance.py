@@ -25,6 +25,7 @@ from nbrv.gadgets import (
     zero_test_swap,
 )
 from nbrv.machines import (
+    CounterMachine,
     CounterOp,
     cover_bounded,
     replay_machine,
@@ -262,18 +263,18 @@ def test_criterion_6_bounding_gadget_contracts():
 
 def test_criterion_7_minsky_demonstration():
     with _Budget("7 two-counter machine demonstration", 30.0):
-        halting = reductions.MinskyMachine(
-            "halting", ("l0", "l1", "lf"), "l0", "lf", ("x1", "x2"),
+        halting = CounterMachine(
+            "halting", ("l0", "l1", "lf"), ("x1", "x2"), "l0",
             (("l0", CounterOp("inc", "x1"), "l1"),
              ("l1", CounterOp("dec", "x1"), "lf")))
-        proto, _rep = reductions.minsky_to_protocol(halting)
+        proto, _rep = reductions.minsky_to_protocol(halting, "lf")
         assert waitonly.is_wait_only(proto)
         assert decide_fixed(proto, Problem("synchro"), 3).is_yes()
 
-        stranded = reductions.MinskyMachine(
-            "stranded", ("l0", "lf"), "l0", "lf", ("x1", "x2"),
+        stranded = CounterMachine(
+            "stranded", ("l0", "lf"), ("x1", "x2"), "l0",
             (("l0", CounterOp("inc", "x1"), "lf"),))
-        proto2, _rep2 = reductions.minsky_to_protocol(stranded)
+        proto2, _rep2 = reductions.minsky_to_protocol(stranded, "lf")
         for n in range(1, 6):
             assert not decide_fixed(proto2, Problem("synchro"), n).is_yes()
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import io
+import itertools
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ FIG1 = str(PROTOCOL_DIR / "fig1.rvp")
 P1 = str(PROTOCOL_DIR / "p1.rvp")
 P2 = str(PROTOCOL_DIR / "p2.rvp")
 GOLDEN_DIR = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 # Full stdout of the explorer's YES answers, pinned so that a change to the
@@ -365,7 +369,39 @@ class TestTranslate:
         assert a.read_bytes() == b.read_bytes()
 
 
+# The ``gen`` commands whose outputs ``golden/gen_gadgets.txt`` pins; IN is a
+# two-location machine.
+GEN_RUNS = [
+    ["gen", "rst", "OUT", "--levels", "2", "--level", "0"],
+    ["gen", "rst", "OUT", "--levels", "2", "--level", "1"],
+    ["gen", "rst", "OUT", "--levels", "2", "--level", "2"],
+    ["gen", "lipton", "IN", "OUT", "--levels", "2"],
+]
+
+
+def gen_transcript(workdir: Path) -> str:
+    """Each command of ``GEN_RUNS``, what it printed and the machine it wrote.
+
+    After a deliberate change of the gadgets, regenerate the golden file with
+    ``PYTHONPATH=src python tests/test_cli.py`` and review the diff.
+    """
+    paths = {"IN": workdir / "toy.nbm", "OUT": workdir / "out.nbm"}
+    paths["IN"].write_text("machine toy\nlocations lin lf\ninit lin\ncounters x\n"
+                           "restore off\ntrans lin inc x lf\n")
+    parts = []
+    for argv in GEN_RUNS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([str(paths.get(a, a)) for a in argv])
+        assert (code, err.getvalue()) == (EXIT_OK, "")
+        parts.append(f"$ nbrv {' '.join(argv)}\n{out.getvalue()}{paths['OUT'].read_text()}")
+    return "".join(parts)
+
+
 class TestGen:
+    def test_outputs_match_golden(self, tmp_path):
+        assert gen_transcript(tmp_path) == (GOLDEN_DIR / "gen_gadgets.txt").read_text()
+
     def test_rst_gadget(self, capsys, tmp_path):
         out_path = tmp_path / "rst.nbm"
         code, out, _ = run(capsys, "gen", "rst", str(out_path),
@@ -428,6 +464,9 @@ RESTORE_OFF_MACHINE = ("machine m\nlocations lin lf\ninit lin\ncounters x\nresto
                        "trans lin inc x lf\n")
 THREE_COUNTER_MACHINE = ("machine t\nlocations l0 lf\ninit l0\ncounters x1 x2 x3\n"
                          "restore off\ntrans l0 inc x1 lf\n")
+MINSKY_HEAD = "machine m\nlocations l0 lf\ninit l0\ncounters x1 x2\nrestore {}\n"
+PLAIN_MINSKY = "minsky2p takes a plain two-counter machine (no nbdec transitions, restore off)"
+MINSKY2P = ["translate", "minsky2p", "IN", "OUT", "--target-loc"]
 
 
 class TestErrorMap:
@@ -446,13 +485,24 @@ class TestErrorMap:
          "m is not a test-free restore machine"),
         (THREE_COUNTER_MACHINE, ["translate", "minsky2p", "IN", "OUT", "--target-loc", "lf"],
          "a Minsky machine has exactly two counters"),
+        (MINSKY_HEAD.format("off") + "trans l0 nbdec x1 lf\n",
+         MINSKY2P + ["lf"], PLAIN_MINSKY),
+        (MINSKY_HEAD.format("on") + "trans l0 inc x1 lf\n",
+         MINSKY2P + ["lf"], PLAIN_MINSKY),
+        (MINSKY_HEAD.format("off") + "trans l0 nop lf\n",
+         MINSKY2P + ["lf"], "op 'nop' not allowed in a Minsky machine"),
+        (MINSKY_HEAD.format("off") + "trans l0 inc x1 lf\ntrans lf dec x1 l0\n",
+         MINSKY2P + ["lf"], "the final location must have no outgoing transition"),
+        (MINSKY_HEAD.format("off") + "trans l0 inc x1 lf\n",
+         MINSKY2P + ["zz"], "init/final locations must be declared"),
         (RESTORE_OFF_MACHINE, ["gen", "lipton", "IN", "OUT", "--levels", "0"],
          "need at least one level"),
         (None, ["gen", "rst", "OUT", "--levels", "1", "--level", "5"],
          "level 5 outside 0..1"),
     ], ids=["check-abstract", "abstract", "cm2vas-zero-test", "lipton-zero-test",
-            "cm2p-restore-off", "minsky2p-three-counters", "lipton-levels-0",
-            "rst-level-out-of-range"])
+            "cm2p-restore-off", "minsky2p-three-counters", "minsky2p-nbdec",
+            "minsky2p-restore-on", "minsky2p-nop", "minsky2p-edge-out-of-final",
+            "minsky2p-undeclared-final", "lipton-levels-0", "rst-level-out-of-range"])
     def test_precondition_message(self, capsys, tmp_path, machine, argv, message):
         paths = {"IN": str(tmp_path / "in.nbm"), "OUT": str(tmp_path / "out")}
         if machine is not None:
@@ -491,3 +541,31 @@ class TestBrokenPipe:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
+
+
+def readme_examples() -> list[tuple[list[str], str]]:
+    """The ``$ nbrv`` commands of README.md, each with the output shown under it."""
+    examples = []
+    lines = README.read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("$ nbrv "):
+            shown = itertools.takewhile(lambda l: l and l != "```", lines[i + 1:])
+            examples.append((line.split()[2:], "".join(l + "\n" for l in shown)))
+    return examples
+
+
+def test_readme_examples(capsys, tmp_path):
+    examples = readme_examples()
+    assert len(examples) == 3
+    for argv, shown in examples:
+        args = [str(PROTOCOL_DIR.parent / a) if a.startswith("protocols/")
+                else str(tmp_path / Path(a).name) if a.endswith(".nbm") else a
+                for a in argv]
+        assert run(capsys, *args) == (EXIT_OK, shown, "")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        (GOLDEN_DIR / "gen_gadgets.txt").write_text(gen_transcript(Path(tmp)))

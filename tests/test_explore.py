@@ -14,7 +14,16 @@ from nbrv.explore import (
     reachable,
     replay,
 )
-from nbrv.model import Configuration, Protocol
+from nbrv.machines import (
+    NBDEC,
+    NOP,
+    CounterMachine,
+    CounterOp,
+    Vas,
+    cover_bounded,
+    vas_cover_bounded,
+)
+from nbrv.model import Configuration, Protocol, send, tau
 
 
 def cfg(**counts: int) -> Configuration:
@@ -151,6 +160,29 @@ class TestWitnesses:
                         assert decide_fixed(p, prob, n + 1).is_yes()
                         checked += 1
         assert checked > 30
+
+
+class TestFirstLabel:
+    """Two labels lead from one node to the same successor: the witness shows the first."""
+
+    def test_protocol(self):
+        # No state receives m, so the send is a lone non-blocking step to b.
+        p = Protocol("p", ["a", "b"], ["m"], "a", "b",
+                     [("a", tau(), "b"), ("a", send("m"), "b")])
+        verdict = decide_fixed(p, Problem("scover"), 1)
+        assert [(str(label), str(c)) for label, c in verdict.witness.steps] == [("tau", "b")]
+
+    def test_machine(self):
+        nop = ("l0", CounterOp(NOP), "l1")
+        m = CounterMachine("m", ["l0", "l1"], ["x"], "l0", [nop],
+                           [("l0", CounterOp(NBDEC, "x"), "l1")])
+        assert [label for label, _cfg in cover_bounded(m, "l1", 1).witness.steps] == [nop]
+
+    def test_vas(self):
+        # At (1, 0) both transitions give (0, 1): the clamp part has nothing to take.
+        first, second = ((-1, 1), (0, 0)), ((-1, 1), (1, 0))
+        vas = Vas("v", 2, (first, second), (1, 0), (0, 1))
+        assert vas_cover_bounded(vas, 1).witness.steps == ((first, (0, 1)),)
 
 
 def test_problem_validation():

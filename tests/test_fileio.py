@@ -154,6 +154,18 @@ class TestVasFormat:
         with pytest.raises(ParseError):
             parse_vas("vas v dim 2\ninit 1\ntarget 0 1\n")
 
+    @pytest.mark.parametrize("text, position, what", [
+        ("vas v dim 2\ninit# 1 0\ntarget 0 1\n", "2:1", "init"),
+        ("vas v dim 2\ninit 1 0\ntarget\ntrans -1 1 ; 0 0\n", "3:1", "target"),
+        ("vas v dim 2\ninit 1 0\ntarget 0 1\n  trans ; 0 0\ntrans 1 0 ; 0 2\n", "4:3", "blocking"),
+        ("vas v dim 2\ninit 1 0\ntarget 0 1\ntrans -1 1 ;\ntrans 1 0 ; 0 2\n", "4:1",
+         "non-blocking"),
+    ], ids=["init", "target", "blocking", "non-blocking"])
+    def test_empty_vector_reported_at_its_keyword(self, text, position, what):
+        with pytest.raises(ParseError) as exc:
+            parse_vas(text, "x.vas")
+        assert str(exc.value) == f"x.vas:{position}: expected 2 {what} values, found 0"
+
     def test_negative_nonblocking_rejected(self):
         with pytest.raises(ParseError):
             parse_vas("vas v dim 1\ninit 0\ntarget 1\ntrans 1 ; -1\n")

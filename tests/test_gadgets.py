@@ -109,10 +109,9 @@ class TestSwapContracts:
 
     def test_boundedness_preserved(self):
         pm = zero_test_swap(CTX2, 1, "ybar_1")
-        machine = pm.to_machine()
         entry = entry_at(1, sbar_1=4, y_1=4)
         for cfg in reachable_configs(pm, entry):
-            vals = dict(zip(machine.counters, cfg.values))
+            vals = dict(zip(pm.counters, cfg.values))
             assert all(vals[c] <= 2 for c in LEVEL0)
             assert all(vals[c] <= 4 for c in LEVEL1)
 

@@ -24,7 +24,6 @@ from nbrv.machines import (
 )
 from nbrv.model import Configuration, Protocol, recv, send, successors, tau
 from nbrv.reductions import (
-    MinskyMachine,
     leader_zone,
     machine_to_protocol,
     machine_to_vas,
@@ -225,51 +224,52 @@ class TestMachineToVas:
         assert disagreements == 0
 
 
-def halting_minsky() -> MinskyMachine:
-    return MinskyMachine(
-        "halting", ("l0", "l1", "lf"), "l0", "lf", ("x1", "x2"),
+def halting_minsky() -> CounterMachine:
+    return CounterMachine(
+        "halting", ("l0", "l1", "lf"), ("x1", "x2"), "l0",
         (("l0", CounterOp(INC, "x1"), "l1"),
          ("l1", CounterOp(DEC, "x1"), "lf")))
 
 
-def stranded_minsky() -> MinskyMachine:
-    return MinskyMachine(
-        "stranded", ("l0", "lf"), "l0", "lf", ("x1", "x2"),
+def stranded_minsky() -> CounterMachine:
+    return CounterMachine(
+        "stranded", ("l0", "lf"), ("x1", "x2"), "l0",
         (("l0", CounterOp(INC, "x1"), "lf"),))
 
 
 class TestMinskyToProtocol:
     def test_image_is_wait_only(self):
-        proto, _rep = minsky_to_protocol(halting_minsky())
+        proto, _rep = minsky_to_protocol(halting_minsky(), "lf")
         assert waitonly.is_wait_only(proto)
 
     def test_halting_machine_synchronizes_at_three(self):
-        proto, _rep = minsky_to_protocol(halting_minsky())
+        proto, _rep = minsky_to_protocol(halting_minsky(), "lf")
         assert decide_fixed(proto, Problem("synchro"), 3).is_yes()
 
     def test_stranded_counter_blocks_synchro(self):
-        proto, _rep = minsky_to_protocol(stranded_minsky())
+        proto, _rep = minsky_to_protocol(stranded_minsky(), "lf")
         for n in range(1, 6):
             assert not decide_fixed(proto, Problem("synchro"), n).is_yes()
 
     def test_zero_test_is_single_send(self):
-        mm = MinskyMachine(
-            "zt", ("l0", "lf"), "l0", "lf", ("x1", "x2"),
+        mm = CounterMachine(
+            "zt", ("l0", "lf"), ("x1", "x2"), "l0",
             (("l0", CounterOp(ZEROTEST, "x1"), "lf"),))
-        proto, rep = minsky_to_protocol(mm)
+        proto, rep = minsky_to_protocol(mm, "lf")
         zmsg = rep.tables["messages"]["zero[1]"]
         assert ("l0", send(zmsg), "lf") in proto.transitions
         # halting immediately with zero counters: synchro possible
         assert decide_fixed(proto, Problem("synchro"), 2).is_yes()
 
     def test_final_location_must_be_sink(self):
+        mm = CounterMachine("bad", ("l0", "lf"), ("x1", "x2"), "l0",
+                            (("lf", CounterOp(INC, "x1"), "l0"),))
         with pytest.raises(MachineError):
-            MinskyMachine("bad", ("l0", "lf"), "l0", "lf", ("x1", "x2"),
-                          (("lf", CounterOp(INC, "x1"), "l0"),))
+            minsky_to_protocol(mm, "lf")
 
     def test_two_counters_required(self):
         with pytest.raises(MachineError):
-            MinskyMachine("bad", ("l0",), "l0", "l0", ("x1", "x1"), ())
+            minsky_to_protocol(CounterMachine("bad", ("l0",), ("x1", "x1"), "l0", ()), "l0")
 
 
 class TestDeterminism:
@@ -291,7 +291,7 @@ class TestDeterminism:
         for _ in range(20):
             m = random_machine(rng, restore=True)
             reports.append(machine_to_protocol(m, m.locations[-1])[1])
-        reports.append(minsky_to_protocol(halting_minsky())[1])
+        reports.append(minsky_to_protocol(halting_minsky(), "lf")[1])
         for rep in reports:
             for table in rep.tables.values():
                 values = list(table.values())
