@@ -10,6 +10,14 @@ with a witness but never NO.
 machine, VAS and gadget searches run on it too.  The explorer runs it on the
 dense count tuples of the protocol's compiled ``MoveTable``; ``Configuration``
 objects are built only for witnesses.
+
+Each population is searched in full, since an extra process can turn a
+non-blocking request into a rendez-vous.  A reachable set, a NO and an
+overflow with no goal met depend only on the set of nodes reached, so the
+explorer searches on ``model.dense_moves``, which neither sorts nor
+deduplicates.  Only a YES witness, and the overflow of a search that has a
+goal, depend on the order of successors: ``decide_fixed`` then searches the
+population again on the label-ordered successors.
 """
 
 from __future__ import annotations
@@ -23,8 +31,9 @@ from . import model
 from .model import Configuration, MoveTable, Protocol, initial
 
 # The explorer's successor function, looked up as ``explore.successors`` on
-# every search so that a wrapper installed on this name sees each call.
-successors = model.dense_successors
+# every search so that a wrapper installed on this name sees each call.  It
+# gives ``(rank, w)`` moves in table order; ``model.label_order`` sorts them.
+successors = model.dense_moves
 
 DEFAULT_BUDGET = 10**6
 
@@ -174,14 +183,23 @@ def decide_fixed(
     goal = prob.goal(p, t, n)
     start = t.encode(initial(p, n))
     overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
-    succ = partial(successors, t)
+    try:
+        parents, hit, _pruned = search(start, partial(successors, t), budget=budget,
+                                       overflow=overflow, goal=goal)
+        if hit is None:
+            return Verdict("no", explored_bound=n, stats={"visited": len(parents)})
+    except ResourceLimitError:
+        pass
+
+    def succ(v: tuple[int, ...]) -> list[tuple[model.StepLabel, tuple[int, ...]]]:
+        return model.label_order(t, successors(t, v))
+
+    # Which goal node is met first, and whether the budget runs out before
+    # it, depends on the order of successors: search again in label order.
     parents, hit, _pruned = search(start, succ, budget=budget, overflow=overflow, goal=goal)
-    if hit is not None:
-        dense = _rebuild(parents, succ, start, hit)
-        witness = Witness(t.decode(start),
-                          tuple((label, t.decode(v)) for label, v in dense.steps))
-        return Verdict("yes", witness, explored_bound=n)
-    return Verdict("no", explored_bound=n, stats={"visited": len(parents)})
+    dense = _rebuild(parents, succ, start, hit)
+    witness = Witness(t.decode(start), tuple((label, t.decode(v)) for label, v in dense.steps))
+    return Verdict("yes", witness, explored_bound=n)
 
 
 def decide_sweep(

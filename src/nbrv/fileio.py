@@ -164,13 +164,18 @@ def serialize_protocol(p: Protocol) -> str:
 
 def parse_config(text: str, p: Protocol, file: str = "<config>") -> Configuration:
     """Parse a configuration literal: comma-separated ``state`` or ``state:count``."""
-    items = [piece.strip() for piece in text.split(",")]
+    raw_items = text.split(",")
+    items = [raw.strip() for raw in raw_items]
     counts: dict[str, int] = {}
     if not any(items):
         raise ParseError(file, 1, 1, "empty configuration literal")
     state_set = set(p.states)
-    col = 1
-    for piece in items:
+    start = 1
+    for raw, piece in zip(raw_items, items):
+        # An item is reported at its first non-blank character, an empty
+        # item at the start of its slot.
+        col = start + len(raw) - len(raw.lstrip()) if piece else start
+        start += len(raw) + 1
         if not piece:
             raise ParseError(file, 1, col, "empty configuration item")
         state, _, count_text = piece.partition(":")
@@ -183,7 +188,6 @@ def parse_config(text: str, p: Protocol, file: str = "<config>") -> Configuratio
         if state not in state_set:
             raise ParseError(file, 1, col, f"state {state!r} not in protocol {p.name}")
         counts[state] = counts.get(state, 0) + count
-        col += len(piece) + 1
     return Configuration.from_counts(counts)
 
 

@@ -162,7 +162,7 @@ class Protocol:
         )
 
     def moves(self) -> "MoveTable":
-        """The protocol compiled for :func:`dense_successors`, on first use.
+        """The protocol compiled for :func:`dense_moves`, on first use.
 
         Compiling is left to the first search: most protocols that are
         parsed are never explored.
@@ -324,21 +324,23 @@ def _items_order(v: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple((i, n) for i, n in enumerate(v) if n)
 
 
-def dense_successors(
+def dense_moves(
     t: MoveTable, v: tuple[int, ...], allow_nonblocking: bool = True
-) -> list[tuple[StepLabel, tuple[int, ...]]]:
-    """All one-step successors of the dense configuration ``v``.
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Every one-step move of the dense configuration ``v``, as ``(rank, w)``.
 
-    The result is deduplicated and ordered by label rank, then by the sparse
-    order of the successors, as :func:`successors` promises.
+    ``rank`` indexes ``t.labels``.  The moves come in table order, taus then
+    sends, and may repeat a successor: a search that only needs the set of
+    successors reads them as they are, and :func:`dense_successors` orders
+    them.
     """
-    found: dict[int, list[tuple[int, ...]]] = {}
+    out: list[tuple[int, tuple[int, ...]]] = []
     for src, dst in t.taus:
         if v[src]:
             w = list(v)
             w[src] -= 1
             w[dst] += 1
-            found.setdefault(0, []).append(tuple(w))
+            out.append((0, tuple(w)))
     for src, dst, receivers, msg, nb in t.sends:
         n1 = v[src]
         if not n1:
@@ -352,13 +354,24 @@ def dense_successors(
                 w[q2] -= 1
                 w[dst] += 1
                 w[q2p] += 1
-                found.setdefault(msg, []).append(tuple(w))
+                out.append((msg, tuple(w)))
                 blocked = True
         if allow_nonblocking and not blocked:
             w = list(v)
             w[src] -= 1
             w[dst] += 1
-            found.setdefault(nb, []).append(tuple(w))
+            out.append((nb, tuple(w)))
+    return out
+
+
+def label_order(
+    t: MoveTable, moves: Iterable[tuple[int, tuple[int, ...]]]
+) -> list[tuple[StepLabel, tuple[int, ...]]]:
+    """``moves`` deduplicated and ordered by label rank, then by the sparse
+    order of the successors, with each rank replaced by its label."""
+    found: dict[int, list[tuple[int, ...]]] = {}
+    for rank, w in moves:
+        found.setdefault(rank, []).append(w)
     out: list[tuple[StepLabel, tuple[int, ...]]] = []
     labels = t.labels
     for rank in sorted(found):
@@ -370,13 +383,26 @@ def dense_successors(
     return out
 
 
+def dense_successors(
+    t: MoveTable, v: tuple[int, ...], allow_nonblocking: bool = True
+) -> list[tuple[StepLabel, tuple[int, ...]]]:
+    """All one-step successors of the dense configuration ``v``.
+
+    :func:`dense_moves` put in :func:`label_order`: deduplicated and ordered
+    by label rank, then by the sparse order of the successors, as
+    :func:`successors` promises.
+    """
+    return label_order(t, dense_moves(t, v, allow_nonblocking))
+
+
 def successors(
     p: Protocol, c: Configuration, *, allow_nonblocking: bool = True
 ) -> list[tuple[StepLabel, Configuration]]:
     """All one-step successors of ``c``, deduplicated and deterministically ordered.
 
     Successors are ordered by label (``tau``, then ``msg:<m>``, then
-    ``nb:<m>``, messages in name order), then by ``Configuration.items``.
+    ``nb:<m>``, messages in name order), then by ``Configuration.items``:
+    :func:`dense_successors` on the dense form of ``c``.
     ``allow_nonblocking=False`` restricts to the classical rendez-vous
     semantics (internal and rendez-vous rules only).
     """

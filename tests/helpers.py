@@ -4,10 +4,21 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
+from functools import partial
 
-from nbrv.explore import ResourceLimitError
+from nbrv import explore
+from nbrv.explore import Problem, ResourceLimitError, Verdict, Witness, search
 from nbrv.machines import DEC, INC, NBDEC, NOP, CounterMachine, CounterOp, Vas
-from nbrv.model import Configuration, Protocol, StepLabel, recv, send, tau
+from nbrv.model import (
+    Configuration,
+    Protocol,
+    StepLabel,
+    dense_successors,
+    initial,
+    recv,
+    send,
+    tau,
+)
 
 
 def random_protocol(rng: random.Random, max_q: int = 5, max_m: int = 3,
@@ -27,6 +38,13 @@ def random_protocol(rng: random.Random, max_q: int = 5, max_m: int = 3,
         else:
             trans.add((src, recv(rng.choice(msgs)), dst))
     return Protocol("rnd", states, msgs, states[0], states[-1], trans)
+
+
+def with_self_rendezvous(rng: random.Random, p: Protocol) -> Protocol:
+    """``p`` with one state that both sends and receives one message."""
+    q, m = rng.choice(p.states), rng.choice(p.messages)
+    extra = ((q, send(m), rng.choice(p.states)), (q, recv(m), rng.choice(p.states)))
+    return Protocol(p.name, p.states, p.messages, p.init, p.final, p.transitions + extra)
 
 
 def random_wait_only(rng: random.Random, max_q: int = 6, max_m: int = 3,
@@ -116,6 +134,41 @@ def spec_successors(p: Protocol, c: Configuration,
         if allow_nonblocking and not any(others[q] > 0 for q, _qp in receptions):
             found.add((StepLabel("nb", act.message), moved((src, dst))))
     return sorted(found, key=lambda pair: (pair[0].sort_key(), pair[1].items))
+
+
+def ordered_reachable(p: Protocol, n: int, budget: int) -> set[tuple[int, ...]]:
+    """``explore.reachable`` as one search on the label-ordered ``dense_successors``."""
+    t = p.moves()
+    overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
+    return set(search(t.encode(initial(p, n)), partial(dense_successors, t),
+                      budget=budget, overflow=overflow)[0])
+
+
+def ordered_decide_fixed(p: Protocol, prob: Problem, n: int, budget: int) -> Verdict:
+    """``explore.decide_fixed`` as one search on the label-ordered ``dense_successors``."""
+    t = p.moves()
+    goal = prob.goal(p, t, n)
+    start = t.encode(initial(p, n))
+    overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
+    succ = partial(dense_successors, t)
+    parents, hit, _pruned = search(start, succ, budget=budget, overflow=overflow, goal=goal)
+    if hit is None:
+        return Verdict("no", explored_bound=n, stats={"visited": len(parents)})
+    dense = explore._rebuild(parents, succ, start, hit)
+    witness = Witness(t.decode(start), tuple((label, t.decode(v)) for label, v in dense.steps))
+    return Verdict("yes", witness, explored_bound=n)
+
+
+def ordered_decide_sweep(p: Protocol, prob: Problem, max_n: int, budget: int) -> Verdict:
+    """``explore.decide_sweep`` over :func:`ordered_decide_fixed`."""
+    for n in range(1, max_n + 1):
+        try:
+            verdict = ordered_decide_fixed(p, prob, n, budget)
+        except ResourceLimitError:
+            return Verdict("unknown", explored_bound=n - 1, note="budget")
+        if verdict.is_yes():
+            return verdict
+    return Verdict("unknown", explored_bound=max_n)
 
 
 def random_vas(rng: random.Random, max_dim: int = 5, max_t: int = 8) -> Vas:

@@ -12,9 +12,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from nbrv import explore, machines, reductions
+from nbrv import explore, machines, model, reductions
 from nbrv.explore import Problem
-from nbrv.model import Configuration
+from nbrv.model import Configuration, initial
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -60,3 +60,33 @@ def test_machine_witness_reaches_the_wrapped_rebuild(p1):
     finally:
         tracer.uninstall()
     assert "explore.rebuild" in {span[0] for span in tracer.spans}
+
+
+
+def test_traced_yes_records_both_passes(fig1):
+    # A YES population is searched twice, on unordered moves and then in
+    # label order: the wrapped successor function sees both searches.
+    prob = Problem("scover")
+    t = fig1.moves()
+    start, goal = t.encode(initial(fig1, 2)), prob.goal(fig1, t, 2)
+    per_pass = []
+    for succ in (model.dense_moves, model.dense_successors):
+        calls = []
+        explore.search(start, lambda v: calls.append(v) or succ(t, v), budget=100,
+                       overflow=explore.ResourceLimitError(), goal=goal)
+        per_pass.append(len(calls))
+    untraced = explore.decide_fixed(fig1, prob, 2)
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        traced = explore.decide_fixed(fig1, prob, 2)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    fixed, rebuild = names.index("explore.decide_fixed"), names.index("explore.rebuild")
+    searched = [s for s in tracer.spans if s[0] == "model.successors" and s[3] == fixed]
+    rebuilt = [s for s in tracer.spans if s[0] == "model.successors" and s[3] == rebuild]
+    assert min(per_pass) > 0 and len(searched) == sum(per_pass)
+    assert len(rebuilt) == len(traced.witness.steps) > 0
+    assert traced == untraced

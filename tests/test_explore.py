@@ -2,10 +2,19 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from functools import partial
 
 import pytest
 
-from helpers import random_config, random_protocol, spec_successors
+from helpers import (
+    ordered_decide_fixed,
+    ordered_decide_sweep,
+    ordered_reachable,
+    random_config,
+    random_protocol,
+    spec_successors,
+    with_self_rendezvous,
+)
 from nbrv.explore import (
     Problem,
     ResourceLimitError,
@@ -13,6 +22,7 @@ from nbrv.explore import (
     decide_sweep,
     reachable,
     replay,
+    search,
 )
 from nbrv.machines import (
     NBDEC,
@@ -23,7 +33,7 @@ from nbrv.machines import (
     cover_bounded,
     vas_cover_bounded,
 )
-from nbrv.model import Configuration, Protocol, send, tau
+from nbrv.model import Configuration, Protocol, dense_moves, initial, recv, send, tau
 
 
 def cfg(**counts: int) -> Configuration:
@@ -160,6 +170,57 @@ class TestWitnesses:
                         assert decide_fixed(p, prob, n + 1).is_yes()
                         checked += 1
         assert checked > 30
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the message of the ``ResourceLimitError`` it raised."""
+    try:
+        return fn(*args)
+    except ResourceLimitError as exc:
+        return ("overflow", str(exc))
+
+
+class TestOrderFreeSearch:
+    """The explorer first searches unordered moves; every answer, witness,
+    stat and overflow is the one a single search on the label-ordered
+    successors gives."""
+
+    def test_matches_one_ordered_search(self):
+        rng = random.Random(26)
+        seen = {"yes": 0, "no": 0, "unknown": 0, "overflow": 0}
+        for k in range(120):
+            p = random_protocol(rng, max_m=2)
+            if k % 3 == 0:
+                p = with_self_rendezvous(rng, p)
+            problems = [Problem("scover"), Problem("synchro"),
+                        Problem("ccover", random_config(rng, p, max_items=2))]
+            for n in range(1, 5):
+                size = len(reachable(p, n))
+                for budget in {max(1, size - 1), size, size + 1}:
+                    assert (outcome(reachable, p, n, budget)
+                            == outcome(ordered_reachable, p, n, budget))
+                    for prob in problems:
+                        got = outcome(decide_fixed, p, prob, n, budget)
+                        assert got == outcome(ordered_decide_fixed, p, prob, n, budget)
+                        seen[got[0] if isinstance(got, tuple) else got.answer] += 1
+                        got = decide_sweep(p, prob, n, budget)
+                        assert got == ordered_decide_sweep(p, prob, n, budget)
+                        seen[got.answer] += 1
+        assert min(seen.values()) > 100, seen
+
+    def test_ordered_pass_meets_the_goal_before_the_budget(self):
+        # From i:2, the send !a has no receiver (nb:a, to i,x) and !b meets
+        # i ?b r (msg:b, to g,r).  The table tries !a first; label order puts
+        # every rendez-vous before every non-blocking step.
+        p = Protocol("p", ["g", "i", "r", "x"], ["a", "b"], "i", "g",
+                     [("i", send("a"), "x"), ("i", send("b"), "g"), ("i", recv("b"), "r")])
+        t, prob = p.moves(), Problem("scover")
+        with pytest.raises(ResourceLimitError):
+            search(t.encode(initial(p, 2)), partial(dense_moves, t), budget=2,
+                   overflow=ResourceLimitError(), goal=prob.goal(p, t, 2))
+        verdict = decide_fixed(p, prob, 2, budget=2)
+        assert verdict == ordered_decide_fixed(p, prob, 2, 2)
+        assert [(str(label), str(c)) for label, c in verdict.witness.steps] == [("msg:b", "g,r")]
 
 
 class TestFirstLabel:

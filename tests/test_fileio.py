@@ -111,6 +111,20 @@ class TestConfigLiteral:
         c = Configuration.from_counts({"q1": 2, "q5": 1})
         assert parse_config(str(c), fig1) == c
 
+    def error(self, text, p):
+        with pytest.raises(ParseError) as exc:
+            parse_config(text, p)
+        return exc.value.line, exc.value.column, exc.value.message
+
+    def test_column_after_blanks_around_earlier_item(self, p1):
+        assert self.error("q1 , zz", p1) == (1, 6, "state 'zz' not in protocol p1")
+
+    def test_column_after_leading_blanks(self, p1):
+        assert self.error("  q1,zz", p1) == (1, 6, "state 'zz' not in protocol p1")
+
+    def test_column_of_empty_item(self, p1):
+        assert self.error("q1:1 ,,q2", p1) == (1, 7, "empty configuration item")
+
 
 class TestMachineFormat:
     def test_round_trip(self):

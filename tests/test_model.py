@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_config, random_protocol, spec_successors
+from helpers import random_config, random_protocol, spec_successors, with_self_rendezvous
+from nbrv.explore import reachable
 from nbrv.model import (
     Configuration,
     MalformedConfigurationError,
@@ -14,6 +15,8 @@ from nbrv.model import (
     UnknownMessageError,
     UnknownStateError,
     covers,
+    dense_moves,
+    dense_successors,
     initial,
     receivable,
     receivers,
@@ -244,10 +247,7 @@ class TestInvariants:
         for k in range(300):
             p = random_protocol(rng, max_m=2)
             if k % 2:
-                q, m = rng.choice(p.states), rng.choice(p.messages)
-                extra = ((q, send(m), rng.choice(p.states)), (q, recv(m), rng.choice(p.states)))
-                p = Protocol(p.name, p.states, p.messages, p.init, p.final,
-                             p.transitions + extra)
+                p = with_self_rendezvous(rng, p)
             for _ in range(4):
                 c = random_config(rng, p, max_items=4)
                 for nb in (True, False):
@@ -256,6 +256,27 @@ class TestInvariants:
                     if q in receivers(p, m) and c.get(q) in shared:
                         shared[c.get(q)] += 1
         assert min(shared.values()) > 20, shared
+
+    def test_moves_are_the_successors_in_any_order(self):
+        # Every configuration reached at n = 1..5, under both semantics: the
+        # unordered moves, read as a set, are the label-ordered successors.
+        rng = random.Random(17)
+        repeated = 0
+        for k in range(300):
+            p = random_protocol(rng, max_m=2)
+            if k % 3 == 0:
+                p = with_self_rendezvous(rng, p)
+            t = p.moves()
+            rank = {label: r for r, label in enumerate(t.labels)}
+            for n in range(1, 6):
+                for v in reachable(p, n):
+                    for nb in (True, False):
+                        moves = dense_moves(t, v, nb)
+                        ordered = [(rank[label], w) for label, w in dense_successors(t, v, nb)]
+                        assert set(moves) == set(ordered)
+                        assert len(set(ordered)) == len(ordered)
+                        repeated += len(moves) > len(ordered)
+        assert repeated > 100, repeated
 
     def test_successors_deterministic(self):
         rng = random.Random(15)
