@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 
 from .machines import (
+    NBDEC,
     CounterMachine,
     CounterOp,
     MachineTransition,
@@ -214,8 +215,7 @@ def parse_machine(text: str, file: str = "<string>") -> CounterMachine:
     if init_tok[0] not in loc_set:
         raise rd.error(init_tok, f"initial location {init_tok[0]!r} not declared")
 
-    blocking: list[MachineTransition] = []
-    nonblocking: list[MachineTransition] = []
+    transitions: list[MachineTransition] = []
     while not rd.done():
         line = rd.take("trans")
         if len(line) not in (4, 5):
@@ -236,24 +236,20 @@ def parse_machine(text: str, file: str = "<string>") -> CounterMachine:
             if ctr_tok[0] not in ctr_set:
                 raise rd.error(ctr_tok, f"counter {ctr_tok[0]!r} not declared")
             op = CounterOp(_OPS_TWO_TOKEN[op_tok[0]], ctr_tok[0])
-        t = (src_tok[0], op, dst_tok[0])
-        if op.kind == "nbdec":
-            nonblocking.append(t)
-        else:
-            blocking.append(t)
+        transitions.append((src_tok[0], op, dst_tok[0]))
 
     return CounterMachine(
         name=name,
         locations=locations,
         counters=counters,
         init=init_tok[0],
-        blocking=blocking,
-        nonblocking=nonblocking,
+        transitions=transitions,
         restore=restore_tok[0] == "on",
     )
 
 
 def serialize_machine(m: CounterMachine) -> str:
+    """The canonical ``.nbm`` text: ``nbdec`` lines last, each group in machine order."""
     lines = [
         f"machine {m.name}",
         "locations " + " ".join(m.locations),
@@ -261,7 +257,7 @@ def serialize_machine(m: CounterMachine) -> str:
         ("counters " + " ".join(m.counters)).rstrip(),
         f"restore {'on' if m.restore else 'off'}",
     ]
-    for src, op, dst in m.blocking + m.nonblocking:
+    for src, op, dst in sorted(m.transitions, key=lambda t: t[1].kind == NBDEC):
         lines.append(f"trans {src} {op} {dst}")
     return "\n".join(lines) + "\n"
 

@@ -110,16 +110,15 @@ class ProceduralMachine(CounterMachine):
         name: str,
         locations: Iterable[str],
         counters: Iterable[str],
-        blocking: Iterable[MachineTransition],
-        nonblocking: Iterable[MachineTransition],
+        transitions: Iterable[MachineTransition],
         entry: str,
         outs: Iterable[str],
     ) -> None:
-        super().__init__(name, locations, counters, entry, blocking, nonblocking)
+        super().__init__(name, locations, counters, entry, transitions)
         self.outs: tuple[str, ...] = tuple(outs)
         if not set(self.outs) <= self._locs:
             raise MachineError("outs must be declared locations")
-        for src, _op, _dst in self.blocking + self.nonblocking:
+        for src, _op, _dst in self.transitions:
             if src in self.outs:
                 raise MachineError(f"output location {src!r} has outgoing transitions")
 
@@ -130,8 +129,7 @@ class _Builder:
     def __init__(self, ctx: LevelContext) -> None:
         self.ctx = ctx
         self.locations: list[str] = []
-        self.blocking: list[MachineTransition] = []
-        self.nonblocking: list[MachineTransition] = []
+        self.transitions: list[MachineTransition] = []
 
     def loc(self, name: str) -> str:
         if name in self.locations:
@@ -140,10 +138,7 @@ class _Builder:
         return name
 
     def edge(self, src: str, op: CounterOp, dst: str) -> None:
-        if op.kind == NBDEC:
-            self.nonblocking.append((src, op, dst))
-        else:
-            self.blocking.append((src, op, dst))
+        self.transitions.append((src, op, dst))
 
     def chain(self, prefix: str, start: str, ops: list[CounterOp], end: str) -> None:
         """A straight line of operations from ``start`` to ``end``."""
@@ -158,7 +153,7 @@ class _Builder:
     def machine(self, name: str, entry: str, outs: tuple[str, ...]) -> ProceduralMachine:
         """The fragment built so far, entered at ``entry`` and left at ``outs``."""
         return ProceduralMachine(name, self.locations, self.ctx.all_counters(),
-                                 self.blocking, self.nonblocking, entry, outs)
+                                 self.transitions, entry, outs)
 
 
 def _emit_test_swap(b: _Builder, level: int, dual_counter: str, prefix: str) -> tuple[str, str, str]:
@@ -337,31 +332,24 @@ def restore_shell(m: CounterMachine, levels: int, target_loc: str) -> CounterMac
 
     ctx = LevelContext.create(levels, m.counters)
     chain = reset_chain(ctx)
-    prefix = "sh_"
-    k = 0
-    while any(loc.startswith(prefix) for loc in m.locations):
-        prefix = f"sh{k}_"
-        k += 1
-    renamed = {loc: prefix + loc for loc in chain.locations}
-    entry = prefix + "start"
+    names = _Names(m.locations)
+    renamed = {loc: names.fresh("sh_" + loc) for loc in chain.locations}
+    entry = names.fresh("sh_start")
 
-    locations = [entry] + [renamed[x] for x in chain.locations] + list(m.locations)
-    blocking: list[MachineTransition] = [
+    locations = [entry] + list(renamed.values()) + list(m.locations)
+    transitions: list[MachineTransition] = [
         (entry, CounterOp(NOP), renamed[chain.init]),
         (renamed[chain.outs[0]], CounterOp(NOP), m.init),
     ]
-    blocking += [(renamed[s], op, renamed[d]) for s, op, d in chain.blocking]
-    blocking += list(m.blocking)
-    nonblocking = [(renamed[s], op, renamed[d]) for s, op, d in chain.nonblocking]
-    nonblocking += list(m.nonblocking)
+    transitions += [(renamed[s], op, renamed[d]) for s, op, d in chain.transitions]
+    transitions += m.transitions
 
     return CounterMachine(
         name=f"{m.name}_shell",
         locations=locations,
         counters=ctx.all_counters(),
         init=entry,
-        blocking=blocking,
-        nonblocking=nonblocking,
+        transitions=transitions,
         restore=True,
     )
 

@@ -3,7 +3,9 @@
 The machine family covers plain counter machines (with zero tests),
 test-free machines, machines extended with non-blocking decrements
 (``nbdec`` always fires and clamps at zero) and the restore variant that can
-jump back to the initial location from anywhere.  A non-blocking VAS pairs
+jump back to the initial location from anywhere.  A machine keeps one
+transition set, sorted by source, op and target; the op says whether a step
+can block, since every op but ``nbdec`` can.  A non-blocking VAS pairs
 each transition with a blocking update vector and a non-negative clamp
 vector applied coordinatewise.
 
@@ -90,19 +92,15 @@ class CounterMachine:
         locations: Iterable[str],
         counters: Iterable[str],
         init: str,
-        blocking: Iterable[MachineTransition],
-        nonblocking: Iterable[MachineTransition] = (),
+        transitions: Iterable[MachineTransition],
         restore: bool = False,
     ) -> None:
         self.name = name
         self.locations: tuple[str, ...] = tuple(sorted(set(locations)))
         self.counters: tuple[str, ...] = tuple(sorted(set(counters)))
         self.init = init
-        self.blocking: tuple[MachineTransition, ...] = tuple(
-            sorted(set(blocking), key=_mt_key)
-        )
-        self.nonblocking: tuple[MachineTransition, ...] = tuple(
-            sorted(set(nonblocking), key=_mt_key)
+        self.transitions: tuple[MachineTransition, ...] = tuple(
+            sorted(set(transitions), key=_mt_key)
         )
         self.restore = restore
 
@@ -110,19 +108,10 @@ class CounterMachine:
         ctrs = set(self.counters)
         if init not in locs:
             raise MachineError(f"initial location {init!r} not declared")
-        for src, op, dst in self.blocking:
-            if op.kind == NBDEC:
-                raise MachineError("nbdec belongs to the non-blocking transition set")
+        for src, op, dst in self.transitions:
             if src not in locs or dst not in locs:
                 raise MachineError(f"transition {src!r} -> {dst!r} uses undeclared location")
             if op.counter is not None and op.counter not in ctrs:
-                raise MachineError(f"undeclared counter {op.counter!r}")
-        for src, op, dst in self.nonblocking:
-            if op.kind != NBDEC:
-                raise MachineError("non-blocking transitions must be nbdec")
-            if src not in locs or dst not in locs:
-                raise MachineError(f"transition {src!r} -> {dst!r} uses undeclared location")
-            if op.counter not in ctrs:
                 raise MachineError(f"undeclared counter {op.counter!r}")
         self._index = {x: i for i, x in enumerate(self.counters)}
         self._locs = locs
@@ -132,7 +121,7 @@ class CounterMachine:
     def _key(self) -> tuple:
         return (
             self.name, self.locations, self.counters, self.init,
-            self.blocking, self.nonblocking, self.restore,
+            self.transitions, self.restore,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -147,7 +136,7 @@ class CounterMachine:
 
     @property
     def is_test_free(self) -> bool:
-        return all(op.kind != ZEROTEST for _s, op, _d in self.blocking)
+        return all(op.kind != ZEROTEST for _s, op, _d in self.transitions)
 
     @property
     def is_nbrcm(self) -> bool:
@@ -178,19 +167,21 @@ class CounterMachine:
         """The moves out of ``loc`` as (transition, op kind, counter index, target).
 
         Restore jumps are included, each transition appears once, and the
-        order is ``_mt_key``.  A location's moves are compiled on first use.
+        order is ``_mt_key``.  The transitions of one source already come in
+        that order, so only an appended restore jump needs a sort.  A
+        location's moves are compiled on first use.
         """
         moves = self._moves.get(loc)
         if moves is None:
             if self._by_src is None:
                 self._by_src = {}
-                for t in self.blocking + self.nonblocking:
+                for t in self.transitions:
                     self._by_src.setdefault(t[0], []).append(t)
             out = list(self._by_src.get(loc, ()))
             jump = (loc, CounterOp(NOP), self.init)
             if self.restore and jump not in out:
                 out.append(jump)
-            out.sort(key=_mt_key)
+                out.sort(key=_mt_key)
             moves = self._moves[loc] = tuple(
                 (t, t[1].kind, self._index.get(t[1].counter, -1), t[2]) for t in out
             )

@@ -324,9 +324,7 @@ def _items_order(v: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple((i, n) for i, n in enumerate(v) if n)
 
 
-def dense_moves(
-    t: MoveTable, v: tuple[int, ...], allow_nonblocking: bool = True
-) -> list[tuple[int, tuple[int, ...]]]:
+def dense_moves(t: MoveTable, v: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     """Every one-step move of the dense configuration ``v``, as ``(rank, w)``.
 
     ``rank`` indexes ``t.labels``.  The moves come in table order, taus then
@@ -356,7 +354,7 @@ def dense_moves(
                 w[q2p] += 1
                 out.append((msg, tuple(w)))
                 blocked = True
-        if allow_nonblocking and not blocked:
+        if not blocked:
             w = list(v)
             w[src] -= 1
             w[dst] += 1
@@ -383,29 +381,24 @@ def label_order(
     return out
 
 
-def dense_successors(
-    t: MoveTable, v: tuple[int, ...], allow_nonblocking: bool = True
-) -> list[tuple[StepLabel, tuple[int, ...]]]:
+def dense_successors(t: MoveTable, v: tuple[int, ...]) -> list[tuple[StepLabel, tuple[int, ...]]]:
     """All one-step successors of the dense configuration ``v``.
 
     :func:`dense_moves` put in :func:`label_order`: deduplicated and ordered
     by label rank, then by the sparse order of the successors, as
     :func:`successors` promises.
     """
-    return label_order(t, dense_moves(t, v, allow_nonblocking))
+    return label_order(t, dense_moves(t, v))
 
 
-def successors(
-    p: Protocol, c: Configuration, *, allow_nonblocking: bool = True
-) -> list[tuple[StepLabel, Configuration]]:
+def successors(p: Protocol, c: Configuration) -> list[tuple[StepLabel, Configuration]]:
     """All one-step successors of ``c``, deduplicated and deterministically ordered.
 
     Successors are ordered by label (``tau``, then ``msg:<m>``, then
     ``nb:<m>``, messages in name order), then by ``Configuration.items``:
-    :func:`dense_successors` on the dense form of ``c``.
-    ``allow_nonblocking=False`` restricts to the classical rendez-vous
-    semantics (internal and rendez-vous rules only).
+    :func:`dense_successors` on the dense form of ``c``.  The classical
+    rendez-vous semantics is the successors whose label is not ``nb:<m>``.
     """
     t = p.moves()
     return [(label, t.decode(w))
-            for label, w in dense_successors(t, t.encode(c), allow_nonblocking)]
+            for label, w in dense_successors(t, t.encode(c))]

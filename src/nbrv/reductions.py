@@ -74,7 +74,7 @@ def _protocol_size(p: Protocol) -> int:
 
 
 def _machine_size(m: CounterMachine) -> int:
-    return len(m.locations) + len(m.counters) + len(m.blocking) + len(m.nonblocking)
+    return len(m.locations) + len(m.counters) + len(m.transitions)
 
 
 def protocol_to_machine(
@@ -101,15 +101,14 @@ def protocol_to_machine(
         aux_table[tag] = loc
         return loc
 
-    blocking: list[MachineTransition] = [(hub, CounterOp(INC, p.init), hub)]
-    nonblocking: list[MachineTransition] = []
+    transitions: list[MachineTransition] = [(hub, CounterOp(INC, p.init), hub)]
     locations = [hub]
 
     for src, dst in p.taus:
         a = aux(f"tau:{src}->{dst}")
         locations.append(a)
-        blocking.append((hub, CounterOp(DEC, src), a))
-        blocking.append((a, CounterOp(INC, dst), hub))
+        transitions.append((hub, CounterOp(DEC, src), a))
+        transitions.append((a, CounterOp(INC, dst), hub))
 
     for q1, m, q1p in p.sends:
         for q2, mm, q2p in p.recvs:
@@ -119,29 +118,29 @@ def protocol_to_machine(
             a2 = aux(f"rdv:{q1}!{m}->{q1p}/{q2}->{q2p}:2")
             a3 = aux(f"rdv:{q1}!{m}->{q1p}/{q2}->{q2p}:3")
             locations += [a1, a2, a3]
-            blocking.append((hub, CounterOp(DEC, q1), a1))
-            blocking.append((a1, CounterOp(DEC, q2), a2))
-            blocking.append((a2, CounterOp(INC, q1p), a3))
-            blocking.append((a3, CounterOp(INC, q2p), hub))
+            transitions.append((hub, CounterOp(DEC, q1), a1))
+            transitions.append((a1, CounterOp(DEC, q2), a2))
+            transitions.append((a2, CounterOp(INC, q1p), a3))
+            transitions.append((a3, CounterOp(INC, q2p), hub))
 
     for q1, m, q1p in p.sends:
         head = aux(f"nb:{q1}!{m}->{q1p}")
         locations.append(head)
-        blocking.append((hub, CounterOp(DEC, q1), head))
+        transitions.append((hub, CounterOp(DEC, q1), head))
         cur = head
         for q2 in sorted(receivers(p, m)):
             nxt = aux(f"nb:{q1}!{m}->{q1p}/{q2}")
             locations.append(nxt)
-            nonblocking.append((cur, CounterOp(NBDEC, q2), nxt))
+            transitions.append((cur, CounterOp(NBDEC, q2), nxt))
             cur = nxt
-        blocking.append((cur, CounterOp(INC, q1p), hub))
+        transitions.append((cur, CounterOp(INC, q1p), hub))
 
     flat_target = [s for s, n in target.items for _ in range(n)]
     cur = hub
     for i, q in enumerate(flat_target):
         nxt = aux(f"verify:{i}:{q}")
         locations.append(nxt)
-        blocking.append((cur, CounterOp(DEC, q), nxt))
+        transitions.append((cur, CounterOp(DEC, q), nxt))
         cur = nxt
     final_loc = cur
 
@@ -150,8 +149,7 @@ def protocol_to_machine(
         locations=locations,
         counters=p.states,
         init=hub,
-        blocking=blocking,
-        nonblocking=nonblocking,
+        transitions=transitions,
         restore=False,
     )
     report = TranslationReport(
@@ -189,9 +187,10 @@ def machine_to_protocol(
         gadget[f"qa[{x}]"] = names.fresh(f"qa_{x}")
         gadget[f"qd[{x}]"] = names.fresh(f"qd_{x}")
 
-    aux: dict[MachineTransition, str] = {}
-    for i, t in enumerate(m.blocking):
-        aux[t] = names.fresh(f"at_{i}")
+    # An inc or dec waits for its acknowledgement in ``at_i``, where ``i``
+    # counts the transitions other than nbdec.
+    non_nb = [t for t in m.transitions if t[1].kind != NBDEC]
+    aux = {t: names.fresh(f"at_{i}") for i, t in enumerate(non_nb) if t[1].kind in (INC, DEC)}
 
     msg = _Names([])
     messages: dict[str, str] = {"L": msg.fresh("L"), "R": msg.fresh("R")}
@@ -200,7 +199,7 @@ def machine_to_protocol(
             messages[f"{role}[{x}]"] = msg.fresh(f"{role}_{x}")
 
     transitions: list[Transition] = []
-    for t in m.blocking:
+    for t in m.transitions:
         src, op, dst = t
         if op.kind == INC:
             transitions.append((src, send(messages[f"inc[{op.counter}]"]), aux[t]))
@@ -210,12 +209,12 @@ def machine_to_protocol(
             transitions.append((aux[t], recv(messages[f"ackdec[{op.counter}]"]), dst))
         elif op.kind == NOP:
             transitions.append((src, tau(), dst))
+        elif op.kind == NBDEC:
+            transitions.append((src, send(messages[f"nbdec[{op.counter}]"]), dst))
         else:
             raise MachineError("zero tests cannot be compiled to a protocol")
-    for src, op, dst in m.nonblocking:
-        transitions.append((src, send(messages[f"nbdec[{op.counter}]"]), dst))
 
-    machine_zone = list(m.locations) + [aux[t] for t in m.blocking]
+    machine_zone = list(m.locations) + list(aux.values())
     transitions.append((q_in, send(messages["L"]), lead))
     transitions.append((lead, send(messages["R"]), m.init))
     transitions.append((lead, recv(messages["L"]), sink))
@@ -334,14 +333,14 @@ def minsky_to_protocol(mm: CounterMachine, final: str) -> tuple[Protocol, Transl
     processes can gather in the final location iff the machine halts there
     with both counters at zero.
     """
-    if mm.nonblocking or mm.restore:
+    if mm.restore or any(op.kind == NBDEC for _s, op, _d in mm.transitions):
         raise MachineError("minsky2p takes a plain two-counter machine "
                            "(no nbdec transitions, restore off)")
     if len(mm.counters) != 2:
         raise MachineError("a Minsky machine has exactly two counters")
     if final not in mm.locations:
         raise MachineError("init/final locations must be declared")
-    for src, op, _dst in mm.blocking:
+    for src, op, _dst in mm.transitions:
         if op.kind not in (INC, DEC, ZEROTEST):
             raise MachineError(f"op {op.kind!r} not allowed in a Minsky machine")
         if src == final:
@@ -395,7 +394,7 @@ def minsky_to_protocol(mm: CounterMachine, final: str) -> tuple[Protocol, Transl
         ]
 
     aux: dict[MachineTransition, str] = {}
-    for j, t in enumerate(mm.blocking):
+    for j, t in enumerate(mm.transitions):
         src, op, dst = t
         i = cidx[op.counter]
         if op.kind == INC:

@@ -80,24 +80,22 @@ def random_machine(rng: random.Random, max_loc: int = 4, max_ctr: int = 2,
     nc = rng.randint(1, max_ctr)
     locs = [f"l{i}" for i in range(nl)]
     ctrs = [f"x{i}" for i in range(nc)]
-    blocking, nonblocking = set(), set()
+    transitions = set()
     for _ in range(rng.randint(1, max_t)):
         src, dst = rng.choice(locs), rng.choice(locs)
         r = rng.random()
         if r < 0.15:
-            blocking.add((src, CounterOp(NOP), dst))
+            transitions.add((src, CounterOp(NOP), dst))
         elif r < 0.55:
-            blocking.add((src, CounterOp(INC, rng.choice(ctrs)), dst))
+            transitions.add((src, CounterOp(INC, rng.choice(ctrs)), dst))
         elif r < 0.8:
-            blocking.add((src, CounterOp(DEC, rng.choice(ctrs)), dst))
+            transitions.add((src, CounterOp(DEC, rng.choice(ctrs)), dst))
         else:
-            nonblocking.add((src, CounterOp(NBDEC, rng.choice(ctrs)), dst))
-    return CounterMachine("rnd", locs, ctrs, locs[0], blocking, nonblocking,
-                          restore=restore)
+            transitions.add((src, CounterOp(NBDEC, rng.choice(ctrs)), dst))
+    return CounterMachine("rnd", locs, ctrs, locs[0], transitions, restore=restore)
 
 
-def spec_successors(p: Protocol, c: Configuration,
-                    allow_nonblocking: bool = True) -> list[tuple[StepLabel, Configuration]]:
+def spec_successors(p: Protocol, c: Configuration) -> list[tuple[StepLabel, Configuration]]:
     """One-step successors written straight from the three rules in ``nbrv.model``.
 
     A sparse reference for the compiled interpreter: it works on a count
@@ -131,7 +129,7 @@ def spec_successors(p: Protocol, c: Configuration,
                 found.add((StepLabel("msg", act.message), moved((src, dst), (q, qp))))
         others = Counter(counts)
         others[src] -= 1
-        if allow_nonblocking and not any(others[q] > 0 for q, _qp in receptions):
+        if not any(others[q] > 0 for q, _qp in receptions):
             found.add((StepLabel("nb", act.message), moved((src, dst))))
     return sorted(found, key=lambda pair: (pair[0].sort_key(), pair[1].items))
 

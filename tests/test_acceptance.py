@@ -147,7 +147,7 @@ def test_criterion_5_reduction_agreement():
             proto, _rep = reductions.machine_to_protocol(m, lf)
             machine_yes = cover_bounded(m, lf, cap=3).is_yes()
             sweep_yes = decide_sweep(proto, Problem("scover"), 8).is_yes()
-            assert machine_yes == sweep_yes, (m.blocking, m.nonblocking)
+            assert machine_yes == sweep_yes, m.transitions
 
         rng = random.Random(1234)
         for _ in range(100):
@@ -156,7 +156,7 @@ def test_criterion_5_reduction_agreement():
             cap = rng.randint(1, 4)
             a = cover_bounded(m, lf, cap=cap).answer
             b = vas_cover_bounded(reductions.machine_to_vas(m, lf), cap=cap).answer
-            assert a == b, (m.blocking, m.nonblocking, cap)
+            assert a == b, (m.transitions, cap)
 
 
 def test_criterion_6_bounding_gadget_contracts():

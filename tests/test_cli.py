@@ -376,6 +376,8 @@ GEN_RUNS = [
     ["gen", "rst", "OUT", "--levels", "2", "--level", "1"],
     ["gen", "rst", "OUT", "--levels", "2", "--level", "2"],
     ["gen", "lipton", "IN", "OUT", "--levels", "2"],
+    ["translate", "p2cm", "FIG1", "OUT", "--target", "q3:2"],
+    ["translate", "p2cm", "P1", "OUT", "--target", "q2:2"],
 ]
 
 
@@ -385,7 +387,7 @@ def gen_transcript(workdir: Path) -> str:
     After a deliberate change of the gadgets, regenerate the golden file with
     ``PYTHONPATH=src python tests/test_cli.py`` and review the diff.
     """
-    paths = {"IN": workdir / "toy.nbm", "OUT": workdir / "out.nbm"}
+    paths = {"IN": workdir / "toy.nbm", "OUT": workdir / "out.nbm", "FIG1": FIG1, "P1": P1}
     paths["IN"].write_text("machine toy\nlocations lin lf\ninit lin\ncounters x\n"
                            "restore off\ntrans lin inc x lf\n")
     parts = []
@@ -408,7 +410,8 @@ class TestGen:
                            "--levels", "1", "--level", "0")
         assert code == EXIT_OK
         m = fileio.parse_machine(out_path.read_text())
-        assert len(m.nonblocking) == 12  # two clamp steps per level-0 counter
+        # two clamp steps per level-0 counter
+        assert sum(op.kind == "nbdec" for _s, op, _d in m.transitions) == 12
 
     def test_lipton_shell(self, capsys, tmp_path):
         machine_path = tmp_path / "m.nbm"

@@ -235,8 +235,8 @@ class TestFirstLabel:
 
     def test_machine(self):
         nop = ("l0", CounterOp(NOP), "l1")
-        m = CounterMachine("m", ["l0", "l1"], ["x"], "l0", [nop],
-                           [("l0", CounterOp(NBDEC, "x"), "l1")])
+        m = CounterMachine("m", ["l0", "l1"], ["x"], "l0",
+                           [nop, ("l0", CounterOp(NBDEC, "x"), "l1")])
         assert [label for label, _cfg in cover_bounded(m, "l1", 1).witness.steps] == [nop]
 
     def test_vas(self):

@@ -138,8 +138,17 @@ class TestMachineFormat:
                 "trans a nop b\ntrans a inc x b\ntrans a dec x b\n"
                 "trans a nbdec x b\ntrans a zero? x b\n")
         m = parse_machine(text)
-        kinds = sorted(op.kind for _s, op, _d in m.blocking + m.nonblocking)
+        kinds = sorted(op.kind for _s, op, _d in m.transitions)
         assert kinds == ["dec", "inc", "nbdec", "nop", "zerotest"]
+
+    def test_canonical_order_lists_nbdec_last(self):
+        head = "machine m\nlocations a b c\ninit a\ncounters x y\nrestore off\n"
+        text = head + ("trans b nbdec y c\ntrans a nbdec x b\n"
+                       "trans c nop a\ntrans a inc x b\n")
+        canonical = head + ("trans a inc x b\ntrans c nop a\n"
+                            "trans a nbdec x b\ntrans b nbdec y c\n")
+        assert serialize_machine(parse_machine(text)) == canonical
+        assert serialize_machine(parse_machine(canonical)) == canonical
 
     def test_restore_flag(self):
         base = "machine m\nlocations a\ninit a\ncounters\nrestore {}\n"

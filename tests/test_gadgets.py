@@ -208,8 +208,7 @@ class TestResetChain:
 class TestRestoreShell:
     def toy(self, op_kind: str) -> CounterMachine:
         op = CounterOp(op_kind, "xa")
-        return CounterMachine("toy", ["lin", "lf"], ["xa"], "lin",
-                              blocking=[("lin", op, "lf")])
+        return CounterMachine("toy", ["lin", "lf"], ["xa"], "lin", [("lin", op, "lf")])
 
     def test_coverable_target_stays_coverable(self):
         shell = restore_shell(self.toy(INC), 1, "lf")
@@ -223,15 +222,18 @@ class TestRestoreShell:
     def test_size_linear_in_machine_at_fixed_levels(self):
         # The wrapper adds a machine-independent number of locations, so the
         # total stays linear in the wrapped machine for fixed level count.
-        overhead = []
+        # A machine whose locations look like the shell's own must not have
+        # any of them merged with a shell location.
+        machines = [CounterMachine("toy", ["lin", "lf", "sh_start", "sh_ri_in", "sh_x"],
+                                   ["xa"], "lin", [("lin", CounterOp(INC, "xa"), "lf")])]
         for extra in (0, 5, 10):
             locs = ["lin", "lf"] + [f"m{i}" for i in range(extra)]
-            blocking = [("lin", CounterOp(INC, "xa"), "lf")]
-            blocking += [("lin", CounterOp("nop"), f"m{i}") for i in range(extra)]
-            m = CounterMachine("toy", locs, ["xa"], "lin", blocking=blocking)
-            shell = restore_shell(m, 1, "lf")
-            overhead.append(len(shell.locations) - len(m.locations))
-        assert overhead[0] == overhead[1] == overhead[2]
+            transitions = [("lin", CounterOp(INC, "xa"), "lf")]
+            transitions += [("lin", CounterOp("nop"), f"m{i}") for i in range(extra)]
+            machines.append(CounterMachine("toy", locs, ["xa"], "lin", transitions))
+        overhead = [len(restore_shell(m, 1, "lf").locations) - len(m.locations)
+                    for m in machines]
+        assert len(set(overhead)) == 1, overhead
 
     def test_output_deterministic(self):
         a = restore_shell(self.toy(INC), 1, "lf")
@@ -243,7 +245,7 @@ class TestProceduralMachine:
     def test_outs_have_no_outgoing(self):
         with pytest.raises(MachineError):
             ProceduralMachine("bad", ("a", "b"), ("x",),
-                              (("b", CounterOp("nop"), "a"),), (), "a", ("b",))
+                              (("b", CounterOp("nop"), "a"),), "a", ("b",))
 
     def test_exit_determinism(self):
         pm = reset_chain(LevelContext.create(1, ("xa",)))

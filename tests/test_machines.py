@@ -35,29 +35,29 @@ from nbrv.machines import (
 )
 
 
-def simple(blocking=(), nonblocking=(), locations=("l0", "l1"), counters=("x",),
+def simple(transitions=(), locations=("l0", "l1"), counters=("x",),
            restore=False) -> CounterMachine:
-    return CounterMachine("m", locations, counters, "l0", blocking, nonblocking, restore)
+    return CounterMachine("m", locations, counters, "l0", transitions, restore)
 
 
 class TestMachineSuccessors:
     def test_nbdec_at_zero(self):
-        m = simple(nonblocking=[("l0", CounterOp(NBDEC, "x"), "l1")])
+        m = simple([("l0", CounterOp(NBDEC, "x"), "l1")])
         succ = machine_successors(m, m.initial_config())
         assert [(t[1].kind, c.loc, c.values) for t, c in succ] == [(NBDEC, "l1", (0,))]
 
     def test_dec_blocked_at_zero(self):
-        m = simple(blocking=[("l0", CounterOp(DEC, "x"), "l1")])
+        m = simple([("l0", CounterOp(DEC, "x"), "l1")])
         assert machine_successors(m, m.initial_config()) == []
 
     def test_restore_jump_everywhere(self):
-        m = simple(blocking=[("l0", CounterOp(INC, "x"), "l1")], restore=True)
+        m = simple([("l0", CounterOp(INC, "x"), "l1")], restore=True)
         cfg = m.config("l1", {"x": 2})
         succ = machine_successors(m, cfg)
         assert any(c.loc == "l0" and c.values == (2,) for _t, c in succ)
 
     def test_zerotest_requires_zero(self):
-        m = simple(blocking=[("l0", CounterOp(ZEROTEST, "x"), "l1")])
+        m = simple([("l0", CounterOp(ZEROTEST, "x"), "l1")])
         assert machine_successors(m, m.config("l0", {"x": 1})) == []
         assert machine_successors(m, m.config("l0", {"x": 0}))[0][1].loc == "l1"
 
@@ -68,8 +68,8 @@ class TestMachineSuccessors:
             cfg = m.config(rng.choice(m.locations),
                            {x: rng.randint(0, 3) for x in m.counters})
             succ = machine_successors(m, cfg)
-            for src, op, dst in m.nonblocking:
-                if src == cfg.loc:
+            for src, op, dst in m.transitions:
+                if op.kind == NBDEC and src == cfg.loc:
                     assert any(t == (src, op, dst) for t, _c in succ)
 
     def test_values_stay_nonnegative(self):
@@ -96,7 +96,7 @@ def with_zero_tests(rng: random.Random, m: CounterMachine) -> CounterMachine:
     extra = {(rng.choice(m.locations), CounterOp(ZEROTEST, rng.choice(m.counters)),
               rng.choice(m.locations)) for _ in range(rng.randint(0, 2))}
     return CounterMachine(m.name, m.locations, m.counters, m.init,
-                          m.blocking + tuple(extra), m.nonblocking, m.restore)
+                          m.transitions + tuple(extra), m.restore)
 
 
 def enabled(m: CounterMachine, op: CounterOp, values: tuple[int, ...]) -> bool:
@@ -123,7 +123,7 @@ class TestSuccessorOrder:
             trans = [t for t, _c in succ]
             assert trans == sorted(trans, key=_mt_key)
             assert len(set(trans)) == len(trans)
-            want = {t for t in m.blocking + m.nonblocking
+            want = {t for t in m.transitions
                     if t[0] == cfg.loc and enabled(m, t[1], cfg.values)}
             if m.restore:
                 jump = (cfg.loc, CounterOp(NOP), m.init)
@@ -134,55 +134,53 @@ class TestSuccessorOrder:
         assert merged > 0
 
     def test_restore_jump_merges_with_nop_edge(self):
-        m = simple(blocking=[("l1", CounterOp(NOP), "l0"),
-                             ("l1", CounterOp(INC, "x"), "l0")],
-                   nonblocking=[("l1", CounterOp(NBDEC, "x"), "l0")], restore=True)
+        m = simple([("l1", CounterOp(NOP), "l0"), ("l1", CounterOp(INC, "x"), "l0"),
+                    ("l1", CounterOp(NBDEC, "x"), "l0")], restore=True)
         succ = machine_successors(m, m.config("l1", {"x": 1}))
         assert [(t[1].kind, c.values) for t, c in succ] == [
             (NOP, (1,)), (INC, (2,)), (NBDEC, (0,))]
 
 
 class TestMachineValidation:
-    def test_nbdec_not_allowed_in_blocking(self):
-        with pytest.raises(MachineError):
-            simple(blocking=[("l0", CounterOp(NBDEC, "x"), "l1")])
-
-    def test_only_nbdec_in_nonblocking(self):
-        with pytest.raises(MachineError):
-            simple(nonblocking=[("l0", CounterOp(INC, "x"), "l1")])
+    @pytest.mark.parametrize("kind", [INC, NBDEC])
+    def test_undeclared_names(self, kind):
+        with pytest.raises(MachineError, match="undeclared location"):
+            simple([("l0", CounterOp(kind, "x"), "l9")])
+        with pytest.raises(MachineError, match="undeclared counter"):
+            simple([("l0", CounterOp(kind, "y"), "l1")])
 
     def test_class_predicates(self):
-        m = simple(blocking=[("l0", CounterOp(INC, "x"), "l1")])
+        m = simple([("l0", CounterOp(INC, "x"), "l1")])
         assert m.is_test_free and not m.is_nbrcm
-        r = simple(blocking=[("l0", CounterOp(INC, "x"), "l1")], restore=True)
+        r = simple([("l0", CounterOp(INC, "x"), "l1")], restore=True)
         assert r.is_nbrcm
-        z = simple(blocking=[("l0", CounterOp(ZEROTEST, "x"), "l1")])
+        z = simple([("l0", CounterOp(ZEROTEST, "x"), "l1")])
         assert not z.is_test_free
 
 
 class TestCoverBounded:
     def test_single_increment(self):
-        m = simple(blocking=[("l0", CounterOp(INC, "x"), "l1")])
+        m = simple([("l0", CounterOp(INC, "x"), "l1")])
         verdict = cover_bounded(m, "l1", cap=1)
         assert verdict.is_yes() and len(verdict.witness.steps) == 1
         assert replay_machine(m, verdict.witness)
 
     def test_dec_from_zero_never_covers(self):
-        m = simple(blocking=[("l0", CounterOp(DEC, "x"), "l1")])
+        m = simple([("l0", CounterOp(DEC, "x"), "l1")])
         verdict = cover_bounded(m, "l1", cap=5)
         assert verdict.answer == "no" and verdict.note == "within-cap"
 
     def test_cap_prunes(self):
-        m = simple(blocking=[("l0", CounterOp(INC, "x"), "l0"),
-                             ("l0", CounterOp(NOP), "l1")])
+        m = simple([("l0", CounterOp(INC, "x"), "l0"),
+                    ("l0", CounterOp(NOP), "l1")])
         verdict = cover_bounded(m, "l1", cap=2)
         assert verdict.is_yes()
-        nores = cover_bounded(simple(blocking=[("l0", CounterOp(INC, "x"), "l0")]),
+        nores = cover_bounded(simple([("l0", CounterOp(INC, "x"), "l0")]),
                               "l1", cap=2)
         assert nores.answer == "no" and nores.stats["pruned"] > 0
 
     def test_budget(self):
-        m = simple(blocking=[("l0", CounterOp(INC, "x"), "l0")])
+        m = simple([("l0", CounterOp(INC, "x"), "l0")])
         with pytest.raises(ResourceLimitError):
             cover_bounded(m, "l1", cap=10**6, budget=10)
 

@@ -199,16 +199,6 @@ class TestInvariants:
                     for q1 in senders
                 )
 
-    def test_classical_semantics_inclusion(self):
-        rng = random.Random(13)
-        for _ in range(300):
-            p = random_protocol(rng)
-            c = random_config(rng, p)
-            full = set(successors(p, c))
-            classical = set(successors(p, c, allow_nonblocking=False))
-            assert classical <= full
-            assert classical == {(l, n) for l, n in full if l.kind != "nb"}
-
     def test_monotonicity_lemma(self):
         # A stepwise-larger configuration can mimic any run, and a state
         # holding 2*len + a processes keeps at least a of them.
@@ -250,16 +240,15 @@ class TestInvariants:
                 p = with_self_rendezvous(rng, p)
             for _ in range(4):
                 c = random_config(rng, p, max_items=4)
-                for nb in (True, False):
-                    assert successors(p, c, allow_nonblocking=nb) == spec_successors(p, c, nb)
+                assert successors(p, c) == spec_successors(p, c)
                 for q, m, _q1p in p.sends:
                     if q in receivers(p, m) and c.get(q) in shared:
                         shared[c.get(q)] += 1
         assert min(shared.values()) > 20, shared
 
     def test_moves_are_the_successors_in_any_order(self):
-        # Every configuration reached at n = 1..5, under both semantics: the
-        # unordered moves, read as a set, are the label-ordered successors.
+        # Every configuration reached at n = 1..5: the unordered moves, read
+        # as a set, are the label-ordered successors.
         rng = random.Random(17)
         repeated = 0
         for k in range(300):
@@ -270,12 +259,11 @@ class TestInvariants:
             rank = {label: r for r, label in enumerate(t.labels)}
             for n in range(1, 6):
                 for v in reachable(p, n):
-                    for nb in (True, False):
-                        moves = dense_moves(t, v, nb)
-                        ordered = [(rank[label], w) for label, w in dense_successors(t, v, nb)]
-                        assert set(moves) == set(ordered)
-                        assert len(set(ordered)) == len(ordered)
-                        repeated += len(moves) > len(ordered)
+                    moves = dense_moves(t, v)
+                    ordered = [(rank[label], w) for label, w in dense_successors(t, v)]
+                    assert set(moves) == set(ordered)
+                    assert len(set(ordered)) == len(ordered)
+                    repeated += len(moves) > len(ordered)
         assert repeated > 100, repeated
 
     def test_successors_deterministic(self):

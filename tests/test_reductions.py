@@ -44,8 +44,8 @@ class TestProtocolToMachine:
         p = Protocol("toy", ["q_in", "p"], [], "q_in", "p", [("q_in", tau(), "p")])
         m, lf, _rep = protocol_to_machine(p, cfg(p=1))
         # hub self-loop, 2-step internal loop, 1-step verification
-        assert len(m.blocking) == 1 + 2 + 1
-        assert m.nonblocking == ()
+        assert len(m.transitions) == 1 + 2 + 1
+        assert all(op.kind != NBDEC for _s, op, _d in m.transitions)
         assert cover_bounded(m, lf, cap=1).is_yes()
 
     def test_nb_chain_one_step_per_receiver(self):
@@ -53,14 +53,13 @@ class TestProtocolToMachine:
                      [("q", send("a"), "q2"),
                       ("r1", recv("a"), "s"), ("r2", recv("a"), "s")])
         m, _lf, _rep = protocol_to_machine(p, cfg(q2=1))
-        assert len(m.nonblocking) == 2
-        counters = {op.counter for _s, op, _d in m.nonblocking}
-        assert counters == {"r1", "r2"}
+        nbdecs = [op.counter for _s, op, _d in m.transitions if op.kind == NBDEC]
+        assert sorted(nbdecs) == ["r1", "r2"]
 
     def test_verification_chain_length(self):
         p = Protocol("p", ["q"], [], "q", "q", [])
         m, lf, _rep = protocol_to_machine(p, cfg(q=2))
-        decs = [t for t in m.blocking if t[1].kind == DEC]
+        decs = [t for t in m.transitions if t[1].kind == DEC]
         assert len(decs) == 2
         assert cover_bounded(m, lf, cap=2).is_yes()
 
@@ -88,7 +87,7 @@ class TestMachineToProtocol:
     def one_counter_machine(self) -> CounterMachine:
         return CounterMachine(
             "inc1", ["lin", "lf"], ["x"], "lin",
-            blocking=[("lin", CounterOp(INC, "x"), "lf")], restore=True)
+            [("lin", CounterOp(INC, "x"), "lf")], restore=True)
 
     def test_cover_with_three_processes(self):
         proto, _rep = machine_to_protocol(self.one_counter_machine(), "lf")
@@ -99,8 +98,11 @@ class TestMachineToProtocol:
         for _ in range(30):
             m = random_machine(rng, restore=True)
             proto, _rep = machine_to_protocol(m, m.locations[-1])
-            expected = len(m.locations) + len(m.blocking) + 3 * len(m.counters) + 3
+            handshakes = [t for t in m.transitions if t[1].kind in (INC, DEC)]
+            expected = len(m.locations) + len(handshakes) + 3 * len(m.counters) + 3
             assert len(proto.states) == expected
+            entered = {dst for _s, _a, dst in proto.transitions}
+            assert all(q in entered for q in proto.states if q.startswith("at_"))
 
     def test_leader_uniqueness(self):
         rng = random.Random(52)
@@ -121,14 +123,13 @@ class TestMachineToProtocol:
                         queue.append((nxt, depth + 1))
 
     def test_requires_restore_machine(self):
-        m = CounterMachine("m", ["l0"], ["x"], "l0", blocking=[], restore=False)
+        m = CounterMachine("m", ["l0"], ["x"], "l0", [], restore=False)
         with pytest.raises(MachineError):
             machine_to_protocol(m, "l0")
 
     def test_requires_test_free(self):
         m = CounterMachine("m", ["l0", "l1"], ["x"], "l0",
-                           blocking=[("l0", CounterOp(ZEROTEST, "x"), "l1")],
-                           restore=True)
+                           [("l0", CounterOp(ZEROTEST, "x"), "l1")], restore=True)
         with pytest.raises(MachineError):
             machine_to_protocol(m, "l1")
 
@@ -148,8 +149,8 @@ class TestMachineToProtocol:
 
 class TestMachineToVas:
     def test_nbdec_vectors(self):
-        m = CounterMachine("m", ["l1", "l2"], ["x"], "l1", blocking=[],
-                           nonblocking=[("l1", CounterOp(NBDEC, "x"), "l2")])
+        m = CounterMachine("m", ["l1", "l2"], ["x"], "l1",
+                           [("l1", CounterOp(NBDEC, "x"), "l2")])
         v = machine_to_vas(m, "l2")
         assert v.dim == 3
         assert v.transitions == (((-1, 1, 0), (0, 0, 1)),)
@@ -157,21 +158,21 @@ class TestMachineToVas:
 
     def test_nop_vectors(self):
         m = CounterMachine("m", ["l1", "l2"], ["x"], "l1",
-                           blocking=[("l1", CounterOp(NOP), "l2")])
+                           [("l1", CounterOp(NOP), "l2")])
         v = machine_to_vas(m, "l2")
         assert v.transitions == (((-1, 1, 0), (0, 0, 0)),)
 
     def test_self_loop_split(self):
         m = CounterMachine("m", ["l1", "l2"], ["x"], "l1",
-                           blocking=[("l1", CounterOp(INC, "x"), "l1"),
-                                     ("l1", CounterOp(NOP), "l2")])
+                           [("l1", CounterOp(INC, "x"), "l1"),
+                            ("l1", CounterOp(NOP), "l2")])
         v = machine_to_vas(m, "l2")
         assert v.dim == 4  # the self-loop goes through a fresh location
         assert all(any(x < 0 for x in t_b) for t_b, _ in v.transitions)
 
     def test_zerotest_rejected(self):
         m = CounterMachine("m", ["l1", "l2"], ["x"], "l1",
-                           blocking=[("l1", CounterOp(ZEROTEST, "x"), "l2")])
+                           [("l1", CounterOp(ZEROTEST, "x"), "l2")])
         with pytest.raises(MachineError):
             machine_to_vas(m, "l2")
 
@@ -204,9 +205,9 @@ class TestMachineToVas:
         ms = [random_machine(rng, restore=True) for _ in range(20)]
         # The seed covers an explicit self-loop and a nop edge to init that
         # coincides with a restore jump.
-        assert any(s == d for m in ms for s, _op, d in m.blocking + m.nonblocking)
+        assert any(s == d for m in ms for s, _op, d in m.transitions)
         assert any(s != d and op == CounterOp(NOP) and d == m.init
-                   for m in ms for s, op, d in m.blocking)
+                   for m in ms for s, op, d in m.transitions)
         text = "".join(serialize_vas(machine_to_vas(m, m.locations[-1])) for m in ms)
         assert text == (GOLDEN_DIR / "vas_restore_machines.txt").read_text()
 
