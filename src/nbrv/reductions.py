@@ -209,10 +209,8 @@ def machine_to_protocol(
             transitions.append((aux[t], recv(messages[f"ackdec[{op.counter}]"]), dst))
         elif op.kind == NOP:
             transitions.append((src, tau(), dst))
-        elif op.kind == NBDEC:
-            transitions.append((src, send(messages[f"nbdec[{op.counter}]"]), dst))
         else:
-            raise MachineError("zero tests cannot be compiled to a protocol")
+            transitions.append((src, send(messages[f"nbdec[{op.counter}]"]), dst))
 
     machine_zone = list(m.locations) + list(aux.values())
     transitions.append((q_in, send(messages["L"]), lead))

@@ -165,9 +165,9 @@ def is_consistent(gamma: AbstractSet, p: Protocol) -> bool:
     (i) every token ``(q, m)`` is witnessed by a path that starts with a
     send of ``m`` from an unbounded state and continues through receptions
     whose messages are sendable from unbounded states;
-    (ii) no token pair is in the shielding pattern that the rewrite rules of
-    :func:`abstract_post` are guaranteed to resolve (such a pair would mean
-    the abstraction undercounts a state).
+    (ii) no token state can be pumped against the other tokens (see
+    :func:`_pumpable`): :func:`abstract_post` would promote such a state, so
+    a token for it means the abstraction undercounts it.
     """
     sendable = _senders_from(p, gamma.states)
 
@@ -185,37 +185,51 @@ def is_consistent(gamma: AbstractSet, p: Protocol) -> bool:
             if m == token_msg and q not in seen:
                 return False
 
-    toks = gamma.sorted_tokens()
-    for t1 in toks:
-        for t2 in toks:
-            if t1 != t2 and _shielded(p, t1, t2):
-                return False
-    return True
+    return not any(_pumpable(p, q, m, gamma.tokens) for q, m in gamma.tokens)
 
 
-def _shielded(p: Protocol, grown: tuple[str, str], shield: tuple[str, str]) -> bool:
-    """Pattern resolved by the first promotion rule of :func:`abstract_post`.
+def _pumpable(p: Protocol, q: str, m: str, toks: frozenset[tuple[str, str]]) -> bool:
+    """Can a second process enter token state ``q`` by request ``m``, its occupant staying?
 
-    ``grown = (q1, m1)`` can host unboundedly many processes when the
-    occupant of ``shield = (q2, m2)`` answers the ``m1`` requests: refills of
-    the shield must not disturb ``q1`` (``m2`` not receivable there) and the
-    answering occupant must land in a state that ignores ``m2`` (otherwise
-    the landed process is tracked as a token first, and promotion happens
-    one round later through the token-chain rule).
+    The request ``m`` must be absorbed by the occupant of another token
+    state ``(q2, m2)`` through a reception ``q2 ?m d``; refilling ``q2``
+    requests ``m2`` in turn.  That refill is safe when the landed process
+    absorbs it (``(d, m2)`` is a token), or when ``d`` ignores it and ``q``
+    does too; when only ``q`` answers ``m2``, ``m2`` must be absorbed the
+    same way.  If ``d`` answers ``m2`` but ``(d, m2)`` is not tracked yet,
+    the absorber does not count in this round.
     """
-    (q1, m1), (q2, m2) = grown, shield
-    if m1 == m2 or m2 in receivable(p, q1):
-        return False
-    return any(m2 not in receivable(p, dst) for dst in reception_targets(p, q2, m1))
+    rec_q = receivable(p, q)
+    wants, seen = [m], {m}
+    while wants:
+        want = wants.pop()
+        for q2, m2 in toks:
+            if q2 == q:
+                continue
+            for d in reception_targets(p, q2, want):
+                if (d, m2) in toks:
+                    return True
+                if m2 in receivable(p, d):
+                    continue
+                if m2 not in rec_q:
+                    return True
+                if m2 not in seen:
+                    seen.add(m2)
+                    wants.append(m2)
+    return False
 
 
 def abstract_post(gamma: AbstractSet, p: Protocol) -> AbstractSet:
     """One application of the abstract post operator.
 
     First a growth pass extends ``(S, Toks)`` with everything one concrete
-    step can populate; then a promotion pass moves to ``S`` the token states
-    that can actually host unboundedly many processes; tokens of promoted
-    states are dropped.
+    step can populate.  Then one rule promotes: a token state ``q`` moves to
+    ``S`` when some token ``(q, m)`` is :func:`_pumpable` against the tokens
+    still live, and its tokens are dropped.  The promotion pass walks the
+    tokens in sorted order, and a promoted state no longer absorbs for the
+    rest of the round: in ``p2.rvp``, ``p1`` and ``p2`` (equal up to
+    swapping ``m1`` and ``m2``) each need the other as an absorber, so
+    round 1 promotes only ``p1`` and ``p2`` follows in a later round.
     """
     S = gamma.states
     toks = gamma.tokens
@@ -253,39 +267,11 @@ def abstract_post(gamma: AbstractSet, p: Protocol) -> AbstractSet:
                     t2.add((dst, tok_m))
 
     s3 = set(s2)
-    tok_list = sorted(t2)
-    for t_grown in tok_list:
-        for t_shield in tok_list:
-            if t_grown != t_shield and _shielded(p, t_grown, t_shield):
-                s3.add(t_grown[0])
-
-    # Token-chain promotion: the shield's occupant lands on a state that is
-    # itself tracked as a token with the shield's message.
-    for q1, m1 in tok_list:
-        for q2, m2 in tok_list:
-            if m1 != m2 and any((dst, m2) in t2 for dst in reception_targets(p, q2, m1)):
-                s3.add(q1)
-
-    # Three-way rotation: a third token state absorbs both messages.  The
-    # roles are fully symmetric up to renaming, so instances are considered
-    # in lexicographic token order to keep the iterates deterministic.
-    for a in range(len(tok_list)):
-        q1, m1 = tok_list[a]
-        rec1 = receivable(p, q1)
-        for bb in range(a + 1, len(tok_list)):
-            q2, m2 = tok_list[bb]
-            if m2 == m1 or m2 in rec1:
-                continue
-            rec2 = receivable(p, q2)
-            if m1 in rec2:
-                continue
-            for cc in range(bb + 1, len(tok_list)):
-                q3, m3 = tok_list[cc]
-                if m3 == m1 or m3 == m2:
-                    continue
-                rec3 = receivable(p, q3)
-                if m1 in rec3 and m2 in rec3 and m3 in rec2 and m3 in rec1:
-                    s3.add(q1)
+    live = frozenset(t2)
+    for q, m in sorted(t2):
+        if q not in s3 and _pumpable(p, q, m, live):
+            s3.add(q)
+            live = frozenset(t for t in live if t[0] != q)
 
     return AbstractSet(
         states=frozenset(s3),

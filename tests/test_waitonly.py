@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from helpers import random_config, random_wait_only
+from conftest import load_protocol
+from helpers import backward_cover, random_config, random_wait_only
 from nbrv.explore import Problem, decide_fixed, decide_sweep
 from nbrv.model import Configuration, Protocol, recv, send, tau
 from nbrv.waitonly import (
@@ -37,6 +39,31 @@ P1_ITER2 = gamma({"q_in", "q2", "q4", "q5", "q6", "q7"},
                  {("q1", "a"), ("q1", "b"), ("q3", "a"), ("q3", "b")})
 P2_ITER1 = gamma({"q_in", "q1", "p1"}, {("q2", "b"), ("p2", "m2"), ("p3", "m3")})
 P2_FIX = gamma({"q_in", "q1", "q3", "p1", "p2", "p3", "p4"}, {("q2", "b")})
+
+ROT = load_protocol("rot.rvp")
+
+# p0's occupant absorbs p1's second request m1 and loops back to p0; p1's
+# occupant absorbed p0's request m0 the same way.
+SELF_LOOP = Protocol("selfloop", ["qin", "p0", "p1", "pf"], ["m0", "m1"], "qin", "pf", [
+    ("qin", send("m0"), "p0"), ("qin", send("m1"), "p1"),
+    ("p0", recv("m0"), "pf"), ("p0", recv("m1"), "p0"),
+    ("p1", recv("m0"), "p1"), ("p1", recv("m1"), "pf"),
+])
+
+
+def rotation(receives) -> Protocol:
+    """``qin !m_i p_i`` for each i, and ``p_i ?m_j pf`` for each j in ``receives[i]``."""
+    k = len(receives)
+    trans = [("qin", send(f"m{i}"), f"p{i}") for i in range(k)]
+    trans += [(f"p{i}", recv(f"m{j}"), "pf") for i, js in enumerate(receives) for j in js]
+    return Protocol("rotation", [f"p{i}" for i in range(k)] + ["pf", "qin"],
+                    [f"m{i}" for i in range(k)], "qin", "pf", trans)
+
+
+def waiting_targets(k: int, most: int) -> list[Configuration]:
+    """Every non-empty target over ``p0..p{k-1}`` with counts up to ``most``."""
+    return [Configuration.from_counts({f"p{i}": n for i, n in enumerate(counts) if n})
+            for counts in itertools.product(range(most + 1), repeat=k) if any(counts)]
 
 
 class TestPartition:
@@ -176,6 +203,27 @@ class TestDecideCover:
 
     def test_state_cover_uses_final(self, p1):
         assert decide_state_cover(p1).is_yes()  # final state q7
+
+
+class TestRotation:
+    @pytest.mark.parametrize("p, target", [
+        (ROT, cfg(p2=2)), (ROT, cfg(p0=2)), (ROT, cfg(p0=1, p1=1)), (SELF_LOOP, cfg(p1=2)),
+    ], ids=["rot-p2:2", "rot-p0:2", "rot-p0,p1", "selfloop-p1:2"])
+    def test_covered_with_witness(self, p, target):
+        assert decide_cover(p, target).is_yes()
+        assert decide_sweep(p, Problem("ccover", target), 5).witness is not None
+
+    def test_agrees_with_backward_coverability(self):
+        rng = random.Random(36)
+        shapes = [(((0, 1, 2), (0, 1), (0, 2)), 2), (((0, 1), (0, 1, 2), (1, 2)), 2)]
+        for k, count, most in ((3, 40, 2), (4, 60, 1)):
+            subsets = [s for r in range(1, k + 1) for s in itertools.combinations(range(k), r)]
+            shapes += [(tuple(rng.choice(subsets) for _ in range(k)), most) for _ in range(count)]
+        for receives, most in shapes:
+            p = rotation(receives)
+            for target in waiting_targets(len(receives), most):
+                expected = "yes" if backward_cover(p, target) else "no"
+                assert decide_cover(p, target).answer == expected, (receives, target)
 
 
 class TestIterateProperties:
