@@ -1,10 +1,16 @@
 """Text formats for protocols (.rvp), counter machines (.nbm) and VAS (.vas).
 
 All three formats are line oriented and whitespace tokenized; ``#`` starts a
-comment running to the end of the line.  Parsers report 1-based line/column
-positions pointing at the offending token; serializers emit a canonical
-form (sorted states, messages and transitions) so that parse/serialize
-round-trips are stable.
+comment running to the end of the line.  Each file is read in one pass: the
+reader keeps the words of every non-blank line with its line number, and a
+1-based column is worked out from the raw line only when a parse error
+reports it.  A ``.rvp`` or ``.nbm`` parse keeps one table per file from the
+action or operation text of a ``trans`` line to its ``Action`` or
+``CounterOp``: a text is checked, and its object built, where it first
+occurs, and every later line with that text costs one lookup.  ``.vas``
+values are checked and converted a line at a time; an error names the first
+bad value.  Serializers emit a canonical form (sorted states, messages and
+transitions) so that parse/serialize round-trips are stable.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .machines import (
 )
 from .model import (
     IDENTIFIER_RE,
+    Action,
     Configuration,
     Protocol,
     ProtocolError,
@@ -29,7 +36,7 @@ from .model import (
     tau,
 )
 
-_IDENT = re.compile(f"^{IDENTIFIER_RE}$")
+_IDENT = re.compile(IDENTIFIER_RE)
 
 
 class ParseError(ValueError):
@@ -43,109 +50,126 @@ class ParseError(ValueError):
         super().__init__(f"{file}:{line}:{column}: {message}")
 
 
-# A token is its text, its 1-based line number and its index among the words
-# of that line; the column is worked out only when an error reports it.
-Token = tuple[str, int, int]
-
-
-def _tokenize(lines: list[str]) -> list[list[Token]]:
-    """Token lists per non-empty line, comments stripped."""
-    out: list[list[Token]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        words = raw.split("#", 1)[0].split()
-        if words:
-            out.append([(word, lineno, i) for i, word in enumerate(words)])
-    return out
+# A line of a file: its 1-based number and its words, comment stripped.
+Line = tuple[int, list[str]]
 
 
 class _Reader:
+    """The lines of one file that hold a word once comments are cut, read in order."""
+
     def __init__(self, text: str, file: str) -> None:
         self.file = file
         self.raw = text.splitlines()
-        self.lines = _tokenize(self.raw)
+        self.lines: list[Line] = [
+            (n, words) for n, raw in enumerate(self.raw, start=1)
+            if (words := raw.partition("#")[0].split())
+        ]
         self.pos = 0
 
-    def error(self, token: Token | None, message: str) -> ParseError:
-        if token is None:
-            line = self.lines[-1][0][1] if self.lines else 1
-            return ParseError(self.file, line, 1, message)
-        _text, line, index = token
-        starts = [m.start() for m in re.finditer(r"\S+", self.raw[line - 1].split("#", 1)[0])]
+    def error(self, line: int, index: int, message: str) -> ParseError:
+        """A ``ParseError`` at word ``index`` of line ``line``."""
+        starts = [m.start() for m in re.finditer(r"\S+", self.raw[line - 1].partition("#")[0])]
         return ParseError(self.file, line, starts[index] + 1, message)
 
-    def take(self, keyword: str) -> list[Token]:
+    def unexpected(self, n: int, words: list[str], keyword: str) -> ParseError:
+        """The error for line ``n``, which should have started with ``keyword``."""
+        return self.error(n, 0, f"expected '{keyword}' line, found {words[0]!r}")
+
+    def take(self, keyword: str) -> Line:
+        """The next line, which must start with ``keyword``."""
         if self.pos >= len(self.lines):
-            raise self.error(None, f"missing '{keyword}' line")
-        line = self.lines[self.pos]
-        if line[0][0] != keyword:
-            raise self.error(line[0], f"expected '{keyword}' line, found {line[0][0]!r}")
+            last = self.lines[-1][0] if self.lines else 1
+            raise ParseError(self.file, last, 1, f"missing '{keyword}' line")
+        n, words = line = self.lines[self.pos]
+        if words[0] != keyword:
+            raise self.unexpected(n, words, keyword)
         self.pos += 1
         return line
 
-    def done(self) -> bool:
-        return self.pos >= len(self.lines)
+    def arg(self, keyword: str, what: str) -> tuple[int, str]:
+        """The next line, ``keyword`` and exactly one word: its number and that word."""
+        n, words = self.take(keyword)
+        if len(words) != 2:
+            raise self.error(n, 0, f"'{keyword}' takes exactly one {what}")
+        return n, words[1]
+
+    def rest(self) -> list[Line]:
+        """The lines after those taken."""
+        return self.lines[self.pos:]
 
 
-def _ident(rd: _Reader, tok: Token, what: str) -> str:
-    if not _IDENT.match(tok[0]):
-        raise rd.error(tok, f"invalid {what} identifier {tok[0]!r}")
-    return tok[0]
+def _ident(rd: _Reader, n: int, word: str, what: str) -> str:
+    """``word``, the argument of line ``n``, which must be an identifier."""
+    if not _IDENT.fullmatch(word):
+        raise rd.error(n, 1, f"invalid {what} identifier {word!r}")
+    return word
 
 
-def _one_arg(rd: _Reader, line: list[Token], what: str) -> Token:
-    if len(line) != 2:
-        raise rd.error(line[0], f"'{line[0][0]}' takes exactly one {what}")
-    return line[1]
+def _idents(rd: _Reader, n: int, words: list[str], what: str) -> list[str]:
+    """The words after the keyword of line ``n``, which must all be identifiers."""
+    names = words[1:]
+    if not all(map(_IDENT.fullmatch, names)):
+        i = next(i for i, w in enumerate(words) if i and not _IDENT.fullmatch(w))
+        raise rd.error(n, i, f"invalid {what} identifier {words[i]!r}")
+    return names
+
+
+def _action(rd: _Reader, n: int, act: str, msg_set: set[str]) -> Action:
+    """The action named by word 2 of ``trans`` line ``n``."""
+    if act == "tau":
+        return tau()
+    if act[0] in "!?":
+        msg = act[1:]
+        if not _IDENT.fullmatch(msg):
+            raise rd.error(n, 2, f"invalid message identifier {msg!r}")
+        if msg not in msg_set:
+            raise rd.error(n, 2, f"message {msg!r} not declared")
+        return send(msg) if act[0] == "!" else recv(msg)
+    raise rd.error(n, 2, f"unknown action {act!r} (tau, !m or ?m)")
 
 
 def parse_protocol(text: str, file: str = "<string>") -> Protocol:
     """Parse the ``.rvp`` format; header lines in order, then ``trans`` lines."""
     rd = _Reader(text, file)
-    name_tok = _one_arg(rd, rd.take("protocol"), "name")
-    name = _ident(rd, name_tok, "protocol")
+    n, name = rd.arg("protocol", "name")
+    _ident(rd, n, name, "protocol")
 
-    states_line = rd.take("states")
-    if len(states_line) < 2:
-        raise rd.error(states_line[0], "'states' needs at least one state")
-    states = [_ident(rd, t, "state") for t in states_line[1:]]
+    n, words = rd.take("states")
+    if len(words) < 2:
+        raise rd.error(n, 0, "'states' needs at least one state")
+    states = _idents(rd, n, words, "state")
 
-    init_tok = _one_arg(rd, rd.take("init"), "state")
-    final_tok = _one_arg(rd, rd.take("final"), "state")
-    messages_line = rd.take("messages")
-    messages = [_ident(rd, t, "message") for t in messages_line[1:]]
+    init_n, init = rd.arg("init", "state")
+    final_n, final = rd.arg("final", "state")
+    n, words = rd.take("messages")
+    messages = _idents(rd, n, words, "message")
 
     state_set = set(states)
     msg_set = set(messages)
-    if init_tok[0] not in state_set:
-        raise rd.error(init_tok, f"initial state {init_tok[0]!r} not declared")
-    if final_tok[0] not in state_set:
-        raise rd.error(final_tok, f"final state {final_tok[0]!r} not declared")
+    if init not in state_set:
+        raise rd.error(init_n, 1, f"initial state {init!r} not declared")
+    if final not in state_set:
+        raise rd.error(final_n, 1, f"final state {final!r} not declared")
 
+    actions: dict[str, Action] = {}  # by action text, each checked on first use
     transitions: list[Transition] = []
-    while not rd.done():
-        line = rd.take("trans")
-        if len(line) != 4:
-            raise rd.error(line[0], "'trans' takes SRC ACTION DST")
-        src_tok, act_tok, dst_tok = line[1], line[2], line[3]
-        for tok in (src_tok, dst_tok):
-            if tok[0] not in state_set:
-                raise rd.error(tok, f"state {tok[0]!r} not declared")
-        act_text = act_tok[0]
-        if act_text == "tau":
-            action = tau()
-        elif act_text.startswith("!") or act_text.startswith("?"):
-            msg = act_text[1:]
-            if not _IDENT.match(msg):
-                raise rd.error(act_tok, f"invalid message identifier {msg!r}")
-            if msg not in msg_set:
-                raise rd.error(act_tok, f"message {msg!r} not declared")
-            action = send(msg) if act_text[0] == "!" else recv(msg)
-        else:
-            raise rd.error(act_tok, f"unknown action {act_text!r} (tau, !m or ?m)")
-        transitions.append((src_tok[0], action, dst_tok[0]))
+    for n, words in rd.rest():
+        if words[0] != "trans":
+            raise rd.unexpected(n, words, "trans")
+        if len(words) != 4:
+            raise rd.error(n, 0, "'trans' takes SRC ACTION DST")
+        _trans, src, act, dst = words
+        if src not in state_set:
+            raise rd.error(n, 1, f"state {src!r} not declared")
+        if dst not in state_set:
+            raise rd.error(n, 3, f"state {dst!r} not declared")
+        action = actions.get(act)
+        if action is None:
+            action = actions[act] = _action(rd, n, act, msg_set)
+        transitions.append((src, action, dst))
 
     try:
-        return Protocol(name, states, messages, init_tok[0], final_tok[0], transitions)
+        return Protocol(name, states, messages, init, final, transitions)
     except ProtocolError as exc:
         raise ParseError(file, 1, 1, str(exc)) from exc
 
@@ -195,56 +219,66 @@ def parse_config(text: str, p: Protocol, file: str = "<config>") -> Configuratio
 _OPS_TWO_TOKEN = {"inc": "inc", "dec": "dec", "nbdec": "nbdec", "zero?": "zerotest"}
 
 
+def _op(rd: _Reader, n: int, words: list[str], ctr_set: set[str]) -> CounterOp:
+    """The operation named by the words between SRC and DST of ``trans`` line ``n``."""
+    if len(words) == 4:
+        if words[2] != "nop":
+            raise rd.error(n, 2, f"operation {words[2]!r} needs a counter")
+        return CounterOp("nop")
+    if words[2] not in _OPS_TWO_TOKEN:
+        raise rd.error(n, 2, f"unknown operation {words[2]!r}")
+    if words[3] not in ctr_set:
+        raise rd.error(n, 3, f"counter {words[3]!r} not declared")
+    return CounterOp(_OPS_TWO_TOKEN[words[2]], words[3])
+
+
 def parse_machine(text: str, file: str = "<string>") -> CounterMachine:
     """Parse the ``.nbm`` counter machine format."""
     rd = _Reader(text, file)
-    name = _ident(rd, _one_arg(rd, rd.take("machine"), "name"), "machine")
+    n, name = rd.arg("machine", "name")
+    _ident(rd, n, name, "machine")
 
-    loc_line = rd.take("locations")
-    if len(loc_line) < 2:
-        raise rd.error(loc_line[0], "'locations' needs at least one location")
-    locations = [_ident(rd, t, "location") for t in loc_line[1:]]
-    init_tok = _one_arg(rd, rd.take("init"), "location")
-    counters = [_ident(rd, t, "counter") for t in rd.take("counters")[1:]]
-    restore_tok = _one_arg(rd, rd.take("restore"), "flag")
-    if restore_tok[0] not in ("on", "off"):
-        raise rd.error(restore_tok, "restore must be 'on' or 'off'")
+    n, words = rd.take("locations")
+    if len(words) < 2:
+        raise rd.error(n, 0, "'locations' needs at least one location")
+    locations = _idents(rd, n, words, "location")
+    init_n, init = rd.arg("init", "location")
+    n, words = rd.take("counters")
+    counters = _idents(rd, n, words, "counter")
+    restore_n, restore = rd.arg("restore", "flag")
+    if restore not in ("on", "off"):
+        raise rd.error(restore_n, 1, "restore must be 'on' or 'off'")
 
     loc_set = set(locations)
     ctr_set = set(counters)
-    if init_tok[0] not in loc_set:
-        raise rd.error(init_tok, f"initial location {init_tok[0]!r} not declared")
+    if init not in loc_set:
+        raise rd.error(init_n, 1, f"initial location {init!r} not declared")
 
+    ops: dict[tuple[str, ...], CounterOp] = {}  # by the words between SRC and DST
     transitions: list[MachineTransition] = []
-    while not rd.done():
-        line = rd.take("trans")
-        if len(line) not in (4, 5):
-            raise rd.error(line[0], "'trans' takes SRC OP [COUNTER] DST")
-        src_tok, dst_tok = line[1], line[-1]
-        for tok in (src_tok, dst_tok):
-            if tok[0] not in loc_set:
-                raise rd.error(tok, f"location {tok[0]!r} not declared")
-        op_tok = line[2]
-        if len(line) == 4:
-            if op_tok[0] != "nop":
-                raise rd.error(op_tok, f"operation {op_tok[0]!r} needs a counter")
-            op = CounterOp("nop")
-        else:
-            if op_tok[0] not in _OPS_TWO_TOKEN:
-                raise rd.error(op_tok, f"unknown operation {op_tok[0]!r}")
-            ctr_tok = line[3]
-            if ctr_tok[0] not in ctr_set:
-                raise rd.error(ctr_tok, f"counter {ctr_tok[0]!r} not declared")
-            op = CounterOp(_OPS_TWO_TOKEN[op_tok[0]], ctr_tok[0])
-        transitions.append((src_tok[0], op, dst_tok[0]))
+    for n, words in rd.rest():
+        if words[0] != "trans":
+            raise rd.unexpected(n, words, "trans")
+        if len(words) not in (4, 5):
+            raise rd.error(n, 0, "'trans' takes SRC OP [COUNTER] DST")
+        src, dst = words[1], words[-1]
+        if src not in loc_set:
+            raise rd.error(n, 1, f"location {src!r} not declared")
+        if dst not in loc_set:
+            raise rd.error(n, len(words) - 1, f"location {dst!r} not declared")
+        key = tuple(words[2:-1])
+        op = ops.get(key)
+        if op is None:
+            op = ops[key] = _op(rd, n, words, ctr_set)
+        transitions.append((src, op, dst))
 
     return CounterMachine(
         name=name,
         locations=locations,
         counters=counters,
-        init=init_tok[0],
+        init=init,
         transitions=transitions,
-        restore=restore_tok[0] == "on",
+        restore=restore == "on",
     )
 
 
@@ -262,49 +296,45 @@ def serialize_machine(m: CounterMachine) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _int_tokens(rd: _Reader, keyword: Token, toks: list[Token], want: int, what: str,
-                signed: bool) -> tuple[int, ...]:
-    if len(toks) != want:
-        tok = toks[0] if toks else keyword  # an empty vector is reported at its line
-        raise rd.error(tok, f"expected {want} {what} values, found {len(toks)}")
-    out = []
-    for tok in toks:
-        text = tok[0]
-        body = text[1:] if signed and text and text[0] in "+-" else text
-        if not body.isdecimal():
-            raise rd.error(tok, f"invalid {what} value {text!r}")
-        value = int(text)
-        if not signed and value < 0:
-            raise rd.error(tok, f"{what} value must be non-negative")
-        out.append(value)
-    return tuple(out)
+def _values(rd: _Reader, n: int, words: list[str], first: int, stop: int, dim: int,
+            what: str, signed: bool) -> tuple[int, ...]:
+    """``words[first:stop]`` of line ``n`` as ``dim`` integers, the first bad one reported."""
+    values = words[first:stop]
+    if len(values) != dim:
+        index = first if values else 0  # an empty vector is reported at its line
+        raise rd.error(n, index, f"expected {dim} {what} values, found {len(values)}")
+    digits = [w[1:] if w[0] in "+-" else w for w in values] if signed else values
+    if not all(map(str.isdecimal, digits)):
+        i = first + next(i for i, d in enumerate(digits) if not d.isdecimal())
+        raise rd.error(n, i, f"invalid {what} value {words[i]!r}")
+    return tuple(map(int, values))
 
 
 def parse_vas(text: str, file: str = "<string>") -> Vas:
     """Parse the ``.vas`` format for non-blocking vector addition systems."""
     rd = _Reader(text, file)
-    head = rd.take("vas")
-    if len(head) != 4 or head[2][0] != "dim":
-        raise rd.error(head[0], "'vas' line must be: vas NAME dim D")
-    name = _ident(rd, head[1], "vas")
-    if not head[3][0].isdecimal() or int(head[3][0]) < 1:
-        raise rd.error(head[3], "dimension must be a positive integer")
-    dim = int(head[3][0])
+    n, head = rd.take("vas")
+    if len(head) != 4 or head[2] != "dim":
+        raise rd.error(n, 0, "'vas' line must be: vas NAME dim D")
+    name = _ident(rd, n, head[1], "vas")
+    if not head[3].isdecimal() or int(head[3]) < 1:
+        raise rd.error(n, 3, "dimension must be a positive integer")
+    dim = int(head[3])
 
-    line = rd.take("init")
-    v_init = _int_tokens(rd, line[0], line[1:], dim, "init", signed=False)
-    line = rd.take("target")
-    v_target = _int_tokens(rd, line[0], line[1:], dim, "target", signed=False)
+    n, words = rd.take("init")
+    v_init = _values(rd, n, words, 1, len(words), dim, "init", signed=False)
+    n, words = rd.take("target")
+    v_target = _values(rd, n, words, 1, len(words), dim, "target", signed=False)
 
     transitions = []
-    while not rd.done():
-        line = rd.take("trans")
-        toks = line[1:]
-        split = [i for i, t in enumerate(toks) if t[0] == ";"]
-        if len(split) != 1:
-            raise rd.error(line[0], "'trans' needs one ';' between blocking and non-blocking parts")
-        t_b = _int_tokens(rd, line[0], toks[: split[0]], dim, "blocking", signed=True)
-        t_nb = _int_tokens(rd, line[0], toks[split[0] + 1:], dim, "non-blocking", signed=False)
+    for n, words in rd.rest():
+        if words[0] != "trans":
+            raise rd.unexpected(n, words, "trans")
+        if words.count(";") != 1:
+            raise rd.error(n, 0, "'trans' needs one ';' between blocking and non-blocking parts")
+        split = words.index(";")
+        t_b = _values(rd, n, words, 1, split, dim, "blocking", signed=True)
+        t_nb = _values(rd, n, words, split + 1, len(words), dim, "non-blocking", signed=False)
         transitions.append((t_b, t_nb))
 
     return Vas(name=name, dim=dim, transitions=tuple(sorted(set(transitions))),

@@ -99,8 +99,13 @@ class CounterMachine:
         self.locations: tuple[str, ...] = tuple(sorted(set(locations)))
         self.counters: tuple[str, ...] = tuple(sorted(set(counters)))
         self.init = init
+        # Transitions are deduplicated and ordered on plain keys, the fields
+        # of ``_mt_key``, which hash and compare in C.
+        keyed = {(src, _OP_ORDER[op.kind], op.counter or "", dst): op
+                 for src, op, dst in transitions}
+        order = sorted(keyed)
         self.transitions: tuple[MachineTransition, ...] = tuple(
-            sorted(set(transitions), key=_mt_key)
+            [(k[0], keyed[k], k[3]) for k in order]
         )
         self.restore = restore
 
@@ -108,11 +113,11 @@ class CounterMachine:
         ctrs = set(self.counters)
         if init not in locs:
             raise MachineError(f"initial location {init!r} not declared")
-        for src, op, dst in self.transitions:
+        for src, _kind, x, dst in order:
             if src not in locs or dst not in locs:
                 raise MachineError(f"transition {src!r} -> {dst!r} uses undeclared location")
-            if op.counter is not None and op.counter not in ctrs:
-                raise MachineError(f"undeclared counter {op.counter!r}")
+            if x and x not in ctrs:
+                raise MachineError(f"undeclared counter {x!r}")
         self._index = {x: i for i, x in enumerate(self.counters)}
         self._locs = locs
         self._moves: dict[str, tuple[tuple[MachineTransition, str, int, str], ...]] = {}
@@ -287,12 +292,12 @@ class Vas:
         for vec in (self.v_init, self.v_target):
             if len(vec) != self.dim:
                 raise VasError("vector arity mismatch")
-            if any(x < 0 for x in vec):
+            if min(vec) < 0:
                 raise VasError("init/target vectors must be non-negative")
         for t_b, t_nb in self.transitions:
             if len(t_b) != self.dim or len(t_nb) != self.dim:
                 raise VasError("transition arity mismatch")
-            if any(x < 0 for x in t_nb):
+            if min(t_nb) < 0:
                 raise VasError("the non-blocking part must be non-negative")
 
 

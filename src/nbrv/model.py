@@ -25,7 +25,8 @@ TAU = "tau"
 SEND = "send"
 RECV = "recv"
 
-_KIND_ORDER = {TAU: 0, SEND: 1, RECV: 2}
+_TAU_RANK, _SEND_RANK, _RECV_RANK = 0, 1, 2
+_KIND_ORDER = {TAU: _TAU_RANK, SEND: _SEND_RANK, RECV: _RECV_RANK}
 
 
 class ProtocolError(ValueError):
@@ -59,9 +60,6 @@ class Action:
         if self.kind != TAU and not self.message:
             raise ProtocolError(f"{self.kind} action needs a message")
 
-    def sort_key(self) -> tuple[int, str]:
-        return (_KIND_ORDER[self.kind], self.message or "")
-
     def __str__(self) -> str:
         if self.kind == TAU:
             return "tau"
@@ -84,11 +82,6 @@ def recv(message: str) -> Action:
 Transition = tuple[str, Action, str]
 
 
-def _transition_key(t: Transition) -> tuple:
-    src, act, dst = t
-    return (src, act.sort_key(), dst)
-
-
 class Protocol:
     """Immutable protocol automaton with precomputed lookup tables."""
 
@@ -106,9 +99,10 @@ class Protocol:
         self.messages: tuple[str, ...] = tuple(sorted(set(messages)))
         self.init = init
         self.final = final
-        self.transitions: tuple[Transition, ...] = tuple(
-            sorted(set(transitions), key=_transition_key)
-        )
+        # Transitions are deduplicated and ordered on plain keys, (src, kind
+        # rank, message, dst), which hash and compare in C.
+        keyed = {(src, _KIND_ORDER[act.kind], act.message or "", dst): act
+                 for src, act, dst in transitions}
         if not self.states:
             raise ProtocolError("a protocol needs at least one state")
         state_set = set(self.states)
@@ -117,31 +111,38 @@ class Protocol:
             raise ProtocolError(f"initial state {init!r} not declared")
         if final not in state_set:
             raise ProtocolError(f"final state {final!r} not declared")
-        for src, act, dst in self.transitions:
-            if src not in state_set or dst not in state_set:
-                raise ProtocolError(f"transition {src!r} -> {dst!r} uses undeclared state")
-            if act.kind != TAU and act.message not in msg_set:
-                raise ProtocolError(f"transition on undeclared message {act.message!r}")
-
+        ordered: list[Transition] = []
         # (source, message, target) of every send and receive, (source, target) of every tau.
-        self.sends: tuple[tuple[str, str, str], ...] = tuple(
-            (src, act.message, dst) for src, act, dst in self.transitions if act.kind == SEND
-        )
-        self.recvs: tuple[tuple[str, str, str], ...] = tuple(
-            (src, act.message, dst) for src, act, dst in self.transitions if act.kind == RECV
-        )
-        self.taus: tuple[tuple[str, str], ...] = tuple(
-            (src, dst) for src, act, dst in self.transitions if act.kind == TAU
-        )
+        sends: list[tuple[str, str, str]] = []
+        recvs: list[tuple[str, str, str]] = []
+        taus: list[tuple[str, str]] = []
         recv_by_msg: dict[str, list[tuple[str, str]]] = {m: [] for m in self.messages}
+        receivers: dict[str, set[str]] = {m: set() for m in self.messages}
         receivable: dict[str, set[str]] = {q: set() for q in self.states}
         recv_targets: dict[tuple[str, str], list[str]] = {}
-        for src, m, dst in self.recvs:
-            recv_by_msg[m].append((src, dst))
-            receivable[src].add(m)
-            recv_targets.setdefault((src, m), []).append(dst)
+        for key in sorted(keyed):
+            src, kind, m, dst = key
+            if src not in state_set or dst not in state_set:
+                raise ProtocolError(f"transition {src!r} -> {dst!r} uses undeclared state")
+            ordered.append((src, keyed[key], dst))
+            if kind == _TAU_RANK:
+                taus.append((src, dst))
+            elif m not in msg_set:
+                raise ProtocolError(f"transition on undeclared message {m!r}")
+            elif kind == _SEND_RANK:
+                sends.append((src, m, dst))
+            else:
+                recvs.append((src, m, dst))
+                recv_by_msg[m].append((src, dst))
+                receivers[m].add(src)
+                receivable[src].add(m)
+                recv_targets.setdefault((src, m), []).append(dst)
+        self.transitions: tuple[Transition, ...] = tuple(ordered)
+        self.sends: tuple[tuple[str, str, str], ...] = tuple(sends)
+        self.recvs: tuple[tuple[str, str, str], ...] = tuple(recvs)
+        self.taus: tuple[tuple[str, str], ...] = tuple(taus)
         self._recv_by_msg = {m: tuple(v) for m, v in recv_by_msg.items()}
-        self._receivers = {m: frozenset(src for src, _dst in v) for m, v in recv_by_msg.items()}
+        self._receivers = {m: frozenset(v) for m, v in receivers.items()}
         self._receivable = {q: frozenset(v) for q, v in receivable.items()}
         self._recv_targets = {k: tuple(v) for k, v in recv_targets.items()}
         self._moves: MoveTable | None = None

@@ -5,9 +5,10 @@ A protocol is wait-only when every state either only initiates actions
 configurations of such protocols are abstracted by a pair ``(S, Toks)``:
 states in ``S`` can host arbitrarily many processes, a token ``(q, m)``
 records that the waiting state ``q`` can host a single process whose last
-requested rendez-vous was ``m``.  Iterating the one-step abstract post
-operator from ``({q_in}, {})`` stabilizes after polynomially many rounds and
-the resulting abstraction decides configuration coverability exactly.
+requested rendez-vous was ``m``.  The one-step abstract post operator is
+iterated from ``({q_in}, {})`` to a fixpoint, within a polynomial round
+bound that :func:`fixpoint` enforces, and the resulting abstraction decides
+configuration coverability exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 from .explore import Verdict
 from .model import (
+    RECV,
     Configuration,
     Protocol,
     check_configuration,
@@ -38,7 +40,7 @@ class NotWaitOnlyError(ValueError):
 
 
 class AbstractionDivergenceError(RuntimeError):
-    """The abstraction failed to stabilize within the guaranteed bound."""
+    """The abstraction failed to stabilize within the round bound of :func:`fixpoint`."""
 
 
 @dataclass(frozen=True)
@@ -76,24 +78,27 @@ def partition(p: Protocol) -> WaitPartition:
     """Partition states by their outgoing actions; fail on mixed states.
 
     A state with an outgoing reception is waiting; everything else
-    (including transition-less states) is active.  The initial state must be
-    active.
+    (including transition-less states) is active.  A waiting state that
+    also initiates (a send or an internal move) is mixed, and so is a
+    waiting initial state: the initial state must be active.  The error
+    lists each mixed state, in name order, with its evidence: its
+    initiating transitions, then its receptions, each group in
+    ``p.transitions`` order, as ``(src, action text, dst)``.
     """
+    # One pass over the transitions, which ``recvs``, ``sends`` and ``taus`` split.
     waiting = {src for src, _m, _dst in p.recvs}
-    violations = []
-    for q in sorted(waiting):
-        evidence = tuple(
-            (src, str(act), dst) for src, act, dst in p.transitions
-            if src == q and act.kind != "recv"
-        )
-        if evidence or q == p.init:
-            recs = tuple(
-                (src, str(act), dst) for src, act, dst in p.transitions
-                if src == q and act.kind == "recv"
-            )
-            violations.append((q, evidence + recs))
-    if violations:
-        raise NotWaitOnlyError(p.name, tuple(violations))
+    mixed = {src for src, _m, _dst in p.sends if src in waiting}
+    mixed.update([src for src, _dst in p.taus if src in waiting])
+    if p.init in waiting:
+        mixed.add(p.init)
+    if mixed:
+        evidence: dict[str, tuple[list, list]] = {q: ([], []) for q in sorted(mixed)}
+        for src, act, dst in p.transitions:
+            if src in evidence:
+                evidence[src][act.kind == RECV].append((src, str(act), dst))
+        raise NotWaitOnlyError(p.name, tuple(
+            (q, tuple(initiating + receptions)) for q, (initiating, receptions) in evidence.items()
+        ))
     return WaitPartition(
         active=frozenset(set(p.states) - waiting),
         waiting=frozenset(waiting),
@@ -283,7 +288,9 @@ def fixpoint(p: Protocol) -> tuple[AbstractSet, list[AbstractSet]]:
     """Iterate the abstract post operator to stability from ``({q_in}, {})``.
 
     Returns the stable abstraction and the full chain of iterates.  Raises
-    if stabilization exceeds the guaranteed polynomial bound.
+    ``AbstractionDivergenceError`` past ``|Q|^2 * max(1, |messages|)``
+    rounds; that bound was derived for an earlier promotion rule and has not
+    been re-derived for :func:`_pumpable`.
     """
     partition(p)
     bound = len(p.states) ** 2 * max(1, len(p.messages))

@@ -137,6 +137,25 @@ def spec_successors(p: Protocol, c: Configuration) -> list[tuple[StepLabel, Conf
     return sorted(found, key=lambda pair: (pair[0].sort_key(), pair[1].items))
 
 
+def spec_violations(p: Protocol) -> tuple:
+    """``NotWaitOnlyError.violations`` as ``waitonly.partition`` documents them.
+
+    A state with an outgoing reception is waiting; it violates the
+    partition when it also initiates (a send or an internal move) or is the
+    initial state.  Each violation is the state, in name order, with its
+    evidence: its initiating transitions, then its receptions, each group in
+    ``p.transitions`` order, as ``(src, action text, dst)``.
+    """
+    out = []
+    for q in p.states:
+        edges = [(src, str(act), dst) for src, act, dst in p.transitions if src == q]
+        receptions = [e for e in edges if e[1].startswith("?")]
+        initiating = [e for e in edges if not e[1].startswith("?")]
+        if receptions and (initiating or q == p.init):
+            out.append((q, tuple(initiating + receptions)))
+    return tuple(out)
+
+
 def backward_cover(p: Protocol, target: Configuration) -> bool:
     """Exact configuration coverability by backward search over minimal bases.
 

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_machine, random_protocol
+from conftest import PROTOCOL_DIR
+from helpers import random_config, random_machine, random_protocol, random_vas
+from nbrv.cli import EXIT_PARSE, main
 from nbrv.fileio import (
     ParseError,
     parse_config,
@@ -197,3 +203,122 @@ class TestVasFormat:
         v = Vas("v", 2, (((-1, 1), (0, 0)), ((1, 0), (0, 2))), (1, 0), (0, 1))
         assert parse_vas(serialize_vas(v)) == v
         assert serialize_vas(parse_vas(serialize_vas(v))) == serialize_vas(v)
+
+
+def render(rng: random.Random, canonical: str, newline: str) -> str:
+    """A non-canonical text of the same model: the header lines in order, the
+    ``trans`` lines shuffled with some repeated, words split by spaces and
+    tabs, comments, blank lines and ``newline`` line ends."""
+    lines = canonical.splitlines()
+    head = [line for line in lines if not line.startswith("trans ")]
+    body = [line for line in lines if line.startswith("trans ")]
+    body += rng.sample(body, rng.randint(0, len(body)))
+    rng.shuffle(body)
+    out = []
+    for line in head + body:
+        if rng.random() < 0.3:
+            out.append(rng.choice(["", "  \t", "# a comment", "\t# trans x !y z"]))
+        gaps = [rng.choice([" ", "\t", "  ", " \t "]) for _ in line.split()]
+        words = "".join(w + g for w, g in zip(line.split(), gaps)).rstrip()
+        lead = rng.choice(["", " ", "\t"])
+        tail = rng.choice(["", " ", "\t# trailing # comment"])
+        out.append(lead + words + tail)
+    return newline.join(out) + rng.choice(["", newline, newline + "# end"])
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_non_canonical_renderings_parse_to_the_same_model(newline):
+    rng = random.Random(4242)
+    cases = [(parse_protocol, serialize_protocol, random_protocol(rng)) for _ in range(40)]
+    cases += [(parse_machine, serialize_machine,
+               random_machine(rng, restore=rng.random() < 0.5)) for _ in range(40)]
+    # A parsed VAS keeps its transitions sorted and unique.
+    cases += [(parse_vas, serialize_vas, replace(v, transitions=tuple(sorted(set(v.transitions)))))
+              for v in (random_vas(rng) for _ in range(40))]
+    for parse, serialize, model in cases:
+        canonical = serialize(model)
+        text = render(rng, canonical, newline)
+        assert text != canonical
+        parsed = parse(text)
+        assert parsed == model, text
+        assert serialize(parsed) == canonical
+
+
+FIG1 = parse_protocol((PROTOCOL_DIR / "fig1.rvp").read_text())
+
+
+def _mutation_bases() -> list[tuple[str, str]]:
+    """``(format, text)`` pairs of valid inputs: the shipped protocols and
+    serialisations of seeded random models and configuration literals."""
+    rng = random.Random(5151)
+    bases = [("rvp", (PROTOCOL_DIR / name).read_text())
+             for name in ("fig1.rvp", "p1.rvp", "p2.rvp")]
+    bases += [("rvp", serialize_protocol(random_protocol(rng))) for _ in range(4)]
+    bases += [("nbm", serialize_machine(random_machine(rng, restore=rng.random() < 0.5)))
+              for _ in range(4)]
+    bases += [("vas", serialize_vas(random_vas(rng))) for _ in range(4)]
+    bases += [("config", str(random_config(rng, FIG1, max_items=4))) for _ in range(4)]
+    return bases
+
+
+MUTATION_BASES = _mutation_bases()
+# Characters that probe the reader's notions of words, lines, comments,
+# numbers and identifiers.
+JUNK = st.text(st.sampled_from(list(" \t\n\r\x0b\x0c\x1c\x85\u2028\u3000#;:,!?+-\u00b20159q_'x")),
+               max_size=6)
+# One edit: at a position (taken modulo the text's length), replace a span of
+# up to five characters by a junk string; an empty span inserts, empty junk deletes.
+EDITS = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 5), JUNK), min_size=1,
+                 max_size=4)
+
+
+def mutated(base: int, edits) -> tuple[str, str]:
+    fmt, text = MUTATION_BASES[base]
+    for pos, span, junk in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + junk + text[pos + span:]
+    return fmt, text
+
+
+def parse_as(fmt: str, text: str):
+    if fmt == "rvp":
+        return parse_protocol(text, "in.rvp")
+    if fmt == "nbm":
+        return parse_machine(text, "in.nbm")
+    if fmt == "vas":
+        return parse_vas(text, "in.vas")
+    return parse_config(text, FIG1)
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, len(MUTATION_BASES) - 1), EDITS)
+def test_mutated_inputs_raise_only_parse_errors(mutation_dir, base, edits):
+    """Multi-character edits of valid inputs parse or raise ``ParseError``; on
+    the CLI a ``ParseError`` exits 2 with one ``error:`` line on stderr."""
+    fmt, text = mutated(base, edits)
+    try:
+        parse_as(fmt, text)
+    except ParseError:
+        pass
+    else:
+        return
+    path = mutation_dir / f"in.{fmt}"
+    path.write_bytes(text.encode())
+    argv = {
+        "rvp": ["abstract", str(path)],
+        "nbm": ["explore", "machine", str(path), "--loc", "l0", "--cap", "1"],
+        "vas": ["explore", "vas", str(path), "--cap", "1"],
+        "config": ["check", "ccover", str(PROTOCOL_DIR / "fig1.rvp"), f"--target={text}"],
+    }[fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == EXIT_PARSE
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines

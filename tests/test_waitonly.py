@@ -6,7 +6,14 @@ import random
 import pytest
 
 from conftest import load_protocol
-from helpers import backward_cover, random_config, random_wait_only
+from helpers import (
+    backward_cover,
+    random_config,
+    random_protocol,
+    random_wait_only,
+    spec_violations,
+    with_self_rendezvous,
+)
 from nbrv.explore import Problem, decide_fixed, decide_sweep
 from nbrv.model import Configuration, Protocol, recv, send, tau
 from nbrv.waitonly import (
@@ -82,6 +89,31 @@ class TestPartition:
             partition(fig1)
         violating = {state for state, _evidence in exc.value.violations}
         assert "q5" in violating
+
+    def test_fig1_violations_pinned(self, fig1):
+        with pytest.raises(NotWaitOnlyError) as exc:
+            partition(fig1)
+        assert exc.value.violations == (
+            ("q5", (("q5", "!b", "q6"), ("q5", "?a", "q3"), ("q5", "?b", "q4"))),
+            ("q_in", (("q_in", "!a", "q5"), ("q_in", "?b", "q1"))),
+        )
+
+    def test_violations_match_spec(self):
+        rng = random.Random(3131)
+        rejected = 0
+        for i in range(400):
+            p = random_protocol(rng, max_q=6, max_t=14)
+            if i % 4 == 0:
+                p = with_self_rendezvous(rng, p)
+            want = spec_violations(p)
+            if not want:
+                assert is_wait_only(p)
+                continue
+            rejected += 1
+            with pytest.raises(NotWaitOnlyError) as exc:
+                partition(p)
+            assert exc.value.violations == want
+        assert rejected >= 200
 
     def test_initial_state_must_be_active(self):
         p = Protocol("p", ["a", "b"], ["m"], "a", "b",
