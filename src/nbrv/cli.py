@@ -103,21 +103,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
         problem = Problem(args.problem)
 
     method = args.method
-    if method == "auto":
-        if args.problem != "synchro" and waitonly.is_wait_only(p):
-            method = "abstract"
-        else:
-            method = "explore"
+    if method == "auto" and args.problem == "synchro":
+        method = "explore"
 
-    if method == "abstract":
+    verdict = None
+    if method != "explore":
         if args.problem == "synchro":
             raise PreconditionError("the abstract analysis does not decide synchro")
-        if args.problem == "scover":
-            verdict = waitonly.decide_state_cover(p)
-        else:
-            assert problem.target is not None
-            verdict = waitonly.decide_cover(p, problem.target)
-    else:
+        # ``auto`` tries the abstract engine, which partitions the protocol
+        # once, and falls back to the explorer when it is not wait-only.
+        try:
+            if args.problem == "scover":
+                verdict = waitonly.decide_state_cover(p)
+            else:
+                assert problem.target is not None
+                verdict = waitonly.decide_cover(p, problem.target)
+        except waitonly.NotWaitOnlyError:
+            if method != "auto":
+                raise
+    if verdict is None:
         verdict = explore.decide_sweep(p, problem, args.max_procs, args.max_steps)
     _print_verdict(verdict, lambda label, cfg: f"{label} {cfg}")
     return EXIT_OK

@@ -7,7 +7,10 @@ jump back to the initial location from anywhere.  A machine keeps one
 transition set, sorted by source, op and target; the op says whether a step
 can block, since every op but ``nbdec`` can.  A non-blocking VAS pairs
 each transition with a blocking update vector and a non-negative clamp
-vector applied coordinatewise.
+vector applied coordinatewise.  A VAS search compiles its transitions once
+into sparse steps that read and write only the coordinates they touch;
+witnesses still carry the dense pairs.  The machine interpreter dispatches
+on small-int op codes.
 
 Both models get exhaustive search bounded by an inclusive per-counter cap;
 a NO produced under a cap is only valid within that cap and is flagged so.
@@ -17,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, repeat
-from operator import add, ge, sub
+from itertools import chain, compress
+from operator import ge
 from typing import Callable, Iterable, NamedTuple
 
 from . import explore
@@ -30,7 +33,10 @@ DEC = "dec"
 ZEROTEST = "zerotest"
 NBDEC = "nbdec"
 
-_OP_ORDER = {NOP: 0, INC: 1, DEC: 2, ZEROTEST: 3, NBDEC: 4}
+# Op codes: the order of op kinds in ``_mt_key``, and the kinds the
+# interpreter dispatches on.
+_NOP, _INC, _DEC, _ZEROTEST, _NBDEC = range(5)
+_OP_ORDER = {NOP: _NOP, INC: _INC, DEC: _DEC, ZEROTEST: _ZEROTEST, NBDEC: _NBDEC}
 
 
 class MachineError(ValueError):
@@ -120,7 +126,7 @@ class CounterMachine:
                 raise MachineError(f"undeclared counter {x!r}")
         self._index = {x: i for i, x in enumerate(self.counters)}
         self._locs = locs
-        self._moves: dict[str, tuple[tuple[MachineTransition, str, int, str], ...]] = {}
+        self._moves: dict[str, tuple[tuple[MachineTransition, int, int, str], ...]] = {}
         self._by_src: dict[str, list[MachineTransition]] | None = None
 
     def _key(self) -> tuple:
@@ -168,13 +174,15 @@ class CounterMachine:
     def initial_config(self) -> MachineConfig:
         return self.config(self.init)
 
-    def moves(self, loc: str) -> tuple[tuple[MachineTransition, str, int, str], ...]:
-        """The moves out of ``loc`` as (transition, op kind, counter index, target).
+    def moves(self, loc: str) -> tuple[tuple[MachineTransition, int, int, str], ...]:
+        """The moves out of ``loc`` as (transition, op code, counter index, target).
 
-        Restore jumps are included, each transition appears once, and the
-        order is ``_mt_key``.  The transitions of one source already come in
-        that order, so only an appended restore jump needs a sort.  A
-        location's moves are compiled on first use.
+        The op code is the kind's rank in ``_OP_ORDER`` (``_NOP`` to
+        ``_NBDEC``); a nop's counter index is -1.  Restore jumps are
+        included, each transition appears once, and the order is
+        ``_mt_key``.  The transitions of one source already come in that
+        order, so only an appended restore jump needs a sort.  A location's
+        moves are compiled on first use.
         """
         moves = self._moves.get(loc)
         if moves is None:
@@ -188,7 +196,8 @@ class CounterMachine:
                 out.append(jump)
                 out.sort(key=_mt_key)
             moves = self._moves[loc] = tuple(
-                (t, t[1].kind, self._index.get(t[1].counter, -1), t[2]) for t in out
+                (t, _OP_ORDER[t[1].kind], self._index.get(t[1].counter, -1), t[2])
+                for t in out
             )
         return moves
 
@@ -198,27 +207,36 @@ def machine_successors(
 ) -> list[tuple[MachineTransition, MachineConfig]]:
     """All enabled one-step moves, restore jumps included, in a fixed order.
 
-    ``cfg`` is trusted: it comes from :meth:`CounterMachine.config` or from
-    an earlier step, so it is not checked again.
+    The order is ``_mt_key``.  ``inc`` adds one; ``dec`` subtracts one and
+    is blocked at zero; ``nbdec`` subtracts one and leaves a zero as it is;
+    a zero test fires only on zero; ``nop`` and restore jumps change no
+    counter.  ``cfg`` is trusted: it comes from :meth:`CounterMachine.config`
+    or from an earlier step, so it is not checked again.
     """
     values = cfg.values
+    # Each successor is built with ``tuple.__new__``, which skips the named
+    # tuple's Python-level constructor.
+    new = tuple.__new__
     out: list[tuple[MachineTransition, MachineConfig]] = []
-    for trans, kind, i, dst in m.moves(cfg.loc):
-        if kind == NOP:
+    for trans, code, i, dst in m.moves(cfg.loc):
+        if code == _NOP:
             nxt = values
-        elif kind == INC:
-            nxt = values[:i] + (values[i] + 1,) + values[i + 1:]
-        elif kind == DEC:
-            if values[i] < 1:
-                continue
-            nxt = values[:i] + (values[i] - 1,) + values[i + 1:]
-        elif kind == ZEROTEST:
-            if values[i] != 0:
+        elif code == _ZEROTEST:
+            if values[i]:
                 continue
             nxt = values
         else:
-            nxt = values[:i] + (max(0, values[i] - 1),) + values[i + 1:]
-        out.append((trans, MachineConfig(dst, nxt)))
+            x = values[i]
+            if code == _INC:
+                x += 1
+            elif x:
+                x -= 1
+            elif code == _DEC:
+                continue
+            w = list(values)
+            w[i] = x
+            nxt = tuple(w)
+        out.append((trans, new(MachineConfig, (dst, nxt))))
     return out
 
 
@@ -301,67 +319,93 @@ class Vas:
                 raise VasError("the non-blocking part must be non-negative")
 
 
-def _clamp(u: Iterable[int], t_nb: Vector) -> Vector:
-    """The clamp-subtract of a non-blocking step: ``max(0, u_i - t_nb_i)``."""
-    return tuple(map(max, repeat(0), map(sub, u, t_nb)))
+_Pairs = tuple[tuple[int, int], ...]
+# A transition compiled by :func:`compile_step`: (pair, guard, update, clamp, dim).
+VasStep = tuple[VasTransition, _Pairs, _Pairs, _Pairs, int]
 
 
-def step_strict(v: Vector, t: VasTransition) -> Vector | None:
+def compile_step(t: VasTransition) -> VasStep:
+    """The sparse form of the transition ``t`` that :func:`step_strict` applies.
+
+    ``pair`` is ``t`` itself, the dense ``(t_b, t_nb)`` label a witness step
+    carries.  ``guard`` lists ``(i, k)`` with ``k = -t_b[i] > 0``: the step
+    needs ``v[i] >= k``.  ``update`` lists ``(i, t_b[i])`` and ``clamp``
+    ``(i, t_nb[i])`` for the nonzero entries, in coordinate order, and
+    ``dim`` is the arity.
+    """
+    t_b, t_nb = t
+    # Each dense vector is scanned once in Python, and a zero clamp part
+    # not at all; the guard comes from the short update list.
+    update = [(i, b) for i, b in enumerate(t_b) if b]
+    return (
+        t,
+        tuple([(i, -b) for i, b in update if b < 0]),
+        tuple(update),
+        tuple([(i, c) for i, c in enumerate(t_nb) if c]) if any(t_nb) else (),
+        len(t_b),
+    )
+
+
+def step_strict(v: Vector, s: VasStep) -> Vector | None:
     """Apply the blocking part (must stay non-negative), then clamp-subtract.
 
     ``None`` when some coordinate of ``v + t_b`` is negative; otherwise
-    ``max(0, v_i + t_b_i - t_nb_i)`` for every coordinate ``i``.
+    ``max(0, v_i + t_b_i - t_nb_i)`` for every coordinate ``i``.  The step
+    ``s`` is compiled by :func:`compile_step`, so only the coordinates where
+    ``t_b`` or ``t_nb`` is nonzero are read or written.
     """
-    t_b, t_nb = t
-    if len(v) != len(t_b):
+    _pair, guard, update, clamp, dim = s
+    if len(v) != dim:
         raise VasError("vector arity mismatch")
-    moved = tuple(map(add, v, t_b))
-    if min(moved, default=0) < 0:
-        return None
-    # ``moved`` is non-negative, so a zero clamp part leaves it as it is.
-    return _clamp(moved, t_nb) if any(t_nb) else moved
+    for i, k in guard:
+        if v[i] < k:
+            return None
+    out = list(v)
+    for i, b in update:
+        out[i] += b
+    for i, c in clamp:
+        x = out[i] - c
+        out[i] = x if x > 0 else 0
+    return tuple(out)
 
 
-def step_relaxed(v: Vector, t: VasTransition) -> Vector:
-    """Clamp the combined update at zero coordinatewise; always defined."""
-    t_b, t_nb = t
-    if len(v) != len(t_b):
-        raise VasError("vector arity mismatch")
-    return _clamp(map(add, v, t_b), t_nb)
+def _candidates(vas: Vas) -> Callable[[Vector], tuple[VasStep, ...]]:
+    """Compile the steps of ``vas`` and index them by the vectors they may fire on.
 
-
-def _candidates(vas: Vas) -> Callable[[Vector], tuple[VasTransition, ...]]:
-    """Index ``vas`` so that each vector is offered only transitions that may fire.
-
-    A transition is filed under the first coordinate where its blocking part
-    is negative: on a vector that is zero there, the step is blocked.  The
-    candidates of a vector are the transitions filed under none (the free
-    ones) or under one of its nonzero coordinates, in ``vas.transitions``
-    order, so the search meets successors in the same order as a scan of
-    every transition.  They are memoised per set of nonzero coordinates.
+    A step is filed under its first guard coordinate, the first where its
+    blocking part is negative: on a vector that is zero there, the step is
+    blocked.  The candidates of a vector are the steps filed under none (the
+    free ones) or under one of its nonzero coordinates, in
+    ``vas.transitions`` order, so the search meets successors in the same
+    order as a scan of every transition.  They are memoised per set of
+    nonzero coordinates.
     """
+    steps = [compile_step(t) for t in vas.transitions]
     free: list[int] = []
     buckets: list[list[int]] = [[] for _ in range(vas.dim)]
-    for j, (t_b, _t_nb) in enumerate(vas.transitions):
-        first = next((i for i, b in enumerate(t_b) if b < 0), None)
-        (free if first is None else buckets[first]).append(j)
+    for j, s in enumerate(steps):
+        guard = s[1]
+        (buckets[guard[0][0]] if guard else free).append(j)
     coords = range(vas.dim)
-    memo: dict[tuple[int, ...], tuple[VasTransition, ...]] = {}
+    memo: dict[tuple[int, ...], tuple[VasStep, ...]] = {}
 
-    def candidates(v: Vector) -> tuple[VasTransition, ...]:
+    def candidates(v: Vector) -> tuple[VasStep, ...]:
         support = tuple(compress(coords, v))
         found = memo.get(support)
         if found is None:
             found = memo[support] = tuple(
-                vas.transitions[j]
-                for j in sorted(chain(free, *(buckets[i] for i in support))))
+                steps[j] for j in sorted(chain(free, *(buckets[i] for i in support))))
         return found
 
     return candidates
 
 
 def vas_cover_bounded(vas: Vas, cap: int, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Strict-step search for a vector covering the target, coordinates <= cap."""
+    """Strict-step search for a vector covering the target, coordinates <= cap.
+
+    The transitions are compiled once per search into sparse steps; witness
+    steps carry the dense ``(t_b, t_nb)`` pairs.
+    """
     if cap < max(vas.v_init):
         raise ValueError("cap must cover the initial vector")
     candidates = _candidates(vas)
@@ -370,8 +414,8 @@ def vas_cover_bounded(vas: Vas, cap: int, budget: int = DEFAULT_BUDGET) -> Verdi
     floor = [vas.v_target[i] for i in need]
 
     def succ(cur: Vector):
-        return ((t, nxt) for t in candidates(cur)
-                if (nxt := step_strict(cur, t)) is not None)
+        return ((s[0], nxt) for s in candidates(cur)
+                if (nxt := step_strict(cur, s)) is not None)
 
     return _capped(vas.v_init, succ, cap, budget,
                    goal=lambda v: all(map(ge, map(v.__getitem__, need), floor)),

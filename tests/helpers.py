@@ -6,11 +6,24 @@ import heapq
 import random
 from collections import Counter, deque
 from functools import partial
-from operator import le
+from itertools import repeat
+from operator import add, le, sub
 
 from nbrv import explore
 from nbrv.explore import Problem, ResourceLimitError, Verdict, Witness, search
-from nbrv.machines import DEC, INC, NBDEC, NOP, ZEROTEST, CounterMachine, CounterOp, Vas
+from nbrv.machines import (
+    DEC,
+    INC,
+    NBDEC,
+    NOP,
+    ZEROTEST,
+    CounterMachine,
+    CounterOp,
+    MachineConfig,
+    Vas,
+    VasError,
+    _mt_key,
+)
 from nbrv.model import (
     Configuration,
     Protocol,
@@ -98,6 +111,36 @@ def random_machine(rng: random.Random, max_loc: int = 4, max_ctr: int = 2,
     return CounterMachine("rnd", locs, ctrs, locs[0], transitions, restore=restore)
 
 
+def spec_machine_successors(m: CounterMachine, cfg: MachineConfig) -> list:
+    """``machine_successors`` as its docstring states it, on a counter dict.
+
+    Every transition out of ``cfg.loc``, plus the restore jump to ``m.init``
+    on a restore machine (once, even where a nop edge already makes it), in
+    ``_mt_key`` order.  ``inc`` adds one; ``dec`` subtracts one and is
+    blocked at zero; ``nbdec`` subtracts one and leaves a zero as it is; a
+    zero test fires only on zero; ``nop`` changes no counter.
+    """
+    edges = {t for t in m.transitions if t[0] == cfg.loc}
+    if m.restore:
+        edges.add((cfg.loc, CounterOp(NOP), m.init))
+    out = []
+    for t in sorted(edges, key=_mt_key):
+        op, dst = t[1], t[2]
+        vals = dict(zip(m.counters, cfg.values))
+        if op.kind == INC:
+            vals[op.counter] += 1
+        elif op.kind == DEC:
+            if vals[op.counter] == 0:
+                continue
+            vals[op.counter] -= 1
+        elif op.kind == NBDEC:
+            vals[op.counter] = max(0, vals[op.counter] - 1)
+        elif op.kind == ZEROTEST and vals[op.counter] != 0:
+            continue
+        out.append((t, m.config(dst, vals)))
+    return out
+
+
 def spec_successors(p: Protocol, c: Configuration) -> list[tuple[StepLabel, Configuration]]:
     """One-step successors written straight from the three rules in ``nbrv.model``.
 
@@ -170,7 +213,8 @@ def backward_cover(p: Protocol, target: Configuration) -> bool:
     m, goal, _report = protocol_to_machine(p, target)
     pre: dict[str, list[tuple[str, str, int]]] = {}
     for loc in m.locations:
-        for _t, kind, x, dst in m.moves(loc):
+        for t, _code, x, dst in m.moves(loc):
+            kind = t[1].kind
             if kind == ZEROTEST:
                 raise ValueError("zero tests are not monotone")
             pre.setdefault(dst, []).append((loc, kind, x))
@@ -262,6 +306,21 @@ def spec_step_strict(v: tuple[int, ...], t) -> tuple[int, ...] | None:
     if any(a + b < 0 for a, b in zip(v, t_b)):
         return None
     return tuple(max(0, a + b - c) for a, b, c in zip(v, t_b, t_nb))
+
+
+def _clamp(u, t_nb: tuple[int, ...]) -> tuple[int, ...]:
+    """The clamp-subtract of a non-blocking step: ``max(0, u_i - t_nb_i)``."""
+    return tuple(map(max, repeat(0), map(sub, u, t_nb)))
+
+
+def step_relaxed(v: tuple[int, ...], t) -> tuple[int, ...]:
+    """The relaxed VAS step on a dense ``(t_b, t_nb)`` pair: clamp the
+    combined update at zero coordinatewise; always defined.  Strict steps
+    that fire agree with it."""
+    t_b, t_nb = t
+    if len(v) != len(t_b):
+        raise VasError("vector arity mismatch")
+    return _clamp(map(add, v, t_b), t_nb)
 
 
 def spec_step_relaxed(v: tuple[int, ...], t) -> tuple[int, ...]:

@@ -12,7 +12,13 @@ import time
 from collections import deque
 
 from conftest import load_protocol
-from helpers import random_config, random_machine, random_protocol, random_wait_only
+from helpers import (
+    random_config,
+    random_machine,
+    random_protocol,
+    random_wait_only,
+    step_relaxed,
+)
 from nbrv import reductions, waitonly
 from nbrv.explore import Problem, decide_fixed, decide_sweep, reachable, replay
 from nbrv.gadgets import (
@@ -27,9 +33,9 @@ from nbrv.gadgets import (
 from nbrv.machines import (
     CounterMachine,
     CounterOp,
+    compile_step,
     cover_bounded,
     replay_machine,
-    step_relaxed,
     step_strict,
     vas_cover_bounded,
 )
@@ -299,7 +305,7 @@ def test_criterion_8_semantics_properties():
             v = tuple(rng.randint(0, 5) for _ in range(d))
             t = (tuple(rng.randint(-3, 3) for _ in range(d)),
                  tuple(rng.randint(0, 3) for _ in range(d)))
-            strict = step_strict(v, t)
+            strict = step_strict(v, compile_step(t))
             if strict is not None:
                 assert strict == step_relaxed(v, t)
 

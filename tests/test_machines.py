@@ -9,9 +9,11 @@ from hypothesis import given, strategies as st
 from helpers import (
     random_machine,
     random_vas,
+    spec_machine_successors,
     spec_step_relaxed,
     spec_step_strict,
     spec_vas_cover,
+    step_relaxed,
 )
 from nbrv.explore import ResourceLimitError
 from nbrv.machines import (
@@ -23,16 +25,18 @@ from nbrv.machines import (
     CounterMachine,
     CounterOp,
     MachineError,
+    MachineConfig,
     Vas,
     VasError,
     _mt_key,
+    compile_step,
     cover_bounded,
     machine_successors,
     replay_machine,
-    step_relaxed,
     step_strict,
     vas_cover_bounded,
 )
+from nbrv.reductions import machine_to_vas
 
 
 def simple(transitions=(), locations=("l0", "l1"), counters=("x",),
@@ -133,6 +137,31 @@ class TestSuccessorOrder:
             assert all(c.loc == t[2] for t, c in succ)
         assert merged > 0
 
+    def test_matches_spec(self):
+        rng = random.Random(46)
+        seen = Counter()
+        for _ in range(600):
+            m = with_zero_tests(rng, random_machine(rng, max_t=8,
+                                                    restore=rng.random() < 0.5))
+            cfg = m.config(rng.choice(m.locations),
+                           {x: rng.randint(0, 2) for x in m.counters})
+            succ = machine_successors(m, cfg)
+            assert succ == spec_machine_successors(m, cfg)
+            assert all(type(c) is MachineConfig for _t, c in succ)
+            fired = {t for t, _c in succ}
+            for t in m.transitions:
+                if t[0] == cfg.loc:
+                    seen[(t[1].kind, t in fired)] += 1
+            seen["restore"] += m.restore
+            seen["nbdec at zero"] += any(
+                t[1].kind == NBDEC and c.values == cfg.values for t, c in succ)
+        # Every op kind both fires and, where it can, is blocked.
+        for kind in (NOP, INC, DEC, ZEROTEST, NBDEC):
+            assert seen[(kind, True)] > 20, (kind, seen)
+        for kind in (DEC, ZEROTEST):
+            assert seen[(kind, False)] > 20, (kind, seen)
+        assert seen["restore"] > 100 and seen["nbdec at zero"] > 20, seen
+
     def test_restore_jump_merges_with_nop_edge(self):
         m = simple([("l1", CounterOp(NOP), "l0"), ("l1", CounterOp(INC, "x"), "l0"),
                     ("l1", CounterOp(NBDEC, "x"), "l0")], restore=True)
@@ -195,13 +224,13 @@ class TestCoverBounded:
 
 class TestVasSteps:
     def test_strict_blocked(self):
-        assert step_strict((1, 2), ((-3, 0), (0, 1))) is None
+        assert step_strict((1, 2), compile_step(((-3, 0), (0, 1)))) is None
 
     def test_strict_clamps_nonblocking_part(self):
-        assert step_strict((1, 0), ((0, 0), (0, 1))) == (1, 0)
+        assert step_strict((1, 0), compile_step(((0, 0), (0, 1)))) == (1, 0)
 
     def test_strict_add_then_clamp(self):
-        assert step_strict((0,), ((2,), (1,))) == (1,)
+        assert step_strict((0,), compile_step(((2,), (1,)))) == (1,)
 
     def test_relaxed_clamps_combined(self):
         assert step_relaxed((1, 2), ((-3, 0), (0, 1))) == (0, 1)
@@ -221,7 +250,7 @@ class TestVasSteps:
             t_b = tuple(rng.randint(-3, 3) for _ in range(d))
             t_nb = tuple(rng.choice((0, 0, 1, 4)) for _ in range(d))
             t = (t_b, t_nb)
-            strict = step_strict(v, t)
+            strict = step_strict(v, compile_step(t))
             assert strict == spec_step_strict(v, t)
             assert step_relaxed(v, t) == spec_step_relaxed(v, t)
             assert type(step_relaxed(v, t)) is tuple
@@ -232,7 +261,10 @@ class TestVasSteps:
                 seen["no clamp part"] += not any(t_nb)
         assert min(seen.values()) > 50, seen
 
-    @pytest.mark.parametrize("step", [step_strict, step_relaxed])
+    @pytest.mark.parametrize("step", [
+        pytest.param(lambda v, t: step_strict(v, compile_step(t)), id="step_strict"),
+        pytest.param(step_relaxed, id="step_relaxed"),
+    ])
     def test_arity_mismatch(self, step):
         with pytest.raises(VasError):
             step((1, 2), ((0,), (0,)))
@@ -250,7 +282,7 @@ class TestVasSteps:
     )
     def test_strict_implies_relaxed(self, data):
         v, t_b, t_nb = data
-        strict = step_strict(v, (t_b, t_nb))
+        strict = step_strict(v, compile_step((t_b, t_nb)))
         if strict is not None:
             assert strict == step_relaxed(v, (t_b, t_nb))
             assert all(x >= 0 for x in strict)
@@ -311,6 +343,34 @@ class TestVasCover:
                 assert list(verdict.witness.steps) == steps
                 seen["long witness"] += len(steps) > 2
         assert min(seen.values()) >= 15, seen
+
+    def test_machine_images_match_spec(self):
+        # ``machine_to_vas`` images have one 0/1 coordinate per location,
+        # the one-hot shape ``random_vas`` never makes.
+        rng = random.Random(6)
+        seen = Counter()
+        for n in range(300):
+            m = random_machine(rng, max_loc=6, max_ctr=3, max_t=10, restore=n % 2 == 1)
+            if all(op.kind != NBDEC for _s, op, _d in m.transitions):
+                src, dst = rng.choice(m.locations), rng.choice(m.locations)
+                m = CounterMachine(m.name, m.locations, m.counters, m.init,
+                                   m.transitions + ((src, CounterOp(NBDEC, m.counters[0]), dst),),
+                                   m.restore)
+            vas = machine_to_vas(m, rng.choice(m.locations[1:]))
+            for cap in (1, 2, 3):
+                answer, steps, stats = spec_vas_cover(vas, cap, 10_000)
+                verdict = vas_cover_bounded(vas, cap, 10_000)
+                assert verdict.answer == answer
+                assert verdict.stats == stats
+                if answer == "yes":
+                    assert verdict.witness.initial == vas.v_init
+                    assert list(verdict.witness.steps) == steps
+                    seen["long witness"] += len(steps) > 2
+                seen[answer] += 1
+                seen["pruned"] += stats["pruned"] > 0
+            seen["restore"] += m.restore
+            seen["dim > 10"] += vas.dim > 10
+        assert min(seen.values()) >= 20, seen
 
     def test_vas_validation(self):
         with pytest.raises(VasError):
