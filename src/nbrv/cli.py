@@ -144,7 +144,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         configs = explore.reachable(p, args.procs, args.budget)
         print(f"REACHABLE {len(configs)}")
         if args.list:
-            for c in sorted(map(p.moves().decode, configs), key=lambda c: c.items):
+            for c in sorted(map(p.moves(args.procs).decode, configs), key=lambda c: c.items):
                 print(f"CONFIG {c}")
         return EXIT_OK
     if args.kind == "machine":

@@ -8,8 +8,11 @@ with a witness but never NO.
 
 ``search`` is the one breadth-first search of the package: the counter
 machine, VAS and gadget searches run on it too.  The explorer runs it on the
-dense count tuples of the protocol's compiled ``MoveTable``; ``Configuration``
-objects are built only for witnesses.
+packed configurations of the protocol's compiled ``MoveTable`` (one int per
+configuration, one count field per state), so each move is one integer
+addition; ``Configuration`` objects are built only for witnesses.  A sweep
+compiles its table for the largest population first, and every smaller
+population reuses it.
 
 Each population is searched in full, since an extra process can turn a
 non-blocking request into a rendez-vous.  A reachable set, a NO and an
@@ -28,7 +31,7 @@ from functools import partial
 from typing import Any, Callable, Hashable, Iterable
 
 from . import model
-from .model import Configuration, MoveTable, Protocol, initial
+from .model import Configuration, MoveTable, Protocol, check_configuration, initial
 
 # The explorer's successor function, looked up as ``explore.successors`` on
 # every search so that a wrapper installed on this name sees each call.  It
@@ -61,16 +64,23 @@ class Problem:
         if self.kind != CCOVER and self.target is not None:
             raise ValueError(f"{self.kind} takes no target configuration")
 
-    def goal(self, p: Protocol, t: MoveTable, n: int) -> Callable[[tuple[int, ...]], bool]:
-        """The test of this problem on ``t``'s dense configurations of size ``n``."""
-        f = t.index[p.final]
+    def goal(self, p: Protocol, t: MoveTable, n: int) -> Callable[[int], Any]:
+        """The test of this problem on ``t``'s packed configurations of size ``n``.
+
+        A target count too large for ``t``'s fields is never met: no
+        configuration of ``t`` holds that many processes.
+        """
+        f = t.shift[p.final]
         if self.kind == SCOVER:
-            return lambda v: v[f] > 0
+            final = t.mask << f
+            return lambda v: v & final
         if self.kind == CCOVER:
             assert self.target is not None
-            need = [(i, k) for i, k in enumerate(t.encode(self.target)) if k]
-            return lambda v: all(v[i] >= k for i, k in need)
-        return lambda v: v[f] == n
+            check_configuration(p, self.target)
+            need = [(t.mask << t.shift[q], k << t.shift[q]) for q, k in self.target.items]
+            return lambda v: all(v & field >= low for field, low in need)
+        full = n << f
+        return lambda v: v == full
 
 
 @dataclass(frozen=True)
@@ -144,15 +154,18 @@ def search(
     return parents, None, pruned
 
 
-def reachable(p: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> set[tuple[int, ...]]:
+def reachable(p: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> set[int]:
     """The exact set of configurations reachable from ``n`` initial processes.
 
-    The configurations are ``p.moves()``'s dense count tuples; its ``decode``
-    gives their sparse forms.
+    The configurations are packed ints of the table ``p.moves(n)`` returns,
+    whose ``decode`` gives their sparse forms.  Decode them before a wider
+    population is searched on ``p``: that compiles a wider table, whose
+    fields sit elsewhere.
     """
-    t = p.moves()
+    start = initial(p, n)
+    t = p.moves(n)
     overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
-    parents = search(t.encode(initial(p, n)), partial(successors, t),
+    parents = search(t.encode(start), partial(successors, t),
                      budget=budget, overflow=overflow)[0]
     return set(parents)
 
@@ -179,7 +192,7 @@ def decide_fixed(
     """Decide ``prob`` exactly for initial configurations of size ``n``."""
     if n < 1:
         raise ValueError("population must be at least 1")
-    t = p.moves()
+    t = p.moves(n)
     goal = prob.goal(p, t, n)
     start = t.encode(initial(p, n))
     overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
@@ -191,14 +204,14 @@ def decide_fixed(
     except ResourceLimitError:
         pass
 
-    def succ(v: tuple[int, ...]) -> list[tuple[model.StepLabel, tuple[int, ...]]]:
+    def succ(v: int) -> list[tuple[model.StepLabel, int]]:
         return model.label_order(t, successors(t, v))
 
     # Which goal node is met first, and whether the budget runs out before
     # it, depends on the order of successors: search again in label order.
     parents, hit, _pruned = search(start, succ, budget=budget, overflow=overflow, goal=goal)
-    dense = _rebuild(parents, succ, start, hit)
-    witness = Witness(t.decode(start), tuple((label, t.decode(v)) for label, v in dense.steps))
+    packed = _rebuild(parents, succ, start, hit)
+    witness = Witness(t.decode(start), tuple((label, t.decode(v)) for label, v in packed.steps))
     return Verdict("yes", witness, explored_bound=n)
 
 
@@ -209,9 +222,12 @@ def decide_sweep(
 
     A population that exceeds ``budget`` ends the sweep with UNKNOWN, noted
     ``budget``, whose ``explored_bound`` is the last population completed.
+    The move table is compiled for ``max_n`` up front, so every population
+    shares one table.
     """
     if max_n < 1:
         raise ValueError("population bound must be at least 1")
+    p.moves(max_n)
     for n in range(1, max_n + 1):
         try:
             verdict = decide_fixed(p, prob, n, budget)

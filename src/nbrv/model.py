@@ -11,12 +11,17 @@ The one-step relation has three rules:
   processes in the shared state);
 * non-blocking request: a sender moves alone when, once the sender itself is
   set aside, no process sits on a state that could receive the message.
+
+Searches do not step on :class:`Configuration` objects.  ``Protocol.moves(n)``
+compiles the protocol into a :class:`MoveTable` for populations up to ``n``,
+whose configurations are packed into one int, one fixed-width count field
+per state; :func:`dense_moves` is the one interpreter of the three rules,
+and each of its moves is one test and one addition on that int.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Mapping
 
 IDENTIFIER_RE = r"[A-Za-z_][A-Za-z0-9_']*"
@@ -162,15 +167,18 @@ class Protocol:
             f"|T|={len(self.transitions)})"
         )
 
-    def moves(self) -> "MoveTable":
-        """The protocol compiled for :func:`dense_moves`, on first use.
+    def moves(self, n: int) -> "MoveTable":
+        """The protocol compiled for :func:`dense_moves` at populations up to ``n``.
 
-        Compiling is left to the first search: most protocols that are
-        parsed are never explored.
+        The protocol keeps one table, compiled on first use (most protocols
+        that are parsed are never explored), and compiles a wider one only
+        when ``n`` needs more bits per count than the kept table has.  The
+        table returned is always wide enough for ``n``.
         """
-        if self._moves is None:
-            self._moves = MoveTable(self)
-        return self._moves
+        t = self._moves
+        if t is None or n.bit_length() > t.width:
+            t = self._moves = MoveTable(self, n.bit_length())
+        return t
 
 
 def receivers(p: Protocol, message: str) -> frozenset[str]:
@@ -273,22 +281,30 @@ class StepLabel:
 
 
 class MoveTable:
-    """A protocol compiled into int-indexed moves over dense count tuples.
+    """A protocol compiled into moves over packed configurations.
 
-    A dense configuration is a tuple of counts, one per state, in
-    ``p.states`` order.  ``taus`` holds the ``(src, dst)`` index pairs of the
-    internal edges.  ``sends`` holds one ``(src, dst, receivers, msg, nb)``
-    entry per send edge: ``receivers`` are the ``(src, dst)`` index pairs of
-    the receptions of its message, and ``msg`` and ``nb`` are the ranks of
-    its rendez-vous and non-blocking labels.  ``labels[rank]`` is the shared
+    A packed configuration is one int: the count of state ``i`` (in
+    ``p.states`` order) sits in bits ``i*width`` to ``i*width + width - 1``.
+    A table of width ``b`` serves every population below ``2**b``: no count
+    can then overflow its field, so each move is one addition.
+    ``shift[q]`` is the lowest bit of state ``q``'s field and ``mask`` the
+    field at shift 0.  ``taus`` holds one ``(field, delta)`` pair per
+    internal edge: the move fires when ``v & field`` is nonzero and gives
+    ``v + delta``.  ``sends`` holds one ``(field, nb_delta, receivers, msg,
+    nb)`` entry per send edge; ``receivers`` are the ``(field, low, delta)``
+    entries of the receptions of its message, which fire when
+    ``v & field >= low`` (two processes in a shared state for a self
+    rendez-vous), and ``msg`` and ``nb`` are the ranks of its rendez-vous
+    and non-blocking labels.  ``labels[rank]`` is the shared
     :class:`StepLabel` of each rank; ranks follow ``StepLabel.sort_key``.
     """
 
-    def __init__(self, p: Protocol) -> None:
+    def __init__(self, p: Protocol, width: int) -> None:
         self.name = p.name
         self.states = p.states
-        self.index = {q: i for i, q in enumerate(p.states)}
-        ix = self.index
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.shift = {q: i * width for i, q in enumerate(p.states)}
         nm = len(p.messages)
         rank = {m: 1 + k for k, m in enumerate(p.messages)}
         self.labels: tuple[StepLabel, ...] = (
@@ -296,94 +312,92 @@ class MoveTable:
             + tuple(StepLabel("msg", m) for m in p.messages)
             + tuple(StepLabel("nb", m) for m in p.messages)
         )
-        self.taus = tuple((ix[src], ix[dst]) for src, dst in p.taus)
+        one = {q: 1 << s for q, s in self.shift.items()}
+        field = {q: self.mask << s for q, s in self.shift.items()}
+        self.taus = tuple((field[src], one[dst] - one[src]) for src, dst in p.taus)
         self.sends = tuple(
-            (ix[src], ix[dst],
-             tuple((ix[q], ix[qp]) for q, qp in p._recv_by_msg[m]),
+            (field[src], one[dst] - one[src],
+             tuple((field[q], 2 * one[q] if q == src else one[q],
+                    one[dst] - one[src] + one[qp] - one[q])
+                   for q, qp in p._recv_by_msg[m]),
              rank[m], rank[m] + nm)
             for src, m, dst in p.sends
         )
 
-    def encode(self, c: Configuration) -> tuple[int, ...]:
-        """The dense form of ``c``; rejects states outside the protocol."""
-        v = [0] * len(self.states)
+    def encode(self, c: Configuration) -> int:
+        """The packed form of ``c``, whose total must be below ``2**width``;
+        rejects states outside the protocol."""
+        v = 0
         for state, n in c.items:
-            i = self.index.get(state)
-            if i is None:
+            s = self.shift.get(state)
+            if s is None:
                 raise MalformedConfigurationError(f"state {state!r} not in protocol {self.name}")
-            v[i] = n
-        return tuple(v)
+            v += n << s
+        return v
 
-    def decode(self, v: tuple[int, ...]) -> Configuration:
-        """The sparse form of the dense configuration ``v``."""
-        return Configuration(tuple(compress(zip(self.states, v), v)))
+    def items(self, v: int) -> tuple[tuple[str, int], ...]:
+        """The ``Configuration.items`` of the packed configuration ``v``."""
+        out = []
+        mask, width = self.mask, self.width
+        for q in self.states:
+            if not v:
+                break
+            if v & mask:
+                out.append((q, v & mask))
+            v >>= width
+        return tuple(out)
+
+    def decode(self, v: int) -> Configuration:
+        """The sparse form of the packed configuration ``v``."""
+        return Configuration(self.items(v))
 
 
-def _items_order(v: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    # States are indexed in name order, so this orders dense tuples exactly as
-    # ``Configuration.items`` orders their sparse forms.
-    return tuple((i, n) for i, n in enumerate(v) if n)
-
-
-def dense_moves(t: MoveTable, v: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """Every one-step move of the dense configuration ``v``, as ``(rank, w)``.
+def dense_moves(t: MoveTable, v: int) -> list[tuple[int, int]]:
+    """Every one-step move of the packed configuration ``v``, as ``(rank, w)``.
 
     ``rank`` indexes ``t.labels``.  The moves come in table order, taus then
     sends, and may repeat a successor: a search that only needs the set of
     successors reads them as they are, and :func:`dense_successors` orders
-    them.
+    them.  ``v`` must hold fewer than ``2**t.width`` processes.
     """
-    out: list[tuple[int, tuple[int, ...]]] = []
-    for src, dst in t.taus:
-        if v[src]:
-            w = list(v)
-            w[src] -= 1
-            w[dst] += 1
-            out.append((0, tuple(w)))
-    for src, dst, receivers, msg, nb in t.sends:
-        n1 = v[src]
-        if not n1:
+    out: list[tuple[int, int]] = []
+    for field, delta in t.taus:
+        if v & field:
+            out.append((0, v + delta))
+    for field, nb_delta, receivers, msg, nb in t.sends:
+        if not v & field:
             continue
         blocked = False
-        for q2, q2p in receivers:
-            # Self rendez-vous needs two processes in the shared state.
-            if v[q2] and (q2 != src or n1 >= 2):
-                w = list(v)
-                w[src] -= 1
-                w[q2] -= 1
-                w[dst] += 1
-                w[q2p] += 1
-                out.append((msg, tuple(w)))
+        for rfield, low, delta in receivers:
+            if v & rfield >= low:
+                out.append((msg, v + delta))
                 blocked = True
         if not blocked:
-            w = list(v)
-            w[src] -= 1
-            w[dst] += 1
-            out.append((nb, tuple(w)))
+            out.append((nb, v + nb_delta))
     return out
 
 
 def label_order(
-    t: MoveTable, moves: Iterable[tuple[int, tuple[int, ...]]]
-) -> list[tuple[StepLabel, tuple[int, ...]]]:
+    t: MoveTable, moves: Iterable[tuple[int, int]]
+) -> list[tuple[StepLabel, int]]:
     """``moves`` deduplicated and ordered by label rank, then by the sparse
-    order of the successors, with each rank replaced by its label."""
-    found: dict[int, list[tuple[int, ...]]] = {}
+    order of the decoded successors, with each rank replaced by its label."""
+    found: dict[int, list[int]] = {}
     for rank, w in moves:
         found.setdefault(rank, []).append(w)
-    out: list[tuple[StepLabel, tuple[int, ...]]] = []
+    out: list[tuple[StepLabel, int]] = []
     labels = t.labels
     for rank in sorted(found):
         group = found[rank]
         if len(group) > 1:
-            group = sorted(set(group), key=_items_order)
+            group = sorted(set(group), key=t.items)
         label = labels[rank]
         out += [(label, w) for w in group]
     return out
 
 
-def dense_successors(t: MoveTable, v: tuple[int, ...]) -> list[tuple[StepLabel, tuple[int, ...]]]:
-    """All one-step successors of the dense configuration ``v``.
+def dense_successors(t: MoveTable, v: int) -> list[tuple[StepLabel, int]]:
+    """All one-step successors of the packed configuration ``v``.
 
     :func:`dense_moves` put in :func:`label_order`: deduplicated and ordered
     by label rank, then by the sparse order of the successors, as
@@ -397,9 +411,9 @@ def successors(p: Protocol, c: Configuration) -> list[tuple[StepLabel, Configura
 
     Successors are ordered by label (``tau``, then ``msg:<m>``, then
     ``nb:<m>``, messages in name order), then by ``Configuration.items``:
-    :func:`dense_successors` on the dense form of ``c``.  The classical
+    :func:`dense_successors` on the packed form of ``c``.  The classical
     rendez-vous semantics is the successors whose label is not ``nb:<m>``.
     """
-    t = p.moves()
+    t = p.moves(c.total())
     return [(label, t.decode(w))
             for label, w in dense_successors(t, t.encode(c))]

@@ -252,14 +252,6 @@ def machine_to_protocol(
     return protocol, report
 
 
-def leader_zone(m: CounterMachine, p: Protocol, report: TranslationReport) -> frozenset[str]:
-    """States of a compiled protocol in which the unique simulator process lives."""
-    aux_states = {
-        v for k, v in report.tables["states"].items() if k.startswith("aux[")
-    }
-    return frozenset(set(m.locations) | aux_states | {report.tables["states"]["lead"]})
-
-
 def machine_to_vas(m: CounterMachine, target_loc: str) -> Vas:
     """Compile location coverability of a non-blocking machine into VAS covering.
 

@@ -105,14 +105,6 @@ def partition(p: Protocol) -> WaitPartition:
     )
 
 
-def is_wait_only(p: Protocol) -> bool:
-    try:
-        partition(p)
-    except NotWaitOnlyError:
-        return False
-    return True
-
-
 def conflict_free(gamma: AbstractSet, p: Protocol, q1: str, q2: str) -> bool:
     """Can one process sit in ``q1`` and one in ``q2`` at the same time?
 
@@ -162,35 +154,6 @@ def admits(gamma: AbstractSet, c: Configuration, p: Protocol) -> bool:
 def _senders_from(p: Protocol, states: frozenset[str]) -> frozenset[str]:
     """Messages sendable from some state of ``states``."""
     return frozenset(m for src, m, _dst in p.sends if src in states)
-
-
-def is_consistent(gamma: AbstractSet, p: Protocol) -> bool:
-    """Check that the abstraction is self-justifying.
-
-    (i) every token ``(q, m)`` is witnessed by a path that starts with a
-    send of ``m`` from an unbounded state and continues through receptions
-    whose messages are sendable from unbounded states;
-    (ii) no token state can be pumped against the other tokens (see
-    :func:`_pumpable`): :func:`abstract_post` would promote such a state, so
-    a token for it means the abstraction undercounts it.
-    """
-    sendable = _senders_from(p, gamma.states)
-
-    for token_msg in {m for _q, m in gamma.tokens}:
-        fringe = {dst for src, m, dst in p.sends if m == token_msg and src in gamma.states}
-        seen = set(fringe)
-        while fringe:
-            nxt = set()
-            for src, m, dst in p.recvs:
-                if src in seen and m in sendable and dst not in seen:
-                    nxt.add(dst)
-            seen |= nxt
-            fringe = nxt
-        for q, m in gamma.tokens:
-            if m == token_msg and q not in seen:
-                return False
-
-    return not any(_pumpable(p, q, m, gamma.tokens) for q, m in gamma.tokens)
 
 
 def _pumpable(p: Protocol, q: str, m: str, toks: frozenset[tuple[str, str]]) -> bool:

@@ -34,7 +34,8 @@ from nbrv.model import (
     send,
     tau,
 )
-from nbrv.reductions import protocol_to_machine
+from nbrv.reductions import TranslationReport, protocol_to_machine
+from nbrv.waitonly import AbstractSet, NotWaitOnlyError, _pumpable, _senders_from, partition
 
 
 def random_protocol(rng: random.Random, max_q: int = 5, max_m: int = 3,
@@ -199,6 +200,52 @@ def spec_violations(p: Protocol) -> tuple:
     return tuple(out)
 
 
+def is_wait_only(p: Protocol) -> bool:
+    """Whether ``waitonly.partition`` accepts ``p``."""
+    try:
+        partition(p)
+    except NotWaitOnlyError:
+        return False
+    return True
+
+
+def is_consistent(gamma: AbstractSet, p: Protocol) -> bool:
+    """Check that the abstraction is self-justifying.
+
+    (i) every token ``(q, m)`` is witnessed by a path that starts with a
+    send of ``m`` from an unbounded state and continues through receptions
+    whose messages are sendable from unbounded states;
+    (ii) no token state can be pumped against the other tokens (see
+    :func:`_pumpable`): :func:`abstract_post` would promote such a state, so
+    a token for it means the abstraction undercounts it.
+    """
+    sendable = _senders_from(p, gamma.states)
+
+    for token_msg in {m for _q, m in gamma.tokens}:
+        fringe = {dst for src, m, dst in p.sends if m == token_msg and src in gamma.states}
+        seen = set(fringe)
+        while fringe:
+            nxt = set()
+            for src, m, dst in p.recvs:
+                if src in seen and m in sendable and dst not in seen:
+                    nxt.add(dst)
+            seen |= nxt
+            fringe = nxt
+        for q, m in gamma.tokens:
+            if m == token_msg and q not in seen:
+                return False
+
+    return not any(_pumpable(p, q, m, gamma.tokens) for q, m in gamma.tokens)
+
+
+def leader_zone(m: CounterMachine, p: Protocol, report: TranslationReport) -> frozenset[str]:
+    """States of a compiled protocol in which the unique simulator process lives."""
+    aux_states = {
+        v for k, v in report.tables["states"].items() if k.startswith("aux[")
+    }
+    return frozenset(set(m.locations) | aux_states | {report.tables["states"]["lead"]})
+
+
 def backward_cover(p: Protocol, target: Configuration) -> bool:
     """Exact configuration coverability by backward search over minimal bases.
 
@@ -245,9 +292,9 @@ def backward_cover(p: Protocol, target: Configuration) -> bool:
     return zero in basis[m.init]
 
 
-def ordered_reachable(p: Protocol, n: int, budget: int) -> set[tuple[int, ...]]:
+def ordered_reachable(p: Protocol, n: int, budget: int) -> set[int]:
     """``explore.reachable`` as one search on the label-ordered ``dense_successors``."""
-    t = p.moves()
+    t = p.moves(n)
     overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
     return set(search(t.encode(initial(p, n)), partial(dense_successors, t),
                       budget=budget, overflow=overflow)[0])
@@ -255,7 +302,7 @@ def ordered_reachable(p: Protocol, n: int, budget: int) -> set[tuple[int, ...]]:
 
 def ordered_decide_fixed(p: Protocol, prob: Problem, n: int, budget: int) -> Verdict:
     """``explore.decide_fixed`` as one search on the label-ordered ``dense_successors``."""
-    t = p.moves()
+    t = p.moves(n)
     goal = prob.goal(p, t, n)
     start = t.encode(initial(p, n))
     overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
@@ -263,8 +310,8 @@ def ordered_decide_fixed(p: Protocol, prob: Problem, n: int, budget: int) -> Ver
     parents, hit, _pruned = search(start, succ, budget=budget, overflow=overflow, goal=goal)
     if hit is None:
         return Verdict("no", explored_bound=n, stats={"visited": len(parents)})
-    dense = explore._rebuild(parents, succ, start, hit)
-    witness = Witness(t.decode(start), tuple((label, t.decode(v)) for label, v in dense.steps))
+    packed = explore._rebuild(parents, succ, start, hit)
+    witness = Witness(t.decode(start), tuple((label, t.decode(v)) for label, v in packed.steps))
     return Verdict("yes", witness, explored_bound=n)
 
 

@@ -13,6 +13,8 @@ from collections import deque
 
 from conftest import load_protocol
 from helpers import (
+    is_wait_only,
+    leader_zone,
     random_config,
     random_machine,
     random_protocol,
@@ -274,7 +276,7 @@ def test_criterion_7_minsky_demonstration():
             (("l0", CounterOp("inc", "x1"), "l1"),
              ("l1", CounterOp("dec", "x1"), "lf")))
         proto, _rep = reductions.minsky_to_protocol(halting, "lf")
-        assert waitonly.is_wait_only(proto)
+        assert is_wait_only(proto)
         assert decide_fixed(proto, Problem("synchro"), 3).is_yes()
 
         stranded = CounterMachine(
@@ -315,7 +317,7 @@ def test_criterion_8_semantics_properties():
         while checked < 1000:
             m = random_machine(rng, max_loc=3, max_t=4, restore=True)
             proto, rep = reductions.machine_to_protocol(m, m.locations[-1])
-            zone = reductions.leader_zone(m, proto, rep)
+            zone = leader_zone(m, proto, rep)
             start = Configuration(((proto.init, 3),))
             seen = {start}
             queue = deque([(start, 0)])
@@ -334,8 +336,8 @@ def test_criterion_8_semantics_properties():
         replayed = 0
         while replayed < 1000:
             p = random_protocol(rng, max_q=4, max_t=8)
-            pool = sorted(map(p.moves().decode, reachable(p, rng.randint(1, 3))),
-                          key=lambda c: c.items)
+            n = rng.randint(1, 3)
+            pool = sorted(map(p.moves(n).decode, reachable(p, n)), key=lambda c: c.items)
             target = rng.choice(pool)
             verdict = decide_sweep(p, Problem("ccover", target), 3)
             if verdict.is_yes():

@@ -67,7 +67,7 @@ def test_traced_yes_records_both_passes(fig1):
     # A YES population is searched twice, on unordered moves and then in
     # label order: the wrapped successor function sees both searches.
     prob = Problem("scover")
-    t = fig1.moves()
+    t = fig1.moves(2)
     start, goal = t.encode(initial(fig1, 2)), prob.goal(fig1, t, 2)
     per_pass = []
     for succ in (model.dense_moves, model.dense_successors):

@@ -200,6 +200,14 @@ class TestExplore:
                              "--budget", "5")
         assert code == EXIT_PRECONDITION and out == "" and "budget" in err
 
+    @pytest.mark.parametrize("procs", ["0", "-2"])
+    def test_population_below_one(self, capsys, procs):
+        # 0 needs no bits at all: the population is refused before any
+        # move table is compiled for it.
+        code, out, err = run(capsys, "explore", "protocol", FIG1, "--procs", procs)
+        assert (code, out, err) == (EXIT_PRECONDITION, "",
+                                    "error: population must be at least 1\n")
+
     def test_machine_within_cap_note(self, capsys, tmp_path):
         path = tmp_path / "fig1.nbm"
         _, out, _ = run(capsys, "translate", "p2cm", FIG1, str(path), "--target", "q3:2")

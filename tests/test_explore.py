@@ -41,8 +41,9 @@ def cfg(**counts: int) -> Configuration:
 
 
 def reached(p: Protocol, n: int) -> set[Configuration]:
-    """``reachable``'s dense configurations in their sparse form."""
-    return set(map(p.moves().decode, reachable(p, n)))
+    """``reachable``'s packed configurations in their sparse form."""
+    t = p.moves(n)
+    return set(map(t.decode, reachable(p, n)))
 
 
 class TestReachable:
@@ -55,7 +56,7 @@ class TestReachable:
     def test_no_transitions(self):
         p = Protocol("p", ["a"], [], "a", "a", [])
         assert reached(p, 3) == {cfg(a=3)}
-        assert reachable(p, 3) == {(3,)}  # the dense form: one count per state
+        assert reachable(p, 3) == {3}  # the packed form: one count field per state
 
     def test_budget_enforced(self, fig1):
         with pytest.raises(ResourceLimitError):
@@ -74,6 +75,62 @@ class TestReachable:
                             seen.add(nxt)
                             queue.append(nxt)
                 assert reached(p, n) == seen
+
+
+def spec_reached(p: Protocol, n: int, budget: int) -> set[Configuration] | None:
+    """The configurations ``spec_successors`` reaches from ``n`` processes,
+    or ``None`` when there are more than ``budget`` of them."""
+    start = Configuration(((p.init, n),))
+    seen, queue = {start}, deque([start])
+    while queue:
+        for _label, nxt in spec_successors(p, queue.popleft()):
+            if nxt not in seen:
+                if len(seen) >= budget:
+                    return None
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+class TestPackedWidth:
+    """A table of width ``b`` holds counts up to ``2**b - 1``: populations on
+    either side of each width boundary, whichever table was compiled first."""
+
+    SIZES = (1, 3, 4, 7, 8, 15, 16)
+
+    def test_reachable_matches_spec_search(self):
+        rng = random.Random(27)
+        full = {n: 0 for n in self.SIZES}
+        for k in range(99):
+            p = random_protocol(rng, max_q=4, max_m=2, max_t=6)
+            if k % 3 == 0:
+                p = with_self_rendezvous(rng, p)
+            # Every other protocol compiles its widest table first.
+            for n in self.SIZES if k % 2 else self.SIZES[::-1]:
+                want = spec_reached(p, n, 150)
+                if want is None:
+                    with pytest.raises(ResourceLimitError):
+                        reachable(p, n, budget=150)
+                    continue
+                got = reachable(p, n, budget=150)
+                assert set(map(p.moves(n).decode, got)) == want, (k, n)
+                full[n] += 1
+        assert min(full.values()) > 30, full
+
+    def test_target_count_above_the_field(self, fig1):
+        # Seven processes take three bits per count: 9 does not fit, and no
+        # configuration of seven processes covers q4:9.
+        verdict = decide_sweep(fig1, Problem("ccover", cfg(q4=9)), 7)
+        assert (verdict.answer, verdict.explored_bound) == ("unknown", 7)
+
+    def test_witness_on_a_wider_table(self, fig1):
+        # The sweep compiles four bits for 8 processes; the witness is found
+        # at 3 processes on that table.
+        verdict = decide_sweep(fig1, Problem("ccover", cfg(q6=2)), 8)
+        assert [(str(label), str(c)) for label, c in verdict.witness.steps] == [
+            ("nb:a", "q5,q_in:2"), ("msg:b", "q1,q6,q_in"),
+            ("nb:a", "q1,q5,q6"), ("nb:b", "q1,q6:2")]
+        assert fig1.moves(1).width == 4
 
 
 class TestDecideFixed:
@@ -214,7 +271,7 @@ class TestOrderFreeSearch:
         # every rendez-vous before every non-blocking step.
         p = Protocol("p", ["g", "i", "r", "x"], ["a", "b"], "i", "g",
                      [("i", send("a"), "x"), ("i", send("b"), "g"), ("i", recv("b"), "r")])
-        t, prob = p.moves(), Problem("scover")
+        t, prob = p.moves(2), Problem("scover")
         with pytest.raises(ResourceLimitError):
             search(t.encode(initial(p, 2)), partial(dense_moves, t), budget=2,
                    overflow=ResourceLimitError(), goal=prob.goal(p, t, 2))

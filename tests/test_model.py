@@ -255,7 +255,7 @@ class TestInvariants:
             p = random_protocol(rng, max_m=2)
             if k % 3 == 0:
                 p = with_self_rendezvous(rng, p)
-            t = p.moves()
+            t = p.moves(5)
             rank = {label: r for r, label in enumerate(t.labels)}
             for n in range(1, 6):
                 for v in reachable(p, n):

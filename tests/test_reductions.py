@@ -6,8 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_config, random_machine, random_protocol
-from nbrv import waitonly
+from helpers import is_wait_only, leader_zone, random_config, random_machine, random_protocol
 from nbrv.fileio import serialize_vas
 from nbrv.explore import Problem, decide_fixed, decide_sweep
 from nbrv.machines import (
@@ -26,7 +25,6 @@ from nbrv.machines import (
 )
 from nbrv.model import Configuration, Protocol, recv, send, successors, tau
 from nbrv.reductions import (
-    leader_zone,
     machine_to_protocol,
     machine_to_vas,
     minsky_to_protocol,
@@ -243,7 +241,7 @@ def stranded_minsky() -> CounterMachine:
 class TestMinskyToProtocol:
     def test_image_is_wait_only(self):
         proto, _rep = minsky_to_protocol(halting_minsky(), "lf")
-        assert waitonly.is_wait_only(proto)
+        assert is_wait_only(proto)
 
     def test_halting_machine_synchronizes_at_three(self):
         proto, _rep = minsky_to_protocol(halting_minsky(), "lf")

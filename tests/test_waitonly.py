@@ -10,6 +10,8 @@ from helpers import (
     backward_cover,
     random_config,
     random_protocol,
+    is_consistent,
+    is_wait_only,
     random_wait_only,
     spec_violations,
     with_self_rendezvous,
@@ -25,8 +27,6 @@ from nbrv.waitonly import (
     decide_cover,
     decide_state_cover,
     fixpoint,
-    is_consistent,
-    is_wait_only,
     partition,
 )
 
