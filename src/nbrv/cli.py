@@ -141,10 +141,10 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
 def _cmd_explore(args: argparse.Namespace) -> int:
     if args.kind == "protocol":
         p = _load_protocol(args.file)
-        configs = explore.reachable(p, args.procs, args.budget)
+        table, configs = explore.reachable(p, args.procs, args.budget)
         print(f"REACHABLE {len(configs)}")
         if args.list:
-            for c in sorted(map(p.moves(args.procs).decode, configs), key=lambda c: c.items):
+            for c in sorted(map(table.decode, configs), key=lambda c: c.items):
                 print(f"CONFIG {c}")
         return EXIT_OK
     if args.kind == "machine":

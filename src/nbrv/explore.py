@@ -154,20 +154,18 @@ def search(
     return parents, None, pruned
 
 
-def reachable(p: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> set[int]:
+def reachable(p: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> tuple[MoveTable, set[int]]:
     """The exact set of configurations reachable from ``n`` initial processes.
 
-    The configurations are packed ints of the table ``p.moves(n)`` returns,
-    whose ``decode`` gives their sparse forms.  Decode them before a wider
-    population is searched on ``p``: that compiles a wider table, whose
-    fields sit elsewhere.
+    Returns the table searched on and the configurations as its packed ints;
+    the table's ``decode`` gives their sparse forms.
     """
     start = initial(p, n)
     t = p.moves(n)
     overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
     parents = search(t.encode(start), partial(successors, t),
                      budget=budget, overflow=overflow)[0]
-    return set(parents)
+    return t, set(parents)
 
 
 def _rebuild(parents: dict, succ: Callable, start: Any, end: Any) -> Witness:

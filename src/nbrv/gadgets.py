@@ -22,10 +22,8 @@ intermediate values staying within the per-level bounds).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable
 
-from .explore import search
 from .machines import (
     DEC,
     INC,
@@ -33,10 +31,8 @@ from .machines import (
     NOP,
     CounterMachine,
     CounterOp,
-    MachineConfig,
     MachineError,
     MachineTransition,
-    machine_successors,
 )
 from .reductions import _Names
 
@@ -353,37 +349,3 @@ def restore_shell(m: CounterMachine, levels: int, target_loc: str) -> CounterMac
         restore=True,
     )
 
-
-def admissible_entry(ctx: LevelContext, level: int, overrides: dict[str, int] | None = None) -> dict[str, int]:
-    """Valuation with levels below ``level`` initialized, everything else zero."""
-    vals = {x: 0 for x in ctx.all_counters()}
-    for j in range(min(level, ctx.levels)):
-        for x in ctx.dual(j):
-            vals[x] = ctx.bound(j)
-    vals.update(overrides or {})
-    return vals
-
-
-def reachable_configs(
-    pm: ProceduralMachine, entry_valuation: dict[str, int], budget: int = 200_000
-) -> set[MachineConfig]:
-    """All configurations reachable from the entry (no restore jumps)."""
-    start = pm.config(pm.init, entry_valuation)
-    overflow = MachineError(f"budget {budget} exceeded while simulating {pm.name}")
-    parents, _hit, _pruned = search(start, partial(machine_successors, pm),
-                                    budget=budget, overflow=overflow)
-    return set(parents)
-
-
-def exit_valuations(
-    pm: ProceduralMachine, entry_valuation: dict[str, int], budget: int = 200_000
-) -> dict[str, list[dict[str, int]]]:
-    """Valuations observed at each exit location, keyed by exit name."""
-    out: dict[str, set[tuple[int, ...]]] = {o: set() for o in pm.outs}
-    for cfg in reachable_configs(pm, entry_valuation, budget):
-        if cfg.loc in out:
-            out[cfg.loc].add(cfg.values)
-    return {
-        o: [dict(zip(pm.counters, values)) for values in sorted(vals)]
-        for o, vals in out.items()
-    }

@@ -11,6 +11,13 @@ Four pure translations:
 * two-counter Minsky machine -> wait-only protocol whose synchronization
   question encodes halting with empty counters.
 
+The two counter simulations (machine -> protocol, Minsky -> protocol) share
+their control encoding, ``_control``: one process runs the machine, an
+``inc``/``dec`` is a request by rendez-vous and a wait for its acknowledgement
+in a fresh ``at_i`` state, a ``nop`` is a tau, and an ``nbdec`` or zero test
+is a request with no acknowledgement.  Each keeps only its own counter
+gadgets and leader guard.
+
 All fresh names are drawn deterministically, so each translation is
 byte-reproducible.
 """
@@ -160,6 +167,65 @@ def protocol_to_machine(
     return machine, final_loc, report
 
 
+def _table(names: _Names, fixed: Iterable[str], keys: Iterable[object],
+           roles: dict[str, str]) -> dict[str, str]:
+    """Fresh names for the ``fixed`` bases, then ``{base}_{k}`` as ``role[k]``
+    for each key ``k`` and each ``role: base``, in that order."""
+    table = {base: names.fresh(base) for base in fixed}
+    for k in keys:
+        for role, base in roles.items():
+            table[f"{role}[{k}]"] = names.fresh(f"{base}_{k}")
+    return table
+
+
+def _messages(fixed: Iterable[str], keys: Iterable[object],
+              roles: Iterable[str]) -> dict[str, str]:
+    """The message table; messages are a namespace apart from the states."""
+    return _table(_Names([]), fixed, keys, {role: role for role in roles})
+
+
+def _control(m: CounterMachine, names: _Names, messages: dict[str, str],
+             key: dict[str, object]) -> tuple[dict[MachineTransition, str], list[Transition]]:
+    """The control process's moves, one per machine transition.
+
+    An ``inc`` or ``dec`` of counter ``x`` sends its request and waits in
+    ``at_i`` for the acknowledgement, where ``i`` counts the transitions
+    other than nbdec; a ``nop`` is a tau; an ``nbdec`` or a zero test is one
+    request with no acknowledgement.  The messages of ``x`` are
+    ``role[key[x]]``, the role being the op kind (``zero`` for a zero test).
+    Returns the wait states, by transition, and the moves.
+    """
+    aux: dict[MachineTransition, str] = {}
+    moves: list[Transition] = []
+    i = 0
+    for t in m.transitions:
+        src, op, dst = t
+        k = key.get(op.counter)
+        if op.kind == NOP:
+            moves.append((src, tau(), dst))
+        elif op.kind in (INC, DEC):
+            aux[t] = names.fresh(f"at_{i}")
+            moves.append((src, send(messages[f"{op.kind}[{k}]"]), aux[t]))
+            moves.append((aux[t], recv(messages[f"ack{op.kind}[{k}]"]), dst))
+        else:
+            role = "zero" if op.kind == ZEROTEST else op.kind
+            moves.append((src, send(messages[f"{role}[{k}]"]), dst))
+        i += op.kind != NBDEC
+    return aux, moves
+
+
+def _simulation(m: CounterMachine, suffix: str, final: str, states: dict[str, str],
+                aux: dict[MachineTransition, str], messages: dict[str, str],
+                transitions: list[Transition]) -> tuple[Protocol, TranslationReport]:
+    """The protocol on ``m``'s locations, the named ``states`` and the wait
+    states ``aux``, entered at ``states["qin"]``, with its report."""
+    table = {**states, **{f"aux[{s},{op},{d}]": v for (s, op, d), v in aux.items()}}
+    protocol = Protocol(f"{m.name}_{suffix}", [*m.locations, *table.values()],
+                        messages.values(), states["qin"], final, transitions)
+    tables = {"states": table, "messages": messages}
+    return protocol, TranslationReport(_machine_size(m), _protocol_size(protocol), tables)
+
+
 def machine_to_protocol(
     m: CounterMachine, target_loc: str
 ) -> tuple[Protocol, TranslationReport]:
@@ -178,78 +244,28 @@ def machine_to_protocol(
         raise MachineError(f"unknown target location {target_loc!r}")
 
     names = _Names(m.locations)
-    q_in = names.fresh("qin")
-    lead = names.fresh("lead")
-    sink = names.fresh("sink")
-    gadget: dict[str, str] = {}
+    states = _table(names, ("qin", "lead", "sink"), m.counters,
+                    {"one": "one", "qa": "qa", "qd": "qd"})
+    messages = _messages(("L", "R"), m.counters, ("inc", "ackinc", "dec", "ackdec", "nbdec"))
+    aux, transitions = _control(m, names, messages, {x: x for x in m.counters})
+
+    q_in, lead, sink = states["qin"], states["lead"], states["sink"]
+    knock, flush = messages["L"], messages["R"]
+    transitions += [(q_in, send(knock), lead), (lead, send(flush), m.init),
+                    (lead, recv(knock), sink)]
+    transitions += [(loc, recv(knock), sink) for loc in [*m.locations, *aux.values()]]
     for x in m.counters:
-        gadget[f"one[{x}]"] = names.fresh(f"one_{x}")
-        gadget[f"qa[{x}]"] = names.fresh(f"qa_{x}")
-        gadget[f"qd[{x}]"] = names.fresh(f"qd_{x}")
-
-    # An inc or dec waits for its acknowledgement in ``at_i``, where ``i``
-    # counts the transitions other than nbdec.
-    non_nb = [t for t in m.transitions if t[1].kind != NBDEC]
-    aux = {t: names.fresh(f"at_{i}") for i, t in enumerate(non_nb) if t[1].kind in (INC, DEC)}
-
-    msg = _Names([])
-    messages: dict[str, str] = {"L": msg.fresh("L"), "R": msg.fresh("R")}
-    for x in m.counters:
-        for role in ("inc", "ackinc", "dec", "ackdec", "nbdec"):
-            messages[f"{role}[{x}]"] = msg.fresh(f"{role}_{x}")
-
-    transitions: list[Transition] = []
-    for t in m.transitions:
-        src, op, dst = t
-        if op.kind == INC:
-            transitions.append((src, send(messages[f"inc[{op.counter}]"]), aux[t]))
-            transitions.append((aux[t], recv(messages[f"ackinc[{op.counter}]"]), dst))
-        elif op.kind == DEC:
-            transitions.append((src, send(messages[f"dec[{op.counter}]"]), aux[t]))
-            transitions.append((aux[t], recv(messages[f"ackdec[{op.counter}]"]), dst))
-        elif op.kind == NOP:
-            transitions.append((src, tau(), dst))
-        else:
-            transitions.append((src, send(messages[f"nbdec[{op.counter}]"]), dst))
-
-    machine_zone = list(m.locations) + list(aux.values())
-    transitions.append((q_in, send(messages["L"]), lead))
-    transitions.append((lead, send(messages["R"]), m.init))
-    transitions.append((lead, recv(messages["L"]), sink))
-    for loc in machine_zone:
-        transitions.append((loc, recv(messages["L"]), sink))
-
-    for x in m.counters:
-        one, qa, qd = gadget[f"one[{x}]"], gadget[f"qa[{x}]"], gadget[f"qd[{x}]"]
-        transitions.append((q_in, recv(messages[f"inc[{x}]"]), qa))
-        transitions.append((qa, send(messages[f"ackinc[{x}]"]), one))
-        transitions.append((one, recv(messages[f"dec[{x}]"]), qd))
-        transitions.append((qd, send(messages[f"ackdec[{x}]"]), q_in))
-        transitions.append((one, recv(messages[f"nbdec[{x}]"]), q_in))
-        transitions.append((qa, recv(messages["R"]), q_in))
-        transitions.append((qd, recv(messages["R"]), q_in))
-
-    states = machine_zone + [q_in, lead, sink] + list(gadget.values())
-    protocol = Protocol(
-        name=f"{m.name}_sim",
-        states=states,
-        messages=messages.values(),
-        init=q_in,
-        final=target_loc,
-        transitions=transitions,
-    )
-    report = TranslationReport(
-        source_size=_machine_size(m),
-        target_size=_protocol_size(protocol),
-        tables={
-            "states": {
-                "qin": q_in, "lead": lead, "sink": sink, **gadget,
-                **{f"aux[{t[0]},{t[1]},{t[2]}]": v for t, v in aux.items()},
-            },
-            "messages": messages,
-        },
-    )
-    return protocol, report
+        one, qa, qd = states[f"one[{x}]"], states[f"qa[{x}]"], states[f"qd[{x}]"]
+        transitions += [
+            (q_in, recv(messages[f"inc[{x}]"]), qa),
+            (qa, send(messages[f"ackinc[{x}]"]), one),
+            (one, recv(messages[f"dec[{x}]"]), qd),
+            (qd, send(messages[f"ackdec[{x}]"]), q_in),
+            (one, recv(messages[f"nbdec[{x}]"]), q_in),
+            (qa, recv(flush), q_in),
+            (qd, recv(flush), q_in),
+        ]
+    return _simulation(m, "sim", target_loc, states, aux, messages, transitions)
 
 
 def machine_to_vas(m: CounterMachine, target_loc: str) -> Vas:
@@ -337,35 +353,19 @@ def minsky_to_protocol(mm: CounterMachine, final: str) -> tuple[Protocol, Transl
             raise MachineError("the final location must have no outgoing transition")
 
     names = _Names(mm.locations)
-    q_in = names.fresh("qin")
-    q1 = names.fresh("q1")
-    q2 = names.fresh("q2")
-    w = names.fresh("w")
-    wp = names.fresh("wp")
-    sink = names.fresh("sink")
-    gadget: dict[str, str] = {}
-    for i in (1, 2):
-        gadget[f"zero[{i}]"] = names.fresh(f"c0_{i}")
-        gadget[f"pending_inc[{i}]"] = names.fresh(f"p_{i}")
-        gadget[f"one[{i}]"] = names.fresh(f"c1_{i}")
-        gadget[f"pending_dec[{i}]"] = names.fresh(f"pp_{i}")
+    states = _table(names, ("qin", "q1", "q2", "w", "wp", "sink"), (1, 2),
+                    {"zero": "c0", "pending_inc": "p", "one": "c1", "pending_dec": "pp"})
+    messages = _messages(("init", "ackinit", "w"), (1, 2),
+                         ("inc", "ackinc", "dec", "ackdec", "zero"))
+    aux, transitions = _control(mm, names, messages,
+                                {mm.counters[0]: 1, mm.counters[1]: 2})
 
-    msg = _Names([])
-    messages: dict[str, str] = {
-        "init": msg.fresh("init"),
-        "ackinit": msg.fresh("ackinit"),
-        "w": msg.fresh("w"),
-    }
-    for i in (1, 2):
-        for role in ("inc", "ackinc", "dec", "ackdec", "zero"):
-            messages[f"{role}[{i}]"] = msg.fresh(f"{role}_{i}")
-
-    cidx = {mm.counters[0]: 1, mm.counters[1]: 2}
-    transitions: list[Transition] = [
+    q_in, q1, q2, w, wp, sink = (states[b] for b in ("qin", "q1", "q2", "w", "wp", "sink"))
+    transitions += [
         (q_in, tau(), q1),
         (q_in, send(messages["init"]), w),
-        (q_in, tau(), gadget["zero[1]"]),
-        (q_in, tau(), gadget["zero[2]"]),
+        (q_in, tau(), states["zero[1]"]),
+        (q_in, tau(), states["zero[2]"]),
         (q1, recv(messages["init"]), q2),
         (q2, send(messages["ackinit"]), mm.init),
         (w, recv(messages["ackinit"]), wp),
@@ -373,8 +373,8 @@ def minsky_to_protocol(mm: CounterMachine, final: str) -> tuple[Protocol, Transl
         (final, recv(messages["w"]), sink),
     ]
     for i in (1, 2):
-        c0, pi = gadget[f"zero[{i}]"], gadget[f"pending_inc[{i}]"]
-        c1, pd = gadget[f"one[{i}]"], gadget[f"pending_dec[{i}]"]
+        c0, pi = states[f"zero[{i}]"], states[f"pending_inc[{i}]"]
+        c1, pd = states[f"one[{i}]"], states[f"pending_dec[{i}]"]
         transitions += [
             (c0, recv(messages[f"inc[{i}]"]), pi),
             (pi, send(messages[f"ackinc[{i}]"]), c1),
@@ -382,46 +382,4 @@ def minsky_to_protocol(mm: CounterMachine, final: str) -> tuple[Protocol, Transl
             (c1, recv(messages[f"zero[{i}]"]), sink),
             (pd, send(messages[f"ackdec[{i}]"]), final),
         ]
-
-    aux: dict[MachineTransition, str] = {}
-    for j, t in enumerate(mm.transitions):
-        src, op, dst = t
-        i = cidx[op.counter]
-        if op.kind == INC:
-            aux[t] = names.fresh(f"at_{j}")
-            transitions.append((src, send(messages[f"inc[{i}]"]), aux[t]))
-            transitions.append((aux[t], recv(messages[f"ackinc[{i}]"]), dst))
-        elif op.kind == DEC:
-            aux[t] = names.fresh(f"at_{j}")
-            transitions.append((src, send(messages[f"dec[{i}]"]), aux[t]))
-            transitions.append((aux[t], recv(messages[f"ackdec[{i}]"]), dst))
-        else:
-            transitions.append((src, send(messages[f"zero[{i}]"]), dst))
-
-    states = (
-        list(mm.locations)
-        + [q_in, q1, q2, w, wp, sink]
-        + list(gadget.values())
-        + list(aux.values())
-    )
-    protocol = Protocol(
-        name=f"{mm.name}_sync",
-        states=states,
-        messages=messages.values(),
-        init=q_in,
-        final=final,
-        transitions=transitions,
-    )
-    report = TranslationReport(
-        source_size=_machine_size(mm),
-        target_size=_protocol_size(protocol),
-        tables={
-            "states": {
-                "qin": q_in, "q1": q1, "q2": q2, "w": w, "wp": wp, "sink": sink,
-                **gadget,
-                **{f"aux[{t[0]},{t[1]},{t[2]}]": v for t, v in aux.items()},
-            },
-            "messages": messages,
-        },
-    )
-    return protocol, report
+    return _simulation(mm, "sync", final, states, aux, messages, transitions)

@@ -11,6 +11,7 @@ from operator import add, le, sub
 
 from nbrv import explore
 from nbrv.explore import Problem, ResourceLimitError, Verdict, Witness, search
+from nbrv.gadgets import LevelContext, ProceduralMachine
 from nbrv.machines import (
     DEC,
     INC,
@@ -20,12 +21,15 @@ from nbrv.machines import (
     CounterMachine,
     CounterOp,
     MachineConfig,
+    MachineError,
     Vas,
     VasError,
     _mt_key,
+    machine_successors,
 )
 from nbrv.model import (
     Configuration,
+    MoveTable,
     Protocol,
     StepLabel,
     dense_successors,
@@ -36,6 +40,16 @@ from nbrv.model import (
 )
 from nbrv.reductions import TranslationReport, protocol_to_machine
 from nbrv.waitonly import AbstractSet, NotWaitOnlyError, _pumpable, _senders_from, partition
+
+
+# ``.nbm`` inputs of ``translate cm2p`` and ``translate minsky2p`` whose
+# locations clash with the compilers' fresh names (``qin``, ``c0_1``).
+RST_MACHINE = ("machine rst2\nlocations qin l1 l2 l3 lf\ninit qin\ncounters x y\n"
+               "restore on\ntrans qin inc x l1\ntrans l1 nbdec y l2\ntrans l2 nop l3\n"
+               "trans l3 inc y l3\ntrans l3 dec x lf\n")
+MINSKY_MACHINE = ("machine mk2\nlocations l0 c0_1 l2 l3 lf\ninit l0\ncounters a b\n"
+                  "restore off\ntrans l0 inc a c0_1\ntrans c0_1 zero? b l2\n"
+                  "trans l2 dec a l3\ntrans l3 inc b l2\ntrans l2 zero? a lf\n")
 
 
 def random_protocol(rng: random.Random, max_q: int = 5, max_m: int = 3,
@@ -246,6 +260,41 @@ def leader_zone(m: CounterMachine, p: Protocol, report: TranslationReport) -> fr
     return frozenset(set(m.locations) | aux_states | {report.tables["states"]["lead"]})
 
 
+def admissible_entry(ctx: LevelContext, level: int, overrides: dict[str, int] | None = None) -> dict[str, int]:
+    """Valuation with levels below ``level`` initialized, everything else zero."""
+    vals = {x: 0 for x in ctx.all_counters()}
+    for j in range(min(level, ctx.levels)):
+        for x in ctx.dual(j):
+            vals[x] = ctx.bound(j)
+    vals.update(overrides or {})
+    return vals
+
+
+def reachable_configs(
+    pm: ProceduralMachine, entry_valuation: dict[str, int], budget: int = 200_000
+) -> set[MachineConfig]:
+    """All configurations reachable from the entry (no restore jumps)."""
+    start = pm.config(pm.init, entry_valuation)
+    overflow = MachineError(f"budget {budget} exceeded while simulating {pm.name}")
+    parents, _hit, _pruned = search(start, partial(machine_successors, pm),
+                                    budget=budget, overflow=overflow)
+    return set(parents)
+
+
+def exit_valuations(
+    pm: ProceduralMachine, entry_valuation: dict[str, int], budget: int = 200_000
+) -> dict[str, list[dict[str, int]]]:
+    """Valuations observed at each exit location, keyed by exit name."""
+    out: dict[str, set[tuple[int, ...]]] = {o: set() for o in pm.outs}
+    for cfg in reachable_configs(pm, entry_valuation, budget):
+        if cfg.loc in out:
+            out[cfg.loc].add(cfg.values)
+    return {
+        o: [dict(zip(pm.counters, values)) for values in sorted(vals)]
+        for o, vals in out.items()
+    }
+
+
 def backward_cover(p: Protocol, target: Configuration) -> bool:
     """Exact configuration coverability by backward search over minimal bases.
 
@@ -292,12 +341,12 @@ def backward_cover(p: Protocol, target: Configuration) -> bool:
     return zero in basis[m.init]
 
 
-def ordered_reachable(p: Protocol, n: int, budget: int) -> set[int]:
+def ordered_reachable(p: Protocol, n: int, budget: int) -> tuple[MoveTable, set[int]]:
     """``explore.reachable`` as one search on the label-ordered ``dense_successors``."""
     t = p.moves(n)
     overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
-    return set(search(t.encode(initial(p, n)), partial(dense_successors, t),
-                      budget=budget, overflow=overflow)[0])
+    return t, set(search(t.encode(initial(p, n)), partial(dense_successors, t),
+                         budget=budget, overflow=overflow)[0])
 
 
 def ordered_decide_fixed(p: Protocol, prob: Problem, n: int, budget: int) -> Verdict:

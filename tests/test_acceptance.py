@@ -13,6 +13,8 @@ from collections import deque
 
 from conftest import load_protocol
 from helpers import (
+    admissible_entry,
+    exit_valuations,
     is_wait_only,
     leader_zone,
     random_config,
@@ -25,8 +27,6 @@ from nbrv import reductions, waitonly
 from nbrv.explore import Problem, decide_fixed, decide_sweep, reachable, replay
 from nbrv.gadgets import (
     LevelContext,
-    admissible_entry,
-    exit_valuations,
     init_level,
     reset_chain,
     reset_level,
@@ -337,7 +337,8 @@ def test_criterion_8_semantics_properties():
         while replayed < 1000:
             p = random_protocol(rng, max_q=4, max_t=8)
             n = rng.randint(1, 3)
-            pool = sorted(map(p.moves(n).decode, reachable(p, n)), key=lambda c: c.items)
+            t, configs = reachable(p, n)
+            pool = sorted(map(t.decode, configs), key=lambda c: c.items)
             target = rng.choice(pool)
             verdict = decide_sweep(p, Problem("ccover", target), 3)
             if verdict.is_yes():

@@ -12,6 +12,7 @@ import pytest
 
 import nbrv
 from conftest import PROTOCOL_DIR
+from helpers import MINSKY_MACHINE, RST_MACHINE
 from nbrv import fileio
 from nbrv.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, _read_text, build_parser, main
 from nbrv.model import MoveTable
@@ -377,8 +378,10 @@ class TestTranslate:
         assert a.read_bytes() == b.read_bytes()
 
 
-# The ``gen`` commands whose outputs ``golden/gen_gadgets.txt`` pins; IN is a
-# two-location machine.
+# The ``gen`` and ``translate`` commands whose outputs ``golden/gen_gadgets.txt``
+# pins; IN is a two-location machine.  RST (restore, two counters) and MINSKY
+# (two counters) have locations named like the compilers' fresh names, so the
+# goldens also pin how those names avoid them.
 GEN_RUNS = [
     ["gen", "rst", "OUT", "--levels", "2", "--level", "0"],
     ["gen", "rst", "OUT", "--levels", "2", "--level", "1"],
@@ -386,6 +389,8 @@ GEN_RUNS = [
     ["gen", "lipton", "IN", "OUT", "--levels", "2"],
     ["translate", "p2cm", "FIG1", "OUT", "--target", "q3:2"],
     ["translate", "p2cm", "P1", "OUT", "--target", "q2:2"],
+    ["translate", "cm2p", "RST", "OUT", "--target-loc", "lf"],
+    ["translate", "minsky2p", "MINSKY", "OUT", "--target-loc", "lf"],
 ]
 
 
@@ -395,9 +400,12 @@ def gen_transcript(workdir: Path) -> str:
     After a deliberate change of the gadgets, regenerate the golden file with
     ``PYTHONPATH=src python tests/test_cli.py`` and review the diff.
     """
-    paths = {"IN": workdir / "toy.nbm", "OUT": workdir / "out.nbm", "FIG1": FIG1, "P1": P1}
+    paths = {"IN": workdir / "toy.nbm", "OUT": workdir / "out.nbm", "FIG1": FIG1, "P1": P1,
+             "RST": workdir / "rst.nbm", "MINSKY": workdir / "minsky.nbm"}
     paths["IN"].write_text("machine toy\nlocations lin lf\ninit lin\ncounters x\n"
                            "restore off\ntrans lin inc x lf\n")
+    paths["RST"].write_text(RST_MACHINE)
+    paths["MINSKY"].write_text(MINSKY_MACHINE)
     parts = []
     for argv in GEN_RUNS:
         out, err = io.StringIO(), io.StringIO()

@@ -6,6 +6,7 @@ from functools import partial
 
 import pytest
 
+from conftest import load_protocol
 from helpers import (
     ordered_decide_fixed,
     ordered_decide_sweep,
@@ -42,8 +43,8 @@ def cfg(**counts: int) -> Configuration:
 
 def reached(p: Protocol, n: int) -> set[Configuration]:
     """``reachable``'s packed configurations in their sparse form."""
-    t = p.moves(n)
-    return set(map(t.decode, reachable(p, n)))
+    t, configs = reachable(p, n)
+    return set(map(t.decode, configs))
 
 
 class TestReachable:
@@ -56,7 +57,7 @@ class TestReachable:
     def test_no_transitions(self):
         p = Protocol("p", ["a"], [], "a", "a", [])
         assert reached(p, 3) == {cfg(a=3)}
-        assert reachable(p, 3) == {3}  # the packed form: one count field per state
+        assert reachable(p, 3)[1] == {3}  # the packed form: one count field per state
 
     def test_budget_enforced(self, fig1):
         with pytest.raises(ResourceLimitError):
@@ -112,10 +113,19 @@ class TestPackedWidth:
                     with pytest.raises(ResourceLimitError):
                         reachable(p, n, budget=150)
                     continue
-                got = reachable(p, n, budget=150)
-                assert set(map(p.moves(n).decode, got)) == want, (k, n)
+                t, got = reachable(p, n, budget=150)
+                assert set(map(t.decode, got)) == want, (k, n)
                 full[n] += 1
         assert min(full.values()) > 30, full
+
+    def test_reachable_decodes_after_a_wider_search(self):
+        # A wider search compiles a wider table on the protocol; the table
+        # ``reachable`` returned still decodes its own configurations.
+        p = load_protocol("fig1.rvp")
+        t, got = reachable(p, 3)
+        reachable(p, 16)
+        assert p.moves(3).width > t.width
+        assert set(map(t.decode, got)) == spec_reached(p, 3, 10_000)
 
     def test_target_count_above_the_field(self, fig1):
         # Seven processes take three bits per count: 9 does not fit, and no
@@ -252,7 +262,7 @@ class TestOrderFreeSearch:
             problems = [Problem("scover"), Problem("synchro"),
                         Problem("ccover", random_config(rng, p, max_items=2))]
             for n in range(1, 5):
-                size = len(reachable(p, n))
+                size = len(reachable(p, n)[1])
                 for budget in {max(1, size - 1), size, size + 1}:
                     assert (outcome(reachable, p, n, budget)
                             == outcome(ordered_reachable, p, n, budget))

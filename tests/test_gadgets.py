@@ -4,14 +4,12 @@ import itertools
 
 import pytest
 
+from helpers import admissible_entry, exit_valuations, reachable_configs
 from nbrv.gadgets import (
     LevelContext,
     LevelError,
     ProceduralMachine,
-    admissible_entry,
-    exit_valuations,
     init_level,
-    reachable_configs,
     reset_chain,
     reset_level,
     restore_shell,

@@ -258,7 +258,7 @@ class TestInvariants:
             t = p.moves(5)
             rank = {label: r for r, label in enumerate(t.labels)}
             for n in range(1, 6):
-                for v in reachable(p, n):
+                for v in reachable(p, n)[1]:
                     moves = dense_moves(t, v)
                     ordered = [(rank[label], w) for label, w in dense_successors(t, v)]
                     assert set(moves) == set(ordered)

@@ -6,8 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from helpers import is_wait_only, leader_zone, random_config, random_machine, random_protocol
-from nbrv.fileio import serialize_vas
+from helpers import (
+    MINSKY_MACHINE,
+    RST_MACHINE,
+    is_wait_only,
+    leader_zone,
+    random_config,
+    random_machine,
+    random_protocol,
+)
+from nbrv.fileio import parse_machine, serialize_vas
 from nbrv.explore import Problem, decide_fixed, decide_sweep
 from nbrv.machines import (
     DEC,
@@ -271,6 +279,54 @@ class TestMinskyToProtocol:
     def test_two_counters_required(self):
         with pytest.raises(MachineError):
             minsky_to_protocol(CounterMachine("bad", ("l0",), ("x1", "x1"), "l0", ()), "l0")
+
+
+class TestReportTables:
+    """The full name tables of the two counter simulations, in order.
+
+    The ``translate`` runs in ``golden/gen_gadgets.txt`` show the written
+    protocols but not these tables, which ``helpers.leader_zone`` reads.
+    """
+
+    def test_cm2p_tables(self):
+        _proto, rep = machine_to_protocol(parse_machine(RST_MACHINE), "lf")
+        assert repr(rep.tables) == repr({
+            "states": {
+                "qin": "qin_1", "lead": "lead", "sink": "sink",
+                "one[x]": "one_x", "qa[x]": "qa_x", "qd[x]": "qd_x",
+                "one[y]": "one_y", "qa[y]": "qa_y", "qd[y]": "qd_y",
+                "aux[l3,inc y,l3]": "at_1", "aux[l3,dec x,lf]": "at_2",
+                "aux[qin,inc x,l1]": "at_3",
+            },
+            "messages": {
+                "L": "L", "R": "R",
+                "inc[x]": "inc_x", "ackinc[x]": "ackinc_x", "dec[x]": "dec_x",
+                "ackdec[x]": "ackdec_x", "nbdec[x]": "nbdec_x",
+                "inc[y]": "inc_y", "ackinc[y]": "ackinc_y", "dec[y]": "dec_y",
+                "ackdec[y]": "ackdec_y", "nbdec[y]": "nbdec_y",
+            },
+        })
+
+    def test_minsky2p_tables(self):
+        _proto, rep = minsky_to_protocol(parse_machine(MINSKY_MACHINE), "lf")
+        assert repr(rep.tables) == repr({
+            "states": {
+                "qin": "qin", "q1": "q1", "q2": "q2", "w": "w", "wp": "wp", "sink": "sink",
+                "zero[1]": "c0_1_1", "pending_inc[1]": "p_1", "one[1]": "c1_1",
+                "pending_dec[1]": "pp_1",
+                "zero[2]": "c0_2", "pending_inc[2]": "p_2", "one[2]": "c1_2",
+                "pending_dec[2]": "pp_2",
+                "aux[l0,inc a,c0_1]": "at_1", "aux[l2,dec a,l3]": "at_2",
+                "aux[l3,inc b,l2]": "at_4",
+            },
+            "messages": {
+                "init": "init", "ackinit": "ackinit", "w": "w",
+                "inc[1]": "inc_1", "ackinc[1]": "ackinc_1", "dec[1]": "dec_1",
+                "ackdec[1]": "ackdec_1", "zero[1]": "zero_1",
+                "inc[2]": "inc_2", "ackinc[2]": "ackinc_2", "dec[2]": "dec_2",
+                "ackdec[2]": "ackdec_2", "zero[2]": "zero_2",
+            },
+        })
 
 
 class TestDeterminism:
