@@ -12,8 +12,9 @@ Commands::
     nbrv gen lipton --levels N IN OUT [--target-loc L]
     nbrv gen rst --levels N --level I OUT
 
-Exit codes: 0 the analysis ran (whatever the verdict), 2 parse error in an
-input file, 3 precondition violation (bad flag combination, wrong model
+Exit codes: 0 the analysis ran (whatever the verdict), 2 a file that cannot
+be read or written, or a parse error in an input file (a byte that is not
+UTF-8 included), 3 precondition violation (bad flag combination, wrong model
 class for the requested method...).
 
 The first result line is ``RESULT YES|NO|UNKNOWN``, followed by the
@@ -44,7 +45,8 @@ class PreconditionError(Exception):
 
 
 def _read_text(path: str) -> str:
-    """The UTF-8 text of the file at ``path``.
+    """The UTF-8 text of the file at ``path``; a byte that does not decode is
+    a ``ParseError`` at its line and column.
 
     Reads through the descriptor: five system calls, where a text-mode
     ``open`` makes about ten.  On a busy host their cost swings far more
@@ -62,7 +64,15 @@ def _read_text(path: str) -> str:
         raise
     finally:
         os.close(fd)
-    return b"".join(parts).decode()
+    data = b"".join(parts)
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        # The decoded head plus a stand-in for the bad byte: its last line
+        # ends at the byte's column.
+        lines = (data[:exc.start].decode() + "?").splitlines()
+        raise fileio.ParseError(path, len(lines), len(lines[-1]),
+                                f"cannot decode as UTF-8: {exc.reason}") from None
 
 
 def _load_protocol(path: str) -> Protocol:
@@ -178,25 +188,18 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         machine, final_loc, report = reductions.protocol_to_machine(p, target)
         out.write_text(fileio.serialize_machine(machine))
         print(f"TARGET {final_loc}")
-    elif kind == "cm2p":
-        if args.target_loc is None:
-            raise PreconditionError("cm2p requires --target-loc")
-        m = _load_machine(args.infile)
-        protocol, report = reductions.machine_to_protocol(m, args.target_loc)
-        out.write_text(fileio.serialize_protocol(protocol))
-    elif kind == "cm2vas":
-        if args.target_loc is None:
-            raise PreconditionError("cm2vas requires --target-loc")
-        m = _load_machine(args.infile)
-        vas = reductions.machine_to_vas(m, args.target_loc)
-        out.write_text(fileio.serialize_vas(vas))
-        print(f"SIZE dim={vas.dim} transitions={len(vas.transitions)}")
-        return EXIT_OK
     else:
         if args.target_loc is None:
-            raise PreconditionError("minsky2p requires --target-loc")
+            raise PreconditionError(f"{kind} requires --target-loc")
         m = _load_machine(args.infile)
-        protocol, report = reductions.minsky_to_protocol(m, args.target_loc)
+        if kind == "cm2vas":
+            vas = reductions.machine_to_vas(m, args.target_loc)
+            out.write_text(fileio.serialize_vas(vas))
+            print(f"SIZE dim={vas.dim} transitions={len(vas.transitions)}")
+            return EXIT_OK
+        simulate = (reductions.machine_to_protocol if kind == "cm2p"
+                    else reductions.minsky_to_protocol)
+        protocol, report = simulate(m, args.target_loc)
         out.write_text(fileio.serialize_protocol(protocol))
     print(f"SIZE source={report.source_size} target={report.target_size}")
     return EXIT_OK
@@ -298,7 +301,9 @@ def main(argv: list[str] | None = None) -> int:
         # level...) are all ValueErrors: they are mapped here and nowhere else.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # A missing, unreadable or unwritable file (``BrokenPipeError`` is
+        # one too, which is why its branch comes first).
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -18,8 +18,10 @@ in a fresh ``at_i`` state, a ``nop`` is a tau, and an ``nbdec`` or zero test
 is a request with no acknowledgement.  Each keeps only its own counter
 gadgets and leader guard.
 
-All fresh names are drawn deterministically, so each translation is
-byte-reproducible.
+The protocol -> machine compiler names its locations ``lin`` (the hub) and
+``at_0, at_1, ...`` in emission order, and keeps no table of them: only the
+counter simulations return name tables.  All fresh names are drawn
+deterministically, so each translation is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ from .model import (
 
 @dataclass(frozen=True)
 class TranslationReport:
-    """Size accounting plus provenance tables for the generated names."""
+    """Size accounting; the two counter simulations add the ``states`` and
+    ``messages`` tables of their generated names, the other translations none."""
 
     source_size: int
     target_size: int
@@ -96,75 +99,36 @@ def protocol_to_machine(
     """
     check_configuration(p, target)
 
-    names = _Names([])
-    hub = names.fresh("lin")
-    aux_table: dict[str, str] = {}
-    counter = 0
-
-    def aux(tag: str) -> str:
-        nonlocal counter
-        loc = names.fresh(f"at_{counter}")
-        counter += 1
-        aux_table[tag] = loc
-        return loc
-
-    transitions: list[MachineTransition] = [(hub, CounterOp(INC, p.init), hub)]
+    hub = "lin"
     locations = [hub]
+    transitions: list[MachineTransition] = [(hub, CounterOp(INC, p.init), hub)]
+
+    def chain(ops: list[tuple[str, str]], back: bool = True) -> str:
+        """Edges from the hub, one per op, each into a fresh ``at_k`` location
+        (``k`` the order of emission); with ``back`` the last re-enters the hub."""
+        cur = hub
+        for i, (kind, x) in enumerate(ops, 1):
+            if back and i == len(ops):
+                nxt = hub
+            else:
+                nxt = f"at_{len(locations) - 1}"
+                locations.append(nxt)
+            transitions.append((cur, CounterOp(kind, x), nxt))
+            cur = nxt
+        return cur
 
     for src, dst in p.taus:
-        a = aux(f"tau:{src}->{dst}")
-        locations.append(a)
-        transitions.append((hub, CounterOp(DEC, src), a))
-        transitions.append((a, CounterOp(INC, dst), hub))
-
+        chain([(DEC, src), (INC, dst)])
     for q1, m, q1p in p.sends:
         for q2, mm, q2p in p.recvs:
-            if mm != m:
-                continue
-            a1 = aux(f"rdv:{q1}!{m}->{q1p}/{q2}->{q2p}:1")
-            a2 = aux(f"rdv:{q1}!{m}->{q1p}/{q2}->{q2p}:2")
-            a3 = aux(f"rdv:{q1}!{m}->{q1p}/{q2}->{q2p}:3")
-            locations += [a1, a2, a3]
-            transitions.append((hub, CounterOp(DEC, q1), a1))
-            transitions.append((a1, CounterOp(DEC, q2), a2))
-            transitions.append((a2, CounterOp(INC, q1p), a3))
-            transitions.append((a3, CounterOp(INC, q2p), hub))
-
+            if mm == m:
+                chain([(DEC, q1), (DEC, q2), (INC, q1p), (INC, q2p)])
     for q1, m, q1p in p.sends:
-        head = aux(f"nb:{q1}!{m}->{q1p}")
-        locations.append(head)
-        transitions.append((hub, CounterOp(DEC, q1), head))
-        cur = head
-        for q2 in sorted(receivers(p, m)):
-            nxt = aux(f"nb:{q1}!{m}->{q1p}/{q2}")
-            locations.append(nxt)
-            transitions.append((cur, CounterOp(NBDEC, q2), nxt))
-            cur = nxt
-        transitions.append((cur, CounterOp(INC, q1p), hub))
+        chain([(DEC, q1), *((NBDEC, q2) for q2 in sorted(receivers(p, m))), (INC, q1p)])
+    final_loc = chain([(DEC, q) for q, n in target.items for _ in range(n)], back=False)
 
-    flat_target = [s for s, n in target.items for _ in range(n)]
-    cur = hub
-    for i, q in enumerate(flat_target):
-        nxt = aux(f"verify:{i}:{q}")
-        locations.append(nxt)
-        transitions.append((cur, CounterOp(DEC, q), nxt))
-        cur = nxt
-    final_loc = cur
-
-    machine = CounterMachine(
-        name=f"{p.name}_cover",
-        locations=locations,
-        counters=p.states,
-        init=hub,
-        transitions=transitions,
-        restore=False,
-    )
-    report = TranslationReport(
-        source_size=_protocol_size(p),
-        target_size=_machine_size(machine),
-        tables={"locations": {"hub": hub, **aux_table}},
-    )
-    return machine, final_loc, report
+    machine = CounterMachine(f"{p.name}_cover", locations, p.states, hub, transitions)
+    return machine, final_loc, TranslationReport(_protocol_size(p), _machine_size(machine))
 
 
 def _table(names: _Names, fixed: Iterable[str], keys: Iterable[object],
@@ -298,9 +262,8 @@ def machine_to_vas(m: CounterMachine, target_loc: str) -> Vas:
     ordered = [m.init] + rest + ([target_loc] if target_loc != m.init else [])
     loc_index = {loc: i for i, loc in enumerate(ordered)}
     k = len(ordered)
-    counters = sorted(m.counters)
-    ctr_index = {x: k + i for i, x in enumerate(counters)}
-    dim = k + len(counters)
+    ctr_index = {x: k + i for i, x in enumerate(m.counters)}
+    dim = k + len(m.counters)
 
     vas_transitions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for src, op, dst in split:
@@ -316,15 +279,9 @@ def machine_to_vas(m: CounterMachine, target_loc: str) -> Vas:
             t_nb[ctr_index[op.counter]] += 1
         vas_transitions.append((tuple(t_b), tuple(t_nb)))
 
-    v_init = tuple(1 if i == loc_index[m.init] else 0 for i in range(dim))
     v_target = tuple(1 if i == loc_index[target_loc] else 0 for i in range(dim))
-    return Vas(
-        name=f"{m.name}_vas",
-        dim=dim,
-        transitions=tuple(sorted(set(vas_transitions))),
-        v_init=v_init,
-        v_target=v_target,
-    )
+    return Vas(name=f"{m.name}_vas", dim=dim, transitions=tuple(sorted(set(vas_transitions))),
+               v_init=(1,) + (0,) * (dim - 1), v_target=v_target)
 
 
 def minsky_to_protocol(mm: CounterMachine, final: str) -> tuple[Protocol, TranslationReport]:

@@ -473,6 +473,18 @@ class TestInputFiles:
         assert run(capsys, "abstract", str(path)) == (
             EXIT_PARSE, "", f"error: [Errno 2] No such file or directory: '{path}'\n")
 
+    def test_directory_exits_2_and_is_named(self, capsys, tmp_path):
+        code, out, err = run(capsys, "check", "scover", str(tmp_path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("error: [Errno ") and err.endswith(f": '{tmp_path}'\n")
+
+    def test_undecodable_byte_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.rvp"
+        # Columns count characters: the bad byte follows three of them.
+        path.write_bytes(b"protocol p\r\n# \xc3\xa9\xff\nstates q\n")
+        assert run(capsys, "abstract", str(path)) == (
+            EXIT_PARSE, "", f"error: {path}:2:4: cannot decode as UTF-8: invalid start byte\n")
+
     def test_directory_is_named(self, tmp_path):
         with pytest.raises(IsADirectoryError) as exc:
             _read_text(str(tmp_path))

@@ -14,8 +14,9 @@ from helpers import (
     random_config,
     random_machine,
     random_protocol,
+    with_self_rendezvous,
 )
-from nbrv.fileio import parse_machine, serialize_vas
+from nbrv.fileio import parse_machine, serialize_machine, serialize_vas
 from nbrv.explore import Problem, decide_fixed, decide_sweep
 from nbrv.machines import (
     DEC,
@@ -70,6 +71,24 @@ class TestProtocolToMachine:
         decs = [t for t in m.transitions if t[1].kind == DEC]
         assert len(decs) == 2
         assert cover_bounded(m, lf, cap=2).is_yes()
+
+    def test_random_protocols_golden(self):
+        """The written machine, its final location and the sizes, pinned byte
+        for byte: the order of the ``at_k`` names is the order of emission."""
+        rng = random.Random(16)
+        text, units = [], []
+        for i in range(40):
+            p = random_protocol(rng)
+            if i % 3 == 0:
+                p = with_self_rendezvous(rng, p)
+            target = random_config(rng, p, max_items=4)
+            units.append(max(n for _q, n in target.items))
+            m, lf, rep = protocol_to_machine(p, target)
+            text.append(f"{serialize_machine(m)}TARGET {lf}\n"
+                        f"SIZE source={rep.source_size} target={rep.target_size}\n")
+        # The seed covers targets with two and three units of one state.
+        assert {2, 3} <= set(units)
+        assert "".join(text) == (GOLDEN_DIR / "p2cm_random_protocols.txt").read_text()
 
     def test_empty_target_rejected(self, fig1):
         with pytest.raises(Exception):
