@@ -20,7 +20,10 @@ class for the requested method...).
 The first result line is ``RESULT YES|NO|UNKNOWN``, followed by the
 verdict's note when it has one (``RESULT NO within-cap``, ``RESULT UNKNOWN
 budget``); YES verdicts found by search are followed by ``STEP <label>
-<config>`` lines that replay the witness.
+<config>`` lines that replay the witness.  A ``check`` sweep or an
+``explore machine|vas`` search that runs out of its node budget answers
+``RESULT UNKNOWN budget``; ``explore protocol`` counts, and a partial count
+is no answer, so there the budget is a precondition error.
 """
 
 from __future__ import annotations
@@ -161,19 +164,22 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         m = _load_machine(args.file)
         if args.loc is None:
             raise PreconditionError("explore machine requires --loc")
-        verdict = machines.cover_bounded(m, args.loc, args.cap, args.budget)
-        _print_verdict(verdict, lambda t, cfg: f"{t[1]} {_machine_config_literal(m, cfg)}")
-        return EXIT_OK
-    v = _load_vas(args.file)
-    verdict = machines.vas_cover_bounded(v, args.cap, args.budget)
-    _print_verdict(
-        verdict,
-        lambda t, vec: "{} ; {} -> {}".format(
-            " ".join(str(x) for x in t[0]),
-            " ".join(str(x) for x in t[1]),
-            " ".join(str(x) for x in vec),
-        ),
-    )
+        search = functools.partial(machines.cover_bounded, m, args.loc)
+
+        def render(t, cfg) -> str:
+            return f"{t[1]} {_machine_config_literal(m, cfg)}"
+    else:
+        search = functools.partial(machines.vas_cover_bounded, _load_vas(args.file))
+
+        def render(t, vec) -> str:
+            t_b, t_nb, w = (" ".join(map(str, xs)) for xs in (*t, vec))
+            return f"{t_b} ; {t_nb} -> {w}"
+    try:
+        verdict = search(args.cap, args.budget)
+    except explore.ResourceLimitError:
+        # A cap-bounded search that runs out of budget has no answer.
+        verdict = Verdict("unknown", note="budget")
+    _print_verdict(verdict, render)
     return EXIT_OK
 
 

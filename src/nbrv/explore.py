@@ -7,12 +7,12 @@ semi-decision procedure for the parameterised questions: it can answer YES
 with a witness but never NO.
 
 ``search`` is the one breadth-first search of the package: the counter
-machine, VAS and gadget searches run on it too.  The explorer runs it on the
-packed configurations of the protocol's compiled ``MoveTable`` (one int per
-configuration, one count field per state), so each move is one integer
-addition; ``Configuration`` objects are built only for witnesses.  A sweep
-compiles its table for the largest population first, and every smaller
-population reuses it.
+machine and VAS searches run on it too, also on packed ints.  The explorer
+runs it on the packed configurations of the protocol's compiled
+``MoveTable`` (one int per configuration, one count field per state), so
+each move is one integer addition; ``Configuration`` objects are built
+only for witnesses.  A sweep compiles its table for the largest population
+first, and every smaller population reuses it.
 
 Each population is searched in full, since an extra process can turn a
 non-blocking request into a rendez-vous.  A reachable set, a NO and an

@@ -7,21 +7,29 @@ jump back to the initial location from anywhere.  A machine keeps one
 transition set, sorted by source, op and target; the op says whether a step
 can block, since every op but ``nbdec`` can.  A non-blocking VAS pairs
 each transition with a blocking update vector and a non-negative clamp
-vector applied coordinatewise.  A VAS search compiles its transitions once
-into sparse steps that read and write only the coordinates they touch;
-witnesses still carry the dense pairs.  The machine interpreter dispatches
-on small-int op codes.
+vector applied coordinatewise.
 
 Both models get exhaustive search bounded by an inclusive per-counter cap;
 a NO produced under a cap is only valid within that cap and is flagged so.
+The searches run on packed ints, as the protocol explorer does.  A machine
+configuration is one int: the location's index in the low bits, then one
+field per counter.  A VAS vector is one field per coordinate.  A field is
+one bit wider than the largest value a search can write into it; that top
+bit, the guard bit, stays clear, so no value carries into the next field.
+A step is then a field test and one addition of a precomputed delta, the
+cap test is ``(v + K) & H`` (``H`` the guard bits, ``K`` what sets a guard
+bit exactly when its field exceeds the cap), and only witnesses are
+decoded.  The VAS search keeps its candidate steps per support, the set of
+nonzero fields that ``(v + ONES) & H`` gives, and each memo entry already
+leaves out the steps that need a coordinate outside it.
+:func:`successors` and :func:`apply_strict` are the sparse forms, on
+:class:`MachineConfig` and on tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress
-from operator import ge
 from typing import Callable, Iterable, NamedTuple
 
 from . import explore
@@ -33,10 +41,8 @@ DEC = "dec"
 ZEROTEST = "zerotest"
 NBDEC = "nbdec"
 
-# Op codes: the order of op kinds in ``_mt_key``, and the kinds the
-# interpreter dispatches on.
-_NOP, _INC, _DEC, _ZEROTEST, _NBDEC = range(5)
-_OP_ORDER = {NOP: _NOP, INC: _INC, DEC: _DEC, ZEROTEST: _ZEROTEST, NBDEC: _NBDEC}
+# The order of op kinds in ``_mt_key``.
+_OP_ORDER = {kind: rank for rank, kind in enumerate((NOP, INC, DEC, ZEROTEST, NBDEC))}
 
 
 class MachineError(ValueError):
@@ -74,6 +80,9 @@ class CounterOp:
 
 MachineTransition = tuple[str, CounterOp, str]
 
+# The op of every restore jump.
+_RESTORE = CounterOp(NOP)
+
 
 def _mt_key(t: MachineTransition) -> tuple:
     return (t[0], t[1].sort_key(), t[2])
@@ -82,7 +91,7 @@ def _mt_key(t: MachineTransition) -> tuple:
 class MachineConfig(NamedTuple):
     """Current location plus one value per counter (machine counter order).
 
-    A named tuple, so that the searches hash and compare configurations in C.
+    A named tuple, so that configurations hash and compare in C.
     """
 
     loc: str
@@ -126,8 +135,8 @@ class CounterMachine:
                 raise MachineError(f"undeclared counter {x!r}")
         self._index = {x: i for i, x in enumerate(self.counters)}
         self._locs = locs
-        self._moves: dict[str, tuple[tuple[MachineTransition, int, int, str], ...]] = {}
-        self._by_src: dict[str, list[MachineTransition]] | None = None
+        self._moves: tuple[tuple[MachineTransition, ...], ...] | None = None
+        self._table: MachineTable | None = None
 
     def _key(self) -> tuple:
         return (
@@ -174,35 +183,155 @@ class CounterMachine:
     def initial_config(self) -> MachineConfig:
         return self.config(self.init)
 
-    def moves(self, loc: str) -> tuple[tuple[MachineTransition, int, int, str], ...]:
-        """The moves out of ``loc`` as (transition, op code, counter index, target).
+    def moves(self) -> tuple[tuple[MachineTransition, ...], ...]:
+        """The transitions out of each location, one row per location in
+        ``locations`` order, restore jumps included.
 
-        The op code is the kind's rank in ``_OP_ORDER`` (``_NOP`` to
-        ``_NBDEC``); a nop's counter index is -1.  Restore jumps are
-        included, each transition appears once, and the order is
-        ``_mt_key``.  The transitions of one source already come in that
-        order, so only an appended restore jump needs a sort.  A location's
-        moves are compiled on first use.
+        Each row is in ``_mt_key`` order and holds each transition once: a
+        restore jump is a nop to ``init``, merged with an equal nop edge.
+        The rows are built on first use; :class:`MachineTable` and
+        ``reductions.machine_to_vas`` compile them.
         """
-        moves = self._moves.get(loc)
-        if moves is None:
-            if self._by_src is None:
-                self._by_src = {}
-                for t in self.transitions:
-                    self._by_src.setdefault(t[0], []).append(t)
-            out = list(self._by_src.get(loc, ()))
-            jump = (loc, CounterOp(NOP), self.init)
-            if self.restore and jump not in out:
-                out.append(jump)
-                out.sort(key=_mt_key)
-            moves = self._moves[loc] = tuple(
-                (t, _OP_ORDER[t[1].kind], self._index.get(t[1].counter, -1), t[2])
-                for t in out
-            )
-        return moves
+        if self._moves is None:
+            index = {loc: i for i, loc in enumerate(self.locations)}
+            rows: list[list[MachineTransition]] = [[] for _ in self.locations]
+            for t in self.transitions:
+                rows[index[t[0]]].append(t)
+            if self.restore:
+                init = self.init
+                for loc, row in zip(self.locations, rows):
+                    # A row starts with its nops, in target order.
+                    k = 0
+                    while k < len(row) and row[k][1].kind == NOP and row[k][2] < init:
+                        k += 1
+                    if k == len(row) or row[k][1].kind != NOP or row[k][2] != init:
+                        row.insert(k, (loc, _RESTORE, init))
+            self._moves = tuple(map(tuple, rows))
+        return self._moves
+
+    def table(self, cap: int) -> MachineTable:
+        """The machine compiled for :func:`machine_successors`, for counters up to ``cap``.
+
+        The machine keeps one table, compiled on first use, and compiles a
+        wider one only when ``cap`` needs wider fields than the kept table
+        has.  The table returned is always wide enough for ``cap``.
+        """
+        t = self._table
+        if t is None or t.guard <= cap + 1:
+            t = self._table = MachineTable(self, cap)
+        return t
 
 
-def machine_successors(
+class _Fields:
+    """``count`` packed fields for values up to ``top``, from bit ``offset`` up.
+
+    Each field has ``width = top.bit_length() + 1`` bits, and field ``i``
+    starts at bit ``shifts[i]``.  A value up to ``top`` leaves the field's
+    top bit clear: that guard bit is ``guard`` at shift 0, and ``high`` has
+    it in every field, so an addition that keeps each field within ``top``
+    never carries into the next one.  ``(v + ones) & high`` has the guard
+    bit of exactly the nonzero fields of ``v``, and ``(v + over(cap)) &
+    high`` the guard bit of those above ``cap``.
+    """
+
+    def __init__(self, count: int, top: int, offset: int = 0) -> None:
+        self.width = top.bit_length() + 1
+        self.guard = 1 << (self.width - 1)
+        self.fmask = (1 << self.width) - 1
+        self.shifts = tuple(range(offset, offset + count * self.width, self.width))
+        self.high = self.spread(self.guard)
+        self.ones = self.spread(self.guard - 1)
+
+    def spread(self, x: int) -> int:
+        """``x`` written into every field."""
+        return sum(x << s for s in self.shifts)
+
+    def over(self, cap: int) -> int:
+        """``K`` for ``cap <= top``: ``(v + K) & high`` is nonzero exactly
+        when some field of ``v`` exceeds ``cap``."""
+        return self.spread(self.guard - 1 - cap)
+
+    def pack(self, values: Iterable[int]) -> int:
+        return sum(x << s for x, s in zip(values, self.shifts))
+
+    def unpack(self, v: int) -> tuple[int, ...]:
+        fmask = self.fmask
+        return tuple([v >> s & fmask for s in self.shifts])
+
+
+class MachineTable(_Fields):
+    """A counter machine compiled into moves over packed configurations.
+
+    A packed configuration is one int.  The location's index in
+    ``locations`` sits in the low ``(len(locations) - 1).bit_length()``
+    bits (``v & lmask``), and counter ``i`` (in ``counters`` order) in the
+    field at ``shifts[i]``, of ``width = (cap + 1).bit_length() + 1`` bits:
+    ``cap + 1`` is the most one step makes from a configuration within the
+    cap, so no step sets a guard bit.  ``rows[l]`` lists the moves out of
+    the location of index ``l``, in ``_mt_key`` order, as ``(transition,
+    field, nonzero, zero)``: the move adds ``nonzero`` when ``v & field``
+    is nonzero and ``zero`` when it is zero, and is blocked where that
+    delta is ``None``.  Each delta includes the change of location index.
+    """
+
+    def __init__(self, m: CounterMachine, cap: int) -> None:
+        lbits = (len(m.locations) - 1).bit_length()
+        super().__init__(len(m.counters), cap + 1, lbits)
+        self.locations = m.locations
+        self.lmask = (1 << lbits) - 1
+        self.index = {loc: i for i, loc in enumerate(m.locations)}
+        shift = dict(zip(m.counters, self.shifts))
+        rows = []
+        for i, moves in enumerate(m.moves()):
+            row = []
+            for trans in moves:
+                _src, op, dst = trans
+                jump = self.index[dst] - i
+                if op.kind == NOP:
+                    row.append((trans, 0, None, jump))
+                    continue
+                s = shift[op.counter]
+                one, field = 1 << s, self.fmask << s
+                if op.kind == INC:
+                    row.append((trans, 0, None, jump + one))
+                elif op.kind == DEC:
+                    row.append((trans, field, jump - one, None))
+                elif op.kind == ZEROTEST:
+                    row.append((trans, field, None, jump))
+                else:
+                    row.append((trans, field, jump - one, jump))
+            rows.append(tuple(row))
+        self.rows = tuple(rows)
+
+    def encode(self, cfg: MachineConfig) -> int:
+        """The packed form of ``cfg``, whose values must fit this table."""
+        return self.index[cfg.loc] + self.pack(cfg.values)
+
+    def decode(self, v: int) -> MachineConfig:
+        """The sparse form of the packed configuration ``v``."""
+        # ``tuple.__new__`` skips the named tuple's Python-level constructor.
+        return tuple.__new__(MachineConfig, (self.locations[v & self.lmask], self.unpack(v)))
+
+
+def machine_successors(t: MachineTable, v: int) -> list[tuple[MachineTransition, int]]:
+    """All enabled one-step moves of the packed configuration ``v``, as ``(transition, w)``.
+
+    ``v`` holds the location index in its low bits and one guarded field
+    per counter (see :class:`MachineTable`).  Each move of the location,
+    restore jumps included and in ``_mt_key`` order, is one test of its
+    counter's field and one addition of a precomputed delta that also
+    moves the location.  ``v``'s counters must be within the cap ``t`` was
+    compiled for, so that no result sets a guard bit.
+    """
+    out: list[tuple[MachineTransition, int]] = []
+    for trans, field, nonzero, zero in t.rows[v & t.lmask]:
+        d = nonzero if v & field else zero
+        if d is not None:
+            out.append((trans, v + d))
+    return out
+
+
+def successors(
     m: CounterMachine, cfg: MachineConfig
 ) -> list[tuple[MachineTransition, MachineConfig]]:
     """All enabled one-step moves, restore jumps included, in a fixed order.
@@ -211,33 +340,11 @@ def machine_successors(
     is blocked at zero; ``nbdec`` subtracts one and leaves a zero as it is;
     a zero test fires only on zero; ``nop`` and restore jumps change no
     counter.  ``cfg`` is trusted: it comes from :meth:`CounterMachine.config`
-    or from an earlier step, so it is not checked again.
+    or from an earlier step, so it is not checked again.  This is
+    :func:`machine_successors` on the packed form of ``cfg``.
     """
-    values = cfg.values
-    # Each successor is built with ``tuple.__new__``, which skips the named
-    # tuple's Python-level constructor.
-    new = tuple.__new__
-    out: list[tuple[MachineTransition, MachineConfig]] = []
-    for trans, code, i, dst in m.moves(cfg.loc):
-        if code == _NOP:
-            nxt = values
-        elif code == _ZEROTEST:
-            if values[i]:
-                continue
-            nxt = values
-        else:
-            x = values[i]
-            if code == _INC:
-                x += 1
-            elif x:
-                x -= 1
-            elif code == _DEC:
-                continue
-            w = list(values)
-            w[i] = x
-            nxt = tuple(w)
-        out.append((trans, new(MachineConfig, (dst, nxt))))
-    return out
+    t = m.table(max(cfg.values, default=0))
+    return [(trans, t.decode(w)) for trans, w in machine_successors(t, t.encode(cfg))]
 
 
 def cover_bounded(
@@ -249,19 +356,28 @@ def cover_bounded(
     """Search for the target location keeping every counter at most ``cap``.
 
     YES verdicts carry the run; NO means the cap-bounded space is exhausted
-    and is tagged ``within-cap``.
+    and is tagged ``within-cap``.  The search runs :func:`machine_successors`
+    on the machine's :class:`MachineTable` for ``cap``, whose counter fields
+    have ``(cap + 1).bit_length() + 1`` bits and a guard bit on top.  A
+    configuration is pruned when ``(v + K) & H`` is nonzero, one addition
+    and one mask, and the goal tests the location bits.
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
     if target_loc not in m._locs:
         raise MachineError(f"unknown target location {target_loc!r}")
-    return _capped(m.initial_config(), partial(machine_successors, m), cap, budget,
-                   goal=lambda c: c.loc == target_loc,
-                   prune=lambda c: max(c.values, default=0) > cap)
+    t = m.table(cap)
+    lmask, goal, over, high = t.lmask, t.index[target_loc], t.over(cap), t.high
+    return _capped(t.encode(m.initial_config()), partial(machine_successors, t), cap, budget,
+                   t.decode, goal=lambda v: v & lmask == goal,
+                   prune=lambda v: (v + over) & high)
 
 
-def _capped(start, succ, cap: int, budget: int, *, goal, prune) -> Verdict:
-    """The search of a cap-bounded model: YES with the run, else NO ``within-cap``."""
+def _capped(start: int, succ, cap: int, budget: int, decode, *, goal, prune) -> Verdict:
+    """The search of a cap-bounded model: YES with the run, else NO ``within-cap``.
+
+    The search runs on packed ints; ``decode`` gives the witness's sparse forms.
+    """
     parents, hit, pruned = search(
         start, succ, budget=budget,
         overflow=ResourceLimitError(f"node budget {budget} exceeded (cap {cap})"),
@@ -270,7 +386,9 @@ def _capped(start, succ, cap: int, budget: int, *, goal, prune) -> Verdict:
     stats = {"visited": len(parents), "pruned": pruned}
     if hit is not None:
         # Looked up through the module, so that a wrapper on it sees machine witnesses.
-        return Verdict("yes", explore._rebuild(parents, succ, start, hit), stats=stats)
+        packed = explore._rebuild(parents, succ, start, hit)
+        witness = Witness(decode(start), tuple((label, decode(v)) for label, v in packed.steps))
+        return Verdict("yes", witness, stats=stats)
     return Verdict("no", explored_bound=cap, note="within-cap", stats=stats)
 
 
@@ -280,7 +398,7 @@ def replay_machine(m: CounterMachine, witness: Witness) -> bool:
     if not isinstance(cur, MachineConfig) or cur != m.initial_config():
         return False
     for trans, nxt in witness.steps:
-        if (trans, nxt) not in machine_successors(m, cur):
+        if (trans, nxt) not in successors(m, cur):
             return False
         cur = nxt
     return True
@@ -319,82 +437,122 @@ class Vas:
                 raise VasError("the non-blocking part must be non-negative")
 
 
-_Pairs = tuple[tuple[int, int], ...]
-# A transition compiled by :func:`compile_step`: (pair, guard, update, clamp, dim).
-VasStep = tuple[VasTransition, _Pairs, _Pairs, _Pairs, int]
+_FieldTests = tuple[tuple[int, int], ...]
+# A transition compiled by :meth:`VasLayout.compile`: (pair, need, guards, delta, clamps).
+VasStep = tuple[VasTransition, int, _FieldTests, int, _FieldTests]
 
 
-def compile_step(t: VasTransition) -> VasStep:
-    """The sparse form of the transition ``t`` that :func:`step_strict` applies.
+class VasLayout(_Fields):
+    """Packed vectors of ``dim`` coordinates, one field each, whose values
+    never exceed ``top``.
 
-    ``pair`` is ``t`` itself, the dense ``(t_b, t_nb)`` label a witness step
-    carries.  ``guard`` lists ``(i, k)`` with ``k = -t_b[i] > 0``: the step
-    needs ``v[i] >= k``.  ``update`` lists ``(i, t_b[i])`` and ``clamp``
-    ``(i, t_nb[i])`` for the nonzero entries, in coordinate order, and
-    ``dim`` is the arity.
+    ``(v + ones) & high``, the guard bits of the nonzero fields of ``v``,
+    is its support.
     """
-    t_b, t_nb = t
-    # Each dense vector is scanned once in Python, and a zero clamp part
-    # not at all; the guard comes from the short update list.
-    update = [(i, b) for i, b in enumerate(t_b) if b]
-    return (
-        t,
-        tuple([(i, -b) for i, b in update if b < 0]),
-        tuple(update),
-        tuple([(i, c) for i, c in enumerate(t_nb) if c]) if any(t_nb) else (),
-        len(t_b),
-    )
+
+    def __init__(self, dim: int, top: int) -> None:
+        super().__init__(dim, top)
+        self.dim = dim
+
+    def compile(self, t: VasTransition) -> VasStep:
+        """The packed form of the transition ``t`` that :func:`step_strict` applies.
+
+        ``pair`` is ``t`` itself, the dense ``(t_b, t_nb)`` label a witness
+        step carries.  ``need`` has the guard bit of every coordinate where
+        ``t_b`` is negative: the step is blocked on a vector zero there.
+        ``guards`` lists ``(field, k << shift)`` for the entries ``t_b[i] =
+        -k`` with ``k >= 2``, the step needing ``v & field >= k << shift``;
+        ``delta`` is ``t_b`` packed, and ``clamps`` lists ``(field, c <<
+        shift)`` for the nonzero entries ``c`` of ``t_nb``.
+        """
+        t_b, t_nb = t
+        if len(t_b) != self.dim or len(t_nb) != self.dim:
+            raise VasError("vector arity mismatch")
+        # Each dense vector is scanned once in Python, and a zero clamp part
+        # not at all.
+        w, fmask, guard = self.width, self.fmask, self.guard
+        update = [(i * w, b) for i, b in enumerate(t_b) if b]
+        return (
+            t,
+            sum(guard << s for s, b in update if b < 0),
+            tuple([(fmask << s, -b << s) for s, b in update if b < -1]),
+            sum(b << s for s, b in update),
+            tuple([(fmask << i * w, c << i * w) for i, c in enumerate(t_nb) if c])
+            if any(t_nb) else (),
+        )
 
 
-def step_strict(v: Vector, s: VasStep) -> Vector | None:
+def step_strict(v: int, s: VasStep) -> int | None:
     """Apply the blocking part (must stay non-negative), then clamp-subtract.
 
     ``None`` when some coordinate of ``v + t_b`` is negative; otherwise
-    ``max(0, v_i + t_b_i - t_nb_i)`` for every coordinate ``i``.  The step
-    ``s`` is compiled by :func:`compile_step`, so only the coordinates where
-    ``t_b`` or ``t_nb`` is nonzero are read or written.
+    ``max(0, v_i + t_b_i - t_nb_i)`` for every coordinate ``i``.  ``v`` is
+    packed in the :class:`VasLayout` that compiled ``s``, and must be
+    nonzero on the coordinates of ``s``'s ``need``: the search's support
+    memo ensures that, so only the guards of 2 or more are tested here.
+    The blocking part is one addition, and each clamp entry one field
+    extract.  The layout's fields hold the result without setting a guard
+    bit when ``v`` is within the cap it was compiled for.
     """
-    _pair, guard, update, clamp, dim = s
-    if len(v) != dim:
-        raise VasError("vector arity mismatch")
-    for i, k in guard:
-        if v[i] < k:
+    for field, low in s[2]:
+        if v & field < low:
             return None
-    out = list(v)
-    for i, b in update:
-        out[i] += b
-    for i, c in clamp:
-        x = out[i] - c
-        out[i] = x if x > 0 else 0
-    return tuple(out)
+    w = v + s[3]
+    for field, low in s[4]:
+        x = w & field
+        w -= low if x > low else x
+    return w
 
 
-def _candidates(vas: Vas) -> Callable[[Vector], tuple[VasStep, ...]]:
-    """Compile the steps of ``vas`` and index them by the vectors they may fire on.
+def apply_strict(v: Vector, t: VasTransition) -> Vector | None:
+    """:func:`step_strict` on the sparse vector ``v`` and the dense pair ``t``.
 
-    A step is filed under its first guard coordinate, the first where its
-    blocking part is negative: on a vector that is zero there, the step is
-    blocked.  The candidates of a vector are the steps filed under none (the
-    free ones) or under one of its nonzero coordinates, in
-    ``vas.transitions`` order, so the search meets successors in the same
-    order as a scan of every transition.  They are memoised per set of
-    nonzero coordinates.
+    ``None`` when some coordinate of ``v + t_b`` is negative, else the
+    vector ``max(0, v_i + t_b_i - t_nb_i)``.  Raises ``VasError`` when the
+    arities differ.
     """
-    steps = [compile_step(t) for t in vas.transitions]
-    free: list[int] = []
-    buckets: list[list[int]] = [[] for _ in range(vas.dim)]
-    for j, s in enumerate(steps):
-        guard = s[1]
-        (buckets[guard[0][0]] if guard else free).append(j)
-    coords = range(vas.dim)
-    memo: dict[tuple[int, ...], tuple[VasStep, ...]] = {}
+    layout = VasLayout(len(v), max(v, default=0) + max(max(t[0], default=0), 0))
+    s = layout.compile(t)
+    packed = layout.pack(v)
+    if s[1] & (packed + layout.ones) != s[1]:
+        return None
+    w = step_strict(packed, s)
+    return None if w is None else layout.unpack(w)
 
-    def candidates(v: Vector) -> tuple[VasStep, ...]:
-        support = tuple(compress(coords, v))
+
+def _candidates(layout: VasLayout, steps: list[VasStep]) -> Callable[[int], tuple[VasStep, ...]]:
+    """The steps that may fire on a packed vector, memoised per support.
+
+    The candidates of ``v`` are the steps whose ``need`` lies inside ``v``'s
+    support, ``(v + ones) & high``, in ``vas.transitions`` order, so the
+    search meets successors in the same order as a scan of every
+    transition.  A step is filed under the lowest bit of its ``need``, or
+    with the free steps when it has none, so that a new support looks only
+    at the free steps and those filed under one of its bits.
+    """
+    ones, high = layout.ones, layout.high
+    free: list[int] = []
+    filed: dict[int, list[int]] = {}
+    for j, s in enumerate(steps):
+        need = s[1]
+        if need:
+            filed.setdefault(need & -need, []).append(j)
+        else:
+            free.append(j)
+    memo: dict[int, tuple[VasStep, ...]] = {}
+
+    def candidates(v: int) -> tuple[VasStep, ...]:
+        support = (v + ones) & high
         found = memo.get(support)
         if found is None:
-            found = memo[support] = tuple(
-                steps[j] for j in sorted(chain(free, *(buckets[i] for i in support))))
+            picked = list(free)
+            rest = support
+            while rest:
+                bit = rest & -rest
+                picked += filed.get(bit, ())
+                rest ^= bit
+            found = memo[support] = tuple([
+                steps[j] for j in sorted(picked) if steps[j][1] & support == steps[j][1]])
         return found
 
     return candidates
@@ -403,20 +561,32 @@ def _candidates(vas: Vas) -> Callable[[Vector], tuple[VasStep, ...]]:
 def vas_cover_bounded(vas: Vas, cap: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Strict-step search for a vector covering the target, coordinates <= cap.
 
-    The transitions are compiled once per search into sparse steps; witness
-    steps carry the dense ``(t_b, t_nb)`` pairs.
+    The search runs on packed vectors (:class:`VasLayout`) whose fields
+    have ``(cap + g).bit_length() + 1`` bits, ``g`` the largest positive
+    entry of a blocking part: ``cap + g`` is the most one step makes from
+    a vector within the cap, so no step sets a field's guard bit.  The
+    transitions are compiled once per search into packed steps, memoised
+    per support (see :func:`_candidates`); the cap prune, ``(v + K) & H``,
+    and the cover test are each one addition and one mask.  Witness steps
+    carry the dense ``(t_b, t_nb)`` pairs.
     """
     if cap < max(vas.v_init):
         raise ValueError("cap must cover the initial vector")
-    candidates = _candidates(vas)
-    # Only the target's nonzero coordinates can fail to be covered.
-    need = [i for i, b in enumerate(vas.v_target) if b]
-    floor = [vas.v_target[i] for i in need]
+    grow = max([max(t_b) for t_b, _ in vas.transitions], default=0)
+    layout = VasLayout(vas.dim, cap + max(grow, 0))
+    candidates = _candidates(layout, [layout.compile(t) for t in vas.transitions])
+    guard, high = layout.guard, layout.high
+    # Covered: a guard bit set in every field the target needs.  A target
+    # above the cap is written as ``cap + 1``, which no admitted vector has.
+    need = [(s, min(b, cap + 1)) for s, b in zip(layout.shifts, vas.v_target) if b]
+    floor = sum((guard - b) << s for s, b in need)
+    full = sum(guard << s for s, _b in need)
+    over = layout.over(cap)
 
-    def succ(cur: Vector):
-        return ((s[0], nxt) for s in candidates(cur)
-                if (nxt := step_strict(cur, s)) is not None)
+    def succ(cur: int) -> list[tuple[VasTransition, int]]:
+        return [(s[0], nxt) for s in candidates(cur)
+                if (nxt := step_strict(cur, s)) is not None]
 
-    return _capped(vas.v_init, succ, cap, budget,
-                   goal=lambda v: all(map(ge, map(v.__getitem__, need), floor)),
-                   prune=lambda v: max(v) > cap)
+    return _capped(layout.pack(vas.v_init), succ, cap, budget, layout.unpack,
+                   goal=lambda v: (v + floor) & full == full,
+                   prune=lambda v: (v + over) & high)

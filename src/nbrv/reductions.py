@@ -245,7 +245,7 @@ def machine_to_vas(m: CounterMachine, target_loc: str) -> Vas:
     if target_loc not in set(m.locations):
         raise MachineError(f"unknown target location {target_loc!r}")
 
-    trans = [move[0] for loc in m.locations for move in m.moves(loc)]
+    trans = [t for row in m.moves() for t in row]
     names = _Names(m.locations)
     locations = list(m.locations)
     split: list[MachineTransition] = []

@@ -22,6 +22,7 @@ from nbrv.machines import (
     CounterOp,
     MachineConfig,
     MachineError,
+    MachineTable,
     Vas,
     VasError,
     _mt_key,
@@ -127,7 +128,7 @@ def random_machine(rng: random.Random, max_loc: int = 4, max_ctr: int = 2,
 
 
 def spec_machine_successors(m: CounterMachine, cfg: MachineConfig) -> list:
-    """``machine_successors`` as its docstring states it, on a counter dict.
+    """``machines.successors`` as its docstring states it, on a counter dict.
 
     Every transition out of ``cfg.loc``, plus the restore jump to ``m.init``
     on a restore machine (once, even where a nop edge already makes it), in
@@ -270,24 +271,50 @@ def admissible_entry(ctx: LevelContext, level: int, overrides: dict[str, int] | 
     return vals
 
 
+def reachable_packed(
+    pm: ProceduralMachine, entry_valuation: dict[str, int], budget: int = 200_000
+) -> tuple[MachineTable, set[int]]:
+    """All configurations reachable from the entry (no restore jumps), packed.
+
+    The search runs on the machine's table for a cap.  A search that prunes
+    a counter above that cap is run again with twice the cap, so the set
+    returned is complete; the table returned decodes it.
+    """
+    start = pm.config(pm.init, entry_valuation)
+    overflow = MachineError(f"budget {budget} exceeded while simulating {pm.name}")
+    cap = max(start.values, default=0) + 1
+    while True:
+        t = pm.table(cap)
+        over, high = t.over(cap), t.high
+        parents, _hit, pruned = search(t.encode(start), partial(machine_successors, t),
+                                       budget=budget, overflow=overflow,
+                                       prune=lambda v: (v + over) & high)
+        if not pruned:
+            return t, set(parents)
+        cap *= 2
+
+
 def reachable_configs(
     pm: ProceduralMachine, entry_valuation: dict[str, int], budget: int = 200_000
 ) -> set[MachineConfig]:
     """All configurations reachable from the entry (no restore jumps)."""
-    start = pm.config(pm.init, entry_valuation)
-    overflow = MachineError(f"budget {budget} exceeded while simulating {pm.name}")
-    parents, _hit, _pruned = search(start, partial(machine_successors, pm),
-                                    budget=budget, overflow=overflow)
-    return set(parents)
+    t, packed = reachable_packed(pm, entry_valuation, budget)
+    return set(map(t.decode, packed))
 
 
 def exit_valuations(
     pm: ProceduralMachine, entry_valuation: dict[str, int], budget: int = 200_000
 ) -> dict[str, list[dict[str, int]]]:
-    """Valuations observed at each exit location, keyed by exit name."""
+    """Valuations observed at each exit location, keyed by exit name.
+
+    Only the configurations at an exit are decoded.
+    """
+    t, packed = reachable_packed(pm, entry_valuation, budget)
     out: dict[str, set[tuple[int, ...]]] = {o: set() for o in pm.outs}
-    for cfg in reachable_configs(pm, entry_valuation, budget):
-        if cfg.loc in out:
+    exits = {t.index[o] for o in pm.outs}
+    for v in packed:
+        if v & t.lmask in exits:
+            cfg = t.decode(v)
             out[cfg.loc].add(cfg.values)
     return {
         o: [dict(zip(pm.counters, values)) for values in sorted(vals)]
@@ -308,12 +335,12 @@ def backward_cover(p: Protocol, target: Configuration) -> bool:
     """
     m, goal, _report = protocol_to_machine(p, target)
     pre: dict[str, list[tuple[str, str, int]]] = {}
-    for loc in m.locations:
-        for t, _code, x, dst in m.moves(loc):
-            kind = t[1].kind
-            if kind == ZEROTEST:
+    for row in m.moves():
+        for src, op, dst in row:
+            if op.kind == ZEROTEST:
                 raise ValueError("zero tests are not monotone")
-            pre.setdefault(dst, []).append((loc, kind, x))
+            x = m.index(op.counter) if op.counter else -1
+            pre.setdefault(dst, []).append((src, op.kind, x))
     zero = (0,) * len(m.counters)
     basis: dict[str, set[tuple[int, ...]]] = {loc: set() for loc in m.locations}
     heap: list[tuple[int, tuple[int, ...], str]] = []
@@ -435,21 +462,40 @@ def spec_vas_cover(vas: Vas, cap: int, budget: int):
     would exceed ``budget``.  A successor already seen is skipped before the
     cap is checked, and only new ones over the cap count as pruned.
     """
-    def covers(v: tuple[int, ...]) -> bool:
-        return all(a >= b for a, b in zip(v, vas.v_target))
+    def succ(v: tuple[int, ...]):
+        return [(t, nxt) for t in vas.transitions
+                if (nxt := spec_step_strict(v, t)) is not None]
 
-    start = vas.v_init
+    return _spec_capped(vas.v_init, succ,
+                        lambda v: all(a >= b for a, b in zip(v, vas.v_target)),
+                        lambda v: max(v) > cap, budget)
+
+
+def spec_machine_cover(m: CounterMachine, loc: str, cap: int, budget: int):
+    """Brute-force BFS over :func:`spec_machine_successors` for the location ``loc``.
+
+    Returns ``(answer, steps, stats)`` with the witness as ``(transition,
+    MachineConfig)`` steps, or raises ``ResourceLimitError`` when admitting a
+    configuration would exceed ``budget``, as :func:`spec_vas_cover` does; a
+    configuration with a counter above ``cap`` is pruned.
+    """
+    return _spec_capped(m.initial_config(), partial(spec_machine_successors, m),
+                        lambda c: c.loc == loc,
+                        lambda c: max(c.values, default=0) > cap, budget)
+
+
+def _spec_capped(start, succ, covers, over, budget: int):
+    """The BFS of :func:`spec_vas_cover` and :func:`spec_machine_cover`."""
     parent: dict = {start: None}
     pruned = 0
     end = start if covers(start) else None
     queue = deque([start] if end is None else [])
     while queue and end is None:
         cur = queue.popleft()
-        for t in vas.transitions:
-            nxt = spec_step_strict(cur, t)
-            if nxt is None or nxt in parent:
+        for t, nxt in succ(cur):
+            if nxt in parent:
                 continue
-            if max(nxt) > cap:
+            if over(nxt):
                 pruned += 1
                 continue
             if len(parent) >= budget:

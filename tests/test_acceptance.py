@@ -35,10 +35,9 @@ from nbrv.gadgets import (
 from nbrv.machines import (
     CounterMachine,
     CounterOp,
-    compile_step,
+    apply_strict,
     cover_bounded,
     replay_machine,
-    step_strict,
     vas_cover_bounded,
 )
 from nbrv.model import Configuration, Protocol, successors
@@ -307,7 +306,7 @@ def test_criterion_8_semantics_properties():
             v = tuple(rng.randint(0, 5) for _ in range(d))
             t = (tuple(rng.randint(-3, 3) for _ in range(d)),
                  tuple(rng.randint(0, 3) for _ in range(d)))
-            strict = step_strict(v, compile_step(t))
+            strict = apply_strict(v, t)
             if strict is not None:
                 assert strict == step_relaxed(v, t)
 

@@ -201,6 +201,23 @@ class TestExplore:
                              "--budget", "5")
         assert code == EXIT_PRECONDITION and out == "" and "budget" in err
 
+    def test_machine_budget_is_unknown(self, capsys, tmp_path):
+        path = tmp_path / "m.nbm"
+        path.write_text("machine m\nlocations a b\ninit a\ncounters x\n"
+                        "restore off\ntrans a inc x a\n")
+        assert run(capsys, "explore", "machine", str(path), "--loc", "b", "--cap", "9",
+                   "--budget", "5") == (EXIT_OK, "RESULT UNKNOWN budget\n", "")
+        assert run(capsys, "explore", "machine", str(path), "--loc", "b", "--cap", "9",
+                   "--budget", "10") == (EXIT_OK, "RESULT NO within-cap\n", "")
+
+    def test_vas_budget_is_unknown(self, capsys, tmp_path):
+        path = tmp_path / "v.vas"
+        path.write_text("vas v dim 1\ninit 0\ntarget 12\ntrans 1 ; 0\n")
+        assert run(capsys, "explore", "vas", str(path), "--cap", "9",
+                   "--budget", "5") == (EXIT_OK, "RESULT UNKNOWN budget\n", "")
+        assert run(capsys, "explore", "vas", str(path), "--cap", "9",
+                   "--budget", "10") == (EXIT_OK, "RESULT NO within-cap\n", "")
+
     @pytest.mark.parametrize("procs", ["0", "-2"])
     def test_population_below_one(self, capsys, procs):
         # 0 needs no bits at all: the population is refused before any

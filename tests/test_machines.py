@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from helpers import (
     random_machine,
     random_vas,
+    spec_machine_cover,
     spec_machine_successors,
     spec_step_relaxed,
     spec_step_strict,
@@ -29,11 +30,10 @@ from nbrv.machines import (
     Vas,
     VasError,
     _mt_key,
-    compile_step,
+    apply_strict,
     cover_bounded,
-    machine_successors,
     replay_machine,
-    step_strict,
+    successors,
     vas_cover_bounded,
 )
 from nbrv.reductions import machine_to_vas
@@ -47,23 +47,23 @@ def simple(transitions=(), locations=("l0", "l1"), counters=("x",),
 class TestMachineSuccessors:
     def test_nbdec_at_zero(self):
         m = simple([("l0", CounterOp(NBDEC, "x"), "l1")])
-        succ = machine_successors(m, m.initial_config())
+        succ = successors(m, m.initial_config())
         assert [(t[1].kind, c.loc, c.values) for t, c in succ] == [(NBDEC, "l1", (0,))]
 
     def test_dec_blocked_at_zero(self):
         m = simple([("l0", CounterOp(DEC, "x"), "l1")])
-        assert machine_successors(m, m.initial_config()) == []
+        assert successors(m, m.initial_config()) == []
 
     def test_restore_jump_everywhere(self):
         m = simple([("l0", CounterOp(INC, "x"), "l1")], restore=True)
         cfg = m.config("l1", {"x": 2})
-        succ = machine_successors(m, cfg)
+        succ = successors(m, cfg)
         assert any(c.loc == "l0" and c.values == (2,) for _t, c in succ)
 
     def test_zerotest_requires_zero(self):
         m = simple([("l0", CounterOp(ZEROTEST, "x"), "l1")])
-        assert machine_successors(m, m.config("l0", {"x": 1})) == []
-        assert machine_successors(m, m.config("l0", {"x": 0}))[0][1].loc == "l1"
+        assert successors(m, m.config("l0", {"x": 1})) == []
+        assert successors(m, m.config("l0", {"x": 0}))[0][1].loc == "l1"
 
     def test_nbdec_never_blocks(self):
         rng = random.Random(41)
@@ -71,7 +71,7 @@ class TestMachineSuccessors:
             m = random_machine(rng)
             cfg = m.config(rng.choice(m.locations),
                            {x: rng.randint(0, 3) for x in m.counters})
-            succ = machine_successors(m, cfg)
+            succ = successors(m, cfg)
             for src, op, dst in m.transitions:
                 if op.kind == NBDEC and src == cfg.loc:
                     assert any(t == (src, op, dst) for t, _c in succ)
@@ -82,7 +82,7 @@ class TestMachineSuccessors:
             m = random_machine(rng, restore=rng.random() < 0.5)
             cfg = m.config(rng.choice(m.locations),
                            {x: rng.randint(0, 3) for x in m.counters})
-            for _t, nxt in machine_successors(m, cfg):
+            for _t, nxt in successors(m, cfg):
                 assert all(v >= 0 for v in nxt.values)
 
     def test_restore_reaches_init_from_everywhere(self):
@@ -91,7 +91,7 @@ class TestMachineSuccessors:
             m = random_machine(rng, restore=True)
             cfg = m.config(rng.choice(m.locations),
                            {x: rng.randint(0, 2) for x in m.counters})
-            succ = machine_successors(m, cfg)
+            succ = successors(m, cfg)
             assert any(c.loc == m.init and c.values == cfg.values for _t, c in succ)
 
 
@@ -123,7 +123,7 @@ class TestSuccessorOrder:
                                                     restore=rng.random() < 0.5))
             cfg = m.config(rng.choice(m.locations),
                            {x: rng.randint(0, 2) for x in m.counters})
-            succ = machine_successors(m, cfg)
+            succ = successors(m, cfg)
             trans = [t for t, _c in succ]
             assert trans == sorted(trans, key=_mt_key)
             assert len(set(trans)) == len(trans)
@@ -145,7 +145,7 @@ class TestSuccessorOrder:
                                                     restore=rng.random() < 0.5))
             cfg = m.config(rng.choice(m.locations),
                            {x: rng.randint(0, 2) for x in m.counters})
-            succ = machine_successors(m, cfg)
+            succ = successors(m, cfg)
             assert succ == spec_machine_successors(m, cfg)
             assert all(type(c) is MachineConfig for _t, c in succ)
             fired = {t for t, _c in succ}
@@ -165,7 +165,7 @@ class TestSuccessorOrder:
     def test_restore_jump_merges_with_nop_edge(self):
         m = simple([("l1", CounterOp(NOP), "l0"), ("l1", CounterOp(INC, "x"), "l0"),
                     ("l1", CounterOp(NBDEC, "x"), "l0")], restore=True)
-        succ = machine_successors(m, m.config("l1", {"x": 1}))
+        succ = successors(m, m.config("l1", {"x": 1}))
         assert [(t[1].kind, c.values) for t, c in succ] == [
             (NOP, (1,)), (INC, (2,)), (NBDEC, (0,))]
 
@@ -221,16 +221,64 @@ class TestCoverBounded:
             if verdict.is_yes():
                 assert replay_machine(m, verdict.witness)
 
+    def test_matches_brute_force_spec(self):
+        # Caps 0, 1, 3 and 7 are those where ``cap + 1`` is a power of two.
+        rng = random.Random(48)
+        seen = Counter()
+        for n in range(700):
+            m = with_zero_tests(rng, random_machine(rng, max_loc=6, max_ctr=3, max_t=12,
+                                                    restore=n % 2 == 1))
+            loc = rng.choice(m.locations)
+            cap = (0, 1, 2, 3, 7)[n % 5]
+            budget = (6, 40, 10_000)[n % 3]
+            seen.update(op.kind for _s, op, _d in m.transitions)
+            try:
+                answer, steps, stats = spec_machine_cover(m, loc, cap, budget)
+            except ResourceLimitError:
+                with pytest.raises(ResourceLimitError):
+                    cover_bounded(m, loc, cap, budget)
+                seen["overflow", m.restore] += 1
+                continue
+            verdict = cover_bounded(m, loc, cap, budget)
+            assert verdict.answer == answer
+            assert verdict.stats == stats
+            seen[answer, m.restore, cap] += 1
+            seen["pruned", cap] += stats["pruned"] > 0
+            if answer == "yes":
+                assert verdict.witness.initial == m.initial_config()
+                assert list(verdict.witness.steps) == steps
+                seen["long witness"] += len(steps) > 2
+                seen["at cap"] += any(max(c.values) == cap for _t, c in steps)
+            else:
+                assert (verdict.note, verdict.explored_bound) == ("within-cap", cap)
+        assert min(seen.values()) >= 5 and len(seen) == 34, seen
+
+    def test_no_counters(self):
+        # The packed configuration of a machine without counters is its location.
+        m = CounterMachine("m", ["a", "b", "c", "d"], [], "a",
+                           [("a", CounterOp(NOP), "b"), ("b", CounterOp(NOP), "c")],
+                           restore=True)
+        assert successors(m, m.config("b")) == [
+            (("b", CounterOp(NOP), "a"), MachineConfig("a", ())),
+            (("b", CounterOp(NOP), "c"), MachineConfig("c", ()))]
+        for loc in m.locations:
+            for cap in (0, 1):
+                verdict = cover_bounded(m, loc, cap)
+                assert (verdict.answer, list(verdict.witness.steps) if verdict.witness else None,
+                        verdict.stats) == spec_machine_cover(m, loc, cap, 100)
+        assert cover_bounded(m, "c", 0).witness.final() == MachineConfig("c", ())
+        assert cover_bounded(m, "d", 0).stats == {"visited": 3, "pruned": 0}
+
 
 class TestVasSteps:
     def test_strict_blocked(self):
-        assert step_strict((1, 2), compile_step(((-3, 0), (0, 1)))) is None
+        assert apply_strict((1, 2), ((-3, 0), (0, 1))) is None
 
     def test_strict_clamps_nonblocking_part(self):
-        assert step_strict((1, 0), compile_step(((0, 0), (0, 1)))) == (1, 0)
+        assert apply_strict((1, 0), ((0, 0), (0, 1))) == (1, 0)
 
     def test_strict_add_then_clamp(self):
-        assert step_strict((0,), compile_step(((2,), (1,)))) == (1,)
+        assert apply_strict((0,), ((2,), (1,))) == (1,)
 
     def test_relaxed_clamps_combined(self):
         assert step_relaxed((1, 2), ((-3, 0), (0, 1))) == (0, 1)
@@ -250,7 +298,7 @@ class TestVasSteps:
             t_b = tuple(rng.randint(-3, 3) for _ in range(d))
             t_nb = tuple(rng.choice((0, 0, 1, 4)) for _ in range(d))
             t = (t_b, t_nb)
-            strict = step_strict(v, compile_step(t))
+            strict = apply_strict(v, t)
             assert strict == spec_step_strict(v, t)
             assert step_relaxed(v, t) == spec_step_relaxed(v, t)
             assert type(step_relaxed(v, t)) is tuple
@@ -262,7 +310,7 @@ class TestVasSteps:
         assert min(seen.values()) > 50, seen
 
     @pytest.mark.parametrize("step", [
-        pytest.param(lambda v, t: step_strict(v, compile_step(t)), id="step_strict"),
+        pytest.param(apply_strict, id="step_strict"),
         pytest.param(step_relaxed, id="step_relaxed"),
     ])
     def test_arity_mismatch(self, step):
@@ -282,7 +330,7 @@ class TestVasSteps:
     )
     def test_strict_implies_relaxed(self, data):
         v, t_b, t_nb = data
-        strict = step_strict(v, compile_step((t_b, t_nb)))
+        strict = apply_strict(v, (t_b, t_nb))
         if strict is not None:
             assert strict == step_relaxed(v, (t_b, t_nb))
             assert all(x >= 0 for x in strict)
@@ -343,6 +391,48 @@ class TestVasCover:
                 assert list(verdict.witness.steps) == steps
                 seen["long witness"] += len(steps) > 2
         assert min(seen.values()) >= 15, seen
+
+    def test_field_width_boundaries(self):
+        # A field holds up to ``cap`` plus the largest positive blocking
+        # entry; these VAS put that sum on and around powers of two, with
+        # guards of 2 or more and clamp parts larger than the coordinate.
+        rng = random.Random(8)
+        seen = Counter()
+        for n in range(600):
+            dim = 1 if n % 4 == 0 else rng.randint(2, 4)
+            cap = rng.choice((1, 2, 3, 4, 5, 7, 8))
+            grow = rng.choice((1, 2, 3, 4, 5, 7, 8, 9))
+            transitions = [(tuple(rng.choice((0, 0, -1, -2, -3, 1, grow)) for _ in range(dim)),
+                            tuple(rng.choice((0, 0, 1, 3, 9)) for _ in range(dim)))
+                           for _ in range(rng.randint(1, 6))]
+            transitions.append((tuple(rng.choice((0, grow)) for _ in range(dim)), (0,) * dim))
+            vas = Vas("w", dim, tuple(transitions),
+                      tuple(rng.randint(0, cap) for _ in range(dim)),
+                      tuple(rng.randint(0, cap + 1) for _ in range(dim)))
+            budget = (40, 10_000)[n % 2]
+            try:
+                answer, steps, stats = spec_vas_cover(vas, cap, budget)
+            except ResourceLimitError:
+                with pytest.raises(ResourceLimitError):
+                    vas_cover_bounded(vas, cap, budget)
+                seen["overflow"] += 1
+                continue
+            verdict = vas_cover_bounded(vas, cap, budget)
+            assert verdict.answer == answer
+            assert verdict.stats == stats
+            high = cap + max(b for t_b, _ in vas.transitions for b in t_b)
+            seen["power of two", high & (high - 1) == 0] += 1
+            seen["dim 1", answer] += dim == 1
+            seen["pruned"] += stats["pruned"] > 0
+            if answer == "yes":
+                assert verdict.witness.initial == vas.v_init
+                assert list(verdict.witness.steps) == steps
+                prev = [vas.v_init] + [v for _t, v in steps]
+                for ((t_b, t_nb), _v), u in zip(steps, prev):
+                    seen["guard >= 2"] += min(t_b) <= -2
+                    seen["clamp > coordinate"] += any(
+                        c > a + b for a, b, c in zip(u, t_b, t_nb))
+        assert min(seen.values()) >= 10 and len(seen) == 8, seen
 
     def test_machine_images_match_spec(self):
         # ``machine_to_vas`` images have one 0/1 coordinate per location,

@@ -27,9 +27,8 @@ from nbrv.machines import (
     CounterMachine,
     CounterOp,
     MachineError,
-    compile_step,
+    apply_strict,
     cover_bounded,
-    step_strict,
     vas_cover_bounded,
 )
 from nbrv.model import Configuration, Protocol, recv, send, successors, tau
@@ -209,14 +208,13 @@ class TestMachineToVas:
             m = random_machine(rng)
             v = machine_to_vas(m, m.locations[-1])
             k = v.dim - len(m.counters)
-            steps = [compile_step(t) for t in v.transitions]
             frontier = {v.v_init}
             seen = set(frontier)
             for _ in range(200):
                 nxt = set()
                 for vec in frontier:
-                    for s in steps:
-                        out = step_strict(vec, s)
+                    for t in v.transitions:
+                        out = apply_strict(vec, t)
                         if out is not None and out not in seen and all(x <= 2 for x in out):
                             nxt.add(out)
                 seen |= nxt
