@@ -17,6 +17,12 @@ be read or written, or a parse error in an input file (a byte that is not
 UTF-8 included), 3 precondition violation (bad flag combination, wrong model
 class for the requested method...).
 
+``translate`` and ``gen`` write OUT in place as UTF-8: an existing file is
+overwritten and then cut to the new length.  Nothing is fsynced, before or
+after, so there is no durability promise; if the operating system crashes
+during a write, OUT may hold a mix of old and new blocks rather than nothing.
+A write that fails exits 2, like a read.
+
 The first result line is ``RESULT YES|NO|UNKNOWN``, followed by the
 verdict's note when it has one (``RESULT NO within-cap``, ``RESULT UNKNOWN
 budget``); YES verdicts found by search are followed by ``STEP <label>
@@ -31,8 +37,8 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
-from pathlib import Path
 
 from . import explore, fileio, gadgets, machines, reductions, waitonly
 from .explore import Problem, Verdict
@@ -76,6 +82,29 @@ def _read_text(path: str) -> str:
         lines = (data[:exc.start].decode() + "?").splitlines()
         raise fileio.ParseError(path, len(lines), len(lines[-1]),
                                 f"cannot decode as UTF-8: {exc.reason}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 to the file at ``path``, in place.
+
+    An existing file is overwritten and then cut to the new length; it is
+    never truncated to zero first, since on some file systems (ext4 with
+    ``discard``) freeing every block of the old file costs far more than
+    writing the new bytes over them.  Only a regular file is cut:
+    ``ftruncate`` fails on a device such as ``/dev/null``.  A new file gets
+    mode ``0o666`` less the umask, as with ``open(path, "w")``.  Nothing is
+    fsynced.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _load_protocol(path: str) -> Protocol:
@@ -185,14 +214,13 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 def _cmd_translate(args: argparse.Namespace) -> int:
     kind = args.kind
-    out = Path(args.out)
     if kind == "p2cm":
         if args.target is None:
             raise PreconditionError("p2cm requires --target")
         p = _load_protocol(args.infile)
         target = fileio.parse_config(args.target, p)
         machine, final_loc, report = reductions.protocol_to_machine(p, target)
-        out.write_text(fileio.serialize_machine(machine))
+        _write_text(args.out, fileio.serialize_machine(machine))
         print(f"TARGET {final_loc}")
     else:
         if args.target_loc is None:
@@ -200,30 +228,29 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         m = _load_machine(args.infile)
         if kind == "cm2vas":
             vas = reductions.machine_to_vas(m, args.target_loc)
-            out.write_text(fileio.serialize_vas(vas))
+            _write_text(args.out, fileio.serialize_vas(vas))
             print(f"SIZE dim={vas.dim} transitions={len(vas.transitions)}")
             return EXIT_OK
         simulate = (reductions.machine_to_protocol if kind == "cm2p"
                     else reductions.minsky_to_protocol)
         protocol, report = simulate(m, args.target_loc)
-        out.write_text(fileio.serialize_protocol(protocol))
+        _write_text(args.out, fileio.serialize_protocol(protocol))
     print(f"SIZE source={report.source_size} target={report.target_size}")
     return EXIT_OK
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    out = Path(args.out)
     if args.kind == "lipton":
         m = _load_machine(args.infile)
         target = args.target_loc or m.init
         shell = gadgets.restore_shell(m, args.levels, target)
-        out.write_text(fileio.serialize_machine(shell))
+        _write_text(args.out, fileio.serialize_machine(shell))
         print(f"TARGET {target}")
         print(f"SIZE locations={len(shell.locations)} counters={len(shell.counters)}")
     else:
         ctx = gadgets.LevelContext.create(args.levels)
         pm = gadgets.reset_level(ctx, args.level)
-        out.write_text(fileio.serialize_machine(pm))
+        _write_text(args.out, fileio.serialize_machine(pm))
         print(f"SIZE locations={len(pm.locations)} counters={len(pm.counters)}")
     return EXIT_OK
 

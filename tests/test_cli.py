@@ -411,18 +411,29 @@ GEN_RUNS = [
 ]
 
 
-def gen_transcript(workdir: Path) -> str:
-    """Each command of ``GEN_RUNS``, what it printed and the machine it wrote.
+# One run of each command that writes OUT.
+WRITING_RUNS = {argv[1]: argv for argv in GEN_RUNS} | {
+    "cm2vas": ["translate", "cm2vas", "IN", "OUT", "--target-loc", "lf"]}
 
-    After a deliberate change of the gadgets, regenerate the golden file with
-    ``PYTHONPATH=src python tests/test_cli.py`` and review the diff.
-    """
+
+def gen_paths(workdir: Path) -> dict:
+    """The paths that the names in ``GEN_RUNS`` stand for; writes the inputs."""
     paths = {"IN": workdir / "toy.nbm", "OUT": workdir / "out.nbm", "FIG1": FIG1, "P1": P1,
              "RST": workdir / "rst.nbm", "MINSKY": workdir / "minsky.nbm"}
     paths["IN"].write_text("machine toy\nlocations lin lf\ninit lin\ncounters x\n"
                            "restore off\ntrans lin inc x lf\n")
     paths["RST"].write_text(RST_MACHINE)
     paths["MINSKY"].write_text(MINSKY_MACHINE)
+    return paths
+
+
+def gen_transcript(workdir: Path) -> str:
+    """Each command of ``GEN_RUNS``, what it printed and the machine it wrote.
+
+    After a deliberate change of the gadgets, regenerate the golden file with
+    ``PYTHONPATH=src python tests/test_cli.py`` and review the diff.
+    """
+    paths = gen_paths(workdir)
     parts = []
     for argv in GEN_RUNS:
         out, err = io.StringIO(), io.StringIO()
@@ -506,6 +517,58 @@ class TestInputFiles:
         with pytest.raises(IsADirectoryError) as exc:
             _read_text(str(tmp_path))
         assert exc.value.filename == str(tmp_path)
+
+
+class TestOutputFiles:
+    """OUT is written in place: an existing file ends up holding exactly the
+    bytes a fresh write gives, a device is written without being cut, and a
+    path that cannot be opened exits 2 naming it."""
+
+    @staticmethod
+    def run_to(capsys, paths: dict, argv: list[str], out) -> tuple[int, str, str]:
+        return run(capsys, *(str({**paths, "OUT": out}.get(a, a)) for a in argv))
+
+    # Every output is longer than 10 bytes and shorter than 10 kB.
+    @pytest.mark.parametrize("old", [b"#" * 10_000, b"#" * 10], ids=["longer", "shorter"])
+    @pytest.mark.parametrize("argv", WRITING_RUNS.values(), ids=WRITING_RUNS)
+    def test_overwrite_equals_fresh_write(self, capsys, tmp_path, argv, old):
+        paths = gen_paths(tmp_path)
+        fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+        existing.write_bytes(old)
+        result = self.run_to(capsys, paths, argv, fresh)
+        assert result[0] == EXIT_OK
+        assert self.run_to(capsys, paths, argv, existing) == result
+        assert existing.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("argv", WRITING_RUNS.values(), ids=WRITING_RUNS)
+    def test_dev_null(self, capsys, tmp_path, argv):
+        paths = gen_paths(tmp_path)
+        result = self.run_to(capsys, paths, argv, tmp_path / "file")
+        assert result[0] == EXIT_OK
+        assert self.run_to(capsys, paths, argv, os.devnull) == result
+
+    @pytest.mark.parametrize("argv", WRITING_RUNS.values(), ids=WRITING_RUNS)
+    def test_directory(self, capsys, tmp_path, argv):
+        out = tmp_path / "dir"
+        out.mkdir()
+        assert self.run_to(capsys, gen_paths(tmp_path), argv, out) == (
+            EXIT_PARSE, "", f"error: [Errno 21] Is a directory: '{out}'\n")
+
+    @pytest.mark.parametrize("argv", WRITING_RUNS.values(), ids=WRITING_RUNS)
+    def test_missing_directory(self, capsys, tmp_path, argv):
+        out = tmp_path / "none" / "out"
+        assert self.run_to(capsys, gen_paths(tmp_path), argv, out) == (
+            EXIT_PARSE, "", f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+    def test_new_file_mode_follows_umask(self, capsys, tmp_path):
+        out = tmp_path / "new.nbm"
+        old_mask = os.umask(0o077)
+        try:
+            code, _, _ = self.run_to(capsys, {}, WRITING_RUNS["rst"], out)
+        finally:
+            os.umask(old_mask)
+        assert code == EXIT_OK
+        assert out.stat().st_mode & 0o777 == 0o600
 
 
 RESTORE_OFF_MACHINE = ("machine m\nlocations lin lf\ninit lin\ncounters x\nrestore off\n"
