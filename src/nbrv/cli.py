@@ -15,7 +15,13 @@ Commands::
 Exit codes: 0 the analysis ran (whatever the verdict), 2 a file that cannot
 be read or written, or a parse error in an input file (a byte that is not
 UTF-8 included), 3 precondition violation (bad flag combination, wrong model
-class for the requested method...).
+class for the requested method...).  ``translate`` takes ``--target`` for
+``p2cm`` and ``--target-loc`` for the other kinds, never both.
+
+A command line is parsed once, by the parser of the command it names; one
+that names no command goes to the top-level parser.  Usage lines, help and
+error messages are argparse's, as they were under the top-level parser's
+nested parse.
 
 ``translate`` and ``gen`` write OUT in place as UTF-8: an existing file is
 overwritten and then cut to the new length.  Nothing is fsynced, before or
@@ -217,6 +223,8 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     if kind == "p2cm":
         if args.target is None:
             raise PreconditionError("p2cm requires --target")
+        if args.target_loc is not None:
+            raise PreconditionError("p2cm takes no --target-loc")
         p = _load_protocol(args.infile)
         target = fileio.parse_config(args.target, p)
         machine, final_loc, report = reductions.protocol_to_machine(p, target)
@@ -225,6 +233,8 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     else:
         if args.target_loc is None:
             raise PreconditionError(f"{kind} requires --target-loc")
+        if args.target is not None:
+            raise PreconditionError(f"{kind} takes no --target")
         m = _load_machine(args.infile)
         if kind == "cm2vas":
             vas = reductions.machine_to_vas(m, args.target_loc)
@@ -256,8 +266,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared by every later one."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
+    """The top-level argument parser and the parser of each command, keyed by
+    the command's words; built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="nbrv",
         description="Coverability analyses for networks with non-blocking rendez-vous.",
@@ -310,11 +321,38 @@ def build_parser() -> argparse.ArgumentParser:
     rst.add_argument("--level", type=int, required=True)
     rst.set_defaults(func=_cmd_gen, kind="rst")
 
-    return parser
+    leaves = {("check",): check, ("abstract",): abstract, ("explore",): explore_cmd,
+              ("translate",): translate, ("gen", "lipton"): lipton, ("gen", "rst"): rst}
+    return parser, leaves
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level argument parser, built on the first call and shared by every later one."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of ``argv``, parsed once, by the parser of the command it names.
+
+    The top-level parser would hand every word after the command to that
+    parser unchanged and report the words it leaves over; this skips that
+    outer pass.  A command line that names no command (no words, ``-h``, an
+    unknown or incomplete command) goes to the top-level parser, which prints
+    its help or error.
+    """
+    parser, leaves = _parsers()
+    words = 2 if argv[:1] == ["gen"] else 1
+    leaf = leaves.get(tuple(argv[:words]))
+    if leaf is None:
+        return parser.parse_args(argv)
+    args, extra = leaf.parse_known_args(argv[words:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

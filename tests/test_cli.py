@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 import itertools
 import os
+import random
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,7 +15,7 @@ import pytest
 import nbrv
 from conftest import PROTOCOL_DIR
 from helpers import MINSKY_MACHINE, RST_MACHINE
-from nbrv import fileio
+from nbrv import cli, fileio
 from nbrv.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, _read_text, build_parser, main
 from nbrv.model import MoveTable
 
@@ -310,7 +312,10 @@ class TestRepeatedCalls:
         capsys.readouterr()
         assert run(capsys, "check", "scover", P1) == (EXIT_OK, "RESULT YES\n", "")
 
-    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["gen", "rst", "--help"]])
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["check", "--help"], ["gen", "rst", "--help"], ["explore", "-h"],
+        ["translate", "--help"], ["gen", "lipton", "-h"],
+    ])
     def test_help_is_stable(self, capsys, argv):
         outputs = []
         for _ in range(2):
@@ -319,6 +324,127 @@ class TestRepeatedCalls:
             assert exc.value.code == 0
             outputs.append(capsys.readouterr())
         assert outputs[0].out and outputs[0] == outputs[1]
+
+
+# One valid command line per command and kind, run in a scratch directory
+# that holds every file they name (see ``dispatch_inputs``).
+DISPATCH_VALID = [
+    ["check", "scover", "p1.rvp"],
+    ["check", "ccover", "fig1.rvp", "--target", "q6:2", "--method", "explore",
+     "--max-procs", "3"],
+    ["check", "synchro", "p2.rvp", "--max-procs", "2", "--max-steps", "50"],
+    ["abstract", "p2.rvp", "--trace"],
+    ["explore", "protocol", "fig1.rvp", "--procs", "2", "--list"],
+    ["explore", "machine", "m.nbm", "--loc", "lf", "--cap", "1", "--budget", "50"],
+    ["explore", "vas", "v.vas", "--cap", "2"],
+    ["translate", "p2cm", "fig1.rvp", "out", "--target", "q3:2"],
+    ["translate", "cm2p", "rst.nbm", "out", "--target-loc", "lf"],
+    ["translate", "cm2vas", "m.nbm", "out", "--target-loc", "lf"],
+    ["translate", "minsky2p", "minsky.nbm", "out", "--target-loc", "lf"],
+    ["gen", "lipton", "m.nbm", "out", "--levels", "1", "--target-loc", "lf"],
+    ["gen", "rst", "out", "--levels", "1", "--level", "0"],
+]
+
+# Command lines that name no command, or name one and then go wrong.
+DISPATCH_FIXED = [
+    [], ["-h"], ["--he"], ["--bogus"], ["frobnicate"], ["gen lipton"], ["gen"],
+    ["gen", "-h"], ["gen", "bogus"], ["gen", "--", "rst", "out", "--levels", "1", "--level", "0"],
+    ["--", "check", "scover", "p1.rvp"], ["check"], ["check", "-h", "--bogus"],
+    ["check", "scover", "p1.rvp", "--", "--bogus"],
+    ["explore", "protocol", "fig1.rvp", "--procs", "3", "--bogus"],
+    ["explore", "protocol", "fig1.rvp", "--procs", "3", "extra", "--bogus=1", "-1"],
+    ["gen", "rst", "out", "--levels", "1", "--level", "0", "--bogus", "x"],
+    ["translate", "p2cm", "fig1.rvp", "out", "--target", "q3:2", "--target-loc", "x"],
+]
+
+DISPATCH_INSERTS = ["-h", "--he", "--bogus", "--max", "--procs=2", "--method=guess", "--", "-1",
+                    "extra"]
+
+
+def dispatch_inputs(workdir: Path) -> None:
+    """Writes every file that ``DISPATCH_VALID`` names into ``workdir``."""
+    for name in ("fig1.rvp", "p1.rvp", "p2.rvp"):
+        shutil.copy(PROTOCOL_DIR / name, workdir / name)
+    (workdir / "m.nbm").write_text(RESTORE_OFF_MACHINE)
+    (workdir / "rst.nbm").write_text(RST_MACHINE)
+    (workdir / "minsky.nbm").write_text(MINSKY_MACHINE)
+    (workdir / "v.vas").write_text("vas v dim 1\ninit 0\ntarget 1\ntrans 1 ; 0\n")
+
+
+def mutated_command_lines(seed: int, count: int) -> list[list[str]]:
+    """``count`` valid command lines, every command in turn, each with one or
+    two words inserted from ``DISPATCH_INSERTS`` or dropped."""
+    rng = random.Random(seed)
+    lines = []
+    for i in range(count):
+        argv = list(DISPATCH_VALID[i % len(DISPATCH_VALID)])
+        for _ in range(rng.choice([1, 1, 2])):
+            if rng.random() < 0.7:
+                argv.insert(rng.randrange(len(argv) + 1), rng.choice(DISPATCH_INSERTS))
+            else:
+                del argv[rng.randrange(len(argv))]
+        lines.append(argv)
+    return lines
+
+
+def outcome(argv: list[str]) -> tuple[object, str, str]:
+    """Exit code (returned or raised), stdout and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def nested_parse(argv: list[str]):
+    """The parse that ``main`` made before it dispatched to the command's parser."""
+    return build_parser().parse_args(argv)
+
+
+class TestDispatch:
+    """``main`` parses a command line once, with the parser of the command it names."""
+
+    def test_same_outcome_as_nested_parse(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        dispatch_inputs(tmp_path)
+        codes = set()
+        for argv in DISPATCH_FIXED + DISPATCH_VALID + mutated_command_lines(19, 520):
+            got = outcome(argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_parse", nested_parse)
+                assert got == outcome(argv), argv
+            codes.add("help" if got[1].startswith("usage:") else got[0])
+        assert codes >= {EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, "help"}
+
+    def test_valid_command_lines_skip_the_top_level_parse(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        dispatch_inputs(tmp_path)
+        parser, calls = build_parser(), []
+        parse_args = parser.parse_args
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return parse_args(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_args", spy)
+        for argv in DISPATCH_VALID:
+            assert outcome(argv)[0] == EXIT_OK, argv
+        assert calls == []
+        assert outcome(["frobnicate"])[0] == EXIT_PARSE
+        assert calls == [(["frobnicate"],)]
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["nbrv", "check", "scover", P1])
+        assert main() == EXIT_OK
+        assert capsys.readouterr() == ("RESULT YES\n", "")
+        monkeypatch.setattr(sys, "argv", ["nbrv", "explore", "protocol", P1, "--bogus"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == EXIT_PARSE
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "nbrv: error: unrecognized arguments: --bogus"
 
 
 class TestTranslate:
@@ -610,10 +736,16 @@ class TestErrorMap:
          "need at least one level"),
         (None, ["gen", "rst", "OUT", "--levels", "1", "--level", "5"],
          "level 5 outside 0..1"),
+        # IN is never written: both flags are refused before it is read.
+        (None, ["translate", "p2cm", "IN", "OUT", "--target", "q3:2", "--target-loc", "x"],
+         "p2cm takes no --target-loc"),
+        (None, ["translate", "cm2p", "IN", "OUT", "--target", "q3:2", "--target-loc", "lf"],
+         "cm2p takes no --target"),
     ], ids=["check-abstract", "abstract", "cm2vas-zero-test", "lipton-zero-test",
             "cm2p-restore-off", "minsky2p-three-counters", "minsky2p-nbdec",
             "minsky2p-restore-on", "minsky2p-nop", "minsky2p-edge-out-of-final",
-            "minsky2p-undeclared-final", "lipton-levels-0", "rst-level-out-of-range"])
+            "minsky2p-undeclared-final", "lipton-levels-0", "rst-level-out-of-range",
+            "p2cm-target-loc", "cm2p-target"])
     def test_precondition_message(self, capsys, tmp_path, machine, argv, message):
         paths = {"IN": str(tmp_path / "in.nbm"), "OUT": str(tmp_path / "out")}
         if machine is not None:
