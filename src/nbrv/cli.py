@@ -252,7 +252,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "lipton":
         m = _load_machine(args.infile)
-        target = args.target_loc or m.init
+        target = m.init if args.target_loc is None else args.target_loc
         shell = gadgets.restore_shell(m, args.levels, target)
         _write_text(args.out, fileio.serialize_machine(shell))
         print(f"TARGET {target}")

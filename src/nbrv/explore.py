@@ -168,20 +168,22 @@ def reachable(p: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> tuple[MoveTa
     return t, set(parents)
 
 
-def _rebuild(parents: dict, succ: Callable, start: Any, end: Any) -> Witness:
-    """The run from ``start`` to ``end`` through ``parents``.
+def _rebuild(parents: dict, succ: Callable, start: Any, end: Any,
+             decode: Callable[[Any], Any]) -> Witness:
+    """The run from ``start`` to ``end`` through ``parents``, in sparse form.
 
     Each step's label is the first that ``succ`` gives from the parent to the
-    node: the one the search admitted the node by.
+    node: the one the search admitted the node by.  ``decode`` gives the
+    sparse form of each node of the run.
     """
     steps: list[tuple[Any, Any]] = []
     cur = end
     while cur != start:
         parent = parents[cur]
-        steps.append((next(label for label, nxt in succ(parent) if nxt == cur), cur))
+        steps.append((next(label for label, nxt in succ(parent) if nxt == cur), decode(cur)))
         cur = parent
     steps.reverse()
-    return Witness(initial=start, steps=tuple(steps))
+    return Witness(decode(start), tuple(steps))
 
 
 def decide_fixed(
@@ -208,9 +210,7 @@ def decide_fixed(
     # Which goal node is met first, and whether the budget runs out before
     # it, depends on the order of successors: search again in label order.
     parents, hit, _pruned = search(start, succ, budget=budget, overflow=overflow, goal=goal)
-    packed = _rebuild(parents, succ, start, hit)
-    witness = Witness(t.decode(start), tuple((label, t.decode(v)) for label, v in packed.steps))
-    return Verdict("yes", witness, explored_bound=n)
+    return Verdict("yes", _rebuild(parents, succ, start, hit, t.decode), explored_bound=n)
 
 
 def decide_sweep(

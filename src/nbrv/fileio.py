@@ -16,6 +16,7 @@ transitions) so that parse/serialize round-trips are stable.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .machines import (
     NBDEC,
@@ -93,9 +94,19 @@ class _Reader:
             raise self.error(n, 0, f"'{keyword}' takes exactly one {what}")
         return n, words[1]
 
-    def rest(self) -> list[Line]:
-        """The lines after those taken."""
-        return self.lines[self.pos:]
+    def names(self, keyword: str, what: str) -> list[str]:
+        """The next line, ``keyword`` and at least one ``what`` identifier: those identifiers."""
+        n, words = self.take(keyword)
+        if len(words) < 2:
+            raise self.error(n, 0, f"'{keyword}' needs at least one {what}")
+        return _idents(self, n, words, what)
+
+    def trans(self) -> Iterator[Line]:
+        """The lines after those taken, each checked to be a ``trans`` line as it is reached."""
+        for n, words in self.lines[self.pos:]:
+            if words[0] != "trans":
+                raise self.unexpected(n, words, "trans")
+            yield n, words
 
 
 def _ident(rd: _Reader, n: int, word: str, what: str) -> str:
@@ -134,11 +145,7 @@ def parse_protocol(text: str, file: str = "<string>") -> Protocol:
     n, name = rd.arg("protocol", "name")
     _ident(rd, n, name, "protocol")
 
-    n, words = rd.take("states")
-    if len(words) < 2:
-        raise rd.error(n, 0, "'states' needs at least one state")
-    states = _idents(rd, n, words, "state")
-
+    states = rd.names("states", "state")
     init_n, init = rd.arg("init", "state")
     final_n, final = rd.arg("final", "state")
     n, words = rd.take("messages")
@@ -153,9 +160,7 @@ def parse_protocol(text: str, file: str = "<string>") -> Protocol:
 
     actions: dict[str, Action] = {}  # by action text, each checked on first use
     transitions: list[Transition] = []
-    for n, words in rd.rest():
-        if words[0] != "trans":
-            raise rd.unexpected(n, words, "trans")
+    for n, words in rd.trans():
         if len(words) != 4:
             raise rd.error(n, 0, "'trans' takes SRC ACTION DST")
         _trans, src, act, dst = words
@@ -238,10 +243,7 @@ def parse_machine(text: str, file: str = "<string>") -> CounterMachine:
     n, name = rd.arg("machine", "name")
     _ident(rd, n, name, "machine")
 
-    n, words = rd.take("locations")
-    if len(words) < 2:
-        raise rd.error(n, 0, "'locations' needs at least one location")
-    locations = _idents(rd, n, words, "location")
+    locations = rd.names("locations", "location")
     init_n, init = rd.arg("init", "location")
     n, words = rd.take("counters")
     counters = _idents(rd, n, words, "counter")
@@ -256,9 +258,7 @@ def parse_machine(text: str, file: str = "<string>") -> CounterMachine:
 
     ops: dict[tuple[str, ...], CounterOp] = {}  # by the words between SRC and DST
     transitions: list[MachineTransition] = []
-    for n, words in rd.rest():
-        if words[0] != "trans":
-            raise rd.unexpected(n, words, "trans")
+    for n, words in rd.trans():
         if len(words) not in (4, 5):
             raise rd.error(n, 0, "'trans' takes SRC OP [COUNTER] DST")
         src, dst = words[1], words[-1]
@@ -327,9 +327,7 @@ def parse_vas(text: str, file: str = "<string>") -> Vas:
     v_target = _values(rd, n, words, 1, len(words), dim, "target", signed=False)
 
     transitions = []
-    for n, words in rd.rest():
-        if words[0] != "trans":
-            raise rd.unexpected(n, words, "trans")
+    for n, words in rd.trans():
         if words.count(";") != 1:
             raise rd.error(n, 0, "'trans' needs one ';' between blocking and non-blocking parts")
         split = words.index(";")

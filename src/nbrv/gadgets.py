@@ -244,19 +244,27 @@ def zero_test_swap(ctx: LevelContext, level: int, dual_counter: str) -> Procedur
     return b.machine(f"test_swap_{level}_{dual_counter}", entry, (z_exit, nz_exit))
 
 
-def _emit_init(b: _Builder, level: int, prefix: str) -> tuple[str, str]:
-    ctx = b.ctx
+def _emit_pass(b: _Builder, level: int, prefix: str, first: list[CounterOp],
+               body: list[CounterOp]) -> tuple[str, str]:
+    """Emit one pass over ``level``; returns (entry, exit).
+
+    At level 0 the pass is the straight chain ``first``; above it, ``body``
+    runs inside the loop controlled by the level below.
+    """
     entry = b.loc(f"{prefix}in")
     out = b.loc(f"{prefix}out")
-    duals = ctx.dual(level)
     if level == 0:
-        ops = [CounterOp(INC, x) for x in duals for _ in range(2)]
-        b.chain(f"{prefix}k", entry, ops, out)
+        b.chain(f"{prefix}k", entry, first, out)
     else:
-        body = [CounterOp(INC, x) for x in duals]
         head = _emit_loop(b, level - 1, prefix, out, body)
         b.edge(entry, CounterOp(NOP), head)
     return entry, out
+
+
+def _emit_init(b: _Builder, level: int, prefix: str) -> tuple[str, str]:
+    duals = b.ctx.dual(level)
+    first = [CounterOp(INC, x) for x in duals for _ in range(2)]
+    return _emit_pass(b, level, prefix, first, [CounterOp(INC, x) for x in duals])
 
 
 def init_level(ctx: LevelContext, level: int) -> ProceduralMachine:
@@ -269,21 +277,9 @@ def init_level(ctx: LevelContext, level: int) -> ProceduralMachine:
 
 
 def _emit_reset(b: _Builder, level: int, prefix: str) -> tuple[str, str]:
-    ctx = b.ctx
-    entry = b.loc(f"{prefix}in")
-    out = b.loc(f"{prefix}out")
-    targets = list(ctx.low(level)) + list(ctx.dual(level))
-    if level == 0:
-        ops = []
-        for low, dual in zip(ctx.low(0), ctx.dual(0)):
-            ops += [CounterOp(NBDEC, low), CounterOp(NBDEC, low)]
-            ops += [CounterOp(NBDEC, dual), CounterOp(NBDEC, dual)]
-        b.chain(f"{prefix}k", entry, ops, out)
-    else:
-        body = [CounterOp(NBDEC, x) for x in targets]
-        head = _emit_loop(b, level - 1, prefix, out, body)
-        b.edge(entry, CounterOp(NOP), head)
-    return entry, out
+    lows, duals = b.ctx.low(level), b.ctx.dual(level)
+    first = [CounterOp(NBDEC, x) for pair in zip(lows, duals) for x in pair for _ in range(2)]
+    return _emit_pass(b, level, prefix, first, [CounterOp(NBDEC, x) for x in lows + duals])
 
 
 def reset_level(ctx: LevelContext, level: int) -> ProceduralMachine:

@@ -386,9 +386,7 @@ def _capped(start: int, succ, cap: int, budget: int, decode, *, goal, prune) -> 
     stats = {"visited": len(parents), "pruned": pruned}
     if hit is not None:
         # Looked up through the module, so that a wrapper on it sees machine witnesses.
-        packed = explore._rebuild(parents, succ, start, hit)
-        witness = Witness(decode(start), tuple((label, decode(v)) for label, v in packed.steps))
-        return Verdict("yes", witness, stats=stats)
+        return Verdict("yes", explore._rebuild(parents, succ, start, hit, decode), stats=stats)
     return Verdict("no", explored_bound=cap, note="within-cap", stats=stats)
 
 

@@ -10,7 +10,7 @@ from itertools import repeat
 from operator import add, le, sub
 
 from nbrv import explore
-from nbrv.explore import Problem, ResourceLimitError, Verdict, Witness, search
+from nbrv.explore import Problem, ResourceLimitError, Verdict, search
 from nbrv.gadgets import LevelContext, ProceduralMachine
 from nbrv.machines import (
     DEC,
@@ -386,9 +386,7 @@ def ordered_decide_fixed(p: Protocol, prob: Problem, n: int, budget: int) -> Ver
     parents, hit, _pruned = search(start, succ, budget=budget, overflow=overflow, goal=goal)
     if hit is None:
         return Verdict("no", explored_bound=n, stats={"visited": len(parents)})
-    packed = explore._rebuild(parents, succ, start, hit)
-    witness = Witness(t.decode(start), tuple((label, t.decode(v)) for label, v in packed.steps))
-    return Verdict("yes", witness, explored_bound=n)
+    return Verdict("yes", explore._rebuild(parents, succ, start, hit, t.decode), explored_bound=n)
 
 
 def ordered_decide_sweep(p: Protocol, prob: Problem, max_n: int, budget: int) -> Verdict:

@@ -534,6 +534,9 @@ GEN_RUNS = [
     ["translate", "p2cm", "P1", "OUT", "--target", "q2:2"],
     ["translate", "cm2p", "RST", "OUT", "--target-loc", "lf"],
     ["translate", "minsky2p", "MINSKY", "OUT", "--target-loc", "lf"],
+    # Level 2 is the first whose loops nest a loop, level 3 the first to nest two.
+    ["gen", "rst", "OUT", "--levels", "3", "--level", "2"],
+    ["gen", "rst", "OUT", "--levels", "3", "--level", "3"],
 ]
 
 
@@ -736,6 +739,8 @@ class TestErrorMap:
          "need at least one level"),
         (None, ["gen", "rst", "OUT", "--levels", "1", "--level", "5"],
          "level 5 outside 0..1"),
+        (RESTORE_OFF_MACHINE, ["gen", "lipton", "IN", "OUT", "--levels", "1", "--target-loc", ""],
+         "unknown target location ''"),
         # IN is never written: both flags are refused before it is read.
         (None, ["translate", "p2cm", "IN", "OUT", "--target", "q3:2", "--target-loc", "x"],
          "p2cm takes no --target-loc"),
@@ -745,7 +750,7 @@ class TestErrorMap:
             "cm2p-restore-off", "minsky2p-three-counters", "minsky2p-nbdec",
             "minsky2p-restore-on", "minsky2p-nop", "minsky2p-edge-out-of-final",
             "minsky2p-undeclared-final", "lipton-levels-0", "rst-level-out-of-range",
-            "p2cm-target-loc", "cm2p-target"])
+            "lipton-empty-target-loc", "p2cm-target-loc", "cm2p-target"])
     def test_precondition_message(self, capsys, tmp_path, machine, argv, message):
         paths = {"IN": str(tmp_path / "in.nbm"), "OUT": str(tmp_path / "out")}
         if machine is not None:

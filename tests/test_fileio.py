@@ -205,6 +205,22 @@ class TestVasFormat:
         assert serialize_vas(parse_vas(serialize_vas(v))) == serialize_vas(v)
 
 
+@pytest.mark.parametrize("parse, text, error", [
+    (parse_protocol, "protocol p\nstates a\ninit a\nfinal a\nmessages\ntrans a !m a\nfinal a\n",
+     "x:6:9: message 'm' not declared"),
+    (parse_machine, "machine m\nlocations a\ninit a\ncounters\nrestore off\n"
+     "trans a inc x a\ninit a\n", "x:6:13: counter 'x' not declared"),
+    (parse_vas, "vas v dim 1\ninit 0\ntarget 1\ntrans 1 ; x\ntarget 1\n",
+     "x:4:11: invalid non-blocking value 'x'"),
+], ids=["rvp", "nbm", "vas"])
+def test_bad_trans_line_is_reported_before_a_later_stray_line(parse, text, error):
+    # Lines are checked in file order: the stray header line after the bad
+    # ``trans`` line is never reached.
+    with pytest.raises(ParseError) as exc:
+        parse(text, "x")
+    assert str(exc.value) == error
+
+
 def render(rng: random.Random, canonical: str, newline: str) -> str:
     """A non-canonical text of the same model: the header lines in order, the
     ``trans`` lines shuffled with some repeated, words split by spaces and
