@@ -1,7 +1,8 @@
 """Verification toolkit for networks communicating by non-blocking rendez-vous.
 
 Subpackages by theme: :mod:`nbrv.model` (protocol semantics),
-:mod:`nbrv.explore` (bounded exhaustive search), :mod:`nbrv.waitonly`
+:mod:`nbrv.explore` (bounded exhaustive search), :mod:`nbrv.backward`
+(exact coverability by backward search), :mod:`nbrv.waitonly`
 (polynomial-time coverability for wait-only protocols), :mod:`nbrv.machines`
 (counter machines and non-blocking VAS), :mod:`nbrv.reductions` (model to
 model compilers), :mod:`nbrv.gadgets` (nested counter-bounding machinery),

@@ -1,0 +1,218 @@
+"""Exact parameterised COVER by backward search over minimal bases.
+
+A configuration ``c`` covers a target ``t`` when ``c(q) >= t(q)`` for every
+state.  :func:`first_population` computes the upward-closed set of
+configurations from which some run covers the target, as the antichain of
+its minimal elements, and answers with the smallest population ``n`` whose
+initial configuration ``n * init`` lies in that set, or NO when none does.
+:func:`decide` routes the ``check`` questions through it.
+
+Why it is sound
+---------------
+*Monotonicity.*  Under the non-blocking semantics, configurations ordered
+by ``<=`` form a well-structured transition system.  Tau and rendez-vous
+steps are monotone: a larger configuration can take the same step, to a
+larger successor.  A non-blocking step ``nb:m`` enabled at ``c`` may be
+disabled at some ``c' >= c``, but only because ``c'`` holds a receiver of
+``m`` that ``c`` lacks; then the rendez-vous ``msg:m`` with that receiver
+is enabled at ``c'`` and its successor covers the ``nb`` successor of
+``c``.  So whenever ``c -> d`` and ``c <= c'``, some step ``c' -> d'`` has
+``d <= d'``, and the set of configurations that can cover the target is
+upward closed.  Backward search over minimal bases therefore terminates
+and is exact (Abdulla, Cerans, Jonsson and Tsay, LICS 1996; Finkel and
+Schnoebelen, TCS 2001).
+
+*Pre-images.*  For a basis vector ``b`` each rule gives at most one
+minimal predecessor ``c``, such that every configuration that takes the
+rule into the upward closure of ``b`` is at least ``c``:
+
+- tau ``q -> q'``: ``c = max(b - e_q', 0) + e_q``;
+- rendez-vous of ``s !m s'`` with ``r ?m r'`` (``r = s`` allowed):
+  ``c = max(b - e_s' - e_r', 0) + e_s + e_r``;
+- non-blocking ``s !m s'``: ``c = max(b - e_s', 0) + e_s``, kept only when
+  ``c - e_s`` is 0 on every receiver of ``m``.  Otherwise every
+  configuration at least ``c`` holds a receiver besides the sender, and
+  the rule has no pre-image in the upward closure of ``b``.
+
+A rule whose destination fields are all 0 in ``b`` gives ``c >= b``, which
+adds nothing, and is skipped.
+
+*Saturation.*  :func:`saturation` over-approximates the states that any
+reachable configuration occupies: start from ``{init}``; add the targets
+of taus and sends whose source is in the set (a sender always moves, alone
+or with a receiver); add ``r'`` for each ``r ?m r'`` whose ``r`` is in the
+set and whose message ``m`` has a sender in the set.  A run from
+``n * init`` to a cover passes only through configurations supported in
+the saturation, and each basis vector below such a configuration is
+supported in it too, so dropping the vectors positive outside it loses no
+answer.
+
+*Minimal population.*  Every pre-image has at least the sum of its vector.
+Vectors are expanded smallest sum first, ties broken by the larger
+``init`` count, so the first vector popped that is 0 outside ``init`` has
+the smallest sum of any such vector that the search can still derive: its
+``init`` count is the smallest population that covers the target.
+
+Vectors are packed ints: state ``i`` (in ``p.states`` order) has a field of
+``w`` bits whose top bit is a guard bit, where ``w`` is one more than the
+bit length of ``sum(target) + 2 * budget``.  A pre-image adds at most 2 to
+the sum of its vector, so within ``budget`` pops no value reaches a guard
+bit, and ``u <= v`` is one subtraction: ``((v | H) - u) & H == H`` with
+``H`` the guard bits.
+"""
+
+from __future__ import annotations
+
+import heapq
+from dataclasses import replace
+
+from . import explore
+from .explore import CCOVER, DEFAULT_BUDGET, SYNCHRO, Problem, ResourceLimitError, Verdict
+from .model import Configuration, Protocol, check_configuration, receivers
+
+
+class EngineDisagreementError(RuntimeError):
+    """The explorer found no cover at the population the backward search gave."""
+
+
+def saturation(p: Protocol) -> frozenset[str]:
+    """The states that some reachable configuration may occupy (an over-approximation)."""
+    sat = {p.init}
+    grew = True
+    while grew:
+        size = len(sat)
+        sat.update(dst for src, dst in p.taus if src in sat)
+        sat.update(dst for src, _m, dst in p.sends if src in sat)
+        sent = {m for src, m, _dst in p.sends if src in sat}
+        sat.update(dst for src, m, dst in p.recvs if src in sat and m in sent)
+        grew = len(sat) > size
+    return frozenset(sat)
+
+
+def first_population(p: Protocol, target: Configuration,
+                     budget: int = DEFAULT_BUDGET) -> Verdict:
+    """The smallest population whose initial configuration can cover ``target``.
+
+    YES carries that population as ``explored_bound``; NO is exact for every
+    population.  Past ``budget`` pops the answer is UNKNOWN, noted
+    ``budget``.  ``stats`` holds ``pops`` and ``basis``, the size of the
+    antichain when the search stopped.
+    """
+    check_configuration(p, target)
+    sat = saturation(p)
+    budget = max(budget, 0)
+    width = (target.total() + 2 * budget).bit_length() + 1
+    mask = (1 << width) - 1
+    shift = {q: i * width for i, q in enumerate(p.states)}
+    one = {q: 1 << s for q, s in shift.items()}
+    field = {q: mask << s for q, s in shift.items()}
+    guards = sum(1 << (s + width - 1) for s in shift.values())
+    outside_init = sum(field.values()) - field[p.init]
+    init_field = field[p.init]
+
+    # Rules whose sources lie outside the saturation only give vectors that
+    # are positive there, so they are left out here.  A tau or non-blocking
+    # rule is (destination field, delta, source unit, receiver fields), and
+    # a tau has no receiver fields; a rendez-vous is (sender destination
+    # field and unit, receiver destination field and unit, source units).
+    singles = [(field[dst], one[src] - one[dst], one[src], 0)
+               for src, dst in p.taus if src in sat]
+    singles += [(field[dst], one[src] - one[dst], one[src],
+                 sum(field[r] for r in receivers(p, m)))
+                for src, m, dst in p.sends if src in sat]
+    rendezvous = [(field[dst], one[dst], field[rp], one[rp], one[src] + one[r])
+                  for src, m, dst in p.sends if src in sat
+                  for r, rp in p._recv_by_msg[m] if r in sat]
+
+    basis: set[int] = set()
+    heap: list[tuple[int, int, int]] = []
+    # Every vector ever offered: the upward closure of the basis only grows,
+    # so a vector offered again is covered by then.
+    offered: set[int] = set()
+
+    def insert(c: int, total: int) -> None:
+        if c in offered:
+            return
+        offered.add(c)
+        lifted = c | guards
+        dominated = []
+        for u in basis:
+            if (lifted - u) & guards == guards:
+                return
+            if ((u | guards) - c) & guards == guards:
+                dominated.append(u)
+        basis.difference_update(dominated)
+        basis.add(c)
+        heapq.heappush(heap, (total, -(c & init_field), c))
+
+    start = 0
+    for q, k in target.items:
+        if q not in sat:
+            return Verdict("no", stats={"pops": 0, "basis": 0})
+        start += k << shift[q]
+    insert(start, target.total())
+    pops = 0
+    while heap:
+        total, _init, b = heapq.heappop(heap)
+        if b not in basis:
+            continue
+        if pops == budget:
+            return Verdict("unknown", note="budget", stats={"pops": pops, "basis": len(basis)})
+        pops += 1
+        if not b & outside_init:
+            return Verdict("yes", explored_bound=total,
+                           stats={"pops": pops, "basis": len(basis)})
+        for dfield, delta, sunit, rfields in singles:
+            if b & dfield:
+                c = b + delta
+                if not (c - sunit) & rfields:
+                    insert(c, total)
+        for sfield, sunit, rfield, runit, add in rendezvous:
+            c, grow = b, 2
+            if c & sfield:
+                c -= sunit
+                grow -= 1
+            if c & rfield:
+                c -= runit
+                grow -= 1
+            if grow < 2:
+                insert(c + add, total + grow)
+    return Verdict("no", stats={"pops": pops, "basis": len(basis)})
+
+
+def decide(p: Protocol, prob: Problem, max_n: int,
+           budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Decide ``prob`` with :func:`first_population`, at most ``budget`` pops.
+
+    A NO is exact, and past ``budget`` pops the answer is UNKNOWN, noted
+    ``budget``.  A cover question (``scover``, or ``ccover`` of
+    ``prob.target``) that the backward search answers YES at population
+    ``n <= max_n`` gets the explorer's verdict at ``n``, with its witness;
+    the explorer must agree.  At ``n > max_n`` the answer is UNKNOWN.
+    ``synchro`` needs every process in ``final``, so it is asked as the
+    cover of ``final``: a NO is exact for it too, and a YES is swept from
+    ``n``.  An explorer search that runs out of ``budget`` nodes answers
+    UNKNOWN, noted ``budget``.  Every verdict's ``stats`` carry the backward
+    search's ``pops`` and ``basis``.
+    """
+    target = prob.target if prob.kind == CCOVER else Configuration(((p.final, 1),))
+    assert target is not None
+    found = first_population(p, target, budget)
+    if not found.is_yes():
+        return found
+    n = found.explored_bound
+    assert n is not None
+    if prob.kind == SYNCHRO:
+        verdict = explore.decide_sweep(p, prob, max_n, budget, start=n)
+    elif n > max_n:
+        verdict = Verdict("unknown", explored_bound=max_n)
+    else:
+        try:
+            verdict = explore.decide_fixed(p, prob, n, budget)
+        except ResourceLimitError:
+            verdict = Verdict("unknown", explored_bound=n - 1, note="budget")
+        if verdict.answer == "no":
+            raise EngineDisagreementError(
+                f"backward search covers the target of {p.name} at population {n},"
+                " but the explorer does not")
+    return replace(verdict, stats={**verdict.stats, **found.stats})

@@ -29,13 +29,25 @@ after, so there is no durability promise; if the operating system crashes
 during a write, OUT may hold a mix of old and new blocks rather than nothing.
 A write that fails exits 2, like a read.
 
+``check --method auto`` sends a cover question (``scover``, ``ccover``) on a
+wait-only protocol to the abstract engine (``waitonly``) and one on any
+other protocol to the backward engine (``backward``).  The backward engine
+gives an exact NO, or the smallest population ``n`` that covers the target:
+``n <= --max-procs`` prints the explorer's verdict at ``n``, with its
+witness, and a larger ``n`` prints ``RESULT UNKNOWN``.  ``synchro`` needs
+every process in ``final``, so under ``auto`` it answers an exact NO when
+``final`` cannot be covered, and is otherwise swept from ``n`` up to
+``--max-procs``.  ``--method explore`` sweeps populations 1..``--max-procs``.
+
 The first result line is ``RESULT YES|NO|UNKNOWN``, followed by the
 verdict's note when it has one (``RESULT NO within-cap``, ``RESULT UNKNOWN
 budget``); YES verdicts found by search are followed by ``STEP <label>
-<config>`` lines that replay the witness.  A ``check`` sweep or an
-``explore machine|vas`` search that runs out of its node budget answers
-``RESULT UNKNOWN budget``; ``explore protocol`` counts, and a partial count
-is no answer, so there the budget is a precondition error.
+<config>`` lines that replay the witness.  ``--max-steps`` bounds both the
+pops of the backward search and the nodes of each explorer search.  A
+``check`` that runs out of it, or an ``explore machine|vas`` search that
+runs out of its node budget, answers ``RESULT UNKNOWN budget``;
+``explore protocol`` counts, and a partial count is no answer, so there the
+budget is a precondition error.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ import os
 import stat
 import sys
 
-from . import explore, fileio, gadgets, machines, reductions, waitonly
+from . import backward, explore, fileio, gadgets, machines, reductions, waitonly
 from .explore import Problem, Verdict
 from .model import Protocol
 
@@ -151,15 +163,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
         problem = Problem(args.problem)
 
     method = args.method
-    if method == "auto" and args.problem == "synchro":
-        method = "explore"
-
-    verdict = None
-    if method != "explore":
-        if args.problem == "synchro":
-            raise PreconditionError("the abstract analysis does not decide synchro")
-        # ``auto`` tries the abstract engine, which partitions the protocol
-        # once, and falls back to the explorer when it is not wait-only.
+    if method == "abstract" and args.problem == "synchro":
+        raise PreconditionError("the abstract analysis does not decide synchro")
+    if method == "explore":
+        verdict = explore.decide_sweep(p, problem, args.max_procs, args.max_steps)
+    elif args.problem == "synchro":
+        verdict = backward.decide(p, problem, args.max_procs, args.max_steps)
+    else:
+        # The abstract engine partitions the protocol once; ``auto`` falls
+        # back to the backward engine when it is not wait-only.
         try:
             if args.problem == "scover":
                 verdict = waitonly.decide_state_cover(p)
@@ -169,8 +181,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         except waitonly.NotWaitOnlyError:
             if method != "auto":
                 raise
-    if verdict is None:
-        verdict = explore.decide_sweep(p, problem, args.max_procs, args.max_steps)
+            verdict = backward.decide(p, problem, args.max_procs, args.max_steps)
     _print_verdict(verdict, lambda label, cfg: f"{label} {cfg}")
     return EXIT_OK
 

@@ -214,19 +214,20 @@ def decide_fixed(
 
 
 def decide_sweep(
-    p: Protocol, prob: Problem, max_n: int, budget: int = DEFAULT_BUDGET
+    p: Protocol, prob: Problem, max_n: int, budget: int = DEFAULT_BUDGET, start: int = 1
 ) -> Verdict:
-    """Try population sizes 1..max_n; YES at the first hit, else UNKNOWN.
+    """Try population sizes start..max_n; YES at the first hit, else UNKNOWN.
 
-    A population that exceeds ``budget`` ends the sweep with UNKNOWN, noted
-    ``budget``, whose ``explored_bound`` is the last population completed.
-    The move table is compiled for ``max_n`` up front, so every population
-    shares one table.
+    ``start`` skips populations already known to give no YES.  A population
+    that exceeds ``budget`` ends the sweep with UNKNOWN, noted ``budget``,
+    whose ``explored_bound`` is the last population completed.  The move
+    table is compiled for ``max_n`` up front, so every population shares
+    one table.
     """
     if max_n < 1:
         raise ValueError("population bound must be at least 1")
     p.moves(max_n)
-    for n in range(1, max_n + 1):
+    for n in range(start, max_n + 1):
         try:
             verdict = decide_fixed(p, prob, n, budget)
         except ResourceLimitError:

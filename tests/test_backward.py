@@ -1,0 +1,144 @@
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from helpers import (
+    backward_cover,
+    random_config,
+    random_protocol,
+    random_wait_only,
+    with_self_rendezvous,
+)
+from nbrv import backward, explore, waitonly
+from nbrv.backward import EngineDisagreementError, decide, first_population, saturation
+from nbrv.explore import Problem, Verdict, decide_sweep
+from nbrv.model import Configuration, Protocol, recv, send, tau
+
+
+def cfg(**counts: int) -> Configuration:
+    return Configuration.from_counts(counts)
+
+
+def chain(k: int) -> Protocol:
+    """A wait-only chain: ``s_i !m_i s_i+1``, ``s_i !m_i+1 w_i`` and
+    ``w_i ?m_i w_i+1`` (indices of ``w`` and ``m`` mod ``k``)."""
+    trans = []
+    for i in range(k):
+        trans += [(f"s{i}", send(f"m{i}"), f"s{i + 1}"),
+                  (f"s{i}", send(f"m{(i + 1) % k}"), f"w{i}"),
+                  (f"w{i}", recv(f"m{i}"), f"w{(i + 1) % k}")]
+    states = [f"s{i}" for i in range(k + 1)] + [f"w{i}" for i in range(k)]
+    return Protocol("chain", states, [f"m{i}" for i in range(k)], "s0", f"s{k}", trans)
+
+
+class TestAgainstOracle:
+    def test_agrees_with_p2cm_backward_search(self):
+        """The p2cm-route oracle decides each query the same way; every YES
+        population is the first one the explorer's sweep covers at.
+
+        The saturation is also exactly the set of coverable states on these
+        protocols.  A looser saturation (say, one that adds ``r'`` for
+        ``r ?m r'`` without asking for a sender of ``m``) gives the same
+        answers but lets vectors through that no run can reach.
+        """
+        rng = random.Random(41)
+        answers = {"yes": 0, "no": 0}
+        for k in range(2000):
+            p = random_protocol(rng, max_q=6)
+            if k % 4 == 0:
+                p = with_self_rendezvous(rng, p)
+            target = random_config(rng, p)
+            found = first_population(p, target)
+            assert (found.answer == "yes") == backward_cover(p, target), (k, target)
+            answers[found.answer] += 1
+            if found.is_yes():
+                n = found.explored_bound
+                swept = decide_sweep(p, Problem("ccover", target), n)
+                assert swept.is_yes() and swept.explored_bound == n, (k, target, n)
+            covered = {q for q in p.states if first_population(p, cfg(**{q: 1})).is_yes()}
+            assert saturation(p) == covered, k
+        assert min(answers.values()) > 500, answers
+
+    def test_agrees_with_abstract_engine_on_wait_only(self):
+        rng = random.Random(42)
+        for k in range(500):
+            p = random_wait_only(rng)
+            target = random_config(rng, p)
+            want = waitonly.decide_cover(p, target).answer
+            assert first_population(p, target).answer == want, (k, target)
+
+
+class TestSearch:
+    def test_fig1(self, fig1):
+        assert first_population(fig1, cfg(q4=1)).answer == "no"
+        assert first_population(fig1, cfg(q6=2)).explored_bound == 3
+        assert first_population(fig1, cfg(q_in=4)).explored_bound == 4
+
+    def test_target_outside_saturation(self):
+        # Nothing sends m, so b is never occupied.
+        p = Protocol("p", ["a", "b"], ["m"], "a", "b", [("a", recv("m"), "b")])
+        assert saturation(p) == {"a"}
+        assert first_population(p, cfg(b=1)) == Verdict("no", stats={"pops": 0, "basis": 0})
+
+    def test_stats_and_pop_budget(self, fig1):
+        found = first_population(fig1, cfg(q6=2))
+        assert found.stats == {"pops": 5, "basis": 7}
+        cut = first_population(fig1, cfg(q6=2), budget=4)
+        assert (cut.answer, cut.note, cut.stats) == ("unknown", "budget", {"pops": 4, "basis": 7})
+
+    def test_chain_within_a_small_pop_budget(self):
+        # Smallest sum first, ties to the larger init count, and the
+        # saturation keep this family to a few hundred pops at k = 20.
+        found = first_population(chain(20), cfg(s20=1, w19=2), budget=1000)
+        assert (found.answer, found.explored_bound) == ("yes", 3)
+
+
+class TestDecide:
+    def test_yes_is_the_explorer_verdict(self, fig1):
+        prob = Problem("ccover", cfg(q6=2))
+        verdict = decide(fig1, prob, 8)
+        swept = decide_sweep(fig1, prob, 8)
+        assert (verdict.answer, verdict.witness) == ("yes", swept.witness)
+        assert verdict.stats == {"pops": 5, "basis": 7}
+
+    def test_yes_above_max_n_is_unknown(self, fig1):
+        verdict = decide(fig1, Problem("ccover", cfg(q6=2)), 2)
+        assert (verdict.answer, verdict.note, verdict.explored_bound) == ("unknown", "", 2)
+
+    def test_no_carries_stats(self, fig1):
+        verdict = decide(fig1, Problem("ccover", cfg(q4=1)), 8)
+        assert verdict.answer == "no" and set(verdict.stats) == {"pops", "basis"}
+
+    @pytest.mark.parametrize("kind", ["scover", "synchro"])
+    def test_agrees_with_the_sweep(self, kind):
+        # Same verdict and witness as the sweep, except that a NO is exact
+        # where the sweep can only say UNKNOWN.
+        rng = random.Random(43)
+        prob = Problem(kind)
+        answers = set()
+        for k in range(300):
+            p = random_protocol(rng, max_q=5)
+            verdict, swept = decide(p, prob, 4), decide_sweep(p, prob, 4)
+            if verdict.answer == "no":
+                assert swept.answer == "unknown", k
+            else:
+                assert (verdict.answer, verdict.witness) == (swept.answer, swept.witness), k
+            answers.add(verdict.answer)
+        assert {"yes", "no"} <= answers
+
+    def test_pop_budget_is_unknown(self, fig1):
+        for kind in ("scover", "synchro"):
+            verdict = decide(fig1, Problem(kind), 8, budget=0)
+            assert (verdict.answer, verdict.note) == ("unknown", "budget")
+
+    def test_synchro_no_when_final_is_not_coverable(self):
+        p = Protocol("p", ["a", "b", "c"], ["m"], "a", "c",
+                     [("a", tau(), "b"), ("b", recv("m"), "c")])
+        assert decide(p, Problem("synchro"), 8).answer == "no"
+
+    def test_explorer_disagreement_raises(self, fig1, monkeypatch):
+        monkeypatch.setattr(explore, "decide_fixed", lambda *args: Verdict("no"))
+        with pytest.raises(EngineDisagreementError):
+            backward.decide(fig1, Problem("ccover", cfg(q6=2)), 8)

@@ -124,9 +124,43 @@ class TestCheck:
         assert code == EXIT_OK and out == expected
 
     def test_sweep_budget_is_unknown(self, capsys):
+        code, out, _ = run(capsys, "check", "ccover", FIG1, "--target", "q4", "--method",
+                           "explore", "--max-procs", "30", "--max-steps", "300")
+        assert code == EXIT_OK and out == "RESULT UNKNOWN budget\n"
+
+    def test_auto_routes_non_wait_only_cover_to_backward(self, capsys):
+        # The sweep above runs out of budget; the backward engine answers an exact NO.
         code, out, _ = run(capsys, "check", "ccover", FIG1, "--target", "q4",
                            "--max-procs", "30", "--max-steps", "300")
+        assert code == EXIT_OK and out == "RESULT NO\n"
+
+    def test_backward_yes_above_max_procs_is_unknown(self, capsys):
+        # q6:2 needs 3 processes (see the golden witness at --max-procs 8).
+        code, out, _ = run(capsys, "check", "ccover", FIG1, "--target", "q6:2",
+                           "--max-procs", "2")
+        assert code == EXIT_OK and out == "RESULT UNKNOWN\n"
+
+    @pytest.mark.parametrize("budget", ["0", "1"])
+    def test_backward_pop_budget_is_unknown(self, capsys, budget):
+        code, out, _ = run(capsys, "check", "ccover", FIG1, "--target", "q6:2",
+                           "--max-steps", budget)
         assert code == EXIT_OK and out == "RESULT UNKNOWN budget\n"
+
+    def test_explorer_budget_after_backward_yes_is_unknown(self, capsys):
+        # Enough pops for the backward YES at population 3, too few nodes
+        # for the explorer to rebuild its witness there.
+        code, out, _ = run(capsys, "check", "ccover", FIG1, "--target", "q6:2",
+                           "--max-steps", "5")
+        assert code == EXIT_OK and out == "RESULT UNKNOWN budget\n"
+
+    def test_synchro_exact_no_when_final_is_not_coverable(self, capsys, tmp_path):
+        path = tmp_path / "q4.rvp"
+        path.write_text(Path(FIG1).read_text().replace("final q1", "final q4"))
+        code, out, _ = run(capsys, "check", "synchro", str(path))
+        assert code == EXIT_OK and out == "RESULT NO\n"
+        code, out, _ = run(capsys, "check", "synchro", str(path), "--method", "explore",
+                           "--max-procs", "4")
+        assert code == EXIT_OK and out == "RESULT UNKNOWN\n"
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.rvp"
@@ -804,7 +838,7 @@ def readme_examples() -> list[tuple[list[str], str]]:
 
 def test_readme_examples(capsys, tmp_path):
     examples = readme_examples()
-    assert len(examples) == 3
+    assert len(examples) == 4
     for argv, shown in examples:
         args = [str(PROTOCOL_DIR.parent / a) if a.startswith("protocols/")
                 else str(tmp_path / Path(a).name) if a.endswith(".nbm") else a
