@@ -187,8 +187,9 @@ def decide(p: Protocol, prob: Problem, max_n: int,
     A NO is exact, and past ``budget`` pops the answer is UNKNOWN, noted
     ``budget``.  A cover question (``scover``, or ``ccover`` of
     ``prob.target``) that the backward search answers YES at population
-    ``n <= max_n`` gets the explorer's verdict at ``n``, with its witness;
-    the explorer must agree.  At ``n > max_n`` the answer is UNKNOWN.
+    ``n <= max_n`` gets the verdict of the explorer's label-ordered search
+    at ``n`` (``explore.decide_ordered``), with its witness; the explorer
+    must agree.  At ``n > max_n`` the answer is UNKNOWN.
     ``synchro`` needs every process in ``final``, so it is asked as the
     cover of ``final``: a NO is exact for it too, and a YES is swept from
     ``n``.  An explorer search that runs out of ``budget`` nodes answers
@@ -207,8 +208,10 @@ def decide(p: Protocol, prob: Problem, max_n: int,
     elif n > max_n:
         verdict = Verdict("unknown", explored_bound=max_n)
     else:
+        # Population n can cover the target, so the explorer's order-free
+        # pass could only confirm it: search once, in label order.
         try:
-            verdict = explore.decide_fixed(p, prob, n, budget)
+            verdict = explore.decide_ordered(p, prob, n, budget)
         except ResourceLimitError:
             verdict = Verdict("unknown", explored_bound=n - 1, note="budget")
         if verdict.answer == "no":

@@ -6,9 +6,9 @@ synchronization exactly at that size.  Sweeping the population upward gives a
 semi-decision procedure for the parameterised questions: it can answer YES
 with a witness but never NO.
 
-``search`` is the one breadth-first search of the package: the counter
-machine and VAS searches run on it too, also on packed ints.  The explorer
-runs it on the packed configurations of the protocol's compiled
+``search`` is the one breadth-first search with parents of the package: the
+counter machine and VAS searches run on it too, also on packed ints.  The
+explorer runs on the packed configurations of the protocol's compiled
 ``MoveTable`` (one int per configuration, one count field per state), so
 each move is one integer addition; ``Configuration`` objects are built
 only for witnesses.  A sweep compiles its table for the largest population
@@ -16,27 +16,33 @@ first, and every smaller population reuses it.
 
 Each population is searched in full, since an extra process can turn a
 non-blocking request into a rendez-vous.  A reachable set, a NO and an
-overflow with no goal met depend only on the set of nodes reached, so the
-explorer searches on ``model.dense_moves``, which neither sorts nor
-deduplicates.  Only a YES witness, and the overflow of a search that has a
-goal, depend on the order of successors: ``decide_fixed`` then searches the
-population again on the label-ordered successors.
+overflow with no goal met depend only on the set of nodes reached, so
+``reachable`` and the first pass of ``decide_fixed`` saturate that set
+level by level, ``seen |= image(t, frontier) - seen``, on
+``model.dense_image``, which expands a whole frontier at once on the
+moves the table memoises per signature and keeps neither order nor
+parents.  Only a YES witness, and the overflow of a search that has a
+goal, depend on the order of successors: ``decide_ordered`` then searches
+the population again with ``search``, on the label-ordered successors.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Hashable, Iterable
 
 from . import model
 from .model import Configuration, MoveTable, Protocol, check_configuration, initial
 
-# The explorer's successor function, looked up as ``explore.successors`` on
-# every search so that a wrapper installed on this name sees each call.  It
-# gives ``(rank, w)`` moves in table order; ``model.label_order`` sorts them.
+# The explorer's successor functions, looked up as ``explore.successors`` and
+# ``explore.image`` on every search so that a wrapper installed on either
+# name sees each call.  ``successors`` gives the ``(rank, w)`` moves of one
+# configuration in table order, which ``model.label_order`` sorts, for the
+# label-ordered searches; ``image`` gives the successor set of a frontier,
+# for the level-by-level passes.
 successors = model.dense_moves
+image = model.dense_image
 
 DEFAULT_BUDGET = 10**6
 
@@ -67,8 +73,10 @@ class Problem:
     def goal(self, p: Protocol, t: MoveTable, n: int) -> Callable[[int], Any]:
         """The test of this problem on ``t``'s packed configurations of size ``n``.
 
-        A target count too large for ``t``'s fields is never met: no
-        configuration of ``t`` holds that many processes.
+        A target count ``k`` is met when adding ``2**t.width - k`` to its
+        count field sets the field's guard bit, so a ``ccover`` test is one
+        addition and one mask.  A target count too large for ``t``'s fields
+        is never met: no configuration of ``t`` holds that many processes.
         """
         f = t.shift[p.final]
         if self.kind == SCOVER:
@@ -77,8 +85,12 @@ class Problem:
         if self.kind == CCOVER:
             assert self.target is not None
             check_configuration(p, self.target)
-            need = [(t.mask << t.shift[q], k << t.shift[q]) for q, k in self.target.items]
-            return lambda v: all(v & field >= low for field, low in need)
+            if any(k > t.mask for _q, k in self.target.items):
+                return lambda v: False
+            top = t.mask + 1
+            guards = sum(top << t.shift[q] for q, _k in self.target.items)
+            lift = sum(top - k << t.shift[q] for q, k in self.target.items)
+            return lambda v: (v + lift) & guards == guards
         full = n << f
         return lambda v: v == full
 
@@ -154,6 +166,31 @@ def search(
     return parents, None, pruned
 
 
+def _levels(t: MoveTable, start: int, n: int, budget: int,
+            goal: Callable[[int], Any] | None = None) -> tuple[set[int], int] | None:
+    """The configurations reachable from ``start``, saturated level by level.
+
+    Returns ``(seen, depth)``: every configuration reached, and the number
+    of levels after ``start``, the longest shortest run.  ``None`` when a
+    level holds a configuration meeting ``goal``.  More than ``budget``
+    configurations raise ``ResourceLimitError``; ``n`` is the population it
+    names.
+    """
+    seen = {start}
+    frontier: Iterable[int] = (start,)
+    depth = 0
+    while True:
+        if goal is not None and any(map(goal, frontier)):
+            return None
+        frontier = image(t, frontier) - seen
+        if not frontier:
+            return seen, depth
+        depth += 1
+        seen |= frontier
+        if len(seen) > budget:
+            raise ResourceLimitError(f"node budget {budget} exceeded at population {n}")
+
+
 def reachable(p: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> tuple[MoveTable, set[int]]:
     """The exact set of configurations reachable from ``n`` initial processes.
 
@@ -162,10 +199,9 @@ def reachable(p: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> tuple[MoveTa
     """
     start = initial(p, n)
     t = p.moves(n)
-    overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
-    parents = search(t.encode(start), partial(successors, t),
-                     budget=budget, overflow=overflow)[0]
-    return t, set(parents)
+    found = _levels(t, t.encode(start), n, budget)
+    assert found is not None
+    return t, found[0]
 
 
 def _rebuild(parents: dict, succ: Callable, start: Any, end: Any,
@@ -186,31 +222,59 @@ def _rebuild(parents: dict, succ: Callable, start: Any, end: Any,
     return Witness(decode(start), tuple(steps))
 
 
-def decide_fixed(
+def decide_ordered(
     p: Protocol, prob: Problem, n: int, budget: int = DEFAULT_BUDGET
 ) -> Verdict:
-    """Decide ``prob`` exactly for initial configurations of size ``n``."""
+    """Decide ``prob`` at population ``n`` by one search in label order.
+
+    A YES carries the witness to the first goal node that search admits; a
+    NO carries ``visited``.  Admitting more than ``budget`` nodes first
+    raises ``ResourceLimitError``.  Which goal node is met first, and
+    whether the budget runs out before it, depend on the order of
+    successors, so every explorer witness and every overflow with a goal
+    comes from this search.
+    """
     if n < 1:
         raise ValueError("population must be at least 1")
     t = p.moves(n)
     goal = prob.goal(p, t, n)
-    start = t.encode(initial(p, n))
+    start = n << t.shift[p.init]
     overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
-    try:
-        parents, hit, _pruned = search(start, partial(successors, t), budget=budget,
-                                       overflow=overflow, goal=goal)
-        if hit is None:
-            return Verdict("no", explored_bound=n, stats={"visited": len(parents)})
-    except ResourceLimitError:
-        pass
 
     def succ(v: int) -> list[tuple[model.StepLabel, int]]:
         return model.label_order(t, successors(t, v))
 
-    # Which goal node is met first, and whether the budget runs out before
-    # it, depends on the order of successors: search again in label order.
     parents, hit, _pruned = search(start, succ, budget=budget, overflow=overflow, goal=goal)
+    if hit is None:
+        return Verdict("no", explored_bound=n, stats={"visited": len(parents)})
     return Verdict("yes", _rebuild(parents, succ, start, hit, t.decode), explored_bound=n)
+
+
+def decide_fixed(
+    p: Protocol, prob: Problem, n: int, budget: int = DEFAULT_BUDGET
+) -> Verdict:
+    """Decide ``prob`` exactly for initial configurations of size ``n``.
+
+    The population is first saturated level by level.  A NO carries
+    ``visited`` (the configurations reached), ``depth`` (the levels after
+    the initial one) and ``signatures`` (the size of the table's memo after
+    the search, which counts the signatures met by every search on that
+    table).  When a level meets the goal, or the budget runs out,
+    :func:`decide_ordered` answers instead.
+    """
+    if n < 1:
+        raise ValueError("population must be at least 1")
+    t = p.moves(n)
+    goal = prob.goal(p, t, n)
+    try:
+        found = _levels(t, n << t.shift[p.init], n, budget, goal)
+    except ResourceLimitError:
+        found = None
+    if found is not None:
+        seen, depth = found
+        return Verdict("no", explored_bound=n,
+                       stats={"visited": len(seen), "depth": depth, "signatures": len(t.memo)})
+    return decide_ordered(p, prob, n, budget)
 
 
 def decide_sweep(

@@ -14,9 +14,14 @@ The one-step relation has three rules:
 
 Searches do not step on :class:`Configuration` objects.  ``Protocol.moves(n)``
 compiles the protocol into a :class:`MoveTable` for populations up to ``n``,
-whose configurations are packed into one int, one fixed-width count field
-per state; :func:`dense_moves` is the one interpreter of the three rules,
-and each of its moves is one test and one addition on that int.
+whose configurations are packed into one int, one guarded count field per
+state.  Which moves a configuration has depends only on its signature: the
+states it occupies, and whether each state that sends a message it also
+receives holds two processes or more.  The table memoises the moves of each
+signature it meets; the code that fills that memo is the one interpreter of
+the three rules.  :func:`dense_moves` is then one lookup and one addition
+per move, and :func:`dense_image` expands a whole frontier of packed
+configurations at once.
 """
 
 from __future__ import annotations
@@ -284,45 +289,65 @@ class MoveTable:
     """A protocol compiled into moves over packed configurations.
 
     A packed configuration is one int: the count of state ``i`` (in
-    ``p.states`` order) sits in bits ``i*width`` to ``i*width + width - 1``.
-    A table of width ``b`` serves every population below ``2**b``: no count
-    can then overflow its field, so each move is one addition.
-    ``shift[q]`` is the lowest bit of state ``q``'s field and ``mask`` the
-    field at shift 0.  ``taus`` holds one ``(field, delta)`` pair per
-    internal edge: the move fires when ``v & field`` is nonzero and gives
-    ``v + delta``.  ``sends`` holds one ``(field, nb_delta, receivers, msg,
-    nb)`` entry per send edge; ``receivers`` are the ``(field, low, delta)``
-    entries of the receptions of its message, which fire when
-    ``v & field >= low`` (two processes in a shared state for a self
-    rendez-vous), and ``msg`` and ``nb`` are the ranks of its rendez-vous
-    and non-blocking labels.  ``labels[rank]`` is the shared
-    :class:`StepLabel` of each rank; ranks follow ``StepLabel.sort_key``.
+    ``p.states`` order) sits in a field of ``width + 1`` bits starting at
+    bit ``shift[q]``, whose top bit is a guard bit that no count sets.  A
+    table of width ``b`` serves every population below ``2**b``: no count
+    can then reach its guard bit, so each move is one addition.  ``mask``
+    is the count bits of a field at shift 0.
+
+    The moves of a configuration depend only on its signature: which states
+    it occupies and, for each state that sends a message it also receives,
+    whether that state holds two processes or more.  ``(v + ones) & high``
+    has the guard bit of every occupied field (each field of ``ones`` holds
+    ``2**width - 1``), and ``((v + twos) & self_high) >> 1`` the bit below
+    the guard of every such shared state with a count of 2 or more (``twos``
+    holds ``2**width - 2`` in their fields); the signature ors the two.
+    ``memo`` maps each signature met so far to the ``(rank, delta)`` moves
+    it enables, in table order (taus, then sends): a configuration ``v``
+    with that signature steps to ``v + delta`` under the label
+    ``labels[rank]``.  Ranks follow ``StepLabel.sort_key``.
     """
 
     def __init__(self, p: Protocol, width: int) -> None:
         self.name = p.name
         self.states = p.states
+        self.messages = p.messages
         self.width = width
         self.mask = (1 << width) - 1
-        self.shift = {q: i * width for i, q in enumerate(p.states)}
+        self.shift = {q: i * (width + 1) for i, q in enumerate(p.states)}
+        one = {q: 1 << s for q, s in self.shift.items()}
+        guard = {q: u << width for q, u in one.items()}
+        shared = {src for src, m, _dst in p.sends if src in p._receivers[m]}
+        self.high = sum(guard.values())
+        self.ones = self.high - sum(one.values())
+        self.self_high = sum([guard[q] for q in shared])
+        self.twos = self.self_high - 2 * sum([one[q] for q in shared])
         nm = len(p.messages)
         rank = {m: 1 + k for k, m in enumerate(p.messages)}
-        self.labels: tuple[StepLabel, ...] = (
-            (StepLabel("tau"),)
-            + tuple(StepLabel("msg", m) for m in p.messages)
-            + tuple(StepLabel("nb", m) for m in p.messages)
-        )
-        one = {q: 1 << s for q, s in self.shift.items()}
-        field = {q: self.mask << s for q, s in self.shift.items()}
-        self.taus = tuple((field[src], one[dst] - one[src]) for src, dst in p.taus)
-        self.sends = tuple(
-            (field[src], one[dst] - one[src],
-             tuple((field[q], 2 * one[q] if q == src else one[q],
-                    one[dst] - one[src] + one[qp] - one[q])
-                   for q, qp in p._recv_by_msg[m]),
-             rank[m], rank[m] + nm)
-            for src, m, dst in p.sends
-        )
+        # Rules grouped by the guard bit of their source, in table order.
+        taus: dict[int, list] = {}
+        for src, dst in p.taus:
+            taus.setdefault(guard[src], []).append((0, one[dst] - one[src]))
+        sends: dict[int, list] = {}
+        for src, m, dst in p.sends:
+            sends.setdefault(guard[src], []).append((
+                (rank[m] + nm, one[dst] - one[src]),
+                tuple([(guard[q] >> 1 if q == src else guard[q],
+                        (rank[m], one[dst] - one[src] + one[qp] - one[q]))
+                       for q, qp in p._recv_by_msg[m]])))
+        self.memo = _Moves(tuple([(bit, tuple(moves)) for bit, moves in taus.items()]),
+                           tuple([(bit, tuple(rules)) for bit, rules in sends.items()]))
+        self._labels: tuple[StepLabel, ...] | None = None
+
+    @property
+    def labels(self) -> tuple[StepLabel, ...]:
+        """The shared :class:`StepLabel` of each rank.  Only label-ordered
+        searches read them, so they are built on first use."""
+        if self._labels is None:
+            self._labels = ((StepLabel("tau"),)
+                            + tuple([StepLabel("msg", m) for m in self.messages])
+                            + tuple([StepLabel("nb", m) for m in self.messages]))
+        return self._labels
 
     def encode(self, c: Configuration) -> int:
         """The packed form of ``c``, whose total must be below ``2**width``;
@@ -338,13 +363,13 @@ class MoveTable:
     def items(self, v: int) -> tuple[tuple[str, int], ...]:
         """The ``Configuration.items`` of the packed configuration ``v``."""
         out = []
-        mask, width = self.mask, self.width
+        mask, stride = self.mask, self.width + 1
         for q in self.states:
             if not v:
                 break
             if v & mask:
                 out.append((q, v & mask))
-            v >>= width
+            v >>= stride
         return tuple(out)
 
     def decode(self, v: int) -> Configuration:
@@ -352,29 +377,69 @@ class MoveTable:
         return Configuration(self.items(v))
 
 
+class _Moves(dict):
+    """A :class:`MoveTable`'s memo: signature -> the ``(rank, delta)`` moves it enables.
+
+    A missing signature is filled by the one interpreter of the three step
+    rules, from the table's rules alone, grouped by the guard bit of their
+    source.  ``taus`` pairs a source bit with the moves of its internal
+    edges.  ``sends`` pairs a source bit with one ``(lone, receptions)``
+    rule per send edge: ``lone`` is its non-blocking move, and
+    ``receptions`` the ``(bit, move)`` of each reception of its message,
+    whose bit is the receiver's occupancy bit, or its two-or-more bit when
+    the receiver is the sender's own state.  The memo holds no reference to
+    its table, so a table is freed as soon as its protocol is.
+    """
+
+    def __init__(self, taus: tuple, sends: tuple) -> None:
+        super().__init__()
+        self.taus = taus
+        self.sends = sends
+
+    def __missing__(self, key: int) -> tuple[tuple[int, int], ...]:
+        moves: list[tuple[int, int]] = []
+        for bit, internal in self.taus:
+            if key & bit:
+                moves += internal
+        for bit, rules in self.sends:
+            if key & bit:
+                for lone, receptions in rules:
+                    # A rendez-vous with each reception present, else a lone
+                    # non-blocking step: no receiver besides the sender itself.
+                    blocked = False
+                    for rbit, move in receptions:
+                        if key & rbit:
+                            moves.append(move)
+                            blocked = True
+                    if not blocked:
+                        moves.append(lone)
+        found = self[key] = tuple(moves)
+        return found
+
+
 def dense_moves(t: MoveTable, v: int) -> list[tuple[int, int]]:
     """Every one-step move of the packed configuration ``v``, as ``(rank, w)``.
 
-    ``rank`` indexes ``t.labels``.  The moves come in table order, taus then
-    sends, and may repeat a successor: a search that only needs the set of
-    successors reads them as they are, and :func:`dense_successors` orders
-    them.  ``v`` must hold fewer than ``2**t.width`` processes.
+    ``rank`` indexes ``t.labels``.  The moves are those ``t.memo`` keeps for
+    the signature of ``v``, in table order, taus then sends, and may repeat
+    a successor: a search that only needs the set of successors reads them
+    as they are, and :func:`dense_successors` orders them.  ``v`` must hold
+    fewer than ``2**t.width`` processes.
     """
-    out: list[tuple[int, int]] = []
-    for field, delta in t.taus:
-        if v & field:
-            out.append((0, v + delta))
-    for field, nb_delta, receivers, msg, nb in t.sends:
-        if not v & field:
-            continue
-        blocked = False
-        for rfield, low, delta in receivers:
-            if v & rfield >= low:
-                out.append((msg, v + delta))
-                blocked = True
-        if not blocked:
-            out.append((nb, v + nb_delta))
-    return out
+    moves = t.memo[((v + t.ones) & t.high) | (((v + t.twos) & t.self_high) >> 1)]
+    return [(rank, v + delta) for rank, delta in moves]
+
+
+def dense_image(t: MoveTable, frontier: Iterable[int]) -> set[int]:
+    """The set of one-step successors of every packed configuration in ``frontier``.
+
+    The moves of :func:`dense_moves`, over a whole frontier at once, without
+    ranks or order.
+    """
+    memo, ones, high, twos, self_high = t.memo, t.ones, t.high, t.twos, t.self_high
+    return {v + delta
+            for v in frontier
+            for _rank, delta in memo[((v + ones) & high) | (((v + twos) & self_high) >> 1)]}
 
 
 def label_order(

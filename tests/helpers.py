@@ -377,7 +377,13 @@ def ordered_reachable(p: Protocol, n: int, budget: int) -> tuple[MoveTable, set[
 
 
 def ordered_decide_fixed(p: Protocol, prob: Problem, n: int, budget: int) -> Verdict:
-    """``explore.decide_fixed`` as one search on the label-ordered ``dense_successors``."""
+    """``explore.decide_fixed`` as one search on the label-ordered ``dense_successors``.
+
+    A NO's ``depth`` is the distance of the deepest node; its
+    ``signatures`` is read from the table's memo, which a complete search
+    fills with the signature of every node it expands, whichever order it
+    expands them in.
+    """
     t = p.moves(n)
     goal = prob.goal(p, t, n)
     start = t.encode(initial(p, n))
@@ -385,7 +391,12 @@ def ordered_decide_fixed(p: Protocol, prob: Problem, n: int, budget: int) -> Ver
     succ = partial(dense_successors, t)
     parents, hit, _pruned = search(start, succ, budget=budget, overflow=overflow, goal=goal)
     if hit is None:
-        return Verdict("no", explored_bound=n, stats={"visited": len(parents)})
+        # The last node a breadth-first search admits is one of the deepest.
+        depth, v = 0, next(reversed(parents))
+        while parents[v] is not None:
+            depth, v = depth + 1, parents[v]
+        return Verdict("no", explored_bound=n, stats={
+            "visited": len(parents), "depth": depth, "signatures": len(t.memo)})
     return Verdict("yes", explore._rebuild(parents, succ, start, hit, t.decode), explored_bound=n)
 
 

@@ -139,6 +139,6 @@ class TestDecide:
         assert decide(p, Problem("synchro"), 8).answer == "no"
 
     def test_explorer_disagreement_raises(self, fig1, monkeypatch):
-        monkeypatch.setattr(explore, "decide_fixed", lambda *args: Verdict("no"))
+        monkeypatch.setattr(explore, "decide_ordered", lambda *args: Verdict("no"))
         with pytest.raises(EngineDisagreementError):
             backward.decide(fig1, Problem("ccover", cfg(q6=2)), 8)

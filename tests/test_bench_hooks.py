@@ -62,21 +62,27 @@ def test_machine_witness_reaches_the_wrapped_rebuild(p1):
     assert "explore.rebuild" in {span[0] for span in tracer.spans}
 
 
-
-def test_traced_yes_records_both_passes(fig1):
-    # A YES population is searched twice, on unordered moves and then in
-    # label order: the wrapped successor function sees both searches.
+def test_traced_yes_records_both_passes(fig1, monkeypatch):
+    # A YES population is searched twice: level by level on the frontier
+    # images, then in label order on the moves of each node.  A wrapper on
+    # ``explore.image`` sees the first pass, and the traced
+    # ``explore.successors`` the second and the witness rebuild.
     prob = Problem("scover")
     t = fig1.moves(2)
     start, goal = t.encode(initial(fig1, 2)), prob.goal(fig1, t, 2)
-    per_pass = []
-    for succ in (model.dense_moves, model.dense_successors):
-        calls = []
-        explore.search(start, lambda v: calls.append(v) or succ(t, v), budget=100,
-                       overflow=explore.ResourceLimitError(), goal=goal)
-        per_pass.append(len(calls))
+    levels, seen, frontier = [], {start}, {start}
+    while not any(map(goal, frontier)):
+        levels.append(frontier)
+        frontier = model.dense_image(t, frontier) - seen
+        seen |= frontier
+    ordered = []
+    explore.search(start, lambda v: ordered.append(v) or model.dense_successors(t, v),
+                   budget=100, overflow=explore.ResourceLimitError(), goal=goal)
     untraced = explore.decide_fixed(fig1, prob, 2)
 
+    images = []
+    image = explore.image
+    monkeypatch.setattr(explore, "image", lambda t, f: images.append(set(f)) or image(t, f))
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
@@ -87,6 +93,7 @@ def test_traced_yes_records_both_passes(fig1):
     fixed, rebuild = names.index("explore.decide_fixed"), names.index("explore.rebuild")
     searched = [s for s in tracer.spans if s[0] == "model.successors" and s[3] == fixed]
     rebuilt = [s for s in tracer.spans if s[0] == "model.successors" and s[3] == rebuild]
-    assert min(per_pass) > 0 and len(searched) == sum(per_pass)
+    assert images == levels and len(levels) > 0
+    assert len(searched) == len(ordered) > 0
     assert len(rebuilt) == len(traced.witness.steps) > 0
     assert traced == untraced

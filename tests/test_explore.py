@@ -34,7 +34,16 @@ from nbrv.machines import (
     cover_bounded,
     vas_cover_bounded,
 )
-from nbrv.model import Configuration, Protocol, dense_moves, initial, recv, send, tau
+from nbrv.model import (
+    Configuration,
+    Protocol,
+    dense_moves,
+    initial,
+    receivers,
+    recv,
+    send,
+    tau,
+)
 
 
 def cfg(**counts: int) -> Configuration:
@@ -91,6 +100,53 @@ def spec_reached(p: Protocol, n: int, budget: int) -> set[Configuration] | None:
                 seen.add(nxt)
                 queue.append(nxt)
     return seen
+
+
+def signature(p: Protocol, c: Configuration) -> tuple[frozenset, frozenset]:
+    """The occupied states of ``c``, and those of its states that send a
+    message they also receive holding two processes or more."""
+    shared = {q for q, m, _qp in p.sends if q in receivers(p, m)}
+    return frozenset(c.states()), frozenset(q for q in shared if c.get(q) >= 2)
+
+
+class TestLevels:
+    def test_one_table_serves_every_smaller_population(self):
+        rng = random.Random(28)
+        full = 0
+        for k in range(60):
+            p = random_protocol(rng, max_q=4, max_m=2, max_t=8)
+            if k % 3 == 0:
+                p = with_self_rendezvous(rng, p)
+            t = p.moves(6)
+            for n in range(1, 7):
+                want = spec_reached(p, n, 300)
+                if want is None:
+                    with pytest.raises(ResourceLimitError):
+                        reachable(p, n, budget=300)
+                    continue
+                got_t, got = reachable(p, n, budget=300)
+                assert got_t is t and set(map(t.decode, got)) == want, (k, n)
+                full += 1
+        assert full > 250, full
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_no_counts_levels_and_signatures(self, n):
+        # A fresh protocol, so that the memo holds this search's signatures only.
+        p = load_protocol("fig1.rvp")
+        dist = {initial(p, n): 0}
+        queue = deque(dist)
+        while queue:
+            cur = queue.popleft()
+            for _label, nxt in spec_successors(p, cur):
+                if nxt not in dist:
+                    dist[nxt] = dist[cur] + 1
+                    queue.append(nxt)
+        verdict = decide_fixed(p, Problem("ccover", cfg(q4=1)), n)
+        assert verdict.answer == "no"
+        assert verdict.stats == {"visited": len(dist), "depth": max(dist.values()),
+                                 "signatures": len({signature(p, c) for c in dist})}
+        if n == 5:
+            assert verdict.stats == {"visited": 35, "depth": 8, "signatures": 26}
 
 
 class TestPackedWidth:

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import load_protocol
 from helpers import random_config, random_protocol, spec_successors, with_self_rendezvous
-from nbrv.explore import reachable
+from nbrv.explore import Problem, decide_fixed, reachable
 from nbrv.model import (
     Configuration,
     MalformedConfigurationError,
@@ -15,6 +18,7 @@ from nbrv.model import (
     UnknownMessageError,
     UnknownStateError,
     covers,
+    dense_image,
     dense_moves,
     dense_successors,
     initial,
@@ -265,6 +269,47 @@ class TestInvariants:
                     assert len(set(ordered)) == len(ordered)
                     repeated += len(moves) > len(ordered)
         assert repeated > 100, repeated
+
+    def test_image_is_the_union_of_spec_successors(self):
+        # Random frontiers on a table of width 4: counts up to 3 per state,
+        # so that a shared state (one that sends a message it also
+        # receives) holds one, two and three processes.
+        rng = random.Random(18)
+        shared = {1: 0, 2: 0, 3: 0}
+        for k in range(300):
+            p = random_protocol(rng, max_m=2)
+            if k % 3 == 0:
+                p = with_self_rendezvous(rng, p)
+            selfish = {q for q, m, _qp in p.sends if q in receivers(p, m)}
+            t = p.moves(15)
+            frontier = set()
+            for _ in range(rng.randint(1, 6)):
+                counts = {q: rng.randint(0, 3) for q in rng.sample(p.states, min(3, len(p.states)))}
+                if any(counts.values()):
+                    frontier.add(Configuration.from_counts(counts))
+            want = {t.encode(d) for c in frontier for _label, d in spec_successors(p, c)}
+            assert dense_image(t, {t.encode(c) for c in frontier}) == want, k
+            for c in frontier:
+                for q in selfish:
+                    if c.get(q) in shared:
+                        shared[c.get(q)] += 1
+        assert min(shared.values()) > 20, shared
+
+    def test_table_is_freed_with_its_protocol(self):
+        # The memo refers to no table, so no reference cycle keeps a table
+        # alive for the cyclic collector: it dies with its protocol.
+        p = load_protocol("fig1.rvp")
+        gc.disable()
+        try:
+            t = reachable(p, 5)[0]
+            assert decide_fixed(p, Problem("scover"), 3).is_yes()
+            assert decide_fixed(p, Problem("ccover", cfg(q4=1)), 5).answer == "no"
+            assert t.memo and t.labels and p.moves(5) is t
+            ref = weakref.ref(t)
+            del t, p
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_successors_deterministic(self):
         rng = random.Random(15)
