@@ -64,7 +64,6 @@ bit, and ``u <= v`` is one subtraction: ``((v | H) - u) & H == H`` with
 from __future__ import annotations
 
 import heapq
-from dataclasses import replace
 
 from . import explore
 from .explore import CCOVER, DEFAULT_BUDGET, SYNCHRO, Problem, ResourceLimitError, Verdict
@@ -218,4 +217,4 @@ def decide(p: Protocol, prob: Problem, max_n: int,
             raise EngineDisagreementError(
                 f"backward search covers the target of {p.name} at population {n},"
                 " but the explorer does not")
-    return replace(verdict, stats={**verdict.stats, **found.stats})
+    return verdict._replace(stats={**verdict.stats, **found.stats})

@@ -3,7 +3,7 @@
 Commands::
 
     nbrv check scover|ccover|synchro FILE [--target CONF]
-         [--method explore|abstract|auto] [--max-procs N] [--max-steps B]
+         [--method explore|abstract|backward|auto] [--max-procs N] [--max-steps B]
     nbrv abstract FILE [--trace]
     nbrv explore protocol FILE --procs N [--list]
     nbrv explore machine FILE --loc L --cap C [--budget B]
@@ -37,7 +37,10 @@ gives an exact NO, or the smallest population ``n`` that covers the target:
 witness, and a larger ``n`` prints ``RESULT UNKNOWN``.  ``synchro`` needs
 every process in ``final``, so under ``auto`` it answers an exact NO when
 ``final`` cannot be covered, and is otherwise swept from ``n`` up to
-``--max-procs``.  ``--method explore`` sweeps populations 1..``--max-procs``.
+``--max-procs``.  ``--method backward`` sends every question to the
+backward engine, wait-only protocols included, ``--method abstract`` sends
+a cover question to the abstract engine alone, and ``--method explore``
+sweeps populations 1..``--max-procs``.
 
 The first result line is ``RESULT YES|NO|UNKNOWN``, followed by the
 verdict's note when it has one (``RESULT NO within-cap``, ``RESULT UNKNOWN
@@ -167,7 +170,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise PreconditionError("the abstract analysis does not decide synchro")
     if method == "explore":
         verdict = explore.decide_sweep(p, problem, args.max_procs, args.max_steps)
-    elif args.problem == "synchro":
+    elif method == "backward" or args.problem == "synchro":
         verdict = backward.decide(p, problem, args.max_procs, args.max_steps)
     else:
         # The abstract engine partitions the protocol once; ``auto`` falls
@@ -290,7 +293,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.
     check.add_argument("problem", choices=["scover", "ccover", "synchro"])
     check.add_argument("file")
     check.add_argument("--target", help="configuration literal for ccover")
-    check.add_argument("--method", choices=["explore", "abstract", "auto"], default="auto")
+    check.add_argument("--method", choices=["explore", "abstract", "backward", "auto"],
+                       default="auto")
     check.add_argument("--max-procs", type=int, default=8)
     check.add_argument("--max-steps", type=int, default=explore.DEFAULT_BUDGET)
     check.set_defaults(func=_cmd_check)

@@ -28,9 +28,8 @@ the population again with ``search``, on the label-ordered successors.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable
+from collections import deque, namedtuple
+from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from . import model
 from .model import Configuration, MoveTable, Protocol, check_configuration, initial
@@ -55,20 +54,19 @@ class ResourceLimitError(RuntimeError):
     """The configurable node budget was exceeded before the search finished."""
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(namedtuple("Problem", "kind target")):
     """A parameterised verification question against a protocol."""
 
-    kind: str
-    target: Configuration | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in (SCOVER, CCOVER, SYNCHRO):
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.kind == CCOVER and self.target is None:
+    def __new__(cls, kind: str, target: Configuration | None = None) -> Problem:
+        if kind not in (SCOVER, CCOVER, SYNCHRO):
+            raise ValueError(f"unknown problem kind {kind!r}")
+        if kind == CCOVER and target is None:
             raise ValueError("ccover needs a target configuration")
-        if self.kind != CCOVER and self.target is not None:
-            raise ValueError(f"{self.kind} takes no target configuration")
+        if kind != CCOVER and target is not None:
+            raise ValueError(f"{kind} takes no target configuration")
+        return tuple.__new__(cls, (kind, target))
 
     def goal(self, p: Protocol, t: MoveTable, n: int) -> Callable[[int], Any]:
         """The test of this problem on ``t``'s packed configurations of size ``n``.
@@ -95,8 +93,7 @@ class Problem:
         return lambda v: v == full
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A replayable run: start point plus a sequence of labelled steps."""
 
     initial: Any
@@ -106,21 +103,23 @@ class Witness:
         return self.steps[-1][1] if self.steps else self.initial
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "answer witness explored_bound note stats")):
     """Outcome of a decision procedure.
 
     ``answer`` is ``yes``, ``no`` or ``unknown``.  A ``yes`` from a search
     carries a witness; ``explored_bound`` records the population size or
     counter cap that was exhausted; ``note`` qualifies incomplete NOs
     (``within-cap``) and sweeps cut short by the node budget (``budget``).
+    ``stats`` is a fresh dict for each verdict built without one.
     """
 
-    answer: str
-    witness: Witness | None = None
-    explored_bound: int | None = None
-    note: str = ""
-    stats: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, answer: str, witness: Witness | None = None,
+                explored_bound: int | None = None, note: str = "",
+                stats: dict | None = None) -> Verdict:
+        return tuple.__new__(cls, (answer, witness, explored_bound, note,
+                                   {} if stats is None else stats))
 
     def is_yes(self) -> bool:
         return self.answer == "yes"
@@ -131,7 +130,7 @@ def search(
     succ: Callable[[Any], Iterable[tuple[Any, Any]]],
     *,
     budget: int,
-    overflow: Exception,
+    overflow: str,
     goal: Callable[[Any], bool] | None = None,
     prune: Callable[[Any], bool] | None = None,
 ) -> tuple[dict, Any, int]:
@@ -141,7 +140,10 @@ def search(
     first reached from (``start`` has parent ``None``), the first admitted
     node meeting ``goal`` (``None`` if the search ran out), and how many new
     successors ``prune`` turned away.  Admitting more than ``budget`` nodes
-    raises ``overflow``.  The labels are not kept: :func:`_rebuild` finds
+    raises a ``ResourceLimitError`` with the message ``overflow``, made
+    only then: an exception built up front would be held by the frames of
+    its own traceback, keeping them and their tables alive until the
+    cyclic collector runs.  The labels are not kept: :func:`_rebuild` finds
     those of a witness again.
     """
     parents: dict = {start: None}
@@ -158,7 +160,7 @@ def search(
                 pruned += 1
                 continue
             if len(parents) >= budget:
-                raise overflow
+                raise ResourceLimitError(overflow)
             parents[nxt] = cur
             if goal is not None and goal(nxt):
                 return parents, nxt, pruned
@@ -239,7 +241,7 @@ def decide_ordered(
     t = p.moves(n)
     goal = prob.goal(p, t, n)
     start = n << t.shift[p.init]
-    overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
+    overflow = f"node budget {budget} exceeded at population {n}"
 
     def succ(v: int) -> list[tuple[model.StepLabel, int]]:
         return model.label_order(t, successors(t, v))

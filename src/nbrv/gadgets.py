@@ -28,8 +28,7 @@ In a context of ``L`` levels, ``reset_level`` of level ``L - 1`` has 13,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .machines import (
     DEC,
@@ -48,8 +47,7 @@ class LevelError(ValueError):
     """Requested level outside the configured range."""
 
 
-@dataclass(frozen=True)
-class LevelContext:
+class LevelContext(NamedTuple):
     """Scratch counter families for ``levels`` nesting levels plus the payload counters."""
 
     levels: int

@@ -28,12 +28,12 @@ leaves out the steps that need a coordinate outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
 from . import explore
-from .explore import DEFAULT_BUDGET, ResourceLimitError, Verdict, Witness, search
+from .explore import DEFAULT_BUDGET, Verdict, Witness, search
 
 NOP = "nop"
 INC = "inc"
@@ -53,20 +53,19 @@ class MalformedMachineConfigError(ValueError):
     """Configuration does not fit the machine (bad location, negative value)."""
 
 
-@dataclass(frozen=True)
-class CounterOp:
+class CounterOp(namedtuple("CounterOp", "kind counter")):
     """A counter action: nop, inc, dec, zero test or non-blocking dec."""
 
-    kind: str
-    counter: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _OP_ORDER:
-            raise MachineError(f"unknown counter op {self.kind!r}")
-        if self.kind == NOP and self.counter is not None:
+    def __new__(cls, kind: str, counter: str | None = None) -> CounterOp:
+        if kind not in _OP_ORDER:
+            raise MachineError(f"unknown counter op {kind!r}")
+        if kind == NOP and counter is not None:
             raise MachineError("nop takes no counter")
-        if self.kind != NOP and not self.counter:
-            raise MachineError(f"{self.kind} needs a counter")
+        if kind != NOP and not counter:
+            raise MachineError(f"{kind} needs a counter")
+        return tuple.__new__(cls, (kind, counter))
 
     def sort_key(self) -> tuple[int, str]:
         return (_OP_ORDER[self.kind], self.counter or "")
@@ -380,7 +379,7 @@ def _capped(start: int, succ, cap: int, budget: int, decode, *, goal, prune) -> 
     """
     parents, hit, pruned = search(
         start, succ, budget=budget,
-        overflow=ResourceLimitError(f"node budget {budget} exceeded (cap {cap})"),
+        overflow=f"node budget {budget} exceeded (cap {cap})",
         goal=goal, prune=prune,
     )
     stats = {"visited": len(parents), "pruned": pruned}
@@ -410,29 +409,26 @@ class VasError(ValueError):
     """Structurally invalid vector addition system."""
 
 
-@dataclass(frozen=True)
-class Vas:
+class Vas(namedtuple("Vas", "name dim transitions v_init v_target")):
     """Non-blocking VAS: transitions pair a blocking part with a clamp part."""
 
-    name: str
-    dim: int
-    transitions: tuple[VasTransition, ...]
-    v_init: Vector
-    v_target: Vector
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __new__(cls, name: str, dim: int, transitions: tuple[VasTransition, ...],
+                v_init: Vector, v_target: Vector) -> Vas:
+        if dim < 1:
             raise VasError("dimension must be at least 1")
-        for vec in (self.v_init, self.v_target):
-            if len(vec) != self.dim:
+        for vec in (v_init, v_target):
+            if len(vec) != dim:
                 raise VasError("vector arity mismatch")
             if min(vec) < 0:
                 raise VasError("init/target vectors must be non-negative")
-        for t_b, t_nb in self.transitions:
-            if len(t_b) != self.dim or len(t_nb) != self.dim:
+        for t_b, t_nb in transitions:
+            if len(t_b) != dim or len(t_nb) != dim:
                 raise VasError("transition arity mismatch")
             if min(t_nb) < 0:
                 raise VasError("the non-blocking part must be non-negative")
+        return tuple.__new__(cls, (name, dim, transitions, v_init, v_target))
 
 
 _FieldTests = tuple[tuple[int, int], ...]

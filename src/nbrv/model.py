@@ -22,12 +22,23 @@ signature it meets; the code that fills that memo is the one interpreter of
 the three rules.  :func:`dense_moves` is then one lookup and one addition
 per move, and :func:`dense_image` expands a whole frontier of packed
 configurations at once.
+
+The package's value records (:class:`Action`, :class:`Configuration`,
+:class:`StepLabel` here, and ``Problem``, ``Verdict``, ``CounterOp``,
+``Vas`` and the like elsewhere) are named tuples: they hash and compare in
+C and a field cannot be assigned, and they import nothing that a command
+line run would wait for (the standard library's generator of frozen record
+classes imports ``inspect`` and ``ast``, and costs more than any query).
+A record that checks its fields does so in an explicit ``__new__`` that
+ends in ``tuple.__new__``.  Equality is tuple equality (``Action("tau")
+== StepLabel("tau")``), so no dict or set may mix records of two classes,
+or a record and a plain tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections import namedtuple
+from typing import Iterable, Mapping, NamedTuple
 
 IDENTIFIER_RE = r"[A-Za-z_][A-Za-z0-9_']*"
 
@@ -55,20 +66,19 @@ class MalformedConfigurationError(ValueError):
     """Empty configuration, non-positive count, or state outside the protocol."""
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(namedtuple("Action", "kind message")):
     """Edge label: internal move, send request or reception of a message."""
 
-    kind: str
-    message: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_ORDER:
-            raise ProtocolError(f"unknown action kind {self.kind!r}")
-        if self.kind == TAU and self.message is not None:
+    def __new__(cls, kind: str, message: str | None = None) -> Action:
+        if kind not in _KIND_ORDER:
+            raise ProtocolError(f"unknown action kind {kind!r}")
+        if kind == TAU and message is not None:
             raise ProtocolError("internal actions carry no message")
-        if self.kind != TAU and not self.message:
-            raise ProtocolError(f"{self.kind} action needs a message")
+        if kind != TAU and not message:
+            raise ProtocolError(f"{kind} action needs a message")
+        return tuple.__new__(cls, (kind, message))
 
     def __str__(self) -> str:
         if self.kind == TAU:
@@ -205,21 +215,21 @@ def receivable(p: Protocol, state: str) -> frozenset[str]:
     return p._receivable[state]
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(namedtuple("Configuration", "items")):
     """Non-empty multiset of states, stored sparsely as sorted (state, count) pairs."""
 
-    items: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.items:
+    def __new__(cls, items: tuple[tuple[str, int], ...]) -> Configuration:
+        if not items:
             raise MalformedConfigurationError("configuration must be non-empty")
-        for state, count in self.items:
+        for state, count in items:
             if count <= 0:
                 raise MalformedConfigurationError(f"count for {state!r} must be positive")
-        names = [s for s, _ in self.items]
+        names = [s for s, _ in items]
         if names != sorted(names) or len(set(names)) != len(names):
             raise MalformedConfigurationError("configuration items must be sorted and unique")
+        return tuple.__new__(cls, (items,))
 
     @classmethod
     def from_counts(cls, counts: Mapping[str, int]) -> "Configuration":
@@ -268,8 +278,7 @@ def check_configuration(p: Protocol, c: Configuration) -> None:
             raise MalformedConfigurationError(f"state {s!r} not in protocol {p.name}")
 
 
-@dataclass(frozen=True)
-class StepLabel:
+class StepLabel(NamedTuple):
     """Step kind: ``tau``, rendez-vous ``msg:<m>`` or non-blocking ``nb:<m>``."""
 
     kind: str

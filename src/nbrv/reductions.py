@@ -26,7 +26,7 @@ deterministically, so each translation is byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterable
 
 from .machines import (
@@ -53,14 +53,15 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class TranslationReport:
+class TranslationReport(namedtuple("TranslationReport", "source_size target_size tables")):
     """Size accounting; the two counter simulations add the ``states`` and
     ``messages`` tables of their generated names, the other translations none."""
 
-    source_size: int
-    target_size: int
-    tables: dict[str, dict[str, str]] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, source_size: int, target_size: int,
+                tables: dict[str, dict[str, str]] | None = None) -> TranslationReport:
+        return tuple.__new__(cls, (source_size, target_size, {} if tables is None else tables))
 
 
 class _Names:

@@ -13,7 +13,8 @@ configuration coverability exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .explore import Verdict
 from .model import (
@@ -43,25 +44,23 @@ class AbstractionDivergenceError(RuntimeError):
     """The abstraction failed to stabilize within the round bound of :func:`fixpoint`."""
 
 
-@dataclass(frozen=True)
-class WaitPartition:
+class WaitPartition(NamedTuple):
     """Split of the state set into initiating (active) and answering (waiting) states."""
 
     active: frozenset[str]
     waiting: frozenset[str]
 
 
-@dataclass(frozen=True)
-class AbstractSet:
+class AbstractSet(namedtuple("AbstractSet", "states tokens")):
     """Abstraction ``(S, Toks)`` of a set of reachable configurations."""
 
-    states: frozenset[str]
-    tokens: frozenset[tuple[str, str]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        overlap = self.states & {q for q, _ in self.tokens}
+    def __new__(cls, states: frozenset[str], tokens: frozenset[tuple[str, str]]) -> AbstractSet:
+        overlap = states & {q for q, _ in tokens}
         if overlap:
             raise ValueError(f"token states may not be unbounded states: {sorted(overlap)}")
+        return tuple.__new__(cls, (states, tokens))
 
     @property
     def token_states(self) -> frozenset[str]:

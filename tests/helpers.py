@@ -21,7 +21,6 @@ from nbrv.machines import (
     CounterMachine,
     CounterOp,
     MachineConfig,
-    MachineError,
     MachineTable,
     Vas,
     VasError,
@@ -281,7 +280,7 @@ def reachable_packed(
     returned is complete; the table returned decodes it.
     """
     start = pm.config(pm.init, entry_valuation)
-    overflow = MachineError(f"budget {budget} exceeded while simulating {pm.name}")
+    overflow = f"budget {budget} exceeded while simulating {pm.name}"
     cap = max(start.values, default=0) + 1
     while True:
         t = pm.table(cap)
@@ -371,7 +370,7 @@ def backward_cover(p: Protocol, target: Configuration) -> bool:
 def ordered_reachable(p: Protocol, n: int, budget: int) -> tuple[MoveTable, set[int]]:
     """``explore.reachable`` as one search on the label-ordered ``dense_successors``."""
     t = p.moves(n)
-    overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
+    overflow = f"node budget {budget} exceeded at population {n}"
     return t, set(search(t.encode(initial(p, n)), partial(dense_successors, t),
                          budget=budget, overflow=overflow)[0])
 
@@ -387,7 +386,7 @@ def ordered_decide_fixed(p: Protocol, prob: Problem, n: int, budget: int) -> Ver
     t = p.moves(n)
     goal = prob.goal(p, t, n)
     start = t.encode(initial(p, n))
-    overflow = ResourceLimitError(f"node budget {budget} exceeded at population {n}")
+    overflow = f"node budget {budget} exceeded at population {n}"
     succ = partial(dense_successors, t)
     parents, hit, _pruned = search(start, succ, budget=budget, overflow=overflow, goal=goal)
     if hit is None:

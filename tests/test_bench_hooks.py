@@ -77,7 +77,7 @@ def test_traced_yes_records_both_passes(fig1, monkeypatch):
         seen |= frontier
     ordered = []
     explore.search(start, lambda v: ordered.append(v) or model.dense_successors(t, v),
-                   budget=100, overflow=explore.ResourceLimitError(), goal=goal)
+                   budget=100, overflow="budget", goal=goal)
     untraced = explore.decide_fixed(fig1, prob, 2)
 
     images = []

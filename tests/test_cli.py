@@ -106,6 +106,28 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "synchro", P1, "--method", "abstract")
         assert code == EXIT_PRECONDITION
 
+    def test_backward_fig1_q4_is_no(self, capsys):
+        code, out, _ = run(capsys, "check", "ccover", FIG1, "--target", "q4",
+                           "--method", "backward")
+        assert (code, out) == (EXIT_OK, "RESULT NO\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["scover", P1], ["ccover", P1, "--target", "q1:2"], ["ccover", P1, "--target", "q1,q3"],
+        ["ccover", P1, "--target", "q7:3"], ["scover", P2], ["ccover", P2, "--target", "q2:2"],
+        ["ccover", P2, "--target", "q3:4"], ["ccover", P2, "--target", "p4:2,q3"],
+        ["scover", str(PROTOCOL_DIR / "rot.rvp")],
+        ["ccover", str(PROTOCOL_DIR / "rot.rvp"), "--target", "p2:2"],
+        ["ccover", str(PROTOCOL_DIR / "rot.rvp"), "--target", "p0,p1"],
+    ], ids=lambda argv: "-".join(Path(a).stem for a in argv))
+    def test_backward_agrees_with_abstract_on_wait_only(self, capsys, argv):
+        # The backward engine runs on wait-only protocols too; only its YES
+        # prints a witness.
+        argv = ["check", *argv, "--max-procs", "10"]
+        code, out, _ = run(capsys, *argv, "--method", "backward")
+        assert code == EXIT_OK
+        assert run(capsys, *argv, "--method", "abstract") == (EXIT_OK, out.splitlines()[0] + "\n", "")
+        assert out.startswith("RESULT YES\nSTEP ") or out == "RESULT NO\n"
+
     def test_explore_sweep_unknown(self, capsys, tmp_path):
         q4 = fileio.parse_protocol(Path(FIG1).read_text())
         from nbrv.model import Protocol
@@ -823,6 +845,18 @@ class TestBrokenPipe:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
+
+
+def test_cold_start_loads_no_dataclasses():
+    """A fresh interpreter's ``import nbrv.cli`` loads neither ``dataclasses``
+    nor the ``inspect`` and ``ast`` it pulls in, which cost more than a query.
+    ``-S`` keeps the site hooks of the interpreter from loading them first."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nbrv.__file__).parent.parent))
+    code = ("import sys, nbrv.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def readme_examples() -> list[tuple[list[str], str]]:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from collections import deque
 from functools import partial
 
@@ -19,7 +21,9 @@ from helpers import (
 from nbrv.explore import (
     Problem,
     ResourceLimitError,
+    Verdict,
     decide_fixed,
+    decide_ordered,
     decide_sweep,
     reachable,
     replay,
@@ -325,7 +329,7 @@ class TestOrderFreeSearch:
                     for prob in problems:
                         got = outcome(decide_fixed, p, prob, n, budget)
                         assert got == outcome(ordered_decide_fixed, p, prob, n, budget)
-                        seen[got[0] if isinstance(got, tuple) else got.answer] += 1
+                        seen[got.answer if isinstance(got, Verdict) else got[0]] += 1
                         got = decide_sweep(p, prob, n, budget)
                         assert got == ordered_decide_sweep(p, prob, n, budget)
                         seen[got.answer] += 1
@@ -340,7 +344,7 @@ class TestOrderFreeSearch:
         t, prob = p.moves(2), Problem("scover")
         with pytest.raises(ResourceLimitError):
             search(t.encode(initial(p, 2)), partial(dense_moves, t), budget=2,
-                   overflow=ResourceLimitError(), goal=prob.goal(p, t, 2))
+                   overflow="budget", goal=prob.goal(p, t, 2))
         verdict = decide_fixed(p, prob, 2, budget=2)
         assert verdict == ordered_decide_fixed(p, prob, 2, 2)
         assert [(str(label), str(c)) for label, c in verdict.witness.steps] == [("msg:b", "g,r")]
@@ -376,3 +380,41 @@ def test_problem_validation():
         Problem("scover", Configuration((("a", 1),)))
     with pytest.raises(ValueError):
         Problem("cover")
+
+
+class TestOverflowFreesTables:
+    """An overflow leaves no reference cycle: with the cyclic collector off,
+    a protocol's or a machine's compiled table goes as soon as its model does."""
+
+    @staticmethod
+    def table_after_overflow(make, search, attr):
+        """The table left of the model ``make()`` once ``search`` overflowed on it and
+        the model was dropped (a weak reference: ``None`` when it is gone)."""
+        gc.disable()
+        try:
+            model = make()
+            try:
+                search(model)
+            except ResourceLimitError:
+                pass
+            else:
+                pytest.fail("the search did not overflow")
+            table = weakref.ref(getattr(model, attr))
+            del model
+            return table()
+        finally:
+            gc.enable()
+
+    def test_protocol(self):
+        prob = Problem("ccover", Configuration((("q4", 1),)))
+        left = self.table_after_overflow(partial(load_protocol, "fig1.rvp"),
+                                         partial(decide_ordered, prob=prob, n=4, budget=3),
+                                         "_moves")
+        assert left is None
+
+    def test_machine(self):
+        left = self.table_after_overflow(
+            lambda: CounterMachine("m", ["a", "b"], ["x"], "a",
+                                   [("a", CounterOp("inc", "x"), "a")]),
+            partial(cover_bounded, target_loc="b", cap=5, budget=2), "_table")
+        assert left is None

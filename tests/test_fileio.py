@@ -3,7 +3,6 @@ from __future__ import annotations
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,7 +248,7 @@ def test_non_canonical_renderings_parse_to_the_same_model(newline):
     cases += [(parse_machine, serialize_machine,
                random_machine(rng, restore=rng.random() < 0.5)) for _ in range(40)]
     # A parsed VAS keeps its transitions sorted and unique.
-    cases += [(parse_vas, serialize_vas, replace(v, transitions=tuple(sorted(set(v.transitions)))))
+    cases += [(parse_vas, serialize_vas, v._replace(transitions=tuple(sorted(set(v.transitions)))))
               for v in (random_vas(rng) for _ in range(40))]
     for parse, serialize, model in cases:
         canonical = serialize(model)

@@ -1,0 +1,119 @@
+"""The value records are named tuples that read, hash and fail as frozen dataclasses did."""
+
+from __future__ import annotations
+
+import pytest
+
+from nbrv.explore import Problem, Verdict, Witness
+from nbrv.gadgets import LevelContext
+from nbrv.machines import CounterOp, MachineError, Vas, VasError
+from nbrv.model import (
+    Action,
+    Configuration,
+    MalformedConfigurationError,
+    ProtocolError,
+    StepLabel,
+)
+from nbrv.reductions import TranslationReport
+from nbrv.waitonly import AbstractSet, WaitPartition
+
+C = Configuration((("q1", 2), ("q5", 1)))
+
+# One record of each class with its repr, the ``Name(field=value, ...)`` form.
+REPRS = [
+    (Action("send", "a"), "Action(kind='send', message='a')"),
+    (C, "Configuration(items=(('q1', 2), ('q5', 1)))"),
+    (StepLabel("nb", "a"), "StepLabel(kind='nb', message='a')"),
+    (Problem("ccover", C),
+     "Problem(kind='ccover', target=Configuration(items=(('q1', 2), ('q5', 1))))"),
+    (Witness(Configuration((("q_in", 2),)), ((StepLabel("nb", "a"), C),)),
+     "Witness(initial=Configuration(items=(('q_in', 2),)), steps=((StepLabel(kind='nb', "
+     "message='a'), Configuration(items=(('q1', 2), ('q5', 1)))),))"),
+    (Verdict("yes", None, 3, "", {"pops": 2}),
+     "Verdict(answer='yes', witness=None, explored_bound=3, note='', stats={'pops': 2})"),
+    (CounterOp("inc", "x"), "CounterOp(kind='inc', counter='x')"),
+    (Vas("v", 2, (((0, -1), (1, 0)),), (0, 1), (1, 0)),
+     "Vas(name='v', dim=2, transitions=(((0, -1), (1, 0)),), v_init=(0, 1), v_target=(1, 0))"),
+    (WaitPartition(frozenset({"q_in"}), frozenset()),
+     "WaitPartition(active=frozenset({'q_in'}), waiting=frozenset())"),
+    (AbstractSet(frozenset({"q_in"}), frozenset({("q1", "a")})),
+     "AbstractSet(states=frozenset({'q_in'}), tokens=frozenset({('q1', 'a')}))"),
+    (LevelContext.create(1, ("x",)),
+     "LevelContext(levels=1, machine_counters=('x',), families=((('y_0', 'z_0', 's_0'), "
+     "('ybar_0', 'zbar_0', 'sbar_0')),))"),
+    (TranslationReport(3, 5, {"states": {"a": "b"}}),
+     "TranslationReport(source_size=3, target_size=5, tables={'states': {'a': 'b'}})"),
+]
+RECORDS = [r for r, _ in REPRS]
+# Verdict and TranslationReport hold a dict, so they have no hash.
+HASHABLE = [r for r in RECORDS if not isinstance(r, (Verdict, TranslationReport))]
+
+
+def name(record) -> str:
+    return type(record).__name__
+
+
+@pytest.mark.parametrize("record, text", REPRS, ids=[name(r) for r in RECORDS])
+def test_repr(record, text):
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=name)
+def test_fields_cannot_be_assigned(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+@pytest.mark.parametrize("record", HASHABLE, ids=name)
+def test_hash_is_the_hash_of_the_fields(record):
+    # As for a frozen dataclass, so that set orders do not move.
+    assert hash(record) == hash(tuple(getattr(record, f) for f in record._fields))
+
+
+@pytest.mark.parametrize("cls, args, error, message", [
+    (Action, ("wait",), ProtocolError, "unknown action kind 'wait'"),
+    (Action, ("tau", "a"), ProtocolError, "internal actions carry no message"),
+    (Action, ("send",), ProtocolError, "send action needs a message"),
+    (Action, ("recv", ""), ProtocolError, "recv action needs a message"),
+    (Configuration, ((),), MalformedConfigurationError, "configuration must be non-empty"),
+    (Configuration, ((("q", 0),),), MalformedConfigurationError, "count for 'q' must be positive"),
+    (Configuration, ((("b", 1), ("a", 1)),), MalformedConfigurationError,
+     "configuration items must be sorted and unique"),
+    (Configuration, ((("a", 1), ("a", 1)),), MalformedConfigurationError,
+     "configuration items must be sorted and unique"),
+    (Problem, ("cover",), ValueError, "unknown problem kind 'cover'"),
+    (Problem, ("ccover",), ValueError, "ccover needs a target configuration"),
+    (Problem, ("scover", C), ValueError, "scover takes no target configuration"),
+    (CounterOp, ("mul", "x"), MachineError, "unknown counter op 'mul'"),
+    (CounterOp, ("nop", "x"), MachineError, "nop takes no counter"),
+    (CounterOp, ("inc",), MachineError, "inc needs a counter"),
+    (Vas, ("v", 0, (), (), ()), VasError, "dimension must be at least 1"),
+    (Vas, ("v", 2, (), (0,), (0, 0)), VasError, "vector arity mismatch"),
+    (Vas, ("v", 2, (), (0, -1), (0, 0)), VasError, "init/target vectors must be non-negative"),
+    (Vas, ("v", 2, (((0,), (0, 0)),), (0, 0), (0, 0)), VasError, "transition arity mismatch"),
+    (Vas, ("v", 2, (((0, 0), (0, -1)),), (0, 0), (0, 0)), VasError,
+     "the non-blocking part must be non-negative"),
+    (AbstractSet, (frozenset({"q1", "q2"}), frozenset({("q2", "a"), ("q1", "b")})), ValueError,
+     "token states may not be unbounded states: ['q1', 'q2']"),
+])
+def test_validation_errors(cls, args, error, message):
+    with pytest.raises(error) as info:
+        cls(*args)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_keyword_construction_validates_too():
+    assert Action(kind="recv", message="m") == Action("recv", "m")
+    with pytest.raises(ProtocolError):
+        Action(kind="tau", message="m")
+
+
+def test_default_dicts_are_not_shared():
+    a, b = Verdict("no"), Verdict("no")
+    assert a.stats == {} and a.stats is not b.stats
+    a.stats["pops"] = 1
+    assert b.stats == {} and Verdict("no").stats == {}
+    r, s = TranslationReport(1, 2), TranslationReport(1, 2)
+    assert r.tables == {} and r.tables is not s.tables
