@@ -53,12 +53,11 @@ Vectors are expanded smallest sum first, ties broken by the larger
 the smallest sum of any such vector that the search can still derive: its
 ``init`` count is the smallest population that covers the target.
 
-Vectors are packed ints: state ``i`` (in ``p.states`` order) has a field of
-``w`` bits whose top bit is a guard bit, where ``w`` is one more than the
-bit length of ``sum(target) + 2 * budget``.  A pre-image adds at most 2 to
-the sum of its vector, so within ``budget`` pops no value reaches a guard
-bit, and ``u <= v`` is one subtraction: ``((v | H) - u) & H == H`` with
-``H`` the guard bits.
+Vectors are packed ints in the guarded fields of ``model._Fields``, one
+field per state (in ``p.states`` order) for values up to ``sum(target) + 2
+* budget``.  A pre-image adds at most 2 to the sum of its vector, so within
+``budget`` pops no value reaches a guard bit, and ``u <= v`` is one
+subtraction: ``((v | H) - u) & H == H`` with ``H`` the guard bits.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ import heapq
 
 from . import explore
 from .explore import CCOVER, DEFAULT_BUDGET, SYNCHRO, Problem, ResourceLimitError, Verdict
-from .model import Configuration, Protocol, check_configuration, receivers
+from .model import Configuration, Protocol, _Fields, check_configuration, receivers
 
 
 class EngineDisagreementError(RuntimeError):
@@ -100,12 +99,11 @@ def first_population(p: Protocol, target: Configuration,
     check_configuration(p, target)
     sat = saturation(p)
     budget = max(budget, 0)
-    width = (target.total() + 2 * budget).bit_length() + 1
-    mask = (1 << width) - 1
-    shift = {q: i * width for i, q in enumerate(p.states)}
+    layout = _Fields(len(p.states), target.total() + 2 * budget)
+    shift = dict(zip(p.states, layout.shifts))
     one = {q: 1 << s for q, s in shift.items()}
-    field = {q: mask << s for q, s in shift.items()}
-    guards = sum(1 << (s + width - 1) for s in shift.values())
+    field = {q: layout.fmask << s for q, s in shift.items()}
+    guards = layout.high
     outside_init = sum(field.values()) - field[p.init]
     init_field = field[p.init]
 

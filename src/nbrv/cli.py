@@ -40,7 +40,8 @@ every process in ``final``, so under ``auto`` it answers an exact NO when
 ``--max-procs``.  ``--method backward`` sends every question to the
 backward engine, wait-only protocols included, ``--method abstract`` sends
 a cover question to the abstract engine alone, and ``--method explore``
-sweeps populations 1..``--max-procs``.
+sweeps populations 1..``--max-procs``.  A ``--max-procs`` below 1 is
+refused on every method.
 
 The first result line is ``RESULT YES|NO|UNKNOWN``, followed by the
 verdict's note when it has one (``RESULT NO within-cap``, ``RESULT UNKNOWN
@@ -154,6 +155,8 @@ def _print_verdict(verdict: Verdict, render_step) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.max_procs < 1:
+        raise PreconditionError("population bound must be at least 1")
     p = _load_protocol(args.file)
     if args.problem == "ccover":
         if args.target is None:

@@ -71,24 +71,18 @@ class Problem(namedtuple("Problem", "kind target")):
     def goal(self, p: Protocol, t: MoveTable, n: int) -> Callable[[int], Any]:
         """The test of this problem on ``t``'s packed configurations of size ``n``.
 
-        A target count ``k`` is met when adding ``2**t.width - k`` to its
-        count field sets the field's guard bit, so a ``ccover`` test is one
-        addition and one mask.  A target count too large for ``t``'s fields
-        is never met: no configuration of ``t`` holds that many processes.
+        A ``ccover`` test is ``t.at_least`` of the target, one addition and
+        one mask.  A target count is clamped to ``t.guard``, which is never
+        met: no configuration of ``t`` holds that many processes.
         """
         f = t.shift[p.final]
         if self.kind == SCOVER:
-            final = t.mask << f
+            final = t.fmask << f
             return lambda v: v & final
         if self.kind == CCOVER:
             assert self.target is not None
             check_configuration(p, self.target)
-            if any(k > t.mask for _q, k in self.target.items):
-                return lambda v: False
-            top = t.mask + 1
-            guards = sum(top << t.shift[q] for q, _k in self.target.items)
-            lift = sum(top - k << t.shift[q] for q, k in self.target.items)
-            return lambda v: (v + lift) & guards == guards
+            return t.at_least([(t.shift[q], min(k, t.guard)) for q, k in self.target.items])
         full = n << f
         return lambda v: v == full
 

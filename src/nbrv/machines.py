@@ -11,14 +11,12 @@ vector applied coordinatewise.
 
 Both models get exhaustive search bounded by an inclusive per-counter cap;
 a NO produced under a cap is only valid within that cap and is flagged so.
-The searches run on packed ints, as the protocol explorer does.  A machine
-configuration is one int: the location's index in the low bits, then one
-field per counter.  A VAS vector is one field per coordinate.  A field is
-one bit wider than the largest value a search can write into it; that top
-bit, the guard bit, stays clear, so no value carries into the next field.
-A step is then a field test and one addition of a precomputed delta, the
-cap test is ``(v + K) & H`` (``H`` the guard bits, ``K`` what sets a guard
-bit exactly when its field exceeds the cap), and only witnesses are
+The searches run on packed ints in the guarded fields of
+``model._Fields``, as the protocol explorer does.  A machine configuration
+is one int: the location's index in the low bits, then one field per
+counter.  A VAS vector is one field per coordinate.  A step is then a
+field test and one addition of a precomputed delta, the cap test and the
+cover test are each one addition and one mask, and only witnesses are
 decoded.  The VAS search keeps its candidate steps per support, the set of
 nonzero fields that ``(v + ONES) & H`` gives, and each memo entry already
 leaves out the steps that need a coordinate outside it.
@@ -34,6 +32,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import explore
 from .explore import DEFAULT_BUDGET, Verdict, Witness, search
+from .model import _Fields
 
 NOP = "nop"
 INC = "inc"
@@ -211,51 +210,14 @@ class CounterMachine:
     def table(self, cap: int) -> MachineTable:
         """The machine compiled for :func:`machine_successors`, for counters up to ``cap``.
 
-        The machine keeps one table, compiled on first use, and compiles a
-        wider one only when ``cap`` needs wider fields than the kept table
-        has.  The table returned is always wide enough for ``cap``.
+        The machine keeps one table, compiled on first use, and reuses it
+        while ``cap + 1``, the most one step makes, is below its ``guard``.
+        The table returned is always wide enough for ``cap``.
         """
         t = self._table
-        if t is None or t.guard <= cap + 1:
+        if t is None or cap + 1 >= t.guard:
             t = self._table = MachineTable(self, cap)
         return t
-
-
-class _Fields:
-    """``count`` packed fields for values up to ``top``, from bit ``offset`` up.
-
-    Each field has ``width = top.bit_length() + 1`` bits, and field ``i``
-    starts at bit ``shifts[i]``.  A value up to ``top`` leaves the field's
-    top bit clear: that guard bit is ``guard`` at shift 0, and ``high`` has
-    it in every field, so an addition that keeps each field within ``top``
-    never carries into the next one.  ``(v + ones) & high`` has the guard
-    bit of exactly the nonzero fields of ``v``, and ``(v + over(cap)) &
-    high`` the guard bit of those above ``cap``.
-    """
-
-    def __init__(self, count: int, top: int, offset: int = 0) -> None:
-        self.width = top.bit_length() + 1
-        self.guard = 1 << (self.width - 1)
-        self.fmask = (1 << self.width) - 1
-        self.shifts = tuple(range(offset, offset + count * self.width, self.width))
-        self.high = self.spread(self.guard)
-        self.ones = self.spread(self.guard - 1)
-
-    def spread(self, x: int) -> int:
-        """``x`` written into every field."""
-        return sum(x << s for s in self.shifts)
-
-    def over(self, cap: int) -> int:
-        """``K`` for ``cap <= top``: ``(v + K) & high`` is nonzero exactly
-        when some field of ``v`` exceeds ``cap``."""
-        return self.spread(self.guard - 1 - cap)
-
-    def pack(self, values: Iterable[int]) -> int:
-        return sum(x << s for x, s in zip(values, self.shifts))
-
-    def unpack(self, v: int) -> tuple[int, ...]:
-        fmask = self.fmask
-        return tuple([v >> s & fmask for s in self.shifts])
 
 
 class MachineTable(_Fields):
@@ -264,13 +226,13 @@ class MachineTable(_Fields):
     A packed configuration is one int.  The location's index in
     ``locations`` sits in the low ``(len(locations) - 1).bit_length()``
     bits (``v & lmask``), and counter ``i`` (in ``counters`` order) in the
-    field at ``shifts[i]``, of ``width = (cap + 1).bit_length() + 1`` bits:
-    ``cap + 1`` is the most one step makes from a configuration within the
-    cap, so no step sets a guard bit.  ``rows[l]`` lists the moves out of
-    the location of index ``l``, in ``_mt_key`` order, as ``(transition,
-    field, nonzero, zero)``: the move adds ``nonzero`` when ``v & field``
-    is nonzero and ``zero`` when it is zero, and is blocked where that
-    delta is ``None``.  Each delta includes the change of location index.
+    field at ``shifts[i]``, for values up to ``cap + 1``: the most one step
+    makes from a configuration within the cap, so no step sets a guard bit.
+    ``rows[l]`` lists the moves out of the location of index ``l``, in
+    ``_mt_key`` order, as ``(transition, field, nonzero, zero)``: the move
+    adds ``nonzero`` when ``v & field`` is nonzero and ``zero`` when it is
+    zero, and is blocked where that delta is ``None``.  Each delta includes
+    the change of location index.
     """
 
     def __init__(self, m: CounterMachine, cap: int) -> None:
@@ -356,10 +318,9 @@ def cover_bounded(
 
     YES verdicts carry the run; NO means the cap-bounded space is exhausted
     and is tagged ``within-cap``.  The search runs :func:`machine_successors`
-    on the machine's :class:`MachineTable` for ``cap``, whose counter fields
-    have ``(cap + 1).bit_length() + 1`` bits and a guard bit on top.  A
-    configuration is pruned when ``(v + K) & H`` is nonzero, one addition
-    and one mask, and the goal tests the location bits.
+    on the machine's :class:`MachineTable` for ``cap``.  A configuration is
+    pruned when ``(v + over(cap)) & high`` is nonzero, one addition and one
+    mask, and the goal tests the location bits.
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
@@ -437,16 +398,12 @@ VasStep = tuple[VasTransition, int, _FieldTests, int, _FieldTests]
 
 
 class VasLayout(_Fields):
-    """Packed vectors of ``dim`` coordinates, one field each, whose values
-    never exceed ``top``.
+    """``VasLayout(dim, top)``: packed vectors of ``dim`` coordinates, one
+    field each, whose values never exceed ``top``.
 
     ``(v + ones) & high``, the guard bits of the nonzero fields of ``v``,
     is its support.
     """
-
-    def __init__(self, dim: int, top: int) -> None:
-        super().__init__(dim, top)
-        self.dim = dim
 
     def compile(self, t: VasTransition) -> VasStep:
         """The packed form of the transition ``t`` that :func:`step_strict` applies.
@@ -460,18 +417,19 @@ class VasLayout(_Fields):
         shift)`` for the nonzero entries ``c`` of ``t_nb``.
         """
         t_b, t_nb = t
-        if len(t_b) != self.dim or len(t_nb) != self.dim:
+        dim = len(self.shifts)
+        if len(t_b) != dim or len(t_nb) != dim:
             raise VasError("vector arity mismatch")
         # Each dense vector is scanned once in Python, and a zero clamp part
         # not at all.
-        w, fmask, guard = self.width, self.fmask, self.guard
-        update = [(i * w, b) for i, b in enumerate(t_b) if b]
+        fmask, guard, shifts = self.fmask, self.guard, self.shifts
+        update = [(s, b) for s, b in zip(shifts, t_b) if b]
         return (
             t,
             sum(guard << s for s, b in update if b < 0),
             tuple([(fmask << s, -b << s) for s, b in update if b < -1]),
             sum(b << s for s, b in update),
-            tuple([(fmask << i * w, c << i * w) for i, c in enumerate(t_nb) if c])
+            tuple([(fmask << s, c << s) for s, c in zip(shifts, t_nb) if c])
             if any(t_nb) else (),
         )
 
@@ -555,32 +513,30 @@ def _candidates(layout: VasLayout, steps: list[VasStep]) -> Callable[[int], tupl
 def vas_cover_bounded(vas: Vas, cap: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Strict-step search for a vector covering the target, coordinates <= cap.
 
-    The search runs on packed vectors (:class:`VasLayout`) whose fields
-    have ``(cap + g).bit_length() + 1`` bits, ``g`` the largest positive
-    entry of a blocking part: ``cap + g`` is the most one step makes from
-    a vector within the cap, so no step sets a field's guard bit.  The
-    transitions are compiled once per search into packed steps, memoised
-    per support (see :func:`_candidates`); the cap prune, ``(v + K) & H``,
-    and the cover test are each one addition and one mask.  Witness steps
-    carry the dense ``(t_b, t_nb)`` pairs.
+    The search runs on packed vectors (:class:`VasLayout`) for values up
+    to ``cap + g``, ``g`` the largest positive entry of a blocking part:
+    the most one step makes from a vector within the cap, so no step sets
+    a field's guard bit.  The transitions are compiled once per search into
+    packed steps, memoised per support (see :func:`_candidates`); the cap
+    prune and the cover test (``_Fields.over`` and ``_Fields.at_least``)
+    are each one addition and one mask.  Witness steps carry the dense
+    ``(t_b, t_nb)`` pairs.
     """
     if cap < max(vas.v_init):
         raise ValueError("cap must cover the initial vector")
     grow = max([max(t_b) for t_b, _ in vas.transitions], default=0)
     layout = VasLayout(vas.dim, cap + max(grow, 0))
     candidates = _candidates(layout, [layout.compile(t) for t in vas.transitions])
-    guard, high = layout.guard, layout.high
-    # Covered: a guard bit set in every field the target needs.  A target
-    # above the cap is written as ``cap + 1``, which no admitted vector has.
-    need = [(s, min(b, cap + 1)) for s, b in zip(layout.shifts, vas.v_target) if b]
-    floor = sum((guard - b) << s for s, b in need)
-    full = sum(guard << s for s, _b in need)
-    over = layout.over(cap)
+    # A target above the cap is written as ``cap + 1``, which no admitted
+    # vector has.
+    covered = layout.at_least(
+        [(s, min(b, cap + 1)) for s, b in zip(layout.shifts, vas.v_target) if b])
+    over, high = layout.over(cap), layout.high
 
     def succ(cur: int) -> list[tuple[VasTransition, int]]:
         return [(s[0], nxt) for s in candidates(cur)
                 if (nxt := step_strict(cur, s)) is not None]
 
     return _capped(layout.pack(vas.v_init), succ, cap, budget, layout.unpack,
-                   goal=lambda v: (v + floor) & full == full,
+                   goal=covered,
                    prune=lambda v: (v + over) & high)

@@ -14,10 +14,12 @@ The one-step relation has three rules:
 
 Searches do not step on :class:`Configuration` objects.  ``Protocol.moves(n)``
 compiles the protocol into a :class:`MoveTable` for populations up to ``n``,
-whose configurations are packed into one int, one guarded count field per
-state.  Which moves a configuration has depends only on its signature: the
-states it occupies, and whether each state that sends a message it also
-receives holds two processes or more.  The table memoises the moves of each
+whose configurations are packed into one int, one count field per state,
+in the layout of :class:`_Fields`: the one packed layout of every engine
+of the package, whose guard bits make each move one addition.  Which moves
+a configuration has depends only on its signature: the states it
+occupies, and whether each state that sends a message it also receives
+holds two processes or more.  The table memoises the moves of each
 signature it meets; the code that fills that memo is the one interpreter of
 the three rules.  :func:`dense_moves` is then one lookup and one addition
 per move, and :func:`dense_image` expands a whole frontier of packed
@@ -38,7 +40,7 @@ or a record and a plain tuple.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 IDENTIFIER_RE = r"[A-Za-z_][A-Za-z0-9_']*"
 
@@ -186,13 +188,13 @@ class Protocol:
         """The protocol compiled for :func:`dense_moves` at populations up to ``n``.
 
         The protocol keeps one table, compiled on first use (most protocols
-        that are parsed are never explored), and compiles a wider one only
-        when ``n`` needs more bits per count than the kept table has.  The
-        table returned is always wide enough for ``n``.
+        that are parsed are never explored), and reuses it while ``n`` is
+        below its ``guard``; ``n >= guard`` compiles a wider one.  The table
+        returned is always wide enough for ``n``.
         """
         t = self._moves
-        if t is None or n.bit_length() > t.width:
-            t = self._moves = MoveTable(self, n.bit_length())
+        if t is None or n >= t.guard:
+            t = self._moves = MoveTable(self, n)
         return t
 
 
@@ -294,41 +296,92 @@ class StepLabel(NamedTuple):
         return f"{self.kind}:{self.message}"
 
 
-class MoveTable:
+class _Fields:
+    """``count`` packed fields for values up to ``top``, from bit ``offset`` up.
+
+    Every engine packs its vectors of counts in this layout: the protocol
+    configurations of a :class:`MoveTable`, the counters of a counter
+    machine and the coordinates of a VAS (``machines``), and the basis
+    vectors of the backward search (``backward``).  Each field has ``width
+    = top.bit_length() + 1`` bits, field ``i`` starts at bit ``shifts[i]``,
+    and ``fmask`` is a whole field at shift 0.  A value up to ``top``
+    leaves the field's top bit clear: that guard bit is ``guard`` at shift
+    0, and ``high`` has it in every field, so an addition that keeps each
+    field within ``top`` never carries into the next one, and a move is one
+    addition.  Adding a constant then tests every field at once: ``(v +
+    ones) & high`` has the guard bit of exactly the nonzero fields of ``v``,
+    ``(v + over(cap)) & high`` the guard bit of those above ``cap``, and
+    :meth:`at_least` tests a lower bound on some fields.
+    """
+
+    def __init__(self, count: int, top: int, offset: int = 0) -> None:
+        self.width = top.bit_length() + 1
+        self.guard = 1 << (self.width - 1)
+        self.fmask = (1 << self.width) - 1
+        self.shifts = tuple(range(offset, offset + count * self.width, self.width))
+        self.high = self.spread(self.guard)
+        self.ones = self.spread(self.guard - 1)
+
+    def spread(self, x: int) -> int:
+        """``x`` written into every field."""
+        return sum(x << s for s in self.shifts)
+
+    def over(self, cap: int) -> int:
+        """``K`` for ``cap <= top``: ``(v + K) & high`` is nonzero exactly
+        when some field of ``v`` exceeds ``cap``."""
+        return self.spread(self.guard - 1 - cap)
+
+    def at_least(self, need: list[tuple[int, int]]) -> Callable[[int], bool]:
+        """The test that the field at ``shift`` holds ``k`` or more, for every
+        ``(shift, k)`` pair of ``need`` (``k <= guard``).
+
+        Adding ``guard - k`` to a field sets its guard bit exactly when it
+        holds ``k`` or more, so the test is one addition and one mask.  A
+        ``k`` of ``guard`` is never met.
+        """
+        guard = self.guard
+        lift = sum((guard - k) << s for s, k in need)
+        full = sum(guard << s for s, _k in need)
+        return lambda v: (v + lift) & full == full
+
+    def pack(self, values: Iterable[int]) -> int:
+        return sum(x << s for x, s in zip(values, self.shifts))
+
+    def unpack(self, v: int) -> tuple[int, ...]:
+        fmask = self.fmask
+        return tuple([v >> s & fmask for s in self.shifts])
+
+
+class MoveTable(_Fields):
     """A protocol compiled into moves over packed configurations.
 
-    A packed configuration is one int: the count of state ``i`` (in
-    ``p.states`` order) sits in a field of ``width + 1`` bits starting at
-    bit ``shift[q]``, whose top bit is a guard bit that no count sets.  A
-    table of width ``b`` serves every population below ``2**b``: no count
-    can then reach its guard bit, so each move is one addition.  ``mask``
-    is the count bits of a field at shift 0.
+    A packed configuration is one int: the count of state ``q`` sits in the
+    :class:`_Fields` field at ``shift[q]``, in ``p.states`` order.  A table
+    compiled for ``n`` serves every population below its ``guard``: no
+    count can then reach a guard bit, so each move is one addition.
 
     The moves of a configuration depend only on its signature: which states
     it occupies and, for each state that sends a message it also receives,
     whether that state holds two processes or more.  ``(v + ones) & high``
-    has the guard bit of every occupied field (each field of ``ones`` holds
-    ``2**width - 1``), and ``((v + twos) & self_high) >> 1`` the bit below
-    the guard of every such shared state with a count of 2 or more (``twos``
-    holds ``2**width - 2`` in their fields); the signature ors the two.
+    has the guard bit of every occupied field, and ``((v + twos) &
+    self_high) >> 1`` the bit below the guard of every such shared state
+    with a count of 2 or more (``twos`` holds ``guard - 2`` in their
+    fields); the signature ors the two.
     ``memo`` maps each signature met so far to the ``(rank, delta)`` moves
     it enables, in table order (taus, then sends): a configuration ``v``
     with that signature steps to ``v + delta`` under the label
     ``labels[rank]``.  Ranks follow ``StepLabel.sort_key``.
     """
 
-    def __init__(self, p: Protocol, width: int) -> None:
+    def __init__(self, p: Protocol, n: int) -> None:
+        super().__init__(len(p.states), n)
         self.name = p.name
         self.states = p.states
         self.messages = p.messages
-        self.width = width
-        self.mask = (1 << width) - 1
-        self.shift = {q: i * (width + 1) for i, q in enumerate(p.states)}
+        self.shift = dict(zip(p.states, self.shifts))
         one = {q: 1 << s for q, s in self.shift.items()}
-        guard = {q: u << width for q, u in one.items()}
+        guard = {q: self.guard << s for q, s in self.shift.items()}
         shared = {src for src, m, _dst in p.sends if src in p._receivers[m]}
-        self.high = sum(guard.values())
-        self.ones = self.high - sum(one.values())
         self.self_high = sum([guard[q] for q in shared])
         self.twos = self.self_high - 2 * sum([one[q] for q in shared])
         nm = len(p.messages)
@@ -359,7 +412,7 @@ class MoveTable:
         return self._labels
 
     def encode(self, c: Configuration) -> int:
-        """The packed form of ``c``, whose total must be below ``2**width``;
+        """The packed form of ``c``, whose total must be below ``guard``;
         rejects states outside the protocol."""
         v = 0
         for state, n in c.items:
@@ -372,7 +425,7 @@ class MoveTable:
     def items(self, v: int) -> tuple[tuple[str, int], ...]:
         """The ``Configuration.items`` of the packed configuration ``v``."""
         out = []
-        mask, stride = self.mask, self.width + 1
+        mask, stride = self.fmask, self.width
         for q in self.states:
             if not v:
                 break
@@ -383,7 +436,8 @@ class MoveTable:
 
     def decode(self, v: int) -> Configuration:
         """The sparse form of the packed configuration ``v``."""
-        return Configuration(self.items(v))
+        # ``items`` gives only valid items: ``tuple.__new__`` skips the checks.
+        return tuple.__new__(Configuration, (self.items(v),))
 
 
 class _Moves(dict):
@@ -433,7 +487,7 @@ def dense_moves(t: MoveTable, v: int) -> list[tuple[int, int]]:
     the signature of ``v``, in table order, taus then sends, and may repeat
     a successor: a search that only needs the set of successors reads them
     as they are, and :func:`dense_successors` orders them.  ``v`` must hold
-    fewer than ``2**t.width`` processes.
+    fewer than ``t.guard`` processes.
     """
     moves = t.memo[((v + t.ones) & t.high) | (((v + t.twos) & t.self_high) >> 1)]
     return [(rank, v + delta) for rank, delta in moves]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import itertools
 import os
@@ -184,6 +185,18 @@ class TestCheck:
                            "--max-procs", "4")
         assert code == EXIT_OK and out == "RESULT UNKNOWN\n"
 
+    @pytest.mark.parametrize("method", ["explore", "backward", "auto"])
+    @pytest.mark.parametrize("problem", [
+        ["scover"], ["ccover", "--target", "q6:2"], ["synchro"]], ids=lambda a: a[0])
+    def test_population_bound_below_one(self, capsys, problem, method):
+        # Every route refuses the bound, the backward engine included, which
+        # would otherwise answer without a population to check.
+        for path in (FIG1, P1):
+            for procs in ("0", "-1"):
+                assert run(capsys, "check", problem[0], path, *problem[1:],
+                           "--max-procs", procs, "--method", method) == (
+                    EXIT_PRECONDITION, "", "error: population bound must be at least 1\n")
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.rvp"
         bad.write_text("protocol p\nstates a\n")
@@ -244,6 +257,14 @@ class TestExplore:
         assert code == EXIT_OK
         assert lines[0] == "REACHABLE 3"
         assert lines[1:] == ["CONFIG q5", "CONFIG q6", "CONFIG q_in"]
+
+    def test_p1_listing_digest(self, capsys):
+        # The benchmark corpora run no ``--list`` query: the decode path of
+        # every reachable configuration is pinned here, byte for byte.
+        code, out, err = run(capsys, "explore", "protocol", P1, "--procs", "12", "--list")
+        assert (code, err, out.count("\n")) == (EXIT_OK, "", 3669)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "595aa92b3c900b20227dd42b20d07dc4efe16abaf2f32e5da24044bbb41919af")
 
     def test_machine(self, capsys, tmp_path):
         path = tmp_path / "m.nbm"

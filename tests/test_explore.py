@@ -194,13 +194,13 @@ class TestPackedWidth:
         assert (verdict.answer, verdict.explored_bound) == ("unknown", 7)
 
     def test_witness_on_a_wider_table(self, fig1):
-        # The sweep compiles four bits for 8 processes; the witness is found
-        # at 3 processes on that table.
+        # The sweep compiles five-bit fields (four count bits and a guard bit)
+        # for 8 processes; the witness is found at 3 processes on that table.
         verdict = decide_sweep(fig1, Problem("ccover", cfg(q6=2)), 8)
         assert [(str(label), str(c)) for label, c in verdict.witness.steps] == [
             ("nb:a", "q5,q_in:2"), ("msg:b", "q1,q6,q_in"),
             ("nb:a", "q1,q5,q6"), ("nb:b", "q1,q6:2")]
-        assert fig1.moves(1).width == 4
+        assert fig1.moves(1).width == 5
 
 
 class TestDecideFixed:

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import load_protocol
 from helpers import random_config, random_protocol, spec_successors, with_self_rendezvous
 from nbrv.explore import Problem, decide_fixed, reachable
+from nbrv.machines import CounterMachine, CounterOp, VasLayout
 from nbrv.model import (
     Configuration,
     MalformedConfigurationError,
@@ -323,3 +324,46 @@ def test_initial_config(fig1):
     assert initial(fig1, 3) == cfg(q_in=3)
     with pytest.raises(MalformedConfigurationError):
         initial(fig1, 0)
+
+
+class TestFields:
+    """The packed layout that every engine shares (``model._Fields``)."""
+
+    @pytest.mark.parametrize("layout", [
+        load_protocol("p1.rvp").moves(12), load_protocol("fig1.rvp").moves(3),
+        VasLayout(5, 6), VasLayout(3, 1)], ids=["p1@12", "fig1@3", "vas5@6", "vas3@1"])
+    def test_at_least_matches_the_sparse_comparison(self, layout):
+        rng = random.Random(24)
+        count, guard = len(layout.shifts), layout.guard
+        for _ in range(300):
+            values = [rng.choice((0, 1, guard - 1, rng.randrange(guard)))
+                      for _ in range(count)]
+            v = layout.pack(values)
+            picked = rng.sample(range(count), rng.randint(1, count))
+            need = [(i, rng.choice((1, guard - 1, guard, guard + 5))) for i in picked]
+            # A count above the guard is clamped to it, as the callers do.
+            test = layout.at_least([(layout.shifts[i], min(k, guard)) for i, k in need])
+            assert test(v) == all(values[i] >= k for i, k in need), (values, need)
+
+    def test_moves_widens_at_the_guard(self):
+        p = load_protocol("fig1.rvp")
+        t = p.moves(5)
+        assert (t.width, t.guard) == (4, 8)
+        assert p.moves(1) is t and p.moves(t.guard - 1) is t
+        wider = p.moves(t.guard)
+        assert wider is not t and wider.guard > t.guard and p.moves(5) is wider
+
+    def test_machine_table_widens_at_the_guard(self):
+        m = CounterMachine("m", ["a"], ["x"], "a", [("a", CounterOp("inc", "x"), "a")])
+        t = m.table(2)
+        # A table serves every cap whose ``cap + 1`` is below its guard.
+        assert m.table(t.guard - 2) is t
+        assert m.table(t.guard - 1) is not t
+
+    def test_decode_builds_the_checked_configuration(self, p1):
+        t, got = reachable(p1, 12)
+        assert len(got) == 3668
+        for v in got:
+            c = t.decode(v)
+            assert type(c) is Configuration
+            assert c == Configuration(t.items(v))
