@@ -65,7 +65,7 @@ from __future__ import annotations
 import heapq
 
 from . import explore
-from .explore import CCOVER, DEFAULT_BUDGET, SYNCHRO, Problem, ResourceLimitError, Verdict
+from .explore import DEFAULT_BUDGET, SYNCHRO, Problem, ResourceLimitError, Verdict
 from .model import Configuration, Protocol, _Fields, check_configuration, receivers
 
 
@@ -182,20 +182,18 @@ def decide(p: Protocol, prob: Problem, max_n: int,
     """Decide ``prob`` with :func:`first_population`, at most ``budget`` pops.
 
     A NO is exact, and past ``budget`` pops the answer is UNKNOWN, noted
-    ``budget``.  A cover question (``scover``, or ``ccover`` of
-    ``prob.target``) that the backward search answers YES at population
-    ``n <= max_n`` gets the verdict of the explorer's label-ordered search
-    at ``n`` (``explore.decide_ordered``), with its witness; the explorer
-    must agree.  At ``n > max_n`` the answer is UNKNOWN.
-    ``synchro`` needs every process in ``final``, so it is asked as the
-    cover of ``final``: a NO is exact for it too, and a YES is swept from
-    ``n``.  An explorer search that runs out of ``budget`` nodes answers
-    UNKNOWN, noted ``budget``.  Every verdict's ``stats`` carry the backward
-    search's ``pops`` and ``basis``.
+    ``budget``.  The search asks for ``prob.cover(p)``.  A cover question
+    (``scover`` or ``ccover``) that the backward search answers YES at
+    population ``n <= max_n`` gets the verdict of the explorer's
+    label-ordered search at ``n`` (``explore.decide_ordered``), with its
+    witness; the explorer must agree.  At ``n > max_n`` the answer is
+    UNKNOWN.  For ``synchro`` the cover is necessary but not enough: a NO
+    is exact for it too, and a YES is swept from ``n``.  An explorer search
+    that runs out of ``budget`` nodes answers UNKNOWN, noted ``budget``.
+    Every verdict's ``stats`` carry the backward search's ``pops`` and
+    ``basis``.
     """
-    target = prob.target if prob.kind == CCOVER else Configuration(((p.final, 1),))
-    assert target is not None
-    found = first_population(p, target, budget)
+    found = first_population(p, prob.cover(p), budget)
     if not found.is_yes():
         return found
     n = found.explored_bound

@@ -179,11 +179,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         # The abstract engine partitions the protocol once; ``auto`` falls
         # back to the backward engine when it is not wait-only.
         try:
-            if args.problem == "scover":
-                verdict = waitonly.decide_state_cover(p)
-            else:
-                assert problem.target is not None
-                verdict = waitonly.decide_cover(p, problem.target)
+            verdict = waitonly.decide_cover(p, problem.cover(p))
         except waitonly.NotWaitOnlyError:
             if method != "auto":
                 raise

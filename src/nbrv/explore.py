@@ -29,18 +29,19 @@ the population again with ``search``, on the label-ordered successors.
 from __future__ import annotations
 
 from collections import deque, namedtuple
+from functools import partial
 from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from . import model
-from .model import Configuration, MoveTable, Protocol, check_configuration, initial
+from .model import Configuration, MoveTable, Protocol, check_configuration
 
 # The explorer's successor functions, looked up as ``explore.successors`` and
 # ``explore.image`` on every search so that a wrapper installed on either
-# name sees each call.  ``successors`` gives the ``(rank, w)`` moves of one
-# configuration in table order, which ``model.label_order`` sorts, for the
-# label-ordered searches; ``image`` gives the successor set of a frontier,
-# for the level-by-level passes.
-successors = model.dense_moves
+# name sees each call.  ``successors`` gives the ``(label, w)`` successors of
+# one configuration, deduplicated and in label order, for the label-ordered
+# searches; ``image`` gives the successor set of a frontier, for the
+# level-by-level passes.
+successors = model.dense_successors
 image = model.dense_image
 
 DEFAULT_BUDGET = 10**6
@@ -68,23 +69,30 @@ class Problem(namedtuple("Problem", "kind target")):
             raise ValueError(f"{kind} takes no target configuration")
         return tuple.__new__(cls, (kind, target))
 
+    def cover(self, p: Protocol) -> Configuration:
+        """The configuration that a YES must cover on ``p``.
+
+        That is the ``ccover`` target, or one process in ``p.final``.  A
+        ``synchro`` YES needs every process in ``final``, so covering this
+        is necessary for it but not enough.
+        """
+        return Configuration(((p.final, 1),)) if self.target is None else self.target
+
     def goal(self, p: Protocol, t: MoveTable, n: int) -> Callable[[int], Any]:
         """The test of this problem on ``t``'s packed configurations of size ``n``.
 
-        A ``ccover`` test is ``t.at_least`` of the target, one addition and
-        one mask.  A target count is clamped to ``t.guard``, which is never
-        met: no configuration of ``t`` holds that many processes.
+        A ``scover`` or ``ccover`` test is ``t.at_least`` of the cover, one
+        addition and one mask.  A cover count is clamped to ``t.guard``,
+        which is never met: no configuration of ``t`` holds that many
+        processes.  A ``synchro`` test is equality with all ``n`` processes
+        in ``final``.
         """
-        f = t.shift[p.final]
-        if self.kind == SCOVER:
-            final = t.fmask << f
-            return lambda v: v & final
-        if self.kind == CCOVER:
-            assert self.target is not None
-            check_configuration(p, self.target)
-            return t.at_least([(t.shift[q], min(k, t.guard)) for q, k in self.target.items])
-        full = n << f
-        return lambda v: v == full
+        if self.kind == SYNCHRO:
+            full = n << t.shift[p.final]
+            return lambda v: v == full
+        cover = self.cover(p)
+        check_configuration(p, cover)
+        return t.at_least([(t.shift[q], min(k, t.guard)) for q, k in cover.items])
 
 
 class Witness(NamedTuple):
@@ -176,6 +184,8 @@ def _levels(t: MoveTable, start: int, n: int, budget: int,
     frontier: Iterable[int] = (start,)
     depth = 0
     while True:
+        if len(seen) > budget:
+            raise ResourceLimitError(f"node budget {budget} exceeded at population {n}")
         if goal is not None and any(map(goal, frontier)):
             return None
         frontier = image(t, frontier) - seen
@@ -183,19 +193,17 @@ def _levels(t: MoveTable, start: int, n: int, budget: int,
             return seen, depth
         depth += 1
         seen |= frontier
-        if len(seen) > budget:
-            raise ResourceLimitError(f"node budget {budget} exceeded at population {n}")
 
 
 def reachable(p: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> tuple[MoveTable, set[int]]:
     """The exact set of configurations reachable from ``n`` initial processes.
 
     Returns the table searched on and the configurations as its packed ints;
-    the table's ``decode`` gives their sparse forms.
+    the table's ``decode`` gives their sparse forms.  ``Protocol.moves``
+    refuses ``n < 1``.
     """
-    start = initial(p, n)
     t = p.moves(n)
-    found = _levels(t, t.encode(start), n, budget)
+    found = _levels(t, n << t.shift[p.init], n, budget)
     assert found is not None
     return t, found[0]
 
@@ -228,18 +236,13 @@ def decide_ordered(
     raises ``ResourceLimitError``.  Which goal node is met first, and
     whether the budget runs out before it, depend on the order of
     successors, so every explorer witness and every overflow with a goal
-    comes from this search.
+    comes from this search.  ``Protocol.moves`` refuses ``n < 1``.
     """
-    if n < 1:
-        raise ValueError("population must be at least 1")
     t = p.moves(n)
     goal = prob.goal(p, t, n)
     start = n << t.shift[p.init]
     overflow = f"node budget {budget} exceeded at population {n}"
-
-    def succ(v: int) -> list[tuple[model.StepLabel, int]]:
-        return model.label_order(t, successors(t, v))
-
+    succ = partial(successors, t)
     parents, hit, _pruned = search(start, succ, budget=budget, overflow=overflow, goal=goal)
     if hit is None:
         return Verdict("no", explored_bound=n, stats={"visited": len(parents)})
@@ -256,10 +259,9 @@ def decide_fixed(
     the initial one) and ``signatures`` (the size of the table's memo after
     the search, which counts the signatures met by every search on that
     table).  When a level meets the goal, or the budget runs out,
-    :func:`decide_ordered` answers instead.
+    :func:`decide_ordered` answers instead.  ``Protocol.moves`` refuses
+    ``n < 1``.
     """
-    if n < 1:
-        raise ValueError("population must be at least 1")
     t = p.moves(n)
     goal = prob.goal(p, t, n)
     try:

@@ -190,8 +190,11 @@ class Protocol:
         The protocol keeps one table, compiled on first use (most protocols
         that are parsed are never explored), and reuses it while ``n`` is
         below its ``guard``; ``n >= guard`` compiles a wider one.  The table
-        returned is always wide enough for ``n``.
+        returned is always wide enough for ``n``.  A population below 1 is
+        refused, for every search that compiles its table here.
         """
+        if n < 1:
+            raise MalformedConfigurationError("population must be at least 1")
         t = self._moves
         if t is None or n >= t.guard:
             t = self._moves = MoveTable(self, n)
@@ -505,13 +508,15 @@ def dense_image(t: MoveTable, frontier: Iterable[int]) -> set[int]:
             for _rank, delta in memo[((v + ones) & high) | (((v + twos) & self_high) >> 1)]}
 
 
-def label_order(
-    t: MoveTable, moves: Iterable[tuple[int, int]]
-) -> list[tuple[StepLabel, int]]:
-    """``moves`` deduplicated and ordered by label rank, then by the sparse
-    order of the decoded successors, with each rank replaced by its label."""
+def dense_successors(t: MoveTable, v: int) -> list[tuple[StepLabel, int]]:
+    """All one-step successors of the packed configuration ``v``, as ``(label, w)``.
+
+    The moves of :func:`dense_moves`, deduplicated and ordered by label
+    rank, then by the sparse order of the decoded successors, as
+    :func:`successors` promises, with each rank replaced by its label.
+    """
     found: dict[int, list[int]] = {}
-    for rank, w in moves:
+    for rank, w in dense_moves(t, v):
         found.setdefault(rank, []).append(w)
     out: list[tuple[StepLabel, int]] = []
     labels = t.labels
@@ -522,16 +527,6 @@ def label_order(
         label = labels[rank]
         out += [(label, w) for w in group]
     return out
-
-
-def dense_successors(t: MoveTable, v: int) -> list[tuple[StepLabel, int]]:
-    """All one-step successors of the packed configuration ``v``.
-
-    :func:`dense_moves` put in :func:`label_order`: deduplicated and ordered
-    by label rank, then by the sparse order of the successors, as
-    :func:`successors` promises.
-    """
-    return label_order(t, dense_moves(t, v))
 
 
 def successors(p: Protocol, c: Configuration) -> list[tuple[StepLabel, Configuration]]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .explore import Verdict
+from .explore import SCOVER, Problem, Verdict
 from .model import (
     RECV,
     Configuration,
@@ -278,5 +278,5 @@ def decide_cover(p: Protocol, target: Configuration) -> Verdict:
 
 
 def decide_state_cover(p: Protocol) -> Verdict:
-    """Exact state-coverability verdict: cover one process in the final state."""
-    return decide_cover(p, Configuration(((p.final, 1),)))
+    """Exact state-coverability verdict: :func:`decide_cover` of ``Problem.cover``."""
+    return decide_cover(p, Problem(SCOVER).cover(p))

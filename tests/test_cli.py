@@ -305,6 +305,18 @@ class TestExplore:
         assert (code, out, err) == (EXIT_PRECONDITION, "",
                                     "error: population must be at least 1\n")
 
+    def test_budget_counts_a_stuck_start(self, capsys, tmp_path):
+        # The initial configuration has no move: it alone is reachable, and
+        # it counts against the budget like any level after it.
+        path = tmp_path / "z.rvp"
+        path.write_text("protocol z\nstates a b\ninit a\nfinal b\nmessages m\n"
+                        "trans b !m a\n")
+        assert run(capsys, "explore", "protocol", str(path), "--procs", "2",
+                   "--budget", "0") == (EXIT_PRECONDITION, "",
+                                        "error: node budget 0 exceeded at population 2\n")
+        assert run(capsys, "explore", "protocol", str(path), "--procs", "2",
+                   "--budget", "1") == (EXIT_OK, "REACHABLE 1\n", "")
+
     def test_machine_within_cap_note(self, capsys, tmp_path):
         path = tmp_path / "fig1.nbm"
         _, out, _ = run(capsys, "translate", "p2cm", FIG1, str(path), "--target", "q3:2")

@@ -373,13 +373,29 @@ class TestFirstLabel:
         assert vas_cover_bounded(vas, 1).witness.steps == ((first, (0, 1)),)
 
 
-def test_problem_validation():
+def test_problem_validation(fig1):
     with pytest.raises(ValueError):
         Problem("ccover")
     with pytest.raises(ValueError):
         Problem("scover", Configuration((("a", 1),)))
     with pytest.raises(ValueError):
         Problem("cover")
+    target = Configuration((("q3", 2), ("q4", 1)))
+    assert Problem("ccover", target).cover(fig1) is target
+    assert Problem("scover").cover(fig1) == Configuration((("q1", 1),))
+    # A synchro YES needs every process in final: covering one is necessary.
+    assert Problem("synchro").cover(fig1) == Configuration((("q1", 1),))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("decide", [
+    reachable,
+    partial(decide_fixed, prob=Problem("scover")),
+    partial(decide_ordered, prob=Problem("scover")),
+], ids=["reachable", "decide_fixed", "decide_ordered"])
+def test_population_below_one(fig1, decide, n):
+    with pytest.raises(ValueError, match="population must be at least 1"):
+        decide(fig1, n=n)
 
 
 class TestOverflowFreesTables:

@@ -236,6 +236,11 @@ class TestDecideCover:
     def test_state_cover_uses_final(self, p1):
         assert decide_state_cover(p1).is_yes()  # final state q7
 
+    @pytest.mark.parametrize("name", ["p1.rvp", "p2.rvp", "rot.rvp"])
+    def test_state_cover_is_the_scover_cover(self, name):
+        p = load_protocol(name)
+        assert decide_state_cover(p) == decide_cover(p, Problem("scover").cover(p))
+
 
 class TestRotation:
     @pytest.mark.parametrize("p, target", [
