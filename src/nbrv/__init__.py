@@ -14,8 +14,6 @@ from .model import (
     Configuration,
     Protocol,
     StepLabel,
-    covers,
-    initial,
     receivable,
     receivers,
     recv,
@@ -29,8 +27,6 @@ __all__ = [
     "Configuration",
     "Protocol",
     "StepLabel",
-    "covers",
-    "initial",
     "receivable",
     "receivers",
     "recv",

@@ -37,7 +37,12 @@ gives an exact NO, or the smallest population ``n`` that covers the target:
 witness, and a larger ``n`` prints ``RESULT UNKNOWN``.  ``synchro`` needs
 every process in ``final``, so under ``auto`` it answers an exact NO when
 ``final`` cannot be covered, and is otherwise swept from ``n`` up to
-``--max-procs``.  ``--method backward`` sends every question to the
+``--max-procs``.  A sweep decides each ``synchro`` population ``n`` by a
+search from both ends, forward from ``n * init`` and backward from ``n *
+final``, while the configurations of ``n`` processes, ``C(n + |Q| - 1,
+|Q| - 1)``, number at most ``--max-steps``: no search of that population
+can then run out of ``--max-steps``, so it prints what a forward search
+would.  ``--method backward`` sends every question to the
 backward engine, wait-only protocols included, ``--method abstract`` sends
 a cover question to the abstract engine alone, and ``--method explore``
 sweeps populations 1..``--max-procs``.  A ``--max-procs`` below 1 is
@@ -47,7 +52,8 @@ The first result line is ``RESULT YES|NO|UNKNOWN``, followed by the
 verdict's note when it has one (``RESULT NO within-cap``, ``RESULT UNKNOWN
 budget``); YES verdicts found by search are followed by ``STEP <label>
 <config>`` lines that replay the witness.  ``--max-steps`` bounds both the
-pops of the backward search and the nodes of each explorer search.  A
+pops of the backward search and the nodes of each explorer search, the
+initial configuration included, so ``--max-steps 0`` admits none.  A
 ``check`` that runs out of it, or an ``explore machine|vas`` search that
 runs out of its node budget, answers ``RESULT UNKNOWN budget``;
 ``explore protocol`` counts, and a partial count is no answer, so there the

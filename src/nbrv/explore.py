@@ -14,7 +14,7 @@ each move is one integer addition; ``Configuration`` objects are built
 only for witnesses.  A sweep compiles its table for the largest population
 first, and every smaller population reuses it.
 
-Each population is searched in full, since an extra process can turn a
+Each population is searched on its own, since an extra process can turn a
 non-blocking request into a rendez-vous.  A reachable set, a NO and an
 overflow with no goal met depend only on the set of nodes reached, so
 ``reachable`` and the first pass of ``decide_fixed`` saturate that set
@@ -24,25 +24,42 @@ moves the table memoises per signature and keeps neither order nor
 parents.  Only a YES witness, and the overflow of a search that has a
 goal, depend on the order of successors: ``decide_ordered`` then searches
 the population again with ``search``, on the label-ordered successors.
+
+A ``synchro`` population ``n`` has one goal configuration, all ``n``
+processes in ``final``, so :func:`decide_sweep` decides it by a search from
+both ends (:func:`_meets`): ``image`` levels forward from ``n * init`` and
+``model.dense_preimage`` levels backward from ``n * final``, one level per
+round on the side with the smaller frontier, NO when either side closes
+and YES when they meet.  On the shipped ``fig1``, ``p1`` and ``p2``,
+``n * final`` has no predecessor at all, so the backward side closes at
+once where the forward side would saturate every reachable configuration.
+The sweep takes this path only while the ``C(n + |Q| - 1, |Q| - 1)``
+configurations of ``n`` processes fit in the budget: then no search of
+the population can run out of it, and the verdict is the one
+``decide_fixed`` gives, a YES being searched again by ``decide_ordered``
+for its witness.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
 from functools import partial
+from math import comb
 from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from . import model
 from .model import Configuration, MoveTable, Protocol, check_configuration
 
-# The explorer's successor functions, looked up as ``explore.successors`` and
-# ``explore.image`` on every search so that a wrapper installed on either
-# name sees each call.  ``successors`` gives the ``(label, w)`` successors of
-# one configuration, deduplicated and in label order, for the label-ordered
-# searches; ``image`` gives the successor set of a frontier, for the
-# level-by-level passes.
+# The explorer's step functions, looked up as ``explore.successors``,
+# ``explore.image`` and ``explore.preimage`` on every search so that a
+# wrapper installed on any of these names sees each call.  ``successors``
+# gives the ``(label, w)`` successors of one configuration, deduplicated and
+# in label order, for the label-ordered searches; ``image`` gives the
+# successor set of a frontier, for the level-by-level passes, and
+# ``preimage`` its predecessor set, for the backward side of :func:`_meets`.
 successors = model.dense_successors
 image = model.dense_image
+preimage = model.dense_preimage
 
 DEFAULT_BUDGET = 10**6
 
@@ -141,13 +158,17 @@ def search(
     Returns ``(parents, hit, pruned)``: the node every admitted node was
     first reached from (``start`` has parent ``None``), the first admitted
     node meeting ``goal`` (``None`` if the search ran out), and how many new
-    successors ``prune`` turned away.  Admitting more than ``budget`` nodes
-    raises a ``ResourceLimitError`` with the message ``overflow``, made
-    only then: an exception built up front would be held by the frames of
-    its own traceback, keeping them and their tables alive until the
+    successors ``prune`` turned away.  Admitting more than ``budget`` nodes,
+    ``start`` included, raises a ``ResourceLimitError`` with the message
+    ``overflow`` before the node is tested against ``goal``, as
+    :func:`_levels` counts: a budget below 1 admits nothing.  The error is
+    made only then: an exception built up front would be held by the frames
+    of its own traceback, keeping them and their tables alive until the
     cyclic collector runs.  The labels are not kept: :func:`_rebuild` finds
     those of a witness again.
     """
+    if budget < 1:
+        raise ResourceLimitError(overflow)
     parents: dict = {start: None}
     if goal is not None and goal(start):
         return parents, start, 0
@@ -193,6 +214,33 @@ def _levels(t: MoveTable, start: int, n: int, budget: int,
             return seen, depth
         depth += 1
         seen |= frontier
+
+
+def _meets(t: MoveTable, start: int, goal: int) -> bool:
+    """Whether ``goal`` is reachable from ``start``, by a search from both ends.
+
+    The forward side saturates ``image`` levels from ``start``, the backward
+    side ``preimage`` levels from ``goal``, and each round expands one level
+    of the side whose frontier is smaller (the forward side on a tie).  The
+    two seen sets stay disjoint until a new level meets the other side's
+    set: a run then passes through the configuration they share.  A side
+    whose new level is empty has closed, and has not met the other side, so
+    ``goal`` is unreachable.  Nothing bounds the work: the caller makes sure
+    that every configuration of the population fits in its budget.
+    """
+    if start == goal:
+        return True
+    # Side 0 is the forward side, side 1 the backward one.
+    steps, seen, fronts = (image, preimage), [{start}, {goal}], [(start,), (goal,)]
+    while True:
+        side = int(len(fronts[1]) < len(fronts[0]))
+        new = steps[side](t, fronts[side]) - seen[side]
+        if not new:
+            return False
+        if not new.isdisjoint(seen[1 - side]):
+            return True
+        seen[side] |= new
+        fronts[side] = new
 
 
 def reachable(p: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> tuple[MoveTable, set[int]]:
@@ -285,13 +333,27 @@ def decide_sweep(
     whose ``explored_bound`` is the last population completed.  The move
     table is compiled for ``max_n`` up front, so every population shares
     one table.
+
+    A ``synchro`` population ``n`` has one goal, all ``n`` processes in
+    ``final``, so while the ``C(n + |Q| - 1, |Q| - 1)`` configurations of
+    ``n`` processes fit in ``budget``, :func:`_meets` decides it from both
+    ends, and a YES gets its witness from :func:`decide_ordered`.  Under
+    that bound no search of the population can run out of budget, so the
+    verdict is the one :func:`decide_fixed` would give; above it,
+    :func:`decide_fixed` decides the population.
     """
     if max_n < 1:
         raise ValueError("population bound must be at least 1")
-    p.moves(max_n)
+    t = p.moves(max_n)
+    places = len(p.states) - 1
     for n in range(start, max_n + 1):
         try:
-            verdict = decide_fixed(p, prob, n, budget)
+            if prob.kind == SYNCHRO and comb(n + places, places) <= budget:
+                if not _meets(t, n << t.shift[p.init], n << t.shift[p.final]):
+                    continue
+                verdict = decide_ordered(p, prob, n, budget)
+            else:
+                verdict = decide_fixed(p, prob, n, budget)
         except ResourceLimitError:
             return Verdict("unknown", explored_bound=n - 1, note="budget")
         if verdict.is_yes():

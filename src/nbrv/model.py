@@ -23,7 +23,9 @@ holds two processes or more.  The table memoises the moves of each
 signature it meets; the code that fills that memo is the one interpreter of
 the three rules.  :func:`dense_moves` is then one lookup and one addition
 per move, and :func:`dense_image` expands a whole frontier of packed
-configurations at once.
+configurations at once.  :func:`dense_preimage` goes one step backward: it
+keeps a candidate predecessor only when the memo lists the move among the
+moves of the candidate's signature, so it states no rule of its own.
 
 The package's value records (:class:`Action`, :class:`Configuration`,
 :class:`StepLabel` here, and ``Problem``, ``Verdict``, ``CounterOp``,
@@ -256,23 +258,12 @@ class Configuration(namedtuple("Configuration", "items")):
         return tuple(s for s, _ in self.items)
 
     def covers(self, other: "Configuration") -> bool:
+        """Componentwise multiset ordering: ``self(q) >= other(q)`` for every ``q``."""
         counts = self.counts()
         return all(counts.get(s, 0) >= n for s, n in other.items)
 
     def __str__(self) -> str:
         return ",".join(s if n == 1 else f"{s}:{n}" for s, n in self.items)
-
-
-def covers(c: Configuration, target: Configuration) -> bool:
-    """Componentwise multiset ordering: c(q) >= target(q) for every q."""
-    return c.covers(target)
-
-
-def initial(p: Protocol, n: int) -> Configuration:
-    """The initial configuration with ``n`` processes on the initial state."""
-    if n < 1:
-        raise MalformedConfigurationError("population must be at least 1")
-    return Configuration(((p.init, n),))
 
 
 def check_configuration(p: Protocol, c: Configuration) -> None:
@@ -403,6 +394,7 @@ class MoveTable(_Fields):
         self.memo = _Moves(tuple([(bit, tuple(moves)) for bit, moves in taus.items()]),
                            tuple([(bit, tuple(rules)) for bit, rules in sends.items()]))
         self._labels: tuple[StepLabel, ...] | None = None
+        self._back: tuple[tuple[int, tuple[int, int]], ...] | None = None
 
     @property
     def labels(self) -> tuple[StepLabel, ...]:
@@ -413,6 +405,24 @@ class MoveTable(_Fields):
                             + tuple([StepLabel("msg", m) for m in self.messages])
                             + tuple([StepLabel("nb", m) for m in self.messages]))
         return self._labels
+
+    @property
+    def back(self) -> tuple[tuple[int, tuple[int, int]], ...]:
+        """Every move of the table's rules once, as ``(delta, (rank, delta))``:
+        each tau, each lone send, and each send with each reception.
+
+        These are the candidates of :func:`dense_preimage`, taken from the
+        memo's own rule tuples.  Only the backward side of a search from
+        both ends reads them, so they are built on first use.
+        """
+        if self._back is None:
+            moves = [move for _bit, internal in self.memo.taus for move in internal]
+            for _bit, rules in self.memo.sends:
+                for lone, receptions in rules:
+                    moves.append(lone)
+                    moves += [move for _rbit, move in receptions]
+            self._back = tuple([(move[1], move) for move in dict.fromkeys(moves)])
+        return self._back
 
     def encode(self, c: Configuration) -> int:
         """The packed form of ``c``, whose total must be below ``guard``;
@@ -506,6 +516,27 @@ def dense_image(t: MoveTable, frontier: Iterable[int]) -> set[int]:
     return {v + delta
             for v in frontier
             for _rank, delta in memo[((v + ones) & high) | (((v + twos) & self_high) >> 1)]}
+
+
+def dense_preimage(t: MoveTable, frontier: Iterable[int]) -> set[int]:
+    """The set of one-step predecessors of every packed configuration in ``frontier``.
+
+    A candidate is ``u = c - delta`` for each move of ``t.back``, and it is
+    a configuration exactly when none of its guard bits is set.  A field of
+    ``c`` short of a destination unit of the move borrows from the next
+    field and sets its own guard bit (every field is at least 2 bits wide,
+    and a move takes at most 2 from a field); a short top field makes ``u``
+    negative, which sets the top guard bit too.  With no field short, ``u``
+    is a configuration of as many processes as ``c``.  It is a predecessor
+    when the memo lists the move among those of its signature, so the three
+    step rules are read from the one interpreter that fills the memo.
+    Each ``c`` must hold fewer than ``t.guard`` processes.
+    """
+    memo, ones, high, twos, self_high = t.memo, t.ones, t.high, t.twos, t.self_high
+    back = t.back
+    return {u for c in frontier for delta, move in back
+            if not (u := c - delta) & high
+            and move in memo[((u + ones) & high) | (((u + twos) & self_high) >> 1)]}
 
 
 def dense_successors(t: MoveTable, v: int) -> list[tuple[StepLabel, int]]:

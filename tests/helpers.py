@@ -29,11 +29,11 @@ from nbrv.machines import (
 )
 from nbrv.model import (
     Configuration,
+    MalformedConfigurationError,
     MoveTable,
     Protocol,
     StepLabel,
     dense_successors,
-    initial,
     recv,
     send,
     tau,
@@ -50,6 +50,13 @@ RST_MACHINE = ("machine rst2\nlocations qin l1 l2 l3 lf\ninit qin\ncounters x y\
 MINSKY_MACHINE = ("machine mk2\nlocations l0 c0_1 l2 l3 lf\ninit l0\ncounters a b\n"
                   "restore off\ntrans l0 inc a c0_1\ntrans c0_1 zero? b l2\n"
                   "trans l2 dec a l3\ntrans l3 inc b l2\ntrans l2 zero? a lf\n")
+
+
+def initial(p: Protocol, n: int) -> Configuration:
+    """The initial configuration with ``n`` processes on the initial state."""
+    if n < 1:
+        raise MalformedConfigurationError("population must be at least 1")
+    return Configuration(((p.init, n),))
 
 
 def random_protocol(rng: random.Random, max_q: int = 5, max_m: int = 3,
@@ -399,9 +406,10 @@ def ordered_decide_fixed(p: Protocol, prob: Problem, n: int, budget: int) -> Ver
     return Verdict("yes", explore._rebuild(parents, succ, start, hit, t.decode), explored_bound=n)
 
 
-def ordered_decide_sweep(p: Protocol, prob: Problem, max_n: int, budget: int) -> Verdict:
+def ordered_decide_sweep(p: Protocol, prob: Problem, max_n: int, budget: int,
+                         start: int = 1) -> Verdict:
     """``explore.decide_sweep`` over :func:`ordered_decide_fixed`."""
-    for n in range(1, max_n + 1):
+    for n in range(start, max_n + 1):
         try:
             verdict = ordered_decide_fixed(p, prob, n, budget)
         except ResourceLimitError:
@@ -493,7 +501,13 @@ def spec_machine_cover(m: CounterMachine, loc: str, cap: int, budget: int):
 
 
 def _spec_capped(start, succ, covers, over, budget: int):
-    """The BFS of :func:`spec_vas_cover` and :func:`spec_machine_cover`."""
+    """The BFS of :func:`spec_vas_cover` and :func:`spec_machine_cover`.
+
+    ``start`` counts against ``budget`` like every other configuration, so a
+    budget below 1 raises before ``start`` is tested.
+    """
+    if budget < 1:
+        raise ResourceLimitError("budget")
     parent: dict = {start: None}
     pruned = 0
     end = start if covers(start) else None

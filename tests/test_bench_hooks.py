@@ -12,9 +12,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from helpers import initial
 from nbrv import explore, machines, model, reductions
 from nbrv.explore import Problem
-from nbrv.model import Configuration, initial
+from nbrv.model import Configuration
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 

@@ -15,10 +15,11 @@ import pytest
 
 import nbrv
 from conftest import PROTOCOL_DIR
-from helpers import MINSKY_MACHINE, RST_MACHINE
+from helpers import MINSKY_MACHINE, RST_MACHINE, initial
 from nbrv import cli, fileio
 from nbrv.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, _read_text, build_parser, main
-from nbrv.model import MoveTable
+from nbrv.explore import Witness, replay
+from nbrv.model import MoveTable, StepLabel
 
 FIG1 = str(PROTOCOL_DIR / "fig1.rvp")
 P1 = str(PROTOCOL_DIR / "p1.rvp")
@@ -316,6 +317,37 @@ class TestExplore:
                                         "error: node budget 0 exceeded at population 2\n")
         assert run(capsys, "explore", "protocol", str(path), "--procs", "2",
                    "--budget", "1") == (EXIT_OK, "REACHABLE 1\n", "")
+
+    def test_check_budget_counts_the_start(self, capsys, tmp_path):
+        # The same rule as ``explore protocol``: at budget 0 no population is
+        # searched, and at budget 1 the stuck start is all there is.
+        path = tmp_path / "z.rvp"
+        path.write_text("protocol z\nstates a b\ninit a\nfinal b\nmessages m\n"
+                        "trans b !m a\n")
+        argv = ["check", "scover", str(path), "--method", "explore", "--max-procs", "2"]
+        assert run(capsys, *argv, "--max-steps", "0") == (EXIT_OK, "RESULT UNKNOWN budget\n", "")
+        assert run(capsys, *argv, "--max-steps", "1") == (EXIT_OK, "RESULT UNKNOWN\n", "")
+        # A start that meets the goal is admitted at budget 1 only.
+        path.write_text("protocol y\nstates a\ninit a\nfinal a\nmessages m\n")
+        assert run(capsys, *argv, "--max-steps", "0") == (EXIT_OK, "RESULT UNKNOWN budget\n", "")
+        assert run(capsys, *argv, "--max-steps", "1") == (EXIT_OK, "RESULT YES\n", "")
+
+    def test_machine_and_vas_budget_counts_the_start(self, capsys, tmp_path):
+        # Both starts meet their goal: budget 0 admits nothing, 1 the start.
+        machine, vas = tmp_path / "m.nbm", tmp_path / "v.vas"
+        machine.write_text("machine m\nlocations a b\ninit a\ncounters x\n"
+                           "restore off\ntrans a inc x b\n")
+        vas.write_text("vas v dim 1\ninit 1\ntarget 1\ntrans 1 ; 0\n")
+        for argv in (["machine", str(machine), "--loc", "a"], ["vas", str(vas)]):
+            assert run(capsys, "explore", *argv, "--cap", "3", "--budget", "0") == (
+                EXIT_OK, "RESULT UNKNOWN budget\n", "")
+            assert run(capsys, "explore", *argv, "--cap", "3", "--budget", "1") == (
+                EXIT_OK, "RESULT YES\n", "")
+        # Target b is one step away: the budget must admit a second node.
+        assert run(capsys, "explore", "machine", str(machine), "--loc", "b", "--cap", "3",
+                   "--budget", "1") == (EXIT_OK, "RESULT UNKNOWN budget\n", "")
+        assert run(capsys, "explore", "machine", str(machine), "--loc", "b", "--cap", "3",
+                   "--budget", "2") == (EXIT_OK, "RESULT YES\nSTEP inc x b;x=1\n", "")
 
     def test_machine_within_cap_note(self, capsys, tmp_path):
         path = tmp_path / "fig1.nbm"
@@ -674,6 +706,28 @@ class TestGen:
         m = fileio.parse_machine(out_path.read_text())
         # two clamp steps per level-0 counter
         assert sum(op.kind == "nbdec" for _s, op, _d in m.transitions) == 12
+
+    def test_compiled_level_one_shell(self, capsys, tmp_path):
+        """The level-1 restore shell of fig1's ``p2cm`` machine, compiled back
+        to a protocol of 162 states, is covered by 10 processes."""
+        nbm, shell, sh1 = tmp_path / "fig1.nbm", tmp_path / "sh1.nbm", tmp_path / "sh1.rvp"
+        for argv in (["translate", "p2cm", FIG1, str(nbm), "--target", "q3:2"],
+                     ["gen", "lipton", str(nbm), str(shell), "--levels", "1",
+                      "--target-loc", "at_20"],
+                     ["translate", "cm2p", str(shell), str(sh1), "--target-loc", "at_20"]):
+            assert run(capsys, *argv)[0] == EXIT_OK
+        code, out, err = run(capsys, "check", "scover", str(sh1), "--method", "explore",
+                             "--max-procs", "12")
+        assert (code, out.splitlines()[0], err) == (EXIT_OK, "RESULT YES", "")
+        p = fileio.parse_protocol(sh1.read_text())
+        assert len(p.states) == 162
+        steps = []
+        for line in out.splitlines()[1:]:
+            _step, label, config = line.split()
+            kind, _colon, message = label.partition(":")
+            steps.append((StepLabel(kind, message or None), fileio.parse_config(config, p)))
+        assert steps[-1][1].get(p.final) >= 1
+        assert replay(p, Witness(initial(p, 10), tuple(steps)))
 
     def test_lipton_shell(self, capsys, tmp_path):
         machine_path = tmp_path / "m.nbm"

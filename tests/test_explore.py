@@ -3,13 +3,15 @@ from __future__ import annotations
 import gc
 import random
 import weakref
-from collections import deque
-from functools import partial
+from collections import Counter, deque
+from functools import cache, partial
+from math import comb
 
 import pytest
 
-from conftest import load_protocol
+from conftest import PROTOCOL_DIR, load_protocol
 from helpers import (
+    initial,
     ordered_decide_fixed,
     ordered_decide_sweep,
     ordered_reachable,
@@ -18,10 +20,12 @@ from helpers import (
     spec_successors,
     with_self_rendezvous,
 )
+from nbrv import cli, explore
 from nbrv.explore import (
     Problem,
     ResourceLimitError,
     Verdict,
+    _meets,
     decide_fixed,
     decide_ordered,
     decide_sweep,
@@ -40,9 +44,9 @@ from nbrv.machines import (
 )
 from nbrv.model import (
     Configuration,
+    MoveTable,
     Protocol,
     dense_moves,
-    initial,
     receivers,
     recv,
     send,
@@ -350,6 +354,94 @@ class TestOrderFreeSearch:
         assert [(str(label), str(c)) for label, c in verdict.witness.steps] == [("msg:b", "g,r")]
 
 
+@cache
+def synchro_protocols() -> tuple[Protocol, ...]:
+    """2,100 seeded protocols, a third of them with a self rendez-vous."""
+    rng = random.Random(27)
+    out = []
+    for k in range(2100):
+        p = random_protocol(rng)
+        out.append(with_self_rendezvous(rng, p) if k % 3 == 0 else p)
+    return tuple(out)
+
+
+def meets_disagreement() -> tuple:
+    """The first ``(protocol, n)``, for ``n`` from 1 to 5, at which the search
+    from both ends and forward reachability disagree on whether ``n * final``
+    is reachable, else ``None``; and how often each answer came before it."""
+    seen = {True: 0, False: 0}
+    for p in synchro_protocols():
+        t = p.moves(5)
+        for n in range(1, 6):
+            full = n << t.shift[p.final]
+            got = _meets(t, n << t.shift[p.init], full)
+            if got != (full in reachable(p, n)[1]):
+                return (p, n), seen
+            seen[got] += 1
+    return None, seen
+
+
+class TestSearchFromBothEnds:
+    """A ``synchro`` population whose configurations all fit in the budget is
+    decided from both ends; every verdict is the one a single label-ordered
+    search per population gives."""
+
+    def test_meets_matches_forward_reachability(self):
+        found, seen = meets_disagreement()
+        assert found is None
+        assert min(seen.values()) > 3000, seen
+
+    def test_sweep_matches_one_ordered_search(self):
+        prob = Problem("synchro")
+        seen = Counter()
+        for p in synchro_protocols():
+            places = len(p.states) - 1
+            for n in range(1, 6):
+                size, bound = len(reachable(p, n)[1]), comb(n + places, places)
+                for budget in {max(1, size - 1), size, size + 1, bound - 1, bound}:
+                    got = decide_sweep(p, prob, n, budget, start=n)
+                    assert got == ordered_decide_sweep(p, prob, n, budget, start=n), (p, n)
+                    seen[bound <= budget, got.answer, got.note] += 1
+        assert seen[True, "yes", ""] > 1000 and seen[True, "unknown", ""] > 1000, seen
+        assert seen[False, "yes", ""] > 1000 and seen[False, "unknown", "budget"] > 1000, seen
+
+    def test_mutant_without_lone_sends_fails(self, monkeypatch):
+        # A lone non-blocking send has a rank above every rendez-vous rank.
+        full = MoveTable.back.fget
+        monkeypatch.setattr(MoveTable, "back", property(
+            lambda t: tuple([m for m in full(t) if m[1][0] <= len(t.messages)])))
+        assert meets_disagreement()[0] is not None
+
+    def test_mutant_without_the_memo_check_fails(self, monkeypatch):
+        def unchecked(t, frontier):
+            return {u for c in frontier for delta, _move in t.back if not (u := c - delta) & t.high}
+
+        monkeypatch.setattr(explore, "preimage", unchecked)
+        assert meets_disagreement()[0] is not None
+
+    def test_p1_visits_few_configurations(self, monkeypatch, capsys):
+        # Every step into q7 leaves its sender in q4, so n * q7 has no
+        # predecessor, and the backward side closes at once.
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                counts[name] += len(out) if isinstance(out, set) else 1
+                return out
+            return wrapper
+
+        for name in ("image", "preimage", "successors", "decide_fixed"):
+            monkeypatch.setattr(explore, name, counted(name, getattr(explore, name)))
+        assert cli.main(["check", "synchro", str(PROTOCOL_DIR / "p1.rvp"),
+                         "--max-procs", "16"]) == 0
+        assert capsys.readouterr().out == "RESULT UNKNOWN\n"
+        assert counts["successors"] == counts["decide_fixed"] == 0, counts
+        # The sweep sees 45 configurations; saturating each population
+        # forward, as a sweep of ``decide_fixed`` does, sees 44,125.
+        assert counts["image"] + counts["preimage"] <= 60, counts
+
+
 class TestFirstLabel:
     """Two labels lead from one node to the same successor: the witness shows the first."""
 
@@ -385,6 +477,27 @@ def test_problem_validation(fig1):
     assert Problem("scover").cover(fig1) == Configuration((("q1", 1),))
     # A synchro YES needs every process in final: covering one is necessary.
     assert Problem("synchro").cover(fig1) == Configuration((("q1", 1),))
+
+
+@pytest.mark.parametrize("at_goal", [True, False])
+def test_search_counts_its_start(at_goal):
+    # As in the level-by-level pass, the start is the first node admitted:
+    # a budget of 0 admits nothing, even a start that meets the goal.
+    def succ(v):
+        return [("inc", v + 1)]
+
+    def goal(v):
+        return v == 0 if at_goal else False
+
+    with pytest.raises(ResourceLimitError, match="over"):
+        search(0, succ, budget=0, overflow="over", goal=goal)
+    if at_goal:
+        assert search(0, succ, budget=1, overflow="over", goal=goal) == ({0: None}, 0, 0)
+    else:
+        with pytest.raises(ResourceLimitError, match="over"):
+            search(0, succ, budget=1, overflow="over", goal=goal)
+    assert search(0, succ, budget=3, overflow="over", goal=lambda v: v == 2) == (
+        {0: None, 1: 0, 2: 1}, 2, 0)
 
 
 @pytest.mark.parametrize("n", [0, -1])

@@ -213,6 +213,27 @@ class TestCoverBounded:
         with pytest.raises(ResourceLimitError):
             cover_bounded(m, "l1", cap=10**6, budget=10)
 
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_small_budgets_match_spec(self, budget):
+        # The start counts against the budget: 0 admits nothing, 1 the start alone.
+        rng = random.Random(49)
+        seen = Counter()
+        for n in range(300):
+            m = random_machine(rng, restore=n % 2 == 1)
+            loc = rng.choice(m.locations)
+            try:
+                want = spec_machine_cover(m, loc, 2, budget)
+            except ResourceLimitError:
+                with pytest.raises(ResourceLimitError):
+                    cover_bounded(m, loc, 2, budget)
+                seen["overflow"] += 1
+                continue
+            verdict = cover_bounded(m, loc, 2, budget)
+            assert (verdict.answer, verdict.witness and list(verdict.witness.steps),
+                    verdict.stats) == want
+            seen[verdict.answer] += 1
+        assert seen["overflow"] == 300 if budget == 0 else min(seen.values()) > 20, seen
+
     def test_witnesses_replay(self):
         rng = random.Random(44)
         for _ in range(150):
@@ -391,6 +412,27 @@ class TestVasCover:
                 assert list(verdict.witness.steps) == steps
                 seen["long witness"] += len(steps) > 2
         assert min(seen.values()) >= 15, seen
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_small_budgets_match_spec(self, budget):
+        # The start counts against the budget: 0 admits nothing, 1 the start alone.
+        rng = random.Random(6)
+        seen = Counter()
+        for _ in range(300):
+            vas = random_vas(rng)
+            cap = max(vas.v_init) + 1
+            try:
+                want = spec_vas_cover(vas, cap, budget)
+            except ResourceLimitError:
+                with pytest.raises(ResourceLimitError):
+                    vas_cover_bounded(vas, cap, budget)
+                seen["overflow"] += 1
+                continue
+            verdict = vas_cover_bounded(vas, cap, budget)
+            assert (verdict.answer, verdict.witness and list(verdict.witness.steps),
+                    verdict.stats) == want
+            seen[verdict.answer] += 1
+        assert seen["overflow"] == 300 if budget == 0 else min(seen.values()) > 20, seen
 
     def test_field_width_boundaries(self):
         # A field holds up to ``cap`` plus the largest positive blocking

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import load_protocol
-from helpers import random_config, random_protocol, spec_successors, with_self_rendezvous
+from helpers import initial, random_config, random_protocol, spec_successors, with_self_rendezvous
 from nbrv.explore import Problem, decide_fixed, reachable
 from nbrv.machines import CounterMachine, CounterOp, VasLayout
 from nbrv.model import (
@@ -18,11 +18,9 @@ from nbrv.model import (
     ProtocolError,
     UnknownMessageError,
     UnknownStateError,
-    covers,
     dense_image,
     dense_moves,
     dense_successors,
-    initial,
     receivable,
     receivers,
     reception_targets,
@@ -137,20 +135,20 @@ class TestSuccessors:
 
 class TestCovers:
     def test_componentwise(self):
-        assert covers(cfg(q2=2), cfg(q2=1))
+        assert cfg(q2=2).covers(cfg(q2=1))
 
     def test_reflexive(self):
-        assert covers(cfg(q1=1, q6=1), cfg(q1=1, q6=1))
+        assert cfg(q1=1, q6=1).covers(cfg(q1=1, q6=1))
 
     def test_missing_state(self):
-        assert not covers(cfg(q_in=1, q5=1), cfg(q4=1))
+        assert not cfg(q_in=1, q5=1).covers(cfg(q4=1))
 
     @given(st.dictionaries(st.sampled_from("abcd"), st.integers(1, 4), min_size=1),
            st.dictionaries(st.sampled_from("abcd"), st.integers(1, 4), min_size=1))
     def test_order_matches_counts(self, d1, d2):
         c1, c2 = Configuration.from_counts(d1), Configuration.from_counts(d2)
         expected = all(d1.get(k, 0) >= v for k, v in d2.items())
-        assert covers(c1, c2) == expected
+        assert c1.covers(c2) == expected
 
 
 class TestConfiguration:
