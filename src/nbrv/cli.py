@@ -226,7 +226,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         search = functools.partial(machines.vas_cover_bounded, _load_vas(args.file))
 
         def render(t, vec) -> str:
-            t_b, t_nb, w = (" ".join(map(str, xs)) for xs in (*t, vec))
+            t_b, t_nb, w = map(fileio.vector_text, (*t, vec))
             return f"{t_b} ; {t_nb} -> {w}"
     try:
         verdict = search(args.cap, args.budget)

@@ -7,15 +7,19 @@ reader keeps the words of every non-blank line with its line number, and a
 reports it.  A ``.rvp`` or ``.nbm`` parse keeps one table per file from the
 action or operation text of a ``trans`` line to its ``Action`` or
 ``CounterOp``: a text is checked, and its object built, where it first
-occurs, and every later line with that text costs one lookup.  ``.vas``
-values are checked and converted a line at a time; an error names the first
-bad value.  Serializers emit a canonical form (sorted states, messages and
+occurs, and every later line with that text costs one lookup.  A ``.vas``
+vector is converted by one lookup per word in a table of the one-digit
+numerals, and only a vector with a word outside it is checked a word at a
+time; an error names the first bad value.  A vector is written with its
+zero entries as one shared ``"0"`` and only its nonzero entries converted.
+Serializers emit a canonical form (sorted states, messages and
 transitions) so that parse/serialize round-trips are stable.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import compress
 from typing import Iterator
 
 from .machines import (
@@ -296,13 +300,29 @@ def serialize_machine(m: CounterMachine) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The one-digit numerals of ``.vas`` values, with the value each one denotes:
+# most words of a vector are among them.
+_UNSIGNED = {str(d): d for d in range(10)}
+_SIGNED = _UNSIGNED | {f"{sign}{d}": int(f"{sign}{d}") for sign in "+-" for d in range(10)}
+
+
 def _values(rd: _Reader, n: int, words: list[str], first: int, stop: int, dim: int,
             what: str, signed: bool) -> tuple[int, ...]:
-    """``words[first:stop]`` of line ``n`` as ``dim`` integers, the first bad one reported."""
+    """``words[first:stop]`` of line ``n`` as ``dim`` integers, the first bad one reported.
+
+    A value is decimal digits, after one ``+`` or ``-`` when ``signed``.
+    The vector is looked up word by word in a table of the one-digit
+    numerals; only a vector with a word outside it is checked and converted
+    a word at a time.
+    """
     values = words[first:stop]
     if len(values) != dim:
         index = first if values else 0  # an empty vector is reported at its line
         raise rd.error(n, index, f"expected {dim} {what} values, found {len(values)}")
+    try:
+        return tuple(map((_SIGNED if signed else _UNSIGNED).__getitem__, values))
+    except KeyError:
+        pass
     digits = [w[1:] if w[0] in "+-" else w for w in values] if signed else values
     if not all(map(str.isdecimal, digits)):
         i = first + next(i for i, d in enumerate(digits) if not d.isdecimal())
@@ -339,14 +359,21 @@ def parse_vas(text: str, file: str = "<string>") -> Vas:
                v_init=v_init, v_target=v_target)
 
 
+def vector_text(xs: tuple[int, ...]) -> str:
+    """``" ".join(map(str, xs))``, converting only the nonzero entries."""
+    words = ["0"] * len(xs)
+    for i in compress(range(len(xs)), xs):
+        words[i] = str(xs[i])
+    return " ".join(words)
+
+
 def serialize_vas(v: Vas) -> str:
+    """The canonical ``.vas`` text; each vector is written by :func:`vector_text`."""
     lines = [
         f"vas {v.name} dim {v.dim}",
-        "init " + " ".join(str(x) for x in v.v_init),
-        "target " + " ".join(str(x) for x in v.v_target),
+        "init " + vector_text(v.v_init),
+        "target " + vector_text(v.v_target),
     ]
     for t_b, t_nb in v.transitions:
-        left = " ".join(str(x) for x in t_b)
-        right = " ".join(str(x) for x in t_nb)
-        lines.append(f"trans {left} ; {right}")
+        lines.append(f"trans {vector_text(t_b)} ; {vector_text(t_nb)}")
     return "\n".join(lines) + "\n"

@@ -17,9 +17,10 @@ is one int: the location's index in the low bits, then one field per
 counter.  A VAS vector is one field per coordinate.  A step is then a
 field test and one addition of a precomputed delta, the cap test and the
 cover test are each one addition and one mask, and only witnesses are
-decoded.  The VAS search keeps its candidate steps per support, the set of
-nonzero fields that ``(v + ONES) & H`` gives, and each memo entry already
-leaves out the steps that need a coordinate outside it.
+decoded.  The VAS search keeps its candidate steps per needed support, the
+nonzero fields that ``(v + ONES) & H`` gives cut to the coordinates some
+step needs, and each memo entry already leaves out the steps that need a
+coordinate outside it.
 :func:`successors` and :func:`apply_strict` are the sparse forms, on
 :class:`MachineConfig` and on tuples.
 """
@@ -473,38 +474,43 @@ def apply_strict(v: Vector, t: VasTransition) -> Vector | None:
 
 
 def _candidates(layout: VasLayout, steps: list[VasStep]) -> Callable[[int], tuple[VasStep, ...]]:
-    """The steps that may fire on a packed vector, memoised per support.
+    """The steps that may fire on a packed vector, memoised per needed support.
 
     The candidates of ``v`` are the steps whose ``need`` lies inside ``v``'s
     support, ``(v + ones) & high``, in ``vas.transitions`` order, so the
     search meets successors in the same order as a scan of every
-    transition.  A step is filed under the lowest bit of its ``need``, or
-    with the free steps when it has none, so that a new support looks only
-    at the free steps and those filed under one of its bits.
+    transition.  The memo is keyed on the support cut to ``needed``, the
+    union of every step's ``need``: a coordinate that no step needs cannot
+    change which steps fire, so vectors that differ only there share one
+    entry.  A step is filed under the lowest bit of its ``need``, or with
+    the free steps when it has none, so that a new key looks only at the
+    free steps and those filed under one of its bits.
     """
-    ones, high = layout.ones, layout.high
+    ones = layout.ones
+    needed = 0
     free: list[int] = []
     filed: dict[int, list[int]] = {}
     for j, s in enumerate(steps):
         need = s[1]
         if need:
+            needed |= need
             filed.setdefault(need & -need, []).append(j)
         else:
             free.append(j)
     memo: dict[int, tuple[VasStep, ...]] = {}
 
     def candidates(v: int) -> tuple[VasStep, ...]:
-        support = (v + ones) & high
-        found = memo.get(support)
+        key = (v + ones) & needed
+        found = memo.get(key)
         if found is None:
             picked = list(free)
-            rest = support
+            rest = key
             while rest:
                 bit = rest & -rest
                 picked += filed.get(bit, ())
                 rest ^= bit
-            found = memo[support] = tuple([
-                steps[j] for j in sorted(picked) if steps[j][1] & support == steps[j][1]])
+            found = memo[key] = tuple([
+                steps[j] for j in sorted(picked) if steps[j][1] & key == steps[j][1]])
         return found
 
     return candidates
@@ -517,10 +523,10 @@ def vas_cover_bounded(vas: Vas, cap: int, budget: int = DEFAULT_BUDGET) -> Verdi
     to ``cap + g``, ``g`` the largest positive entry of a blocking part:
     the most one step makes from a vector within the cap, so no step sets
     a field's guard bit.  The transitions are compiled once per search into
-    packed steps, memoised per support (see :func:`_candidates`); the cap
-    prune and the cover test (``_Fields.over`` and ``_Fields.at_least``)
-    are each one addition and one mask.  Witness steps carry the dense
-    ``(t_b, t_nb)`` pairs.
+    packed steps, memoised per needed support (see :func:`_candidates`);
+    the cap prune and the cover test (``_Fields.over`` and
+    ``_Fields.at_least``) are each one addition and one mask.  Witness
+    steps carry the dense ``(t_b, t_nb)`` pairs.
     """
     if cap < max(vas.v_init):
         raise ValueError("cap must cover the initial vector")

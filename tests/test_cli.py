@@ -375,6 +375,23 @@ class TestExplore:
         assert code == EXIT_OK
         assert out == expected
 
+    def test_cm2vas_bytes(self, capsys, tmp_path):
+        # No golden holds a ``cm2vas`` output: its bytes, and the full
+        # stdout of a YES search on it, are pinned by digest.
+        machine, vas = tmp_path / "x.nbm", tmp_path / "fig1.vas"
+        run(capsys, "translate", "p2cm", FIG1, str(machine), "--target", "q3:2")
+        code, out, _ = run(capsys, "translate", "cm2vas", str(machine), str(vas),
+                           "--target-loc", "at_20")
+        assert (code, out) == (EXIT_OK, "SIZE dim=30 transitions=30\n")
+        assert hashlib.sha256(vas.read_bytes()).hexdigest() == (
+            "a5d6eafd8be3988fe8f94cecec67da9a2aed9e6529f4058603b2bba4261810a2")
+        code, out, _ = run(capsys, "explore", "vas", str(vas), "--cap", "2")
+        assert code == EXIT_OK and out.startswith("RESULT YES\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7a50680920d6fa9c2efedf87a72896e4b79a165e38ef18e9aa46f6c731183720")
+        assert run(capsys, "explore", "vas", str(vas), "--cap", "1")[1] == (
+            "RESULT NO within-cap\n")
+
     def test_vas(self, capsys, tmp_path):
         path = tmp_path / "v.vas"
         path.write_text("vas v dim 1\ninit 0\ntarget 1\ntrans 1 ; 0\n")

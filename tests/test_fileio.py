@@ -19,6 +19,7 @@ from nbrv.fileio import (
     serialize_machine,
     serialize_protocol,
     serialize_vas,
+    vector_text,
 )
 from nbrv.machines import Vas
 from nbrv.model import Configuration
@@ -202,6 +203,41 @@ class TestVasFormat:
         v = Vas("v", 2, (((-1, 1), (0, 0)), ((1, 0), (0, 2))), (1, 0), (0, 1))
         assert parse_vas(serialize_vas(v)) == v
         assert serialize_vas(parse_vas(serialize_vas(v))) == serialize_vas(v)
+
+    # Each word as the second value of a blocking and of a non-blocking
+    # part, with the value it gets there, or ``None`` where it is rejected.
+    # The one-digit numerals are converted by table lookup and every other
+    # word by the check of each word; the outcomes are those of that check
+    # alone.  "\uff11" is a full-width 1, "\u0663" an Arabic-Indic 3 and
+    # "\u00b2" a superscript 2, which is a digit but not a decimal.
+    NUMERALS = [
+        ("0", 0, 0), ("+0", 0, None), ("-0", 0, None), ("7", 7, 7), ("+7", 7, None),
+        ("-7", -7, None), ("007", 7, 7), ("10", 10, 10), ("-13", -13, None),
+        ("\uff11", 1, 1), ("\u0663", 3, 3), ("\u00b2", None, None), ("1_0", None, None),
+        ("+", None, None), ("-", None, None), ("--1", None, None), ("+-1", None, None),
+    ]
+
+    @pytest.mark.parametrize("word, blocking, non_blocking", NUMERALS,
+                             ids=[ascii(w) for w, _b, _n in NUMERALS])
+    def test_numerals(self, word, blocking, non_blocking):
+        for part, want, line, column in (
+                ("blocking", blocking, f"trans 1 {word} ; 0 0", 9),
+                ("non-blocking", non_blocking, f"trans 1 0 ; 0 {word}", 15)):
+            text = f"vas v dim 2\ninit 0 0\ntarget 0 1\n{line}\n"
+            if want is None:
+                with pytest.raises(ParseError) as exc:
+                    parse_vas(text, "x")
+                assert str(exc.value) == f"x:4:{column}: invalid {part} value {word!r}"
+            else:
+                (t_b, t_nb), = parse_vas(text, "x").transitions
+                assert (t_b, t_nb)[part != "blocking"][1] == want
+
+    def test_vector_text(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            xs = tuple(rng.choice((0, 0, 0, 1, -1, 9, -10, 12, 345, -6789))
+                       for _ in range(rng.randint(0, 40)))
+            assert vector_text(xs) == " ".join(map(str, xs))
 
 
 @pytest.mark.parametrize("parse, text, error", [

@@ -29,6 +29,8 @@ from nbrv.machines import (
     MachineConfig,
     Vas,
     VasError,
+    VasLayout,
+    _candidates,
     _mt_key,
     apply_strict,
     cover_bounded,
@@ -502,6 +504,45 @@ class TestVasCover:
                 seen["pruned"] += stats["pruned"] > 0
             seen["restore"] += m.restore
             seen["dim > 10"] += vas.dim > 10
+        assert min(seen.values()) >= 20, seen
+
+    def test_candidates_match_brute_force_rule(self):
+        # At every vector within the cap that the strict steps reach, the
+        # candidates are the transitions whose negative blocking entries
+        # all fall on nonzero coordinates, in transition order.  Vectors
+        # whose supports differ only where no step needs a coordinate share
+        # a memo entry; the ``machine_to_vas`` images have many such
+        # coordinates.
+        rng = random.Random(12)
+        seen = Counter()
+        for n in range(400):
+            if n % 2:
+                m = random_machine(rng, max_loc=6, max_ctr=3, max_t=10, restore=n % 4 == 1)
+                vas = machine_to_vas(m, rng.choice(m.locations[1:]))
+            else:
+                vas = random_vas(rng)
+            cap = max(vas.v_init) + rng.randint(0, 2)
+            grow = max([max(t_b) for t_b, _ in vas.transitions], default=0)
+            layout = VasLayout(vas.dim, cap + max(grow, 0))
+            candidates = _candidates(layout, [layout.compile(t) for t in vas.transitions])
+            entries: dict[int, set] = {}
+            seen_vectors = {vas.v_init}
+            queue = [vas.v_init]
+            for v in queue:
+                want = [t for t in vas.transitions
+                        if all(x > 0 for x, b in zip(v, t[0]) if b < 0)]
+                got = candidates(layout.pack(v))
+                assert [s[0] for s in got] == want
+                if got:  # the empty tuple is one object however it was built
+                    entries.setdefault(id(got), set()).add(tuple(x > 0 for x in v))
+                for t in vas.transitions:
+                    w = spec_step_strict(v, t)
+                    if w is not None and max(w) <= cap and w not in seen_vectors:
+                        seen_vectors.add(w)
+                        queue.append(w)
+            kind = "machine image" if n % 2 else "random"
+            seen[kind, "shared entry"] += any(len(sups) > 1 for sups in entries.values())
+            seen[kind, "several vectors"] += len(queue) > 5
         assert min(seen.values()) >= 20, seen
 
     def test_vas_validation(self):
