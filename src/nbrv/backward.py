@@ -22,20 +22,27 @@ upward closed.  Backward search over minimal bases therefore terminates
 and is exact (Abdulla, Cerans, Jonsson and Tsay, LICS 1996; Finkel and
 Schnoebelen, TCS 2001).
 
-*Pre-images.*  For a basis vector ``b`` each rule gives at most one
-minimal predecessor ``c``, such that every configuration that takes the
-rule into the upward closure of ``b`` is at least ``c``:
+*Pre-images.*  A rule of ``Protocol.rules`` moves the vector ``pre`` of
+its sources to the vector ``post`` of its destinations, and has blockers
+``B``.  For a basis vector ``b`` it gives at most one minimal predecessor,
+the upward-closed pre-image
+
+    ``c = max(b - post, 0) + pre``, kept only when ``c - pre`` is 0 on ``B``,
+
+such that every configuration that takes the rule into the upward
+closure of ``b`` is at least ``c``.  Its three instances are:
 
 - tau ``q -> q'``: ``c = max(b - e_q', 0) + e_q``;
 - rendez-vous of ``s !m s'`` with ``r ?m r'`` (``r = s`` allowed):
   ``c = max(b - e_s' - e_r', 0) + e_s + e_r``;
-- non-blocking ``s !m s'``: ``c = max(b - e_s', 0) + e_s``, kept only when
-  ``c - e_s`` is 0 on every receiver of ``m``.  Otherwise every
-  configuration at least ``c`` holds a receiver besides the sender, and
-  the rule has no pre-image in the upward closure of ``b``.
+- non-blocking ``s !m s'``, blocked by the receivers of ``m``:
+  ``c = max(b - e_s', 0) + e_s``, kept only when ``c - e_s`` is 0 on
+  every receiver of ``m``.  Otherwise every configuration at least ``c``
+  holds a receiver besides the sender, and the rule has no pre-image in
+  the upward closure of ``b``.
 
-A rule whose destination fields are all 0 in ``b`` gives ``c >= b``, which
-adds nothing, and is skipped.
+A tau or a rendez-vous has no blockers.  A rule whose destination fields
+are all 0 in ``b`` gives ``c >= b``, which adds nothing, and is skipped.
 
 *Saturation.*  :func:`saturation` over-approximates the states that any
 reachable configuration occupies: start from ``{init}``; add the targets
@@ -66,7 +73,7 @@ import heapq
 
 from . import explore
 from .explore import DEFAULT_BUDGET, SYNCHRO, Problem, ResourceLimitError, Verdict
-from .model import Configuration, Protocol, _Fields, check_configuration, receivers
+from .model import Configuration, Protocol, _Fields, check_configuration
 
 
 class EngineDisagreementError(RuntimeError):
@@ -107,19 +114,33 @@ def first_population(p: Protocol, target: Configuration,
     outside_init = sum(field.values()) - field[p.init]
     init_field = field[p.init]
 
+    # A target outside the saturation is never covered: no rule is compiled.
+    start = 0
+    for q, k in target.items:
+        if q not in sat:
+            return Verdict("no", stats={"pops": 0, "basis": 0})
+        start += k << shift[q]
+
     # Rules whose sources lie outside the saturation only give vectors that
-    # are positive there, so they are left out here.  A tau or non-blocking
-    # rule is (destination field, delta, source unit, receiver fields), and
-    # a tau has no receiver fields; a rendez-vous is (sender destination
-    # field and unit, receiver destination field and unit, source units).
-    singles = [(field[dst], one[src] - one[dst], one[src], 0)
-               for src, dst in p.taus if src in sat]
-    singles += [(field[dst], one[src] - one[dst], one[src],
-                 sum(field[r] for r in receivers(p, m)))
-                for src, m, dst in p.sends if src in sat]
-    rendezvous = [(field[dst], one[dst], field[rp], one[rp], one[src] + one[r])
-                  for src, m, dst in p.sends if src in sat
-                  for r, rp in p._recv_by_msg[m] if r in sat]
+    # are positive there, so they are left out here.  A rule has one or two
+    # sources, and is compiled to the union of its destination fields, each
+    # destination field and unit (the second 0 for a rule of one process),
+    # the sum of its source units, its number of sources and the union of
+    # its blocker fields.
+    rules = []
+    for _kind, _m, src, dst, blockers in p.rules:
+        if src[0] not in sat or src[-1] not in sat:
+            continue
+        block = 0
+        for q in blockers:
+            block |= field[q]
+        d = dst[0]
+        f2, u2, s2 = (field[dst[1]], one[dst[1]], one[src[1]]) if len(src) == 2 else (0, 0, 0)
+        rules.append((field[d] | f2, field[d], one[d], f2, u2, one[src[0]] + s2, len(src), block))
+    # Rules of one process first: their pre-images keep the sum of their
+    # vector, so they tend to cover the rendez-vous pre-images of the same
+    # vector, which are then turned away before they enter the basis.
+    rules.sort(key=lambda rule: rule[6])
 
     basis: set[int] = set()
     heap: list[tuple[int, int, int]] = []
@@ -142,11 +163,6 @@ def first_population(p: Protocol, target: Configuration,
         basis.add(c)
         heapq.heappush(heap, (total, -(c & init_field), c))
 
-    start = 0
-    for q, k in target.items:
-        if q not in sat:
-            return Verdict("no", stats={"pops": 0, "basis": 0})
-        start += k << shift[q]
     insert(start, target.total())
     pops = 0
     while heap:
@@ -159,21 +175,18 @@ def first_population(p: Protocol, target: Configuration,
         if not b & outside_init:
             return Verdict("yes", explored_bound=total,
                            stats={"pops": pops, "basis": len(basis)})
-        for dfield, delta, sunit, rfields in singles:
-            if b & dfield:
-                c = b + delta
-                if not (c - sunit) & rfields:
-                    insert(c, total)
-        for sfield, sunit, rfield, runit, add in rendezvous:
-            c, grow = b, 2
-            if c & sfield:
-                c -= sunit
+        for dests, f1, u1, f2, u2, sources, grow, block in rules:
+            if not b & dests:
+                continue
+            c = b
+            if c & f1:
+                c -= u1
                 grow -= 1
-            if c & rfield:
-                c -= runit
+            if c & f2:
+                c -= u2
                 grow -= 1
-            if grow < 2:
-                insert(c + add, total + grow)
+            if not c & block:
+                insert(c + sources, total + grow)
     return Verdict("no", stats={"pops": pops, "basis": len(basis)})
 
 

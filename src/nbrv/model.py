@@ -12,8 +12,14 @@ The one-step relation has three rules:
 * non-blocking request: a sender moves alone when, once the sender itself is
   set aside, no process sits on a state that could receive the message.
 
+``Protocol.rules`` states them once, as one list of rules: each rule
+moves one process from each of its sources to its destinations, and is
+disabled while one of its blockers holds a process besides the rule's own
+sources.  The explorer's move table, the backward search's pre-images and
+the protocol -> machine compiler all read that one list.
+
 Searches do not step on :class:`Configuration` objects.  ``Protocol.moves(n)``
-compiles the protocol into a :class:`MoveTable` for populations up to ``n``,
+compiles the rules into a :class:`MoveTable` for populations up to ``n``,
 whose configurations are packed into one int, one count field per state,
 in the layout of :class:`_Fields`: the one packed layout of every engine
 of the package, whose guard bits make each move one addition.  Which moves
@@ -21,7 +27,7 @@ a configuration has depends only on its signature: the states it
 occupies, and whether each state that sends a message it also receives
 holds two processes or more.  The table memoises the moves of each
 signature it meets; the code that fills that memo is the one interpreter of
-the three rules.  :func:`dense_moves` is then one lookup and one addition
+the rules.  :func:`dense_moves` is then one lookup and one addition
 per move, and :func:`dense_image` expands a whole frontier of packed
 configurations at once.  :func:`dense_preimage` goes one step backward: it
 keeps a candidate predecessor only when the memo lists the move among the
@@ -104,6 +110,7 @@ def recv(message: str) -> Action:
 
 
 Transition = tuple[str, Action, str]
+Rule = tuple[str, str | None, tuple[str, ...], tuple[str, ...], tuple[str, ...]]
 
 
 class Protocol:
@@ -140,7 +147,6 @@ class Protocol:
         sends: list[tuple[str, str, str]] = []
         recvs: list[tuple[str, str, str]] = []
         taus: list[tuple[str, str]] = []
-        recv_by_msg: dict[str, list[tuple[str, str]]] = {m: [] for m in self.messages}
         receivers: dict[str, set[str]] = {m: set() for m in self.messages}
         receivable: dict[str, set[str]] = {q: set() for q in self.states}
         recv_targets: dict[tuple[str, str], list[str]] = {}
@@ -157,7 +163,6 @@ class Protocol:
                 sends.append((src, m, dst))
             else:
                 recvs.append((src, m, dst))
-                recv_by_msg[m].append((src, dst))
                 receivers[m].add(src)
                 receivable[src].add(m)
                 recv_targets.setdefault((src, m), []).append(dst)
@@ -165,10 +170,10 @@ class Protocol:
         self.sends: tuple[tuple[str, str, str], ...] = tuple(sends)
         self.recvs: tuple[tuple[str, str, str], ...] = tuple(recvs)
         self.taus: tuple[tuple[str, str], ...] = tuple(taus)
-        self._recv_by_msg = {m: tuple(v) for m, v in recv_by_msg.items()}
         self._receivers = {m: frozenset(v) for m, v in receivers.items()}
         self._receivable = {q: frozenset(v) for q, v in receivable.items()}
         self._recv_targets = {k: tuple(v) for k, v in recv_targets.items()}
+        self._rules: tuple[Rule, ...] | None = None
         self._moves: MoveTable | None = None
 
     def _key(self) -> tuple:
@@ -185,6 +190,34 @@ class Protocol:
             f"Protocol({self.name!r}, |Q|={len(self.states)}, |Sigma|={len(self.messages)}, "
             f"|T|={len(self.transitions)})"
         )
+
+    @property
+    def rules(self) -> tuple[Rule, ...]:
+        """The step rules, each ``(kind, message, sources, destinations, blockers)``.
+
+        A rule moves one process from each source state to the destination
+        in the same position, and is labelled ``StepLabel(kind, message)``.
+        It is enabled when its sources hold one process each (a state named
+        twice holds two) and no blocker holds a process besides the rule's
+        own sources.  They come in table order: each tau ``q -> q'`` gives
+        ``("tau", None, (q,), (q',), ())``; then each send ``s !m s'`` gives
+        ``("msg", m, (s, r), (s', r'), ())`` for each reception ``r ?m r'``,
+        in ``recvs`` order, then ``("nb", m, (s,), (s',), receivers)``, the
+        receivers of ``m`` in name order.  Built on first use, as most
+        protocols that are parsed never step.
+        """
+        if self._rules is None:
+            by_msg: dict[str, list[tuple[str, str, str]]] = {m: [] for m in self.messages}
+            for edge in self.recvs:
+                by_msg[edge[1]].append(edge)
+            blockers = {m: tuple(sorted(qs)) for m, qs in self._receivers.items()}
+            rules: list[Rule] = [("tau", None, (src,), (dst,), ()) for src, dst in self.taus]
+            for s, m, sp in self.sends:
+                for r, _m, rp in by_msg[m]:
+                    rules.append(("msg", m, (s, r), (sp, rp), ()))
+                rules.append(("nb", m, (s,), (sp,), blockers[m]))
+            self._rules = tuple(rules)
+        return self._rules
 
     def moves(self, n: int) -> "MoveTable":
         """The protocol compiled for :func:`dense_moves` at populations up to ``n``.
@@ -313,12 +346,14 @@ class _Fields:
         self.guard = 1 << (self.width - 1)
         self.fmask = (1 << self.width) - 1
         self.shifts = tuple(range(offset, offset + count * self.width, self.width))
+        # 1 in every field: (2^(count * width) - 1) / (2^width - 1), at offset.
+        self.unit = ((1 << count * self.width) - 1) // self.fmask << offset
         self.high = self.spread(self.guard)
         self.ones = self.spread(self.guard - 1)
 
     def spread(self, x: int) -> int:
-        """``x`` written into every field."""
-        return sum(x << s for s in self.shifts)
+        """``x`` written into every field, for ``0 <= x <= fmask``."""
+        return x * self.unit
 
     def over(self, cap: int) -> int:
         """``K`` for ``cap <= top``: ``(v + K) & high`` is nonzero exactly
@@ -362,8 +397,8 @@ class MoveTable(_Fields):
     with a count of 2 or more (``twos`` holds ``guard - 2`` in their
     fields); the signature ors the two.
     ``memo`` maps each signature met so far to the ``(rank, delta)`` moves
-    it enables, in table order (taus, then sends): a configuration ``v``
-    with that signature steps to ``v + delta`` under the label
+    it enables, one per enabled rule of ``Protocol.rules``: a configuration
+    ``v`` with that signature steps to ``v + delta`` under the label
     ``labels[rank]``.  Ranks follow ``StepLabel.sort_key``.
     """
 
@@ -375,24 +410,30 @@ class MoveTable(_Fields):
         self.shift = dict(zip(p.states, self.shifts))
         one = {q: 1 << s for q, s in self.shift.items()}
         guard = {q: self.guard << s for q, s in self.shift.items()}
-        shared = {src for src, m, _dst in p.sends if src in p._receivers[m]}
-        self.self_high = sum([guard[q] for q in shared])
-        self.twos = self.self_high - 2 * sum([one[q] for q in shared])
-        nm = len(p.messages)
-        rank = {m: 1 + k for k, m in enumerate(p.messages)}
-        # Rules grouped by the guard bit of their source, in table order.
-        taus: dict[int, list] = {}
-        for src, dst in p.taus:
-            taus.setdefault(guard[src], []).append((0, one[dst] - one[src]))
-        sends: dict[int, list] = {}
-        for src, m, dst in p.sends:
-            sends.setdefault(guard[src], []).append((
-                (rank[m] + nm, one[dst] - one[src]),
-                tuple([(guard[q] >> 1 if q == src else guard[q],
-                        (rank[m], one[dst] - one[src] + one[qp] - one[q]))
-                       for q, qp in p._recv_by_msg[m]])))
-        self.memo = _Moves(tuple([(bit, tuple(moves)) for bit, moves in taus.items()]),
-                           tuple([(bit, tuple(rules)) for bit, rules in sends.items()]))
+        # A rule's rank is that of its kind plus that of its message.
+        kind_rank = {"tau": 0, "msg": 0, "nb": len(p.messages)}
+        msg_rank = {None: 0, **{m: k for k, m in enumerate(p.messages, 1)}}
+        # Each rule as (need | block, need, (rank, delta)), grouped by the
+        # guard bit of its first source.  A state that is two of the
+        # sources, or both a source and a blocker, is read by its
+        # two-or-more bit, the bit below its guard bit; ``read`` ors every
+        # bit that a rule reads.
+        groups: dict[int, list] = {}
+        read = 0
+        for kind, m, src, dst, blockers in p.rules:
+            s, r, pair = src[0], src[-1], len(src) == 2
+            need = guard[s] >> 1 if pair and r == s else guard[s] | guard[r]
+            delta = one[dst[0]] - one[s] + (one[dst[1]] - one[r] if pair else 0)
+            block = 0
+            for q in blockers:
+                block |= guard[q] >> (q in src)
+            read |= need | block
+            groups.setdefault(guard[s], []).append(
+                (need | block, need, (kind_rank[kind] + msg_rank[m], delta)))
+        # The shared states are those read by their two-or-more bit.
+        self.self_high = (read & (self.high >> 1)) << 1
+        self.twos = self.self_high - (self.self_high >> (self.width - 2))
+        self.memo = _Moves(tuple([(bit, tuple(rules)) for bit, rules in groups.items()]))
         self._labels: tuple[StepLabel, ...] | None = None
         self._back: tuple[tuple[int, tuple[int, int]], ...] | None = None
 
@@ -408,20 +449,16 @@ class MoveTable(_Fields):
 
     @property
     def back(self) -> tuple[tuple[int, tuple[int, int]], ...]:
-        """Every move of the table's rules once, as ``(delta, (rank, delta))``:
-        each tau, each lone send, and each send with each reception.
+        """Every move of the table's rules once, as ``(delta, (rank, delta))``.
 
         These are the candidates of :func:`dense_preimage`, taken from the
         memo's own rule tuples.  Only the backward side of a search from
         both ends reads them, so they are built on first use.
         """
         if self._back is None:
-            moves = [move for _bit, internal in self.memo.taus for move in internal]
-            for _bit, rules in self.memo.sends:
-                for lone, receptions in rules:
-                    moves.append(lone)
-                    moves += [move for _rbit, move in receptions]
-            self._back = tuple([(move[1], move) for move in dict.fromkeys(moves)])
+            moves = dict.fromkeys([move for _bit, rules in self.memo.groups
+                                   for _mask, _need, move in rules])
+            self._back = tuple([(move[1], move) for move in moves])
         return self._back
 
     def encode(self, c: Configuration) -> int:
@@ -456,39 +493,26 @@ class MoveTable(_Fields):
 class _Moves(dict):
     """A :class:`MoveTable`'s memo: signature -> the ``(rank, delta)`` moves it enables.
 
-    A missing signature is filled by the one interpreter of the three step
-    rules, from the table's rules alone, grouped by the guard bit of their
-    source.  ``taus`` pairs a source bit with the moves of its internal
-    edges.  ``sends`` pairs a source bit with one ``(lone, receptions)``
-    rule per send edge: ``lone`` is its non-blocking move, and
-    ``receptions`` the ``(bit, move)`` of each reception of its message,
-    whose bit is the receiver's occupancy bit, or its two-or-more bit when
-    the receiver is the sender's own state.  The memo holds no reference to
-    its table, so a table is freed as soon as its protocol is.
+    A missing signature is filled by the one interpreter of the step rules,
+    from the compiled ``Protocol.rules`` alone.  ``groups`` pairs the guard
+    bit of a first source with the ``(mask, need, move)`` of each rule that
+    starts there, in table order: a signature enables the rule when it has
+    every bit of ``need`` and none of the rule's blocker bits, the rest of
+    ``mask``.  The memo holds no reference to its table, so a table is freed
+    as soon as its protocol is.
     """
 
-    def __init__(self, taus: tuple, sends: tuple) -> None:
+    def __init__(self, groups: tuple) -> None:
         super().__init__()
-        self.taus = taus
-        self.sends = sends
+        self.groups = groups
 
     def __missing__(self, key: int) -> tuple[tuple[int, int], ...]:
         moves: list[tuple[int, int]] = []
-        for bit, internal in self.taus:
+        for bit, rules in self.groups:
             if key & bit:
-                moves += internal
-        for bit, rules in self.sends:
-            if key & bit:
-                for lone, receptions in rules:
-                    # A rendez-vous with each reception present, else a lone
-                    # non-blocking step: no receiver besides the sender itself.
-                    blocked = False
-                    for rbit, move in receptions:
-                        if key & rbit:
-                            moves.append(move)
-                            blocked = True
-                    if not blocked:
-                        moves.append(lone)
+                for mask, need, move in rules:
+                    if key & mask == need:
+                        moves.append(move)
         found = self[key] = tuple(moves)
         return found
 
@@ -497,7 +521,7 @@ def dense_moves(t: MoveTable, v: int) -> list[tuple[int, int]]:
     """Every one-step move of the packed configuration ``v``, as ``(rank, w)``.
 
     ``rank`` indexes ``t.labels``.  The moves are those ``t.memo`` keeps for
-    the signature of ``v``, in table order, taus then sends, and may repeat
+    the signature of ``v``, in the order of the memo's groups, and may repeat
     a successor: a search that only needs the set of successors reads them
     as they are, and :func:`dense_successors` orders them.  ``v`` must hold
     fewer than ``t.guard`` processes.

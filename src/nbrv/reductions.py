@@ -46,7 +46,6 @@ from .model import (
     Protocol,
     Transition,
     check_configuration,
-    receivers,
     recv,
     send,
     tau,
@@ -94,9 +93,11 @@ def protocol_to_machine(
     """Compile configuration coverability into location coverability.
 
     One counter per protocol state tracks the process count; a hub location
-    hosts one simulation loop per protocol transition and a final chain of
-    decrements checks the target.  Non-blocking decrements appear exactly in
-    the loops that simulate sends, one per potential receiver state.
+    hosts one simulation loop per step rule of ``Protocol.rules`` and a
+    final chain of decrements checks the target.  A rule's loop decrements
+    its sources, non-blocking decrements its blockers (so they appear
+    exactly in the loops of non-blocking sends, one per receiver state) and
+    increments its destinations.
     """
     check_configuration(p, target)
 
@@ -118,14 +119,10 @@ def protocol_to_machine(
             cur = nxt
         return cur
 
-    for src, dst in p.taus:
-        chain([(DEC, src), (INC, dst)])
-    for q1, m, q1p in p.sends:
-        for q2, mm, q2p in p.recvs:
-            if mm == m:
-                chain([(DEC, q1), (DEC, q2), (INC, q1p), (INC, q2p)])
-    for q1, m, q1p in p.sends:
-        chain([(DEC, q1), *((NBDEC, q2) for q2 in sorted(receivers(p, m))), (INC, q1p)])
+    # Taus, then rendez-vous, then non-blocking sends, each kind in table order.
+    by_kind = sorted(p.rules, key=lambda rule: ("tau", "msg", "nb").index(rule[0]))
+    for _kind, _m, src, dst, blockers in by_kind:
+        chain([(DEC, q) for q in src] + [(NBDEC, q) for q in blockers] + [(INC, q) for q in dst])
     final_loc = chain([(DEC, q) for q, n in target.items for _ in range(n)], back=False)
 
     machine = CounterMachine(f"{p.name}_cover", locations, p.states, hub, transitions)

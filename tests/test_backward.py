@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -93,6 +95,39 @@ class TestSearch:
         # saturation keep this family to a few hundred pops at k = 20.
         found = first_population(chain(20), cfg(s20=1, w19=2), budget=1000)
         assert (found.answer, found.explored_bound) == ("yes", 3)
+
+
+class TestWork:
+    def test_work_is_pinned(self):
+        """``(answer, explored_bound, pops, basis)`` on 800 seeded protocols,
+        a third with a self rendez-vous, half of the targets drawn inside
+        the saturation with counts up to 4.
+
+        The digest was recorded from the search that kept single-process
+        rules and rendez-vous in two lists with a loop each: the one loop
+        over ``Protocol.rules`` pops the same vectors and keeps the same
+        bases.
+        """
+        rng = random.Random(44)
+        digest = hashlib.sha256()
+        answers = Counter()
+        for k in range(800):
+            p = random_protocol(rng, max_q=7, max_t=14)
+            if k % 3 == 0:
+                p = with_self_rendezvous(rng, p)
+            if k % 2:
+                target = random_config(rng, p)
+            else:
+                sat = sorted(saturation(p))
+                target = Configuration.from_counts(
+                    {rng.choice(sat): rng.randint(1, 4) for _ in range(rng.randint(1, 3))})
+            found = first_population(p, target, budget=100)
+            row = (found.answer, found.explored_bound, found.stats["pops"], found.stats["basis"])
+            digest.update(repr(row).encode())
+            answers[found.answer] += 1
+        assert answers == {"yes": 592, "no": 205, "unknown": 3}
+        assert digest.hexdigest() == (
+            "fba772061a45028c882f462720732c0d570c6d512eed65754b4462c178163d5f")
 
 
 class TestDecide:

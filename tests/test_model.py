@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from nbrv.model import (
     MalformedConfigurationError,
     Protocol,
     ProtocolError,
+    StepLabel,
     UnknownMessageError,
     UnknownStateError,
     dense_image,
@@ -27,6 +29,7 @@ from nbrv.model import (
     recv,
     send,
     successors,
+    tau,
 )
 
 
@@ -316,6 +319,48 @@ class TestInvariants:
             p = random_protocol(rng)
             c = random_config(rng, p)
             assert successors(p, c) == successors(p, c)
+
+
+class TestRules:
+    def test_table_order(self):
+        p = Protocol("p", ["a", "b", "c"], ["m", "n"], "a", "c",
+                     [("a", tau(), "b"), ("a", send("m"), "b"), ("c", recv("m"), "a"),
+                      ("a", recv("m"), "c"), ("b", send("n"), "c")])
+        assert p.rules == (
+            ("tau", None, ("a",), ("b",), ()),
+            ("msg", "m", ("a", "a"), ("b", "c"), ()),
+            ("msg", "m", ("a", "c"), ("b", "a"), ()),
+            ("nb", "m", ("a",), ("b",), ("a", "c")),
+            ("nb", "n", ("b",), ("c",), ()),
+        )
+        assert p.rules is p.rules
+
+    def test_firing_the_rules_gives_the_spec_successors(self):
+        # Every configuration reached at n = 1..4, a third of the protocols
+        # with a self rendez-vous.  A rule is enabled when its sources are
+        # present with multiplicity and no blocker holds a process beyond
+        # the rule's own sources.
+        rng = random.Random(25)
+        fired = Counter()
+        for k in range(1050):
+            p = random_protocol(rng, max_m=2)
+            if k % 3 == 0:
+                p = with_self_rendezvous(rng, p)
+            for n in range(1, 5):
+                t, found = reachable(p, n)
+                for v in found:
+                    c = t.decode(v)
+                    counts = Counter(c.counts())
+                    got = set()
+                    for kind, m, src, dst, blockers in p.rules:
+                        need = Counter(src)
+                        if (all(counts[q] >= j for q, j in need.items())
+                                and all(counts[q] <= need[q] for q in blockers)):
+                            moved = counts - need + Counter(dst)
+                            got.add((StepLabel(kind, m), Configuration.from_counts(moved)))
+                            fired[kind, len(set(src)) < len(src), bool(blockers)] += 1
+                    assert got == set(spec_successors(p, c)), (k, n, c)
+        assert min(fired.values()) > 100 and len(fired) == 5, fired
 
 
 def test_initial_config(fig1):
