@@ -5,7 +5,7 @@ Commands::
     nbrv check scover|ccover|synchro FILE [--target CONF]
          [--method explore|abstract|backward|auto] [--max-procs N] [--max-steps B]
     nbrv abstract FILE [--trace]
-    nbrv explore protocol FILE --procs N [--list]
+    nbrv explore protocol FILE --procs N [--list] [--budget B]
     nbrv explore machine FILE --loc L --cap C [--budget B]
     nbrv explore vas FILE --cap C [--budget B]
     nbrv translate p2cm|cm2p|cm2vas|minsky2p IN OUT [--target CONF | --target-loc L]
@@ -18,10 +18,15 @@ UTF-8 included), 3 precondition violation (bad flag combination, wrong model
 class for the requested method...).  ``translate`` takes ``--target`` for
 ``p2cm`` and ``--target-loc`` for the other kinds, never both.
 
-A command line is parsed once, by the parser of the command it names; one
-that names no command goes to the top-level parser.  Usage lines, help and
-error messages are argparse's, as they were under the top-level parser's
-nested parse.
+The grammar is stated once, in ``_COMMANDS``.  A well-formed command line,
+in which every word is an exact option name followed by a value that does
+not start with ``-``, a flag, or a positional, is read from that table
+directly, so it never loads ``argparse``.  Every other line (``-h``, ``--``,
+``--opt=value``, an abbreviation, a bad value, a missing or extra word) is
+parsed once by the argparse parser of the command it names, built from the
+same table, and one that names no command goes to the top-level parser.
+Usage lines, help and error messages are argparse's, as they were under
+the top-level parser's nested parse.
 
 ``translate`` and ``gen`` write OUT in place as UTF-8: an existing file is
 overwritten and then cut to the new length.  Nothing is fsynced, before or
@@ -62,11 +67,11 @@ budget is a precondition error.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import stat
 import sys
+from types import SimpleNamespace
 
 from . import backward, explore, fileio, gadgets, machines, reductions, waitonly
 from .explore import Problem, Verdict
@@ -160,7 +165,7 @@ def _print_verdict(verdict: Verdict, render_step) -> None:
             print(f"STEP {render_step(label, state)}")
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: SimpleNamespace) -> int:
     if args.max_procs < 1:
         raise PreconditionError("population bound must be at least 1")
     p = _load_protocol(args.file)
@@ -194,7 +199,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_abstract(args: argparse.Namespace) -> int:
+def _cmd_abstract(args: SimpleNamespace) -> int:
     p = _load_protocol(args.file)
     _gamma, trace = waitonly.fixpoint(p)
     shown = trace if args.trace else trace[-1:]
@@ -205,7 +210,7 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_explore(args: argparse.Namespace) -> int:
+def _cmd_explore(args: SimpleNamespace) -> int:
     if args.kind == "protocol":
         p = _load_protocol(args.file)
         table, configs = explore.reachable(p, args.procs, args.budget)
@@ -237,7 +242,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_translate(args: argparse.Namespace) -> int:
+def _cmd_translate(args: SimpleNamespace) -> int:
     kind = args.kind
     if kind == "p2cm":
         if args.target is None:
@@ -268,7 +273,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: SimpleNamespace) -> int:
     if args.kind == "lipton":
         m = _load_machine(args.infile)
         target = m.init if args.target_loc is None else args.target_loc
@@ -284,91 +289,188 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# nbrv's command-line grammar, stated once: each leaf command, keyed by its
+# words, with its help line, its handler, the values its parse always adds
+# (``gen``'s ``kind``) and its arguments as ``add_argument`` takes them.
+# ``_table_parse`` reads a well-formed command line from it, and
+# ``_parsers`` builds argparse's tree from it for every other line.
+_COMMANDS = {
+    ("check",): ("decide a verification question", _cmd_check, {}, (
+        ("problem", {"choices": ["scover", "ccover", "synchro"]}),
+        ("file", {}),
+        ("--target", {"help": "configuration literal for ccover"}),
+        ("--method", {"choices": ["explore", "abstract", "backward", "auto"],
+                      "default": "auto"}),
+        ("--max-procs", {"type": int, "default": 8}),
+        ("--max-steps", {"type": int, "default": explore.DEFAULT_BUDGET}),
+    )),
+    ("abstract",): ("run the wait-only abstraction", _cmd_abstract, {}, (
+        ("file", {}),
+        ("--trace", {"action": "store_true"}),
+    )),
+    ("explore",): ("bounded exhaustive exploration", _cmd_explore, {}, (
+        ("kind", {"choices": ["protocol", "machine", "vas"]}),
+        ("file", {}),
+        ("--procs", {"type": int, "default": 2}),
+        ("--list", {"action": "store_true"}),
+        ("--loc", {}),
+        ("--cap", {"type": int, "default": 8}),
+        ("--budget", {"type": int, "default": explore.DEFAULT_BUDGET}),
+    )),
+    ("translate",): ("compile between model classes", _cmd_translate, {}, (
+        ("kind", {"choices": ["p2cm", "cm2p", "cm2vas", "minsky2p"]}),
+        ("infile", {}),
+        ("out", {}),
+        ("--target", {"help": "configuration literal (p2cm)"}),
+        ("--target-loc", {"help": "target location (cm2p, cm2vas, minsky2p)"}),
+    )),
+    ("gen", "lipton"): ("wrap a machine in the restore shell", _cmd_gen, {"kind": "lipton"}, (
+        ("infile", {}),
+        ("out", {}),
+        ("--levels", {"type": int, "required": True}),
+        ("--target-loc", {}),
+    )),
+    ("gen", "rst"): ("emit one reset gadget", _cmd_gen, {"kind": "rst"}, (
+        ("out", {}),
+        ("--levels", {"type": int, "required": True}),
+        ("--level", {"type": int, "required": True}),
+    )),
+}
+# The help line of each command that groups others; its parser stores the
+# word after it as ``kind``.
+_GROUPS = {"gen": "generate bounding gadget machines"}
+
+
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
-    """The top-level argument parser and the parser of each command, keyed by
-    the command's words; built on the first call and shared by every later one."""
+def _grammar(words: tuple[str, ...]) -> tuple[dict, tuple, dict, tuple]:
+    """The command ``words`` of ``_COMMANDS`` as ``_table_parse`` reads it:
+    the value of every destination before any word is read, the positionals
+    in order and the options by name, each as ``(dest, is a flag, type,
+    choices)``, and the destinations of the required options, whose value
+    is None until a word gives one."""
+    _help, handler, fixed, arguments = _COMMANDS[words]
+    defaults = {"func": handler, **fixed}
+    positionals, options, required = [], {}, []
+    for name, spec in arguments:
+        dest = name.lstrip("-").replace("-", "_")
+        flag = spec.get("action") == "store_true"
+        defaults[dest] = False if flag else spec.get("default")
+        entry = (dest, flag, spec.get("type"), spec.get("choices"))
+        if name.startswith("-"):
+            options[name] = entry
+        else:
+            positionals.append(entry)
+        if spec.get("required"):
+            required.append(dest)
+    return defaults, tuple(positionals), options, tuple(required)
+
+
+def _table_parse(words: tuple[str, ...], rest: list[str]) -> SimpleNamespace | None:
+    """The arguments that the parser of the command ``words`` reads from
+    ``rest``, or None when argparse must read them.
+
+    Reads only lines in which every word is an exact option name followed
+    by a value that does not start with ``-``, a flag, or a positional;
+    there argparse reads each word the same way.  Each value is converted
+    and checked as argparse does (``int()`` for ``type=int``, then the
+    choices), and a repeated option keeps its last value.  A line with any
+    other word (``-h``, ``--``, ``--opt=value``, an abbreviation, a value
+    starting with ``-``), a value that fails its type or choices, or a
+    missing or extra word is None: argparse prints its help or error.
+    """
+    defaults, positionals, options, required = _grammar(words)
+    values = dict(defaults)
+    pending = iter(positionals)
+    words_left = iter(rest)
+    for word in words_left:
+        if word[:1] == "-":
+            entry = options.get(word)
+            if entry is None:
+                return None
+            dest, flag, convert, choices = entry
+            if flag:
+                values[dest] = True
+                continue
+            word = next(words_left, "-")
+            if word[:1] == "-":
+                return None
+        else:
+            entry = next(pending, None)
+            if entry is None:
+                return None
+            dest, _flag, convert, choices = entry
+        if convert is not None:
+            try:
+                word = convert(word)
+            except ValueError:
+                return None
+        if choices is not None and word not in choices:
+            return None
+        values[dest] = word
+    if next(pending, None) is not None or any(values[dest] is None for dest in required):
+        return None
+    return SimpleNamespace(**values)
+
+
+@functools.cache
+def _parsers():
+    """The top-level argparse parser and the parser of each command, keyed
+    by the command's words, built from ``_COMMANDS`` on the first call and
+    shared by every later one.  Only here is ``argparse`` imported."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nbrv",
         description="Coverability analyses for networks with non-blocking rendez-vous.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="decide a verification question")
-    check.add_argument("problem", choices=["scover", "ccover", "synchro"])
-    check.add_argument("file")
-    check.add_argument("--target", help="configuration literal for ccover")
-    check.add_argument("--method", choices=["explore", "abstract", "backward", "auto"],
-                       default="auto")
-    check.add_argument("--max-procs", type=int, default=8)
-    check.add_argument("--max-steps", type=int, default=explore.DEFAULT_BUDGET)
-    check.set_defaults(func=_cmd_check)
-
-    abstract = sub.add_parser("abstract", help="run the wait-only abstraction")
-    abstract.add_argument("file")
-    abstract.add_argument("--trace", action="store_true")
-    abstract.set_defaults(func=_cmd_abstract)
-
-    explore_cmd = sub.add_parser("explore", help="bounded exhaustive exploration")
-    explore_cmd.add_argument("kind", choices=["protocol", "machine", "vas"])
-    explore_cmd.add_argument("file")
-    explore_cmd.add_argument("--procs", type=int, default=2)
-    explore_cmd.add_argument("--list", action="store_true")
-    explore_cmd.add_argument("--loc")
-    explore_cmd.add_argument("--cap", type=int, default=8)
-    explore_cmd.add_argument("--budget", type=int, default=explore.DEFAULT_BUDGET)
-    explore_cmd.set_defaults(func=_cmd_explore)
-
-    translate = sub.add_parser("translate", help="compile between model classes")
-    translate.add_argument("kind", choices=["p2cm", "cm2p", "cm2vas", "minsky2p"])
-    translate.add_argument("infile")
-    translate.add_argument("out")
-    translate.add_argument("--target", help="configuration literal (p2cm)")
-    translate.add_argument("--target-loc", help="target location (cm2p, cm2vas, minsky2p)")
-    translate.set_defaults(func=_cmd_translate)
-
-    gen = sub.add_parser("gen", help="generate bounding gadget machines")
-    gen_sub = gen.add_subparsers(dest="kind", required=True)
-    lipton = gen_sub.add_parser("lipton", help="wrap a machine in the restore shell")
-    lipton.add_argument("infile")
-    lipton.add_argument("out")
-    lipton.add_argument("--levels", type=int, required=True)
-    lipton.add_argument("--target-loc")
-    lipton.set_defaults(func=_cmd_gen, kind="lipton")
-    rst = gen_sub.add_parser("rst", help="emit one reset gadget")
-    rst.add_argument("out")
-    rst.add_argument("--levels", type=int, required=True)
-    rst.add_argument("--level", type=int, required=True)
-    rst.set_defaults(func=_cmd_gen, kind="rst")
-
-    leaves = {("check",): check, ("abstract",): abstract, ("explore",): explore_cmd,
-              ("translate",): translate, ("gen", "lipton"): lipton, ("gen", "rst"): rst}
+    groups, leaves = {}, {}
+    for words, (help_line, handler, fixed, arguments) in _COMMANDS.items():
+        *group, name = words
+        parent = sub
+        if group:
+            if group[0] not in groups:
+                grouped = sub.add_parser(group[0], help=_GROUPS[group[0]])
+                groups[group[0]] = grouped.add_subparsers(dest="kind", required=True)
+            parent = groups[group[0]]
+        leaf = parent.add_parser(name, help=help_line)
+        for arg, spec in arguments:
+            leaf.add_argument(arg, **spec)
+        leaf.set_defaults(func=handler, **fixed)
+        leaves[words] = leaf
     return parser, leaves
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level argument parser, built on the first call and shared by every later one."""
+def build_parser():
+    """The top-level argparse parser, built on the first call and shared by every later one."""
     return _parsers()[0]
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The arguments of ``argv``, parsed once, by the parser of the command it names.
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The arguments of ``argv``, parsed once.
 
-    The top-level parser would hand every word after the command to that
-    parser unchanged and report the words it leaves over; this skips that
-    outer pass.  A command line that names no command (no words, ``-h``, an
-    unknown or incomplete command) goes to the top-level parser, which prints
-    its help or error.
+    A well-formed line of a command is read from ``_COMMANDS`` by
+    ``_table_parse``, so it never loads argparse.  Any other line naming a
+    command goes to that command's argparse parser; the top-level parser
+    would hand it every word after the command unchanged and report the
+    words it leaves over, and this skips that outer pass.  A command line
+    that names no command (no words, ``-h``, an unknown or incomplete
+    command) goes to the top-level parser, which prints its help or error.
     """
+    words = tuple(argv[:2 if argv[:1] == ["gen"] else 1])
+    if words in _COMMANDS:
+        args = _table_parse(words, argv[len(words):])
+        if args is not None:
+            return args
     parser, leaves = _parsers()
-    words = 2 if argv[:1] == ["gen"] else 1
-    leaf = leaves.get(tuple(argv[:words]))
+    leaf = leaves.get(words)
     if leaf is None:
-        return parser.parse_args(argv)
-    args, extra = leaf.parse_known_args(argv[words:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+        args = parser.parse_args(argv)
+    else:
+        args, extra = leaf.parse_known_args(argv[len(words):])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(**vars(args))
 
 
 def main(argv: list[str] | None = None) -> int:

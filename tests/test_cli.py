@@ -481,6 +481,8 @@ DISPATCH_VALID = [
     ["translate", "minsky2p", "minsky.nbm", "out", "--target-loc", "lf"],
     ["gen", "lipton", "m.nbm", "out", "--levels", "1", "--target-loc", "lf"],
     ["gen", "rst", "out", "--levels", "1", "--level", "0"],
+    ["explore", "protocol", "fig1.rvp", "--procs", "3", "--procs", "2"],
+    ["gen", "rst", "out", "--level", "0", "--levels", "1"],
 ]
 
 # Command lines that name no command, or name one and then go wrong.
@@ -493,10 +495,11 @@ DISPATCH_FIXED = [
     ["explore", "protocol", "fig1.rvp", "--procs", "3", "extra", "--bogus=1", "-1"],
     ["gen", "rst", "out", "--levels", "1", "--level", "0", "--bogus", "x"],
     ["translate", "p2cm", "fig1.rvp", "out", "--target", "q3:2", "--target-loc", "x"],
+    ["check", "ccover", "p1.rvp", "--target", ""],
 ]
 
 DISPATCH_INSERTS = ["-h", "--he", "--bogus", "--max", "--procs=2", "--method=guess", "--", "-1",
-                    "extra"]
+                    "extra", "--max-procs=3", "--max-p", "--cap", "--level", "", "-"]
 
 
 def dispatch_inputs(workdir: Path) -> None:
@@ -583,6 +586,136 @@ class TestDispatch:
         assert exc.value.code == EXIT_PARSE
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == "nbrv: error: unrecognized arguments: --bogus"
+
+
+# Words the table reads as values: ints in every spelling ``int()`` takes,
+# and strings that are no option although they hold a ``-`` or an ``=``.
+TABLE_INTS = ["0", "3", " 3", "+3", "1_0", "03", "12\n", "\u0663"]
+TABLE_STRINGS = ["p1.rvp", "out", "", "a b", " -x", "x=1", "q3:2", "lf"]
+
+
+def table_value(rng: random.Random, spec: dict) -> list[str]:
+    """The words that follow an argument of ``spec``: none for a flag, one
+    drawn from its choices, or one int or string."""
+    if spec.get("action") == "store_true":
+        return []
+    if "choices" in spec:
+        return [rng.choice(spec["choices"])]
+    return [rng.choice(TABLE_INTS if spec.get("type") is int else TABLE_STRINGS)]
+
+
+def table_command_lines(seed: int, count: int) -> list[list[str]]:
+    """``count`` seeded valid command lines, every command of ``cli._COMMANDS``
+    in turn: each positional once and in order, each option zero to three
+    times with a value drawn each time (required ones at least once),
+    options placed anywhere between the positionals."""
+    rng = random.Random(seed)
+    commands = list(cli._COMMANDS.items())
+    lines = []
+    for i in range(count):
+        words, (_help, _handler, _fixed, arguments) = commands[i % len(commands)]
+        chunks, optional = [], []
+        for name, spec in arguments:
+            if not name.startswith("-"):
+                chunks.append(table_value(rng, spec))
+                continue
+            for _ in range(rng.choice([0, 1, 1, 2, 3]) or int(bool(spec.get("required")))):
+                optional.append([name, *table_value(rng, spec)])
+        for chunk in optional:
+            chunks.insert(rng.randrange(len(chunks) + 1), chunk)
+        lines.append([*words, *itertools.chain.from_iterable(chunks)])
+    return lines
+
+
+def leaf_parse(argv: list[str]) -> dict | None:
+    """``vars()`` of the parse of ``argv`` by the argparse parser of the
+    command it names, or None when that parser rejects it."""
+    words = 2 if argv[0] == "gen" else 1
+    leaf = cli._parsers()[1][tuple(argv[:words])]
+    with redirect_stderr(io.StringIO()):
+        try:
+            return vars(leaf.parse_args(argv[words:]))
+        except SystemExit:
+            return None
+
+
+def table_parse(argv: list[str]) -> dict | None:
+    words = 2 if argv[0] == "gen" else 1
+    args = cli._table_parse(tuple(argv[:words]), argv[words:])
+    return None if args is None else vars(args)
+
+
+class TestCommandTable:
+    """A command line that ``cli._table_parse`` reads gives what the command's
+    own argparse parser gives."""
+
+    FIXED = [
+        ["check", "scover", "--method", "explore", "p1.rvp"],
+        ["check", "--max-procs", "+3", "ccover", "--target", "q3:2", "p1.rvp"],
+        ["explore", "protocol", "fig1.rvp", "--procs", "3", "--procs", "2"],
+        ["explore", "vas", "v.vas", "--cap", " 3", "--budget", "1_0", "--list", "--list"],
+        ["gen", "rst", "--level", "03", "out", "--levels", "1"],
+        ["gen", "lipton", "m.nbm", "--levels", "\u0663", "out", "--target-loc", ""],
+        ["translate", "cm2p", "--target-loc", "lf", "a b", " -x"],
+        ["abstract", "--trace", "x=1"],
+    ]
+
+    def test_valid_lines_read_as_argparse_reads_them(self):
+        lines = self.FIXED + table_command_lines(29, 1200)
+        for argv in lines:
+            got = table_parse(argv)
+            assert got is not None, argv
+            assert got == leaf_parse(argv), argv
+        flat = set(itertools.chain.from_iterable(lines))
+        assert set(TABLE_INTS) | set(TABLE_STRINGS) <= flat
+        assert any(len(argv) != len(set(argv)) for argv in lines)
+
+    def test_lines_the_table_accepts_agree(self):
+        """Every mutated line that the table reads is one argparse reads the same
+        way; the rest, which argparse reads or rejects, are left to it.  Each
+        mutation inserts one or two words, or an option (of this command or
+        any other) with a value, or drops one word."""
+        options = sorted({name for *_, arguments in cli._COMMANDS.values()
+                          for name, _ in arguments if name.startswith("-")})
+        values = TABLE_INTS + TABLE_STRINGS + ["scover", "machine", "p2cm", "-1"]
+        pool = DISPATCH_INSERTS + values + options
+        rng, accepted = random.Random(31), 0
+        for argv in table_command_lines(31, 3000):
+            words = 2 if argv[0] == "gen" else 1
+            own = [name for name, _ in cli._COMMANDS[tuple(argv[:words])][3]
+                   if name.startswith("-")]
+            for _ in range(rng.choice([1, 1, 2])):
+                at = rng.randrange(words, len(argv) + 1)
+                if rng.random() < 0.5:
+                    argv[at:at] = [rng.choice(rng.choice([own, options])), rng.choice(values)]
+                elif rng.random() < 0.6:
+                    argv.insert(at, rng.choice(pool))
+                elif len(argv) > words:
+                    del argv[rng.randrange(words, len(argv))]
+            got = table_parse(argv)
+            if got is not None:
+                accepted += 1
+                assert got == leaf_parse(argv), argv
+        assert accepted > 200
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "scover", "p1.rvp", "--max-procs", "-1"],
+        ["check", "scover", "p1.rvp", "--max-procs=3"],
+        ["check", "scover", "p1.rvp", "--max-p", "3"],
+        ["check", "scover", "p1.rvp", "--max-procs", "three"],
+        ["check", "scover", "p1.rvp", "--method", "guess", "--method", "auto"],
+        ["check", "scover", "p1.rvp", "--target"],
+        ["check", "scover"],
+        ["check", "scover", "p1.rvp", "extra"],
+        ["check", "scover", "p1.rvp", "--"],
+        ["check", "scover", "-"],
+        ["check", "scover", "p1.rvp", "-h"],
+        ["gen", "rst", "out", "--levels", "1"],
+        ["gen", "lipton", "m.nbm", "out", "--level", "1"],
+        ["explore", "protocol", "fig1.rvp", "--cap", "2", "--procs", "3", "--trace"],
+    ])
+    def test_other_lines_go_to_argparse(self, argv):
+        assert table_parse(argv) is None
 
 
 class TestTranslate:
@@ -951,16 +1084,23 @@ class TestBrokenPipe:
         assert "Exception ignored" not in proc.stderr
 
 
-def test_cold_start_loads_no_dataclasses():
-    """A fresh interpreter's ``import nbrv.cli`` loads neither ``dataclasses``
-    nor the ``inspect`` and ``ast`` it pulls in, which cost more than a query.
-    ``-S`` keeps the site hooks of the interpreter from loading them first."""
+def test_cold_start_loads_no_dataclasses(tmp_path):
+    """A fresh interpreter's ``import nbrv.cli``, and a valid command line of
+    each command after it, load neither ``dataclasses`` nor the ``inspect``
+    and ``ast`` it pulls in, nor ``argparse`` and its ``gettext``: each costs
+    more than a query.  ``-S`` keeps the site hooks of the interpreter from
+    loading them first."""
+    dispatch_inputs(tmp_path)
+    lines = [next(argv for argv in DISPATCH_VALID if tuple(argv[:len(words)]) == words)
+             for words in cli._COMMANDS]
     env = dict(os.environ, PYTHONPATH=str(Path(nbrv.__file__).parent.parent))
     code = ("import sys, nbrv.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+            f"codes = [nbrv.cli.main(argv) for argv in {lines!r}]; "
+            "print(codes, sorted({'dataclasses', 'inspect', 'ast', 'argparse', 'gettext'}"
+            " & set(sys.modules)), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, f"{[EXIT_OK] * 6} []\n")
 
 
 def readme_examples() -> list[tuple[list[str], str]]:
