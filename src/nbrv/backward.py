@@ -45,14 +45,13 @@ A tau or a rendez-vous has no blockers.  A rule whose destination fields
 are all 0 in ``b`` gives ``c >= b``, which adds nothing, and is skipped.
 
 *Saturation.*  :func:`saturation` over-approximates the states that any
-reachable configuration occupies: start from ``{init}``; add the targets
-of taus and sends whose source is in the set (a sender always moves, alone
-or with a receiver); add ``r'`` for each ``r ?m r'`` whose ``r`` is in the
-set and whose message ``m`` has a sender in the set.  A run from
-``n * init`` to a cover passes only through configurations supported in
-the saturation, and each basis vector below such a configuration is
-supported in it too, so dropping the vectors positive outside it loses no
-answer.
+reachable configuration occupies: it is the least set of states that holds
+``init`` and is closed under the rules of ``Protocol.rules`` with their
+blockers ignored, so that whenever a rule's sources all lie in the set, its
+destinations do too.  A run from ``n * init`` to a cover passes only
+through configurations supported in the saturation, and each basis vector
+below such a configuration is supported in it too, so dropping the vectors
+positive outside it loses no answer.
 
 *Minimal population.*  Every pre-image has at least the sum of its vector.
 Vectors are expanded smallest sum first, ties broken by the larger
@@ -81,17 +80,27 @@ class EngineDisagreementError(RuntimeError):
 
 
 def saturation(p: Protocol) -> frozenset[str]:
-    """The states that some reachable configuration may occupy (an over-approximation)."""
+    """The states that some reachable configuration may occupy (an over-approximation).
+
+    The least set of states that holds ``p.init`` and holds the destinations
+    of every rule of ``Protocol.rules`` whose sources it holds, blockers
+    ignored.
+    """
     sat = {p.init}
-    grew = True
-    while grew:
-        size = len(sat)
-        sat.update(dst for src, dst in p.taus if src in sat)
-        sat.update(dst for src, _m, dst in p.sends if src in sat)
-        sent = {m for src, m, _dst in p.sends if src in sat}
-        sat.update(dst for src, m, dst in p.recvs if src in sat and m in sent)
-        grew = len(sat) > size
-    return frozenset(sat)
+    rules = p.rules
+    while True:
+        # A rule has one or two sources.  A rule that fired can add nothing
+        # more: only the others are kept, and a round that fires none ends.
+        left = []
+        for rule in rules:
+            src = rule[2]
+            if src[0] in sat and src[-1] in sat:
+                sat.update(rule[3])
+            else:
+                left.append(rule)
+        if len(left) == len(rules):
+            return frozenset(sat)
+        rules = left
 
 
 def first_population(p: Protocol, target: Configuration,
@@ -105,6 +114,9 @@ def first_population(p: Protocol, target: Configuration,
     """
     check_configuration(p, target)
     sat = saturation(p)
+    # A target outside the saturation is never covered: nothing is compiled.
+    if not sat.issuperset([q for q, _k in target.items]):
+        return Verdict("no", stats={"pops": 0, "basis": 0})
     budget = max(budget, 0)
     layout = _Fields(len(p.states), target.total() + 2 * budget)
     shift = dict(zip(p.states, layout.shifts))
@@ -113,20 +125,14 @@ def first_population(p: Protocol, target: Configuration,
     guards = layout.high
     outside_init = sum(field.values()) - field[p.init]
     init_field = field[p.init]
+    start = sum(k << shift[q] for q, k in target.items)
 
-    # A target outside the saturation is never covered: no rule is compiled.
-    start = 0
-    for q, k in target.items:
-        if q not in sat:
-            return Verdict("no", stats={"pops": 0, "basis": 0})
-        start += k << shift[q]
-
-    # Rules whose sources lie outside the saturation only give vectors that
-    # are positive there, so they are left out here.  A rule has one or two
-    # sources, and is compiled to the union of its destination fields, each
-    # destination field and unit (the second 0 for a rule of one process),
-    # the sum of its source units, its number of sources and the union of
-    # its blocker fields.
+    # Only the rules that the saturation fires are compiled, those whose
+    # sources all lie in it: any other rule only gives vectors that are
+    # positive outside it.  A rule has one or two sources, and is compiled to
+    # the union of its destination fields, each destination field and unit
+    # (the second 0 for a rule of one process), the sum of its source units,
+    # its number of sources and the union of its blocker fields.
     rules = []
     for _kind, _m, src, dst, blockers in p.rules:
         if src[0] not in sat or src[-1] not in sat:

@@ -332,7 +332,7 @@ def decide_sweep(
     that exceeds ``budget`` ends the sweep with UNKNOWN, noted ``budget``,
     whose ``explored_bound`` is the last population completed.  The move
     table is compiled for ``max_n`` up front, so every population shares
-    one table.
+    one table, and ``Protocol.moves`` refuses a ``max_n`` below 1.
 
     A ``synchro`` population ``n`` has one goal, all ``n`` processes in
     ``final``, so while the ``C(n + |Q| - 1, |Q| - 1)`` configurations of
@@ -342,8 +342,6 @@ def decide_sweep(
     verdict is the one :func:`decide_fixed` would give; above it,
     :func:`decide_fixed` decides the population.
     """
-    if max_n < 1:
-        raise ValueError("population bound must be at least 1")
     t = p.moves(max_n)
     places = len(p.states) - 1
     for n in range(start, max_n + 1):

@@ -130,11 +130,13 @@ class _Builder:
     def __init__(self, ctx: LevelContext) -> None:
         self.ctx = ctx
         self.locations: list[str] = []
+        self._names: set[str] = set()
         self.transitions: list[MachineTransition] = []
 
     def loc(self, name: str) -> str:
-        if name in self.locations:
+        if name in self._names:
             raise MachineError(f"duplicate location {name!r}")
+        self._names.add(name)
         self.locations.append(name)
         return name
 

@@ -328,21 +328,22 @@ def cover_bounded(
     if target_loc not in m._locs:
         raise MachineError(f"unknown target location {target_loc!r}")
     t = m.table(cap)
-    lmask, goal, over, high = t.lmask, t.index[target_loc], t.over(cap), t.high
-    return _capped(t.encode(m.initial_config()), partial(machine_successors, t), cap, budget,
-                   t.decode, goal=lambda v: v & lmask == goal,
-                   prune=lambda v: (v + over) & high)
+    lmask, goal = t.lmask, t.index[target_loc]
+    return _capped(t, t.encode(m.initial_config()), partial(machine_successors, t), cap, budget,
+                   t.decode, goal=lambda v: v & lmask == goal)
 
 
-def _capped(start: int, succ, cap: int, budget: int, decode, *, goal, prune) -> Verdict:
+def _capped(layout: _Fields, start: int, succ, cap: int, budget: int, decode, *, goal) -> Verdict:
     """The search of a cap-bounded model: YES with the run, else NO ``within-cap``.
 
-    The search runs on packed ints; ``decode`` gives the witness's sparse forms.
+    The search runs on packed ints in ``layout``, and prunes a value with a
+    field above ``cap``; ``decode`` gives the witness's sparse forms.
     """
+    over, high = layout.over(cap), layout.high
     parents, hit, pruned = search(
         start, succ, budget=budget,
         overflow=f"node budget {budget} exceeded (cap {cap})",
-        goal=goal, prune=prune,
+        goal=goal, prune=lambda v: (v + over) & high,
     )
     stats = {"visited": len(parents), "pruned": pruned}
     if hit is not None:
@@ -537,12 +538,10 @@ def vas_cover_bounded(vas: Vas, cap: int, budget: int = DEFAULT_BUDGET) -> Verdi
     # vector has.
     covered = layout.at_least(
         [(s, min(b, cap + 1)) for s, b in zip(layout.shifts, vas.v_target) if b])
-    over, high = layout.over(cap), layout.high
 
     def succ(cur: int) -> list[tuple[VasTransition, int]]:
         return [(s[0], nxt) for s in candidates(cur)
                 if (nxt := step_strict(cur, s)) is not None]
 
-    return _capped(layout.pack(vas.v_init), succ, cap, budget, layout.unpack,
-                   goal=covered,
-                   prune=lambda v: (v + over) & high)
+    return _capped(layout, layout.pack(vas.v_init), succ, cap, budget, layout.unpack,
+                   goal=covered)

@@ -15,8 +15,8 @@ The one-step relation has three rules:
 ``Protocol.rules`` states them once, as one list of rules: each rule
 moves one process from each of its sources to its destinations, and is
 disabled while one of its blockers holds a process besides the rule's own
-sources.  The explorer's move table, the backward search's pre-images and
-the protocol -> machine compiler all read that one list.
+sources.  The explorer's move table, the backward search's saturation and
+pre-images, and the protocol -> machine compiler all read that one list.
 
 Searches do not step on :class:`Configuration` objects.  ``Protocol.moves(n)``
 compiles the rules into a :class:`MoveTable` for populations up to ``n``,

@@ -17,6 +17,7 @@ import nbrv
 from conftest import PROTOCOL_DIR
 from helpers import MINSKY_MACHINE, RST_MACHINE, initial
 from nbrv import cli, fileio
+from nbrv.backward import saturation
 from nbrv.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, _read_text, build_parser, main
 from nbrv.explore import Witness, replay
 from nbrv.model import MoveTable, StepLabel
@@ -859,7 +860,8 @@ class TestGen:
 
     def test_compiled_level_one_shell(self, capsys, tmp_path):
         """The level-1 restore shell of fig1's ``p2cm`` machine, compiled back
-        to a protocol of 162 states, is covered by 10 processes."""
+        to a protocol of 162 states, is covered by 10 processes; its
+        ``backward.saturation`` holds 156 of them, pinned by name."""
         nbm, shell, sh1 = tmp_path / "fig1.nbm", tmp_path / "sh1.nbm", tmp_path / "sh1.rvp"
         for argv in (["translate", "p2cm", FIG1, str(nbm), "--target", "q3:2"],
                      ["gen", "lipton", str(nbm), str(shell), "--levels", "1",
@@ -871,6 +873,10 @@ class TestGen:
         assert (code, out.splitlines()[0], err) == (EXIT_OK, "RESULT YES", "")
         p = fileio.parse_protocol(sh1.read_text())
         assert len(p.states) == 162
+        sat = saturation(p)
+        assert len(sat) == 156
+        assert hashlib.sha256(" ".join(sorted(sat)).encode()).hexdigest() == (
+            "5cd57b9217c0277ed55dfbc82fb8c536fdc6e2cbf2dd4a27031af10210cfcf58")
         steps = []
         for line in out.splitlines()[1:]:
             _step, label, config = line.split()

@@ -505,7 +505,8 @@ def test_search_counts_its_start(at_goal):
     reachable,
     partial(decide_fixed, prob=Problem("scover")),
     partial(decide_ordered, prob=Problem("scover")),
-], ids=["reachable", "decide_fixed", "decide_ordered"])
+    lambda p, n: decide_sweep(p, Problem("scover"), max_n=n),
+], ids=["reachable", "decide_fixed", "decide_ordered", "decide_sweep"])
 def test_population_below_one(fig1, decide, n):
     with pytest.raises(ValueError, match="population must be at least 1"):
         decide(fig1, n=n)

@@ -9,6 +9,7 @@ from nbrv.gadgets import (
     LevelContext,
     LevelError,
     ProceduralMachine,
+    _Builder,
     init_level,
     reset_chain,
     reset_level,
@@ -237,6 +238,15 @@ class TestRestoreShell:
         a = restore_shell(self.toy(INC), 1, "lf")
         b = restore_shell(self.toy(INC), 1, "lf")
         assert a == b
+
+
+def test_builder_refuses_a_repeated_location():
+    b = _Builder(LevelContext.create(1))
+    b.loc("a")
+    b.loc("b")
+    with pytest.raises(MachineError, match="duplicate location 'a'"):
+        b.loc("a")
+    assert b.locations == ["a", "b"]
 
 
 class TestProceduralMachine:
