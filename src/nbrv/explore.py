@@ -359,15 +359,29 @@ def decide_sweep(
     return Verdict("unknown", explored_bound=max_n)
 
 
-def replay(p: Protocol, witness: Witness) -> bool:
-    """Check that every step of a protocol witness is a real successor step."""
+def replay_steps(succ: Callable[[Any], list[tuple[Any, Any]]], witness: Witness) -> bool:
+    """Whether every step of ``witness`` is a ``(label, nxt)`` pair that
+    ``succ`` lists for the configuration before it, from ``witness.initial`` on.
+
+    ``succ`` is a model's sparse successor function: the one replay loop of
+    :func:`replay` and ``machines.replay_machine``.
+    """
     cur = witness.initial
-    if not isinstance(cur, Configuration):
-        return False
-    if set(cur.states()) != {p.init}:
-        return False
     for label, nxt in witness.steps:
-        if (label, nxt) not in model.successors(p, cur):
+        if (label, nxt) not in succ(cur):
             return False
         cur = nxt
     return True
+
+
+def replay(p: Protocol, witness: Witness) -> bool:
+    """Check a protocol witness against the semantics.
+
+    The witness must start at a :class:`Configuration` with every process
+    in ``p.init``; :func:`replay_steps` then checks each step against
+    ``model.successors``.
+    """
+    start = witness.initial
+    if not isinstance(start, Configuration) or set(start.states()) != {p.init}:
+        return False
+    return replay_steps(partial(model.successors, p), witness)

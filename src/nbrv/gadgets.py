@@ -117,7 +117,7 @@ class ProceduralMachine(CounterMachine):
     ) -> None:
         super().__init__(name, locations, counters, entry, transitions)
         self.outs: tuple[str, ...] = tuple(outs)
-        if not set(self.outs) <= self._locs:
+        if not set(self.outs) <= self.loc_index.keys():
             raise MachineError("outs must be declared locations")
         for src, _op, _dst in self.transitions:
             if src in self.outs:
@@ -324,12 +324,9 @@ def restore_shell(m: CounterMachine, levels: int, target_loc: str) -> CounterMac
     """
     if not m.is_test_free:
         raise MachineError(f"{m.name} has zero tests")
-    if levels < 1:
-        raise LevelError("need at least one level")
-    if target_loc not in set(m.locations):
-        raise MachineError(f"unknown target location {target_loc!r}")
-
+    # The context refuses ``levels < 1`` before the target is looked up.
     ctx = LevelContext.create(levels, m.counters)
+    m.target(target_loc)
     chain = reset_chain(ctx)
     names = _Names(m.locations)
     renamed = {loc: names.fresh("sh_" + loc) for loc in chain.locations}

@@ -98,7 +98,12 @@ class MachineConfig(NamedTuple):
 
 
 class CounterMachine:
-    """Immutable counter machine over named locations and counters."""
+    """Immutable counter machine over named locations and counters.
+
+    ``loc_index`` maps each location to its index in ``locations``: the
+    one location table that membership tests, :meth:`target`,
+    :meth:`moves` and :class:`MachineTable` read.
+    """
 
     def __init__(
         self,
@@ -123,7 +128,7 @@ class CounterMachine:
         )
         self.restore = restore
 
-        locs = set(self.locations)
+        locs = self.loc_index = {loc: i for i, loc in enumerate(self.locations)}
         ctrs = set(self.counters)
         if init not in locs:
             raise MachineError(f"initial location {init!r} not declared")
@@ -133,7 +138,6 @@ class CounterMachine:
             if x and x not in ctrs:
                 raise MachineError(f"undeclared counter {x!r}")
         self._index = {x: i for i, x in enumerate(self.counters)}
-        self._locs = locs
         self._moves: tuple[tuple[MachineTransition, ...], ...] | None = None
         self._table: MachineTable | None = None
 
@@ -167,12 +171,19 @@ class CounterMachine:
         except KeyError:
             raise MalformedMachineConfigError(f"unknown counter {counter!r}") from None
 
+    def target(self, loc: str) -> int:
+        """The index of the target location ``loc``; ``MachineError`` if undeclared."""
+        try:
+            return self.loc_index[loc]
+        except KeyError:
+            raise MachineError(f"unknown target location {loc!r}") from None
+
     def config(self, loc: str, valuation: dict[str, int] | None = None) -> MachineConfig:
         """A checked configuration: where configurations enter the searches."""
         valuation = valuation or {}
         for x in valuation:
             self.index(x)
-        if loc not in self._locs:
+        if loc not in self.loc_index:
             raise MalformedMachineConfigError(f"unknown location {loc!r}")
         values = tuple(valuation.get(x, 0) for x in self.counters)
         if values and min(values) < 0:
@@ -192,10 +203,9 @@ class CounterMachine:
         ``reductions.machine_to_vas`` compile them.
         """
         if self._moves is None:
-            index = {loc: i for i, loc in enumerate(self.locations)}
             rows: list[list[MachineTransition]] = [[] for _ in self.locations]
             for t in self.transitions:
-                rows[index[t[0]]].append(t)
+                rows[self.loc_index[t[0]]].append(t)
             if self.restore:
                 init = self.init
                 for loc, row in zip(self.locations, rows):
@@ -233,7 +243,8 @@ class MachineTable(_Fields):
     ``_mt_key`` order, as ``(transition, field, nonzero, zero)``: the move
     adds ``nonzero`` when ``v & field`` is nonzero and ``zero`` when it is
     zero, and is blocked where that delta is ``None``.  Each delta includes
-    the change of location index.
+    the change of location index.  ``index`` is the machine's own
+    ``loc_index``, not a copy.
     """
 
     def __init__(self, m: CounterMachine, cap: int) -> None:
@@ -241,7 +252,7 @@ class MachineTable(_Fields):
         super().__init__(len(m.counters), cap + 1, lbits)
         self.locations = m.locations
         self.lmask = (1 << lbits) - 1
-        self.index = {loc: i for i, loc in enumerate(m.locations)}
+        self.index = m.loc_index
         shift = dict(zip(m.counters, self.shifts))
         rows = []
         for i, moves in enumerate(m.moves()):
@@ -325,10 +336,9 @@ def cover_bounded(
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    if target_loc not in m._locs:
-        raise MachineError(f"unknown target location {target_loc!r}")
+    goal = m.target(target_loc)
     t = m.table(cap)
-    lmask, goal = t.lmask, t.index[target_loc]
+    lmask = t.lmask
     return _capped(t, t.encode(m.initial_config()), partial(machine_successors, t), cap, budget,
                    t.decode, goal=lambda v: v & lmask == goal)
 
@@ -353,15 +363,16 @@ def _capped(layout: _Fields, start: int, succ, cap: int, budget: int, decode, *,
 
 
 def replay_machine(m: CounterMachine, witness: Witness) -> bool:
-    """Check a machine witness step by step against the semantics."""
-    cur = witness.initial
-    if not isinstance(cur, MachineConfig) or cur != m.initial_config():
+    """Check a machine witness against the semantics.
+
+    The witness must start at ``m.initial_config()``, a
+    :class:`MachineConfig`; ``explore.replay_steps`` then checks each step
+    against :func:`successors`.
+    """
+    start = witness.initial
+    if not isinstance(start, MachineConfig) or start != m.initial_config():
         return False
-    for trans, nxt in witness.steps:
-        if (trans, nxt) not in successors(m, cur):
-            return False
-        cur = nxt
-    return True
+    return explore.replay_steps(partial(successors, m), witness)
 
 
 Vector = tuple[int, ...]

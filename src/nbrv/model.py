@@ -399,7 +399,11 @@ class MoveTable(_Fields):
     ``memo`` maps each signature met so far to the ``(rank, delta)`` moves
     it enables, one per enabled rule of ``Protocol.rules``: a configuration
     ``v`` with that signature steps to ``v + delta`` under the label
-    ``labels[rank]``.  Ranks follow ``StepLabel.sort_key``.
+    ``labels[rank]``.  ``order`` is the one statement of the label order,
+    one ``(kind, message)`` pair per rank: ``tau``, then ``msg:<m>``, then
+    ``nb:<m>``, messages in name order, as ``StepLabel.sort_key`` sorts
+    them.  A rule's rank is the index of its pair there, and ``labels``
+    is built from it.
     """
 
     def __init__(self, p: Protocol, n: int) -> None:
@@ -410,9 +414,8 @@ class MoveTable(_Fields):
         self.shift = dict(zip(p.states, self.shifts))
         one = {q: 1 << s for q, s in self.shift.items()}
         guard = {q: self.guard << s for q, s in self.shift.items()}
-        # A rule's rank is that of its kind plus that of its message.
-        kind_rank = {"tau": 0, "msg": 0, "nb": len(p.messages)}
-        msg_rank = {None: 0, **{m: k for k, m in enumerate(p.messages, 1)}}
+        self.order = (("tau", None), *[(kind, m) for kind in ("msg", "nb") for m in p.messages])
+        rank = {pair: r for r, pair in enumerate(self.order)}
         # Each rule as (need | block, need, (rank, delta)), grouped by the
         # guard bit of its first source.  A state that is two of the
         # sources, or both a source and a blocker, is read by its
@@ -429,7 +432,7 @@ class MoveTable(_Fields):
                 block |= guard[q] >> (q in src)
             read |= need | block
             groups.setdefault(guard[s], []).append(
-                (need | block, need, (kind_rank[kind] + msg_rank[m], delta)))
+                (need | block, need, (rank[kind, m], delta)))
         # The shared states are those read by their two-or-more bit.
         self.self_high = (read & (self.high >> 1)) << 1
         self.twos = self.self_high - (self.self_high >> (self.width - 2))
@@ -439,12 +442,10 @@ class MoveTable(_Fields):
 
     @property
     def labels(self) -> tuple[StepLabel, ...]:
-        """The shared :class:`StepLabel` of each rank.  Only label-ordered
-        searches read them, so they are built on first use."""
+        """The shared :class:`StepLabel` of each rank, in ``order``.  Only
+        label-ordered searches read them, so they are built on first use."""
         if self._labels is None:
-            self._labels = ((StepLabel("tau"),)
-                            + tuple([StepLabel("msg", m) for m in self.messages])
-                            + tuple([StepLabel("nb", m) for m in self.messages]))
+            self._labels = tuple([StepLabel(*pair) for pair in self.order])
         return self._labels
 
     @property

@@ -202,8 +202,7 @@ def machine_to_protocol(
     """
     if not m.is_nbrcm:
         raise MachineError(f"{m.name} is not a test-free restore machine")
-    if target_loc not in set(m.locations):
-        raise MachineError(f"unknown target location {target_loc!r}")
+    m.target(target_loc)
 
     names = _Names(m.locations)
     states = _table(names, ("qin", "lead", "sink"), m.counters,
@@ -240,8 +239,7 @@ def machine_to_vas(m: CounterMachine, target_loc: str) -> Vas:
     """
     if not m.is_test_free:
         raise MachineError(f"{m.name} has zero tests; VAS compilation needs a test-free machine")
-    if target_loc not in set(m.locations):
-        raise MachineError(f"unknown target location {target_loc!r}")
+    m.target(target_loc)
 
     trans = [t for row in m.moves() for t in row]
     names = _Names(m.locations)

@@ -10,7 +10,7 @@ from itertools import repeat
 from operator import add, le, sub
 
 from nbrv import explore
-from nbrv.explore import Problem, ResourceLimitError, Verdict, search
+from nbrv.explore import Problem, ResourceLimitError, Verdict, Witness, search
 from nbrv.gadgets import LevelContext, ProceduralMachine
 from nbrv.machines import (
     DEC,
@@ -102,6 +102,32 @@ def random_wait_only(rng: random.Random, max_q: int = 6, max_m: int = 3,
         else:
             trans.add((src, send(rng.choice(msgs)), dst))
     return Protocol("rndwo", states, msgs, states[0], states[-1], trans)
+
+
+# The corruptions of :func:`bad_witnesses`, one change each.
+WITNESS_MUTATIONS = (
+    "start-type", "start-not-initial", "wrong-label", "not-a-successor", "step-dropped")
+
+
+def bad_witnesses(w: Witness, wrong_label) -> dict[str, Witness]:
+    """Witnesses a checker must reject, each one change away from the search witness ``w``.
+
+    ``w`` is a shortest run of three steps or more, as a breadth-first
+    search gives one, so no configuration of it is a successor of one two
+    or more steps before it.  ``wrong_label`` is not the label of any
+    step from ``w.initial`` to the first configuration of ``w``.
+    """
+    (label, first), *rest = w.steps
+    assert len(w.steps) >= 3
+    return {
+        # A plain tuple equal to the start, but not of its type.
+        "start-type": Witness(tuple(w.initial), w.steps),
+        # A real run, from the first configuration after the start.
+        "start-not-initial": Witness(first, tuple(rest)),
+        "wrong-label": Witness(w.initial, ((wrong_label, first), *rest)),
+        "not-a-successor": Witness(w.initial, ((label, w.final()), *rest)),
+        "step-dropped": Witness(w.initial, tuple(rest)),
+    }
 
 
 def random_config(rng: random.Random, p: Protocol, max_items: int = 3) -> Configuration:

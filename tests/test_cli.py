@@ -188,6 +188,15 @@ class TestCheck:
         assert code == EXIT_OK and out == "RESULT UNKNOWN\n"
 
     @pytest.mark.parametrize("method", ["explore", "backward", "auto"])
+    def test_synchro_when_init_is_final(self, capsys, tmp_path, method):
+        # Every population starts in its goal: the run of no steps is the witness.
+        path = tmp_path / "same.rvp"
+        path.write_text("protocol same\nstates a b\ninit a\nfinal a\nmessages m\n"
+                        "trans a !m b\n")
+        assert run(capsys, "check", "synchro", str(path), "--method", method,
+                   "--max-procs", "3") == (EXIT_OK, "RESULT YES\n", "")
+
+    @pytest.mark.parametrize("method", ["explore", "backward", "auto"])
     @pytest.mark.parametrize("problem", [
         ["scover"], ["ccover", "--target", "q6:2"], ["synchro"]], ids=lambda a: a[0])
     def test_population_bound_below_one(self, capsys, problem, method):
@@ -1045,11 +1054,15 @@ class TestErrorMap:
          "p2cm takes no --target-loc"),
         (None, ["translate", "cm2p", "IN", "OUT", "--target", "q3:2", "--target-loc", "lf"],
          "cm2p takes no --target"),
+        (None, ["check", "scover", FIG1, "--target", "q1"], "scover takes no --target"),
+        (RESTORE_OFF_MACHINE, ["explore", "machine", "IN", "--cap", "2"],
+         "explore machine requires --loc"),
     ], ids=["check-abstract", "abstract", "cm2vas-zero-test", "lipton-zero-test",
             "cm2p-restore-off", "minsky2p-three-counters", "minsky2p-nbdec",
             "minsky2p-restore-on", "minsky2p-nop", "minsky2p-edge-out-of-final",
             "minsky2p-undeclared-final", "lipton-levels-0", "rst-level-out-of-range",
-            "lipton-empty-target-loc", "p2cm-target-loc", "cm2p-target"])
+            "lipton-empty-target-loc", "p2cm-target-loc", "cm2p-target", "scover-target",
+            "explore-machine-no-loc"])
     def test_precondition_message(self, capsys, tmp_path, machine, argv, message):
         paths = {"IN": str(tmp_path / "in.nbm"), "OUT": str(tmp_path / "out")}
         if machine is not None:

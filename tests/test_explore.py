@@ -11,6 +11,8 @@ import pytest
 
 from conftest import PROTOCOL_DIR, load_protocol
 from helpers import (
+    WITNESS_MUTATIONS,
+    bad_witnesses,
     initial,
     ordered_decide_fixed,
     ordered_decide_sweep,
@@ -46,6 +48,7 @@ from nbrv.model import (
     Configuration,
     MoveTable,
     Protocol,
+    StepLabel,
     dense_moves,
     receivers,
     recv,
@@ -275,6 +278,33 @@ class TestDecideSweep:
             p = random_protocol(rng, max_q=4)
             verdict = decide_sweep(p, Problem("scover"), 3)
             assert verdict.answer in ("yes", "unknown")
+
+
+class TestDecideOrdered:
+    def test_no_visits_every_reachable_configuration(self, fig1):
+        # No population of fig1 covers q4, so each search exhausts it.
+        for n in range(1, 5):
+            verdict = decide_ordered(fig1, Problem("ccover", cfg(q4=1)), n)
+            assert (verdict.answer, verdict.explored_bound) == ("no", n)
+            assert verdict.stats["visited"] == len(reachable(fig1, n)[1])
+
+
+class TestReplay:
+    """``replay`` accepts an explorer witness and rejects each one-change corruption of it."""
+
+    @pytest.fixture
+    def witness(self, fig1):
+        verdict = decide_sweep(fig1, Problem("ccover", cfg(q6=2)), 8)
+        assert verdict.witness.steps[0][0] == StepLabel("nb", "a")
+        return verdict.witness
+
+    def test_accepts_the_search_witness(self, fig1, witness):
+        assert replay(fig1, witness) is True
+
+    @pytest.mark.parametrize("mutation", WITNESS_MUTATIONS)
+    def test_rejects_a_bad_witness(self, fig1, witness, mutation):
+        bad = bad_witnesses(witness, StepLabel("msg", "a"))[mutation]
+        assert replay(fig1, bad) is False
 
 
 class TestWitnesses:

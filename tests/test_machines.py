@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    WITNESS_MUTATIONS,
+    bad_witnesses,
     random_machine,
     random_vas,
     spec_machine_cover,
@@ -38,7 +40,8 @@ from nbrv.machines import (
     successors,
     vas_cover_bounded,
 )
-from nbrv.reductions import machine_to_vas
+from nbrv.model import Configuration
+from nbrv.reductions import machine_to_vas, protocol_to_machine
 
 
 def simple(transitions=(), locations=("l0", "l1"), counters=("x",),
@@ -187,6 +190,28 @@ class TestMachineValidation:
         assert r.is_nbrcm
         z = simple([("l0", CounterOp(ZEROTEST, "x"), "l1")])
         assert not z.is_test_free
+
+
+class TestReplayMachine:
+    """``replay_machine`` accepts a ``cover_bounded`` witness and rejects each
+    one-change corruption of it."""
+
+    @pytest.fixture
+    def machine_witness(self, fig1):
+        m, loc, _report = protocol_to_machine(fig1, Configuration((("q3", 2),)))
+        verdict = cover_bounded(m, loc, cap=2)
+        assert verdict.witness.steps[0][0] == ("lin", CounterOp(INC, "q_in"), "lin")
+        return m, verdict.witness
+
+    def test_accepts_the_search_witness(self, machine_witness):
+        m, witness = machine_witness
+        assert replay_machine(m, witness) is True
+
+    @pytest.mark.parametrize("mutation", WITNESS_MUTATIONS)
+    def test_rejects_a_bad_witness(self, machine_witness, mutation):
+        m, witness = machine_witness
+        bad = bad_witnesses(witness, ("lin", CounterOp(NOP), "lin"))[mutation]
+        assert replay_machine(m, bad) is False
 
 
 class TestCoverBounded:
