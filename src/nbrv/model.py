@@ -59,6 +59,11 @@ RECV = "recv"
 _TAU_RANK, _SEND_RANK, _RECV_RANK = 0, 1, 2
 _KIND_ORDER = {TAU: _TAU_RANK, SEND: _SEND_RANK, RECV: _RECV_RANK}
 
+# The step kinds in label order: a tau step, then rendez-vous ``msg:<m>``,
+# then non-blocking ``nb:<m>``.  ``StepLabel.sort_key``, ``MoveTable.order``
+# and the rule order of ``reductions.protocol_to_machine`` all read it.
+STEP_KINDS = ("tau", "msg", "nb")
+
 
 class ProtocolError(ValueError):
     """Structurally invalid protocol (bad init/final, dangling transition...)."""
@@ -170,8 +175,10 @@ class Protocol:
         self.sends: tuple[tuple[str, str, str], ...] = tuple(sends)
         self.recvs: tuple[tuple[str, str, str], ...] = tuple(recvs)
         self.taus: tuple[tuple[str, str], ...] = tuple(taus)
-        self._receivers = {m: frozenset(v) for m, v in receivers.items()}
-        self._receivable = {q: frozenset(v) for q, v in receivable.items()}
+        # The receiver tables: each message's receiving states, each state's
+        # receivable messages (empty for a state with no reception).
+        self.receivers_of = {m: frozenset(v) for m, v in receivers.items()}
+        self.receivable_at = {q: frozenset(v) for q, v in receivable.items()}
         self._recv_targets = {k: tuple(v) for k, v in recv_targets.items()}
         self._rules: tuple[Rule, ...] | None = None
         self._moves: MoveTable | None = None
@@ -210,7 +217,7 @@ class Protocol:
             by_msg: dict[str, list[tuple[str, str, str]]] = {m: [] for m in self.messages}
             for edge in self.recvs:
                 by_msg[edge[1]].append(edge)
-            blockers = {m: tuple(sorted(qs)) for m, qs in self._receivers.items()}
+            blockers = {m: tuple(sorted(qs)) for m, qs in self.receivers_of.items()}
             rules: list[Rule] = [("tau", None, (src,), (dst,), ()) for src, dst in self.taus]
             for s, m, sp in self.sends:
                 for r, _m, rp in by_msg[m]:
@@ -238,9 +245,9 @@ class Protocol:
 
 def receivers(p: Protocol, message: str) -> frozenset[str]:
     """States from which ``message`` can be received (the R(m) set)."""
-    if message not in p._receivers:
+    if message not in p.receivers_of:
         raise UnknownMessageError(f"message {message!r} not in alphabet of {p.name}")
-    return p._receivers[message]
+    return p.receivers_of[message]
 
 
 def reception_targets(p: Protocol, state: str, message: str) -> tuple[str, ...]:
@@ -250,9 +257,9 @@ def reception_targets(p: Protocol, state: str, message: str) -> tuple[str, ...]:
 
 def receivable(p: Protocol, state: str) -> frozenset[str]:
     """Messages with an outgoing reception at ``state``; empty for active states."""
-    if state not in p._receivable:
+    if state not in p.receivable_at:
         raise UnknownStateError(f"state {state!r} not in {p.name}")
-    return p._receivable[state]
+    return p.receivable_at[state]
 
 
 class Configuration(namedtuple("Configuration", "items")):
@@ -314,8 +321,7 @@ class StepLabel(NamedTuple):
     message: str | None = None
 
     def sort_key(self) -> tuple[int, str]:
-        order = {"tau": 0, "msg": 1, "nb": 2}
-        return (order[self.kind], self.message or "")
+        return (STEP_KINDS.index(self.kind), self.message or "")
 
     def __str__(self) -> str:
         if self.kind == "tau":
@@ -399,11 +405,11 @@ class MoveTable(_Fields):
     ``memo`` maps each signature met so far to the ``(rank, delta)`` moves
     it enables, one per enabled rule of ``Protocol.rules``: a configuration
     ``v`` with that signature steps to ``v + delta`` under the label
-    ``labels[rank]``.  ``order`` is the one statement of the label order,
-    one ``(kind, message)`` pair per rank: ``tau``, then ``msg:<m>``, then
-    ``nb:<m>``, messages in name order, as ``StepLabel.sort_key`` sorts
-    them.  A rule's rank is the index of its pair there, and ``labels``
-    is built from it.
+    ``labels[rank]``.  ``order`` lists the labels in rank order, one
+    ``(kind, message)`` pair per rank: the kinds in :data:`STEP_KINDS`
+    order, ``tau`` once and each send kind once per message in name order,
+    as ``StepLabel.sort_key`` sorts them.  A rule's rank is the index of its
+    pair there, and ``labels`` is built from it.
     """
 
     def __init__(self, p: Protocol, n: int) -> None:
@@ -414,7 +420,8 @@ class MoveTable(_Fields):
         self.shift = dict(zip(p.states, self.shifts))
         one = {q: 1 << s for q, s in self.shift.items()}
         guard = {q: self.guard << s for q, s in self.shift.items()}
-        self.order = (("tau", None), *[(kind, m) for kind in ("msg", "nb") for m in p.messages])
+        self.order = ((STEP_KINDS[0], None),
+                      *[(kind, m) for kind in STEP_KINDS[1:] for m in p.messages])
         rank = {pair: r for r, pair in enumerate(self.order)}
         # Each rule as (need | block, need, (rank, delta)), grouped by the
         # guard bit of its first source.  A state that is two of the

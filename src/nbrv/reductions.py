@@ -42,6 +42,7 @@ from .machines import (
     Vas,
 )
 from .model import (
+    STEP_KINDS,
     Configuration,
     Protocol,
     Transition,
@@ -120,7 +121,7 @@ def protocol_to_machine(
         return cur
 
     # Taus, then rendez-vous, then non-blocking sends, each kind in table order.
-    by_kind = sorted(p.rules, key=lambda rule: ("tau", "msg", "nb").index(rule[0]))
+    by_kind = sorted(p.rules, key=lambda rule: STEP_KINDS.index(rule[0]))
     for _kind, _m, src, dst, blockers in by_kind:
         chain([(DEC, q) for q in src] + [(NBDEC, q) for q in blockers] + [(INC, q) for q in dst])
     final_loc = chain([(DEC, q) for q, n in target.items for _ in range(n)], back=False)

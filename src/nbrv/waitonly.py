@@ -6,15 +6,34 @@ configurations of such protocols are abstracted by a pair ``(S, Toks)``:
 states in ``S`` can host arbitrarily many processes, a token ``(q, m)``
 records that the waiting state ``q`` can host a single process whose last
 requested rendez-vous was ``m``.  The one-step abstract post operator is
-iterated from ``({q_in}, {})`` to a fixpoint, within a polynomial round
-bound that :func:`fixpoint` enforces, and the resulting abstraction decides
-configuration coverability exactly.
+iterated from ``({q_in}, {})`` until a round changes nothing
+(:func:`iterates`), and the stable abstraction decides configuration
+coverability exactly.
+
+The iterates form an ascending chain whose concretisations only grow:
+``S`` never shrinks, and a token ``(q, m)`` is dropped only when ``q``
+enters ``S``.  A configuration admitted by one iterate is therefore
+admitted by every later one: each populated state stays unbounded, or
+stays a token state whose tokens only grow, and a pair of single token
+states stays conflict-free, as one pair of tokens shows that and the pair
+survives.  So the first iterate that admits a target already gives the
+final answer; :func:`decide_cover` answers YES there, and NO only when the
+chain ends.  :func:`fixpoint` still lists the whole chain.
+
+The number of rounds is bounded by the potential ``(|M|+1)*|S| + |Toks|``
+(``M`` the messages).  Every round that changes the abstraction raises it:
+a new state of ``S`` adds ``|M|+1`` and drops at most the ``|M|`` tokens of
+that state, and a new token adds 1.  Every state counts at most ``|M|+1``,
+in ``S`` or by its tokens, so the potential never exceeds ``|Q|*(|M|+1)``
+and, starting at ``|M|+1`` from ``({q_in}, {})``, changes the chain at
+most ``(|Q|-1)*(|M|+1)`` times.  :func:`iterates` raises
+``AbstractionDivergenceError`` past ``|Q|*(|M|+1)`` rounds.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .explore import SCOVER, Problem, Verdict
 from .model import (
@@ -23,7 +42,6 @@ from .model import (
     Protocol,
     check_configuration,
     receivable,
-    receivers,
     reception_targets,
 )
 
@@ -41,7 +59,7 @@ class NotWaitOnlyError(ValueError):
 
 
 class AbstractionDivergenceError(RuntimeError):
-    """The abstraction failed to stabilize within the round bound of :func:`fixpoint`."""
+    """The abstraction failed to stabilize within the round bound of :func:`iterates`."""
 
 
 class WaitPartition(NamedTuple):
@@ -134,6 +152,11 @@ def admits(gamma: AbstractSet, c: Configuration, p: Protocol) -> bool:
     populated token state.
     """
     check_configuration(p, c)
+    return _admitted(gamma, c, p)
+
+
+def _admitted(gamma: AbstractSet, c: Configuration, p: Protocol) -> bool:
+    """:func:`admits`, for a configuration already checked against ``p``."""
     token_states = gamma.token_states
     singles: list[str] = []
     for q, n in c.items:
@@ -150,11 +173,6 @@ def admits(gamma: AbstractSet, c: Configuration, p: Protocol) -> bool:
     return True
 
 
-def _senders_from(p: Protocol, states: frozenset[str]) -> frozenset[str]:
-    """Messages sendable from some state of ``states``."""
-    return frozenset(m for src, m, _dst in p.sends if src in states)
-
-
 def _pumpable(p: Protocol, q: str, m: str, toks: frozenset[tuple[str, str]]) -> bool:
     """Can a second process enter token state ``q`` by request ``m``, its occupant staying?
 
@@ -166,7 +184,8 @@ def _pumpable(p: Protocol, q: str, m: str, toks: frozenset[tuple[str, str]]) -> 
     same way.  If ``d`` answers ``m2`` but ``(d, m2)`` is not tracked yet,
     the absorber does not count in this round.
     """
-    rec_q = receivable(p, q)
+    receivable_at = p.receivable_at
+    rec_q = receivable_at[q]
     wants, seen = [m], {m}
     while wants:
         want = wants.pop()
@@ -176,7 +195,7 @@ def _pumpable(p: Protocol, q: str, m: str, toks: frozenset[tuple[str, str]]) -> 
             for d in reception_targets(p, q2, want):
                 if (d, m2) in toks:
                     return True
-                if m2 in receivable(p, d):
+                if m2 in receivable_at[d]:
                     continue
                 if m2 not in rec_q:
                     return True
@@ -202,18 +221,20 @@ def abstract_post(gamma: AbstractSet, p: Protocol) -> AbstractSet:
     toks = gamma.tokens
     s2 = set(S)
     t2 = set(toks)
-    sendable = _senders_from(p, S)
+    receivable_at = p.receivable_at
+    receivers_of = p.receivers_of
 
     for src, dst in p.taus:
         if src in S:
             s2.add(dst)
 
+    # The messages sendable from ``S``, gathered in the same pass.
+    sendable: set[str] = set()
     for src, m, dst in p.sends:
         if src not in S:
             continue
-        rec_dst = receivable(p, dst)
-        answered = not S.isdisjoint(receivers(p, m))
-        if m not in rec_dst or answered:
+        sendable.add(m)
+        if m not in receivable_at[dst] or not S.isdisjoint(receivers_of[m]):
             s2.add(dst)
         else:
             t2.add((dst, m))
@@ -226,9 +247,10 @@ def abstract_post(gamma: AbstractSet, p: Protocol) -> AbstractSet:
             continue
         if src in S or (src, m) in toks:
             s2.add(dst)
+        rec_dst = receivable_at[dst]
         for tok_m in tok_msgs.get(src, ()):
             if tok_m != m:
-                if tok_m not in receivable(p, dst):
+                if tok_m not in rec_dst:
                     s2.add(dst)
                 else:
                     t2.add((dst, tok_m))
@@ -246,35 +268,47 @@ def abstract_post(gamma: AbstractSet, p: Protocol) -> AbstractSet:
     )
 
 
-def fixpoint(p: Protocol) -> tuple[AbstractSet, list[AbstractSet]]:
-    """Iterate the abstract post operator to stability from ``({q_in}, {})``.
+def iterates(p: Protocol) -> Iterator[AbstractSet]:
+    """The abstract iterates from ``({q_in}, {})``, the stable one last.
 
-    Returns the stable abstraction and the full chain of iterates.  Raises
-    ``AbstractionDivergenceError`` past ``|Q|^2 * max(1, |messages|)``
-    rounds; that bound was derived for an earlier promotion rule and has not
-    been re-derived for :func:`_pumpable`.
+    Checks first that ``p`` is wait-only (:func:`partition`).  Each
+    iterate is :func:`abstract_post` of the one before, and the chain ends
+    with the first iterate that a round leaves unchanged.  Raises
+    ``AbstractionDivergenceError`` past ``|Q| * (|messages| + 1)`` rounds,
+    which the potential argument of the module docstring rules out.
     """
     partition(p)
-    bound = len(p.states) ** 2 * max(1, len(p.messages))
+    bound = len(p.states) * (len(p.messages) + 1)
     cur = AbstractSet(frozenset({p.init}), frozenset())
-    trace = [cur]
+    yield cur
     for _ in range(bound + 1):
         nxt = abstract_post(cur, p)
         if nxt == cur:
-            return cur, trace
-        trace.append(nxt)
+            return
+        yield nxt
         cur = nxt
     raise AbstractionDivergenceError(
         f"no fixpoint within {bound} iterations on {p.name}"
     )
 
 
+def fixpoint(p: Protocol) -> tuple[AbstractSet, list[AbstractSet]]:
+    """The stable abstraction and the full chain of :func:`iterates`."""
+    trace = list(iterates(p))
+    return trace[-1], trace
+
+
 def decide_cover(p: Protocol, target: Configuration) -> Verdict:
-    """Exact configuration-coverability verdict for a wait-only protocol."""
+    """Exact configuration-coverability verdict for a wait-only protocol.
+
+    YES at the first iterate that admits ``target`` (a later one admits it
+    too, see the module docstring), NO when the chain ends without one.
+    """
     check_configuration(p, target)
-    gamma_f, _trace = fixpoint(p)
-    answer = "yes" if admits(gamma_f, target, p) else "no"
-    return Verdict(answer)
+    for gamma in iterates(p):
+        if _admitted(gamma, target, p):
+            return Verdict("yes")
+    return Verdict("no")
 
 
 def decide_state_cover(p: Protocol) -> Verdict:

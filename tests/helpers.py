@@ -39,7 +39,7 @@ from nbrv.model import (
     tau,
 )
 from nbrv.reductions import TranslationReport, protocol_to_machine
-from nbrv.waitonly import AbstractSet, NotWaitOnlyError, _pumpable, _senders_from, partition
+from nbrv.waitonly import AbstractSet, NotWaitOnlyError, _pumpable, partition
 
 
 # ``.nbm`` inputs of ``translate cm2p`` and ``translate minsky2p`` whose
@@ -102,6 +102,18 @@ def random_wait_only(rng: random.Random, max_q: int = 6, max_m: int = 3,
         else:
             trans.add((src, send(rng.choice(msgs)), dst))
     return Protocol("rndwo", states, msgs, states[0], states[-1], trans)
+
+
+def wait_only_chain(k: int) -> Protocol:
+    """A wait-only chain: ``s_i !m_i s_i+1``, ``s_i !m_i+1 w_i`` and
+    ``w_i ?m_i w_i+1`` (indices of ``w`` and ``m`` mod ``k``)."""
+    trans = []
+    for i in range(k):
+        trans += [(f"s{i}", send(f"m{i}"), f"s{i + 1}"),
+                  (f"s{i}", send(f"m{(i + 1) % k}"), f"w{i}"),
+                  (f"w{i}", recv(f"m{i}"), f"w{(i + 1) % k}")]
+    states = [f"s{i}" for i in range(k + 1)] + [f"w{i}" for i in range(k)]
+    return Protocol("chain", states, [f"m{i}" for i in range(k)], "s0", f"s{k}", trans)
 
 
 # The corruptions of :func:`bad_witnesses`, one change each.
@@ -254,6 +266,11 @@ def is_wait_only(p: Protocol) -> bool:
     except NotWaitOnlyError:
         return False
     return True
+
+
+def _senders_from(p: Protocol, states: frozenset[str]) -> frozenset[str]:
+    """Messages sendable from some state of ``states``."""
+    return frozenset(m for src, m, _dst in p.sends if src in states)
 
 
 def is_consistent(gamma: AbstractSet, p: Protocol) -> bool:

@@ -11,28 +11,17 @@ from helpers import (
     random_config,
     random_protocol,
     random_wait_only,
+    wait_only_chain,
     with_self_rendezvous,
 )
 from nbrv import backward, explore, waitonly
 from nbrv.backward import EngineDisagreementError, decide, first_population, saturation
 from nbrv.explore import Problem, Verdict, decide_sweep
-from nbrv.model import Configuration, Protocol, recv, send, tau
+from nbrv.model import Configuration, Protocol, recv, tau
 
 
 def cfg(**counts: int) -> Configuration:
     return Configuration.from_counts(counts)
-
-
-def chain(k: int) -> Protocol:
-    """A wait-only chain: ``s_i !m_i s_i+1``, ``s_i !m_i+1 w_i`` and
-    ``w_i ?m_i w_i+1`` (indices of ``w`` and ``m`` mod ``k``)."""
-    trans = []
-    for i in range(k):
-        trans += [(f"s{i}", send(f"m{i}"), f"s{i + 1}"),
-                  (f"s{i}", send(f"m{(i + 1) % k}"), f"w{i}"),
-                  (f"w{i}", recv(f"m{i}"), f"w{(i + 1) % k}")]
-    states = [f"s{i}" for i in range(k + 1)] + [f"w{i}" for i in range(k)]
-    return Protocol("chain", states, [f"m{i}" for i in range(k)], "s0", f"s{k}", trans)
 
 
 class TestAgainstOracle:
@@ -93,7 +82,7 @@ class TestSearch:
     def test_chain_within_a_small_pop_budget(self):
         # Smallest sum first, ties to the larger init count, and the
         # saturation keep this family to a few hundred pops at k = 20.
-        found = first_population(chain(20), cfg(s20=1, w19=2), budget=1000)
+        found = first_population(wait_only_chain(20), cfg(s20=1, w19=2), budget=1000)
         assert (found.answer, found.explored_bound) == ("yes", 3)
 
 

@@ -14,11 +14,14 @@ from helpers import (
     is_wait_only,
     random_wait_only,
     spec_violations,
+    wait_only_chain,
     with_self_rendezvous,
 )
+from nbrv import waitonly
 from nbrv.explore import Problem, decide_fixed, decide_sweep
 from nbrv.model import Configuration, Protocol, recv, send, tau
 from nbrv.waitonly import (
+    AbstractionDivergenceError,
     AbstractSet,
     NotWaitOnlyError,
     abstract_post,
@@ -58,6 +61,16 @@ SELF_LOOP = Protocol("selfloop", ["qin", "p0", "p1", "pf"], ["m0", "m1"], "qin",
 ])
 
 
+def potential(g: AbstractSet, p: Protocol) -> int:
+    """``(|M|+1)*|S| + |Toks|``, which every round that changes ``g`` raises."""
+    return (len(p.messages) + 1) * len(g.states) + len(g.tokens)
+
+
+def round_bound(p: Protocol) -> int:
+    """``|Q| * (|M|+1)``, the most the potential can reach."""
+    return len(p.states) * (len(p.messages) + 1)
+
+
 def rotation(receives) -> Protocol:
     """``qin !m_i p_i`` for each i, and ``p_i ?m_j pf`` for each j in ``receives[i]``."""
     k = len(receives)
@@ -65,6 +78,19 @@ def rotation(receives) -> Protocol:
     trans += [(f"p{i}", recv(f"m{j}"), "pf") for i, js in enumerate(receives) for j in js]
     return Protocol("rotation", [f"p{i}" for i in range(k)] + ["pf", "qin"],
                     [f"m{i}" for i in range(k)], "qin", "pf", trans)
+
+
+def token_fan(rng: random.Random) -> Protocol:
+    """``qin`` requests into each waiting state ``p_i``, which answers some
+    messages into a random ``p_j`` or ``pf``: a wait-only protocol with
+    several token states more often than :func:`random_wait_only`."""
+    ps = [f"p{i}" for i in range(rng.randint(2, 5))]
+    msgs = [f"m{j}" for j in range(rng.randint(2, 4))]
+    trans = {("qin", send(rng.choice(msgs)), q) for q in ps}
+    for q in ps:
+        for m in rng.sample(msgs, rng.randint(1, len(msgs))):
+            trans.add((q, recv(m), rng.choice(ps + ["pf"])))
+    return Protocol("fan", ps + ["pf", "qin"], msgs, "qin", "pf", trans)
 
 
 def waiting_targets(k: int, most: int) -> list[Configuration]:
@@ -223,6 +249,44 @@ class TestFixpoint:
             fixpoint(fig1)
 
 
+class TestRoundBound:
+    def test_potential_rises_every_round(self):
+        rng = random.Random(3201)
+        longer = 0
+        for _ in range(2000):
+            p = random_wait_only(rng, max_q=8, max_m=4, max_t=16)
+            _gf, trace = fixpoint(p)
+            phis = [potential(g, p) for g in trace]
+            assert all(a < b for a, b in zip(phis, phis[1:])), p.transitions
+            assert phis[-1] <= round_bound(p)
+            # ``fixpoint`` calls ``abstract_post`` once per iterate.
+            assert len(trace) <= round_bound(p)
+            longer += len(trace) >= 4
+        assert longer >= 200
+
+    def test_chain_family_within_the_bound(self):
+        for k in range(5, 81):
+            p = wait_only_chain(k)
+            _gf, trace = fixpoint(p)
+            phis = [potential(g, p) for g in trace]
+            assert all(a < b for a, b in zip(phis, phis[1:])), k
+            assert len(trace) == k + 1
+            assert len(trace) <= round_bound(p)
+
+    def test_guard_raises_past_the_bound(self, p1, monkeypatch):
+        calls = []
+
+        def growing(gamma, _p):
+            calls.append(gamma)
+            return AbstractSet(gamma.states, gamma.tokens | {("x", f"m{len(calls)}")})
+
+        monkeypatch.setattr(waitonly, "abstract_post", growing)
+        assert round_bound(p1) == 40
+        with pytest.raises(AbstractionDivergenceError, match="no fixpoint within 40 iterations"):
+            decide_cover(p1, cfg(q7=1))
+        assert len(calls) == 41
+
+
 class TestDecideCover:
     def test_p1_many_q7(self, p1):
         assert decide_cover(p1, cfg(q7=3)).is_yes()
@@ -233,6 +297,11 @@ class TestDecideCover:
     def test_p2_two_p1(self, p2):
         assert decide_cover(p2, cfg(p1=2)).is_yes()
 
+    def test_not_wait_only_rejected_before_any_iterate(self, fig1):
+        # The initial iterate would admit the target.
+        with pytest.raises(NotWaitOnlyError):
+            decide_cover(fig1, cfg(q_in=2))
+
     def test_state_cover_uses_final(self, p1):
         assert decide_state_cover(p1).is_yes()  # final state q7
 
@@ -240,6 +309,54 @@ class TestDecideCover:
     def test_state_cover_is_the_scover_cover(self, name):
         p = load_protocol(name)
         assert decide_state_cover(p) == decide_cover(p, Problem("scover").cover(p))
+
+
+class TestEarlyAnswer:
+    def test_agrees_with_the_stable_abstraction(self):
+        """The first admitting iterate answers as the stable one does.  Half
+        the queries are random; the other half put single processes on two
+        states that are token states in some iterate, when there are two."""
+        rng = random.Random(3202)
+        pair_answers = []
+        for i in range(2400):
+            p = token_fan(rng) if i % 2 else random_wait_only(rng)
+            gf, trace = fixpoint(p)
+            token_states = sorted({q for g in trace for q in g.token_states})
+            pair = i % 2 and len(token_states) >= 2
+            if pair:
+                q1, q2 = rng.sample(token_states, 2)
+                target = cfg(**{q1: 1, q2: 1})
+            else:
+                target = random_config(rng, p, max_items=3)
+            answer = decide_cover(p, target).answer
+            assert answer == ("yes" if admits(gf, target, p) else "no"), (p.transitions, target)
+            if pair:
+                pair_answers.append(answer)
+        assert len(pair_answers) >= 300
+        assert pair_answers.count("no") >= 10
+
+    @pytest.mark.parametrize("name, target, answer, posts", [
+        ("p2.rvp", None, "yes", 2),
+        ("p2.rvp", {"q1": 1, "q2": 1}, "yes", 1),
+        ("rot.rvp", {"p2": 2}, "yes", 3),
+        ("p1.rvp", {"q1": 1, "q3": 1}, "no", 3),
+        ("p1.rvp", {"q1": 1, "q5": 1}, "yes", 1),
+        ("p1.rvp", {"q_in": 3}, "yes", 0),
+    ], ids=["p2-scover", "p2-q1,q2", "rot-p2:2", "p1-q1,q3", "p1-q1,q5", "p1-q_in:3"])
+    def test_abstract_post_calls(self, name, target, answer, posts, monkeypatch):
+        """Rounds run up to the first admitting iterate, through the module
+        global; the whole chain takes 4 on ``p2`` and ``rot``, 3 on ``p1``."""
+        p = load_protocol(name)
+        calls = []
+        post = waitonly.abstract_post
+        monkeypatch.setattr(waitonly, "abstract_post",
+                            lambda gamma, q: calls.append(gamma) or post(gamma, q))
+        if target is None:
+            verdict = decide_state_cover(p)
+        else:
+            verdict = decide_cover(p, Configuration.from_counts(target))
+        assert verdict.answer == answer
+        assert len(calls) == posts
 
 
 class TestRotation:
