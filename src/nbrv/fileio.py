@@ -24,6 +24,8 @@ from typing import Iterator
 
 from .machines import (
     NBDEC,
+    NOP,
+    OP_TEXT,
     CounterMachine,
     CounterOp,
     MachineTransition,
@@ -225,20 +227,22 @@ def parse_config(text: str, p: Protocol, file: str = "<config>") -> Configuratio
     return Configuration.from_counts(counts)
 
 
-_OPS_TWO_TOKEN = {"inc": "inc", "dec": "dec", "nbdec": "nbdec", "zero?": "zerotest"}
+# The op kind of each op text: the inverse of ``machines.OP_TEXT``.
+_OP_KIND = {text: kind for kind, text in OP_TEXT.items()}
 
 
 def _op(rd: _Reader, n: int, words: list[str], ctr_set: set[str]) -> CounterOp:
     """The operation named by the words between SRC and DST of ``trans`` line ``n``."""
-    if len(words) == 4:
-        if words[2] != "nop":
-            raise rd.error(n, 2, f"operation {words[2]!r} needs a counter")
-        return CounterOp("nop")
-    if words[2] not in _OPS_TWO_TOKEN:
+    kind = _OP_KIND.get(words[2])
+    counter = words[3] if len(words) == 5 else None
+    if (kind == NOP) != (counter is None):
+        need = "takes no" if counter else "needs a"
+        raise rd.error(n, 2, f"operation {words[2]!r} {need} counter")
+    if kind is None:
         raise rd.error(n, 2, f"unknown operation {words[2]!r}")
-    if words[3] not in ctr_set:
-        raise rd.error(n, 3, f"counter {words[3]!r} not declared")
-    return CounterOp(_OPS_TWO_TOKEN[words[2]], words[3])
+    if counter is not None and counter not in ctr_set:
+        raise rd.error(n, 3, f"counter {counter!r} not declared")
+    return CounterOp(kind, counter)
 
 
 def parse_machine(text: str, file: str = "<string>") -> CounterMachine:

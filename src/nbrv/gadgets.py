@@ -269,8 +269,7 @@ def _emit_init(b: _Builder, level: int, prefix: str) -> tuple[str, str]:
 
 def init_level(ctx: LevelContext, level: int) -> ProceduralMachine:
     """Raise every dual counter of ``level`` from zero to the level bound."""
-    if not 0 <= level < ctx.levels:
-        raise LevelError(f"level {level} outside 0..{ctx.levels - 1}")
+    ctx._check(level)
     b = _Builder(ctx)
     entry, out = _emit_init(b, level, "ic_")
     return b.machine(f"init_level_{level}", entry, (out,))

@@ -1,13 +1,15 @@
 """Counter machines with non-blocking decrements, and non-blocking VAS.
 
 The machine family covers plain counter machines (with zero tests),
-test-free machines, machines extended with non-blocking decrements
-(``nbdec`` always fires and clamps at zero) and the restore variant that can
-jump back to the initial location from anywhere.  A machine keeps one
-transition set, sorted by source, op and target; the op says whether a step
-can block, since every op but ``nbdec`` can.  A non-blocking VAS pairs
-each transition with a blocking update vector and a non-negative clamp
-vector applied coordinatewise.
+test-free machines, machines extended with non-blocking decrements and the
+restore variant that can jump back to the initial location from anywhere.
+``EFFECT`` states the semantics of every op once, as the change it makes
+to its counter when the counter is positive and when it is zero, or where
+it blocks; :class:`MachineTable` and ``reductions.machine_to_vas`` compile
+it, and ``OP_TEXT`` is the ops' text, which ``CounterOp`` prints and
+``fileio`` parses.  A machine keeps one transition set, sorted by source,
+op and target.  A non-blocking VAS pairs each transition with a blocking
+update vector and a non-negative clamp vector applied coordinatewise.
 
 Both models get exhaustive search bounded by an inclusive per-counter cap;
 a NO produced under a cap is only valid within that cap and is flagged so.
@@ -41,8 +43,15 @@ DEC = "dec"
 ZEROTEST = "zerotest"
 NBDEC = "nbdec"
 
-# The order of op kinds in ``_mt_key``.
-_OP_ORDER = {kind: rank for rank, kind in enumerate((NOP, INC, DEC, ZEROTEST, NBDEC))}
+# The semantics of each op kind, in ``_mt_key`` order: the change the op
+# makes to its counter when the counter is positive and when it is zero,
+# ``None`` where the op blocks.  ``nop`` has no counter.
+EFFECT: dict[str, tuple[int | None, int | None]] = {
+    NOP: (0, 0), INC: (1, 1), DEC: (-1, None), ZEROTEST: (None, 0), NBDEC: (-1, 0)}
+_OP_ORDER = {kind: rank for rank, kind in enumerate(EFFECT)}
+
+# The text of each op kind in ``.nbm`` files and witnesses, before its counter.
+OP_TEXT = {NOP: "nop", INC: "inc", DEC: "dec", ZEROTEST: "zero?", NBDEC: "nbdec"}
 
 
 class MachineError(ValueError):
@@ -59,7 +68,7 @@ class CounterOp(namedtuple("CounterOp", "kind counter")):
     __slots__ = ()
 
     def __new__(cls, kind: str, counter: str | None = None) -> CounterOp:
-        if kind not in _OP_ORDER:
+        if kind not in EFFECT:
             raise MachineError(f"unknown counter op {kind!r}")
         if kind == NOP and counter is not None:
             raise MachineError("nop takes no counter")
@@ -71,10 +80,8 @@ class CounterOp(namedtuple("CounterOp", "kind counter")):
         return (_OP_ORDER[self.kind], self.counter or "")
 
     def __str__(self) -> str:
-        if self.kind == NOP:
-            return "nop"
-        name = {INC: "inc", DEC: "dec", ZEROTEST: "zero?", NBDEC: "nbdec"}[self.kind]
-        return f"{name} {self.counter}"
+        text = OP_TEXT[self.kind]
+        return text if self.counter is None else f"{text} {self.counter}"
 
 
 MachineTransition = tuple[str, CounterOp, str]
@@ -242,8 +249,10 @@ class MachineTable(_Fields):
     ``rows[l]`` lists the moves out of the location of index ``l``, in
     ``_mt_key`` order, as ``(transition, field, nonzero, zero)``: the move
     adds ``nonzero`` when ``v & field`` is nonzero and ``zero`` when it is
-    zero, and is blocked where that delta is ``None``.  Each delta includes
-    the change of location index.  ``index`` is the machine's own
+    zero, and is blocked where that delta is ``None``.  The deltas are the
+    op's ``EFFECT`` entries in the counter's field plus the change of
+    location index; an op whose two entries are equal gets ``field`` 0,
+    so its one delta is ``zero``.  ``index`` is the machine's own
     ``loc_index``, not a copy.
     """
 
@@ -253,26 +262,22 @@ class MachineTable(_Fields):
         self.locations = m.locations
         self.lmask = (1 << lbits) - 1
         self.index = m.loc_index
-        shift = dict(zip(m.counters, self.shifts))
+        # The unit of each counter's field; ``nop`` has no counter.
+        unit = {None: 0} | {x: 1 << s for x, s in zip(m.counters, self.shifts)}
         rows = []
         for i, moves in enumerate(m.moves()):
             row = []
             for trans in moves:
                 _src, op, dst = trans
                 jump = self.index[dst] - i
-                if op.kind == NOP:
-                    row.append((trans, 0, None, jump))
-                    continue
-                s = shift[op.counter]
-                one, field = 1 << s, self.fmask << s
-                if op.kind == INC:
-                    row.append((trans, 0, None, jump + one))
-                elif op.kind == DEC:
-                    row.append((trans, field, jump - one, None))
-                elif op.kind == ZEROTEST:
-                    row.append((trans, field, None, jump))
+                one = unit[op.counter]
+                nonzero, zero = EFFECT[op.kind]
+                if nonzero == zero:  # the same change at any value: no field to test
+                    row.append((trans, 0, None, jump + zero * one))
                 else:
-                    row.append((trans, field, jump - one, jump))
+                    row.append((trans, self.fmask * one,
+                                None if nonzero is None else jump + nonzero * one,
+                                None if zero is None else jump + zero * one))
             rows.append(tuple(row))
         self.rows = tuple(rows)
 
@@ -309,11 +314,10 @@ def successors(
 ) -> list[tuple[MachineTransition, MachineConfig]]:
     """All enabled one-step moves, restore jumps included, in a fixed order.
 
-    The order is ``_mt_key``.  ``inc`` adds one; ``dec`` subtracts one and
-    is blocked at zero; ``nbdec`` subtracts one and leaves a zero as it is;
-    a zero test fires only on zero; ``nop`` and restore jumps change no
-    counter.  ``cfg`` is trusted: it comes from :meth:`CounterMachine.config`
-    or from an earlier step, so it is not checked again.  This is
+    The order is ``_mt_key``.  Each op changes its counter, or blocks, as
+    its ``EFFECT`` entry says; a restore jump is a ``nop``.  ``cfg`` is
+    trusted: it comes from :meth:`CounterMachine.config` or from an
+    earlier step, so it is not checked again.  This is
     :func:`machine_successors` on the packed form of ``cfg``.
     """
     t = m.table(max(cfg.values, default=0))

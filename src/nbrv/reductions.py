@@ -31,6 +31,7 @@ from typing import Iterable
 
 from .machines import (
     DEC,
+    EFFECT,
     INC,
     NBDEC,
     NOP,
@@ -236,7 +237,10 @@ def machine_to_vas(m: CounterMachine, target_loc: str) -> Vas:
     One coordinate per location (kept 0/1, exactly one active) plus one per
     counter.  The transitions are the machine's moves (restore jumps
     included) in ``CounterMachine.moves`` order; self-loops are split
-    through a fresh location first.
+    through a fresh location first.  A counter's entry is read from the
+    op's ``EFFECT``: an op that blocks at zero, or makes the same change
+    either way, adds that change to ``t_b``, and ``nbdec`` puts its
+    decrement, negated, in the clamp part ``t_nb``.
     """
     if not m.is_test_free:
         raise MachineError(f"{m.name} has zero tests; VAS compilation needs a test-free machine")
@@ -268,12 +272,12 @@ def machine_to_vas(m: CounterMachine, target_loc: str) -> Vas:
         t_nb = [0] * dim
         t_b[loc_index[src]] -= 1
         t_b[loc_index[dst]] += 1
-        if op.kind == INC:
-            t_b[ctr_index[op.counter]] += 1
-        elif op.kind == DEC:
-            t_b[ctr_index[op.counter]] -= 1
-        elif op.kind == NBDEC:
-            t_nb[ctr_index[op.counter]] += 1
+        if op.counter:
+            nonzero, zero = EFFECT[op.kind]
+            if zero is None or zero == nonzero:
+                t_b[ctr_index[op.counter]] += nonzero
+            else:  # a decrement that clamps at zero
+                t_nb[ctr_index[op.counter]] -= nonzero
         vas_transitions.append((tuple(t_b), tuple(t_nb)))
 
     v_target = tuple(1 if i == loc_index[target_loc] else 0 for i in range(dim))

@@ -170,6 +170,16 @@ class TestMachineFormat:
             parse_machine(text)
         assert exc.value.line == 6
 
+    @pytest.mark.parametrize("op, error", [
+        ("nop x", "6:9: operation 'nop' takes no counter"),
+        ("inc", "6:9: operation 'inc' needs a counter"),
+    ])
+    def test_counter_arity(self, op, error):
+        text = f"machine m\nlocations a b\ninit a\ncounters x\nrestore off\ntrans a {op} b\n"
+        with pytest.raises(ParseError) as exc:
+            parse_machine(text, "x")
+        assert str(exc.value) == f"x:{error}"
+
 
 class TestVasFormat:
     def test_parse_and_round_trip(self):

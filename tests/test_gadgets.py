@@ -149,6 +149,11 @@ class TestInitContracts:
         outs = exit_valuations(pm, entry)
         assert outs[pm.outs[0]][0]["payload"] == 3
 
+    @pytest.mark.parametrize("level", [2, -1])
+    def test_level_out_of_range(self, level):
+        with pytest.raises(LevelError, match=rf"^level {level} outside 0\.\.1$"):
+            init_level(CTX2, level)
+
 
 class TestResetContracts:
     def test_level0_exhaustive(self):

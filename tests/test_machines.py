@@ -21,9 +21,11 @@ from helpers import (
 from nbrv.explore import ResourceLimitError
 from nbrv.machines import (
     DEC,
+    EFFECT,
     INC,
     NBDEC,
     NOP,
+    OP_TEXT,
     ZEROTEST,
     CounterMachine,
     CounterOp,
@@ -47,6 +49,37 @@ from nbrv.reductions import machine_to_vas, protocol_to_machine
 def simple(transitions=(), locations=("l0", "l1"), counters=("x",),
            restore=False) -> CounterMachine:
     return CounterMachine("m", locations, counters, "l0", transitions, restore)
+
+
+# The counter after one step of each op from the values 0, 1 and 2, ``None``
+# where the op blocks: the semantics written out apart from ``EFFECT``.
+AFTER = {
+    NOP: (0, 1, 2),
+    INC: (1, 2, 3),
+    DEC: (None, 0, 1),
+    ZEROTEST: (0, None, None),
+    NBDEC: (0, 0, 1),
+}
+
+
+class TestOpSemantics:
+    def test_every_op_kind_has_an_effect_and_a_text(self):
+        assert list(EFFECT) == list(AFTER)
+        assert OP_TEXT.keys() == EFFECT.keys()
+
+    @pytest.mark.parametrize("kind", list(AFTER))
+    def test_successors_effect_and_vas_image_agree(self, kind):
+        m = simple([("l0", CounterOp(kind, None if kind == NOP else "x"), "l1")])
+        # Coordinates: l0, l1, then x.  A zero test has no VAS image.
+        image = None if kind == ZEROTEST else machine_to_vas(m, "l1").transitions
+        for value, after in enumerate(AFTER[kind]):
+            change = EFFECT[kind][value == 0]
+            assert (None if change is None else value + change) == after
+            got = [(c.loc, c.values) for _t, c in successors(m, m.config("l0", {"x": value}))]
+            assert got == ([] if after is None else [("l1", (after,))])
+            if image is not None:
+                (t,) = image
+                assert apply_strict((1, 0, value), t) == (None if after is None else (0, 1, after))
 
 
 class TestMachineSuccessors:
