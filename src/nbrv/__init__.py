@@ -14,8 +14,6 @@ from .model import (
     Configuration,
     Protocol,
     StepLabel,
-    receivable,
-    receivers,
     recv,
     send,
     successors,
@@ -27,8 +25,6 @@ __all__ = [
     "Configuration",
     "Protocol",
     "StepLabel",
-    "receivable",
-    "receivers",
     "recv",
     "send",
     "successors",

@@ -235,11 +235,11 @@ def _op(rd: _Reader, n: int, words: list[str], ctr_set: set[str]) -> CounterOp:
     """The operation named by the words between SRC and DST of ``trans`` line ``n``."""
     kind = _OP_KIND.get(words[2])
     counter = words[3] if len(words) == 5 else None
+    if kind is None:
+        raise rd.error(n, 2, f"unknown operation {words[2]!r}")
     if (kind == NOP) != (counter is None):
         need = "takes no" if counter else "needs a"
         raise rd.error(n, 2, f"operation {words[2]!r} {need} counter")
-    if kind is None:
-        raise rd.error(n, 2, f"unknown operation {words[2]!r}")
     if counter is not None and counter not in ctr_set:
         raise rd.error(n, 3, f"counter {counter!r} not declared")
     return CounterOp(kind, counter)

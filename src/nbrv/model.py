@@ -69,14 +69,6 @@ class ProtocolError(ValueError):
     """Structurally invalid protocol (bad init/final, dangling transition...)."""
 
 
-class UnknownMessageError(ValueError):
-    """A message outside the protocol alphabet was used."""
-
-
-class UnknownStateError(ValueError):
-    """A state outside the protocol state set was used."""
-
-
 class MalformedConfigurationError(ValueError):
     """Empty configuration, non-positive count, or state outside the protocol."""
 
@@ -152,9 +144,8 @@ class Protocol:
         sends: list[tuple[str, str, str]] = []
         recvs: list[tuple[str, str, str]] = []
         taus: list[tuple[str, str]] = []
-        receivers: dict[str, set[str]] = {m: set() for m in self.messages}
-        receivable: dict[str, set[str]] = {q: set() for q in self.states}
-        recv_targets: dict[tuple[str, str], list[str]] = {}
+        by_msg: dict[str, list[tuple[str, str]]] = {m: [] for m in self.messages}
+        receptions: dict[str, dict[str, list[str]]] = {q: {} for q in self.states}
         for key in sorted(keyed):
             src, kind, m, dst = key
             if src not in state_set or dst not in state_set:
@@ -168,18 +159,20 @@ class Protocol:
                 sends.append((src, m, dst))
             else:
                 recvs.append((src, m, dst))
-                receivers[m].add(src)
-                receivable[src].add(m)
-                recv_targets.setdefault((src, m), []).append(dst)
+                by_msg[m].append((src, dst))
+                receptions[src].setdefault(m, []).append(dst)
         self.transitions: tuple[Transition, ...] = tuple(ordered)
         self.sends: tuple[tuple[str, str, str], ...] = tuple(sends)
         self.recvs: tuple[tuple[str, str, str], ...] = tuple(recvs)
         self.taus: tuple[tuple[str, str], ...] = tuple(taus)
-        # The receiver tables: each message's receiving states, each state's
-        # receivable messages (empty for a state with no reception).
-        self.receivers_of = {m: frozenset(v) for m, v in receivers.items()}
-        self.receivable_at = {q: frozenset(v) for q, v in receivable.items()}
-        self._recv_targets = {k: tuple(v) for k, v in recv_targets.items()}
+        # Each reception ``r ?m r'`` is filed twice.  By message, as ``(r, r')``
+        # in ``recvs`` order, which ``rules`` reads; ``receivers_of[m]`` is the
+        # set R(m) of those ``r``.  By state, as ``receptions[r][m]``, the
+        # targets in ``recvs`` order ({} for a state with no reception).
+        self._by_msg = by_msg
+        self.receivers_of = {m: frozenset([r for r, _rp in v]) for m, v in by_msg.items()}
+        self.receptions = {q: {m: tuple(v) for m, v in d.items()}
+                           for q, d in receptions.items()}
         self._rules: tuple[Rule, ...] | None = None
         self._moves: MoveTable | None = None
 
@@ -214,13 +207,10 @@ class Protocol:
         protocols that are parsed never step.
         """
         if self._rules is None:
-            by_msg: dict[str, list[tuple[str, str, str]]] = {m: [] for m in self.messages}
-            for edge in self.recvs:
-                by_msg[edge[1]].append(edge)
             blockers = {m: tuple(sorted(qs)) for m, qs in self.receivers_of.items()}
             rules: list[Rule] = [("tau", None, (src,), (dst,), ()) for src, dst in self.taus]
             for s, m, sp in self.sends:
-                for r, _m, rp in by_msg[m]:
+                for r, rp in self._by_msg[m]:
                     rules.append(("msg", m, (s, r), (sp, rp), ()))
                 rules.append(("nb", m, (s,), (sp,), blockers[m]))
             self._rules = tuple(rules)
@@ -241,25 +231,6 @@ class Protocol:
         if t is None or n >= t.guard:
             t = self._moves = MoveTable(self, n)
         return t
-
-
-def receivers(p: Protocol, message: str) -> frozenset[str]:
-    """States from which ``message`` can be received (the R(m) set)."""
-    if message not in p.receivers_of:
-        raise UnknownMessageError(f"message {message!r} not in alphabet of {p.name}")
-    return p.receivers_of[message]
-
-
-def reception_targets(p: Protocol, state: str, message: str) -> tuple[str, ...]:
-    """Targets of the receptions of ``message`` at ``state``; empty when there are none."""
-    return p._recv_targets.get((state, message), ())
-
-
-def receivable(p: Protocol, state: str) -> frozenset[str]:
-    """Messages with an outgoing reception at ``state``; empty for active states."""
-    if state not in p.receivable_at:
-        raise UnknownStateError(f"state {state!r} not in {p.name}")
-    return p.receivable_at[state]
 
 
 class Configuration(namedtuple("Configuration", "items")):
@@ -416,7 +387,6 @@ class MoveTable(_Fields):
         super().__init__(len(p.states), n)
         self.name = p.name
         self.states = p.states
-        self.messages = p.messages
         self.shift = dict(zip(p.states, self.shifts))
         one = {q: 1 << s for q, s in self.shift.items()}
         guard = {q: self.guard << s for q, s in self.shift.items()}

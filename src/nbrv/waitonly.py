@@ -36,14 +36,7 @@ from collections import namedtuple
 from typing import Iterator, NamedTuple
 
 from .explore import SCOVER, Problem, Verdict
-from .model import (
-    RECV,
-    Configuration,
-    Protocol,
-    check_configuration,
-    receivable,
-    reception_targets,
-)
+from .model import RECV, Configuration, Protocol, check_configuration
 
 
 class NotWaitOnlyError(ValueError):
@@ -135,8 +128,7 @@ def conflict_free(gamma: AbstractSet, p: Protocol, q1: str, q2: str) -> bool:
     toks2 = [m for q, m in gamma.tokens if q == q2]
     if not toks1 or not toks2:
         raise ValueError(f"{q1!r} and {q2!r} must both carry tokens")
-    rec1 = receivable(p, q1)
-    rec2 = receivable(p, q2)
+    rec1, rec2 = p.receptions[q1], p.receptions[q2]
     for m1 in toks1:
         for m2 in toks2:
             if m1 != m2 and (m1 not in rec2 or m2 not in rec1):
@@ -184,18 +176,18 @@ def _pumpable(p: Protocol, q: str, m: str, toks: frozenset[tuple[str, str]]) -> 
     same way.  If ``d`` answers ``m2`` but ``(d, m2)`` is not tracked yet,
     the absorber does not count in this round.
     """
-    receivable_at = p.receivable_at
-    rec_q = receivable_at[q]
+    receptions = p.receptions
+    rec_q = receptions[q]
     wants, seen = [m], {m}
     while wants:
         want = wants.pop()
         for q2, m2 in toks:
             if q2 == q:
                 continue
-            for d in reception_targets(p, q2, want):
+            for d in receptions[q2].get(want, ()):
                 if (d, m2) in toks:
                     return True
-                if m2 in receivable_at[d]:
+                if m2 in receptions[d]:
                     continue
                 if m2 not in rec_q:
                     return True
@@ -221,7 +213,7 @@ def abstract_post(gamma: AbstractSet, p: Protocol) -> AbstractSet:
     toks = gamma.tokens
     s2 = set(S)
     t2 = set(toks)
-    receivable_at = p.receivable_at
+    receptions = p.receptions
     receivers_of = p.receivers_of
 
     for src, dst in p.taus:
@@ -234,7 +226,7 @@ def abstract_post(gamma: AbstractSet, p: Protocol) -> AbstractSet:
         if src not in S:
             continue
         sendable.add(m)
-        if m not in receivable_at[dst] or not S.isdisjoint(receivers_of[m]):
+        if m not in receptions[dst] or not S.isdisjoint(receivers_of[m]):
             s2.add(dst)
         else:
             t2.add((dst, m))
@@ -247,7 +239,7 @@ def abstract_post(gamma: AbstractSet, p: Protocol) -> AbstractSet:
             continue
         if src in S or (src, m) in toks:
             s2.add(dst)
-        rec_dst = receivable_at[dst]
+        rec_dst = receptions[dst]
         for tok_m in tok_msgs.get(src, ()):
             if tok_m != m:
                 if tok_m not in rec_dst:

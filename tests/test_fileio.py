@@ -173,6 +173,7 @@ class TestMachineFormat:
     @pytest.mark.parametrize("op, error", [
         ("nop x", "6:9: operation 'nop' takes no counter"),
         ("inc", "6:9: operation 'inc' needs a counter"),
+        ("np", "6:9: unknown operation 'np'"),
     ])
     def test_counter_arity(self, op, error):
         text = f"machine m\nlocations a b\ninit a\ncounters x\nrestore off\ntrans a {op} b\n"

@@ -18,14 +18,9 @@ from nbrv.model import (
     Protocol,
     ProtocolError,
     StepLabel,
-    UnknownMessageError,
-    UnknownStateError,
     dense_image,
     dense_moves,
     dense_successors,
-    receivable,
-    receivers,
-    reception_targets,
     recv,
     send,
     successors,
@@ -66,48 +61,71 @@ class TestProtocolConstruction:
 
 class TestReceivers:
     def test_fig1_b(self, fig1):
-        assert receivers(fig1, "b") == {"q_in", "q5"}
+        assert fig1.receivers_of["b"] == {"q_in", "q5"}
 
     def test_fig1_a(self, fig1):
-        assert receivers(fig1, "a") == {"q5"}
+        assert fig1.receivers_of["a"] == {"q5"}
 
     def test_no_receptions_empty(self):
         p = Protocol("p", ["a"], ["m"], "a", "a", [("a", send("m"), "a")])
-        assert receivers(p, "m") == frozenset()
-
-    def test_unknown_message(self, fig1):
-        with pytest.raises(UnknownMessageError):
-            receivers(fig1, "zz")
+        assert p.receivers_of["m"] == frozenset()
 
 
 class TestReceivable:
     def test_p1_q1(self, p1):
-        assert receivable(p1, "q1") == {"a", "b", "c"}
+        assert p1.receptions["q1"].keys() == {"a", "b", "c"}
 
     def test_p1_q4_empty(self, p1):
-        assert receivable(p1, "q4") == frozenset()
+        assert p1.receptions["q4"] == {}
 
     def test_p2_p3(self, p2):
-        assert receivable(p2, "p3") == {"m1", "m2", "m3"}
-
-    def test_unknown_state(self, p1):
-        with pytest.raises(UnknownStateError):
-            receivable(p1, "nope")
+        assert p2.receptions["p3"].keys() == {"m1", "m2", "m3"}
 
 
 class TestReceptionTargets:
     def test_fig1(self, fig1):
-        assert reception_targets(fig1, "q5", "b") == ("q4",)
-        assert reception_targets(fig1, "q_in", "b") == ("q1",)
+        assert fig1.receptions["q5"]["b"] == ("q4",)
+        assert fig1.receptions["q_in"]["b"] == ("q1",)
 
     def test_two_targets(self):
         p = Protocol("p", ["a", "b", "c"], ["m"], "a", "a",
                      [("a", recv("m"), "c"), ("a", recv("m"), "b")])
-        assert sorted(reception_targets(p, "a", "m")) == ["b", "c"]
+        assert p.receptions["a"]["m"] == ("b", "c")
 
     def test_none_is_empty(self, fig1):
-        assert reception_targets(fig1, "q5", "zz") == ()
-        assert reception_targets(fig1, "q1", "b") == ()
+        assert "zz" not in fig1.receptions["q5"]
+        assert "b" not in fig1.receptions["q1"]
+
+    def test_tables_are_a_scan_of_the_receptions(self):
+        # Both filings of ``recvs``, and the rules built from them, against a
+        # direct scan; a quarter of the protocols have a state that both
+        # sends and receives one message.
+        rng = random.Random(34)
+        seen = Counter()
+        for k in range(500):
+            p = random_protocol(rng)
+            if k % 4 == 0:
+                p = with_self_rendezvous(rng, p)
+            for q in p.states:
+                table = {}
+                for m in p.messages:
+                    targets = tuple([rp for r, mm, rp in p.recvs if r == q and mm == m])
+                    if targets:
+                        table[m] = targets
+                assert p.receptions[q] == table
+                seen["idle" if not table else "two" if any(
+                    len(t) > 1 for t in table.values()) else "one"] += 1
+            for m in p.messages:
+                scan = frozenset([r for r, mm, _rp in p.recvs if mm == m])
+                assert p.receivers_of[m] == scan
+                seen["unheard" if not scan else "heard"] += 1
+            rules = [("tau", None, (q,), (qp,), ()) for q, qp in p.taus]
+            for s, m, sp in p.sends:
+                rules += [("msg", m, (s, r), (sp, rp), ()) for r, mm, rp in p.recvs if mm == m]
+                rules.append(("nb", m, (s,), (sp,),
+                              tuple(sorted({r for r, mm, _rp in p.recvs if mm == m}))))
+            assert p.rules == tuple(rules)
+        assert min(seen.values()) > 100, seen
 
 
 class TestSuccessors:
@@ -193,7 +211,7 @@ class TestInvariants:
                     continue
                 free = all(
                     counts.get(q2, 0) - (1 if q2 == q1 else 0) == 0
-                    for q2 in receivers(p, m)
+                    for q2 in p.receivers_of[m]
                 )
                 if free:
                     assert m in nb_msgs
@@ -201,7 +219,7 @@ class TestInvariants:
                 senders = [q1 for q1, mm, _ in p.sends if mm == m and counts.get(q1, 0) > 0]
                 assert any(
                     all(counts.get(q2, 0) - (1 if q2 == q1 else 0) == 0
-                        for q2 in receivers(p, m))
+                        for q2 in p.receivers_of[m])
                     for q1 in senders
                 )
 
@@ -248,7 +266,7 @@ class TestInvariants:
                 c = random_config(rng, p, max_items=4)
                 assert successors(p, c) == spec_successors(p, c)
                 for q, m, _q1p in p.sends:
-                    if q in receivers(p, m) and c.get(q) in shared:
+                    if q in p.receivers_of[m] and c.get(q) in shared:
                         shared[c.get(q)] += 1
         assert min(shared.values()) > 20, shared
 
@@ -282,7 +300,7 @@ class TestInvariants:
             p = random_protocol(rng, max_m=2)
             if k % 3 == 0:
                 p = with_self_rendezvous(rng, p)
-            selfish = {q for q, m, _qp in p.sends if q in receivers(p, m)}
+            selfish = {q for q, m, _qp in p.sends if q in p.receivers_of[m]}
             t = p.moves(15)
             frontier = set()
             for _ in range(rng.randint(1, 6)):

@@ -1,23 +1,42 @@
-"""The value records are named tuples that read, hash and fail as frozen dataclasses did."""
+"""The value records are named tuples that read, hash and fail as frozen dataclasses did.
+
+The input checks of the records and of the engines' entry points raise
+their exact error types and messages.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from conftest import load_protocol
+from nbrv.backward import first_population
 from nbrv.explore import Problem, Verdict, Witness
-from nbrv.gadgets import LevelContext
-from nbrv.machines import CounterOp, MachineError, Vas, VasError
+from nbrv.gadgets import LevelContext, ProceduralMachine
+from nbrv.machines import (
+    CounterMachine,
+    CounterOp,
+    MachineError,
+    MalformedMachineConfigError,
+    Vas,
+    VasError,
+    cover_bounded,
+)
 from nbrv.model import (
     Action,
     Configuration,
     MalformedConfigurationError,
+    Protocol,
     ProtocolError,
     StepLabel,
+    tau,
 )
-from nbrv.reductions import TranslationReport
-from nbrv.waitonly import AbstractSet, WaitPartition
+from nbrv.reductions import TranslationReport, protocol_to_machine
+from nbrv.waitonly import AbstractSet, WaitPartition, conflict_free, decide_cover
 
 C = Configuration((("q1", 2), ("q5", 1)))
+FIG1 = load_protocol("fig1.rvp")
+ZZ = Configuration((("zz", 1),))
+MK = CounterMachine("mk", ["a", "b"], ["x"], "a", [("a", CounterOp("inc", "x"), "b")])
 
 # One record of each class with its repr, the ``Name(field=value, ...)`` form.
 REPRS = [
@@ -97,6 +116,23 @@ def test_hash_is_the_hash_of_the_fields(record):
      "the non-blocking part must be non-negative"),
     (AbstractSet, (frozenset({"q1", "q2"}), frozenset({("q2", "a"), ("q1", "b")})), ValueError,
      "token states may not be unbounded states: ['q1', 'q2']"),
+    (Protocol, ("p", ["a"], [], "a", "a", [("a", tau(), "b")]), ProtocolError,
+     "transition 'a' -> 'b' uses undeclared state"),
+    (first_population, (FIG1, ZZ), MalformedConfigurationError, "state 'zz' not in protocol fig1"),
+    (decide_cover, (FIG1, ZZ), MalformedConfigurationError, "state 'zz' not in protocol fig1"),
+    (protocol_to_machine, (FIG1, ZZ), MalformedConfigurationError,
+     "state 'zz' not in protocol fig1"),
+    (CounterMachine, ("m", ["a"], ["x"], "b", []), MachineError,
+     "initial location 'b' not declared"),
+    (CounterMachine.index, (MK, "zz"), MalformedMachineConfigError, "unknown counter 'zz'"),
+    (CounterMachine.config, (MK, "zz"), MalformedMachineConfigError, "unknown location 'zz'"),
+    (CounterMachine.config, (MK, "a", {"x": -1}), MalformedMachineConfigError,
+     "counter values must be non-negative"),
+    (cover_bounded, (MK, "b", -1), ValueError, "cap must be non-negative"),
+    (ProceduralMachine, ("f", ["a", "b"], ["x"], [], "a", ["c"]), MachineError,
+     "outs must be declared locations"),
+    (conflict_free, (AbstractSet(frozenset({"q_in"}), frozenset({("q1", "a")})), FIG1, "q1", "q2"),
+     ValueError, "'q1' and 'q2' must both carry tokens"),
 ])
 def test_validation_errors(cls, args, error, message):
     with pytest.raises(error) as info:
