@@ -22,11 +22,9 @@ The grammar is stated once, in ``_COMMANDS``.  A well-formed command line,
 in which every word is an exact option name followed by a value that does
 not start with ``-``, a flag, or a positional, is read from that table
 directly, so it never loads ``argparse``.  Every other line (``-h``, ``--``,
-``--opt=value``, an abbreviation, a bad value, a missing or extra word) is
-parsed once by the argparse parser of the command it names, built from the
-same table, and one that names no command goes to the top-level parser.
-Usage lines, help and error messages are argparse's, as they were under
-the top-level parser's nested parse.
+``--opt=value``, an abbreviation, a bad value, a missing or extra word, no
+command at all) goes to the one top-level argparse parser, built from the
+same table, which reads it or prints its usage, help or error.
 
 ``translate`` and ``gen`` write OUT in place as UTF-8: an existing file is
 overwritten and then cut to the new length.  Nothing is fsynced, before or
@@ -293,7 +291,7 @@ def _cmd_gen(args: SimpleNamespace) -> int:
 # words, with its help line, its handler, the values its parse always adds
 # (``gen``'s ``kind``) and its arguments as ``add_argument`` takes them.
 # ``_table_parse`` reads a well-formed command line from it, and
-# ``_parsers`` builds argparse's tree from it for every other line.
+# ``build_parser`` builds argparse's tree from it for every other line.
 _COMMANDS = {
     ("check",): ("decide a verification question", _cmd_check, {}, (
         ("problem", {"choices": ["scover", "ccover", "synchro"]}),
@@ -366,8 +364,8 @@ def _grammar(words: tuple[str, ...]) -> tuple[dict, tuple, dict, tuple]:
 
 
 def _table_parse(words: tuple[str, ...], rest: list[str]) -> SimpleNamespace | None:
-    """The arguments that the parser of the command ``words`` reads from
-    ``rest``, or None when argparse must read them.
+    """The arguments of the command ``words`` read from ``rest`` as argparse
+    reads them, or None when argparse must read them.
 
     Reads only lines in which every word is an exact option name followed
     by a value that does not start with ``-``, a flag, or a positional;
@@ -413,10 +411,10 @@ def _table_parse(words: tuple[str, ...], rest: list[str]) -> SimpleNamespace | N
 
 
 @functools.cache
-def _parsers():
-    """The top-level argparse parser and the parser of each command, keyed
-    by the command's words, built from ``_COMMANDS`` on the first call and
-    shared by every later one.  Only here is ``argparse`` imported."""
+def build_parser():
+    """The argparse parser of every command, built from ``_COMMANDS`` on the
+    first call and shared by every later one.  Only here is ``argparse``
+    imported."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -424,7 +422,7 @@ def _parsers():
         description="Coverability analyses for networks with non-blocking rendez-vous.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    groups, leaves = {}, {}
+    groups = {}
     for words, (help_line, handler, fixed, arguments) in _COMMANDS.items():
         *group, name = words
         parent = sub
@@ -437,40 +435,22 @@ def _parsers():
         for arg, spec in arguments:
             leaf.add_argument(arg, **spec)
         leaf.set_defaults(func=handler, **fixed)
-        leaves[words] = leaf
-    return parser, leaves
-
-
-def build_parser():
-    """The top-level argparse parser, built on the first call and shared by every later one."""
-    return _parsers()[0]
+    return parser
 
 
 def _parse(argv: list[str]) -> SimpleNamespace:
     """The arguments of ``argv``, parsed once.
 
     A well-formed line of a command is read from ``_COMMANDS`` by
-    ``_table_parse``, so it never loads argparse.  Any other line naming a
-    command goes to that command's argparse parser; the top-level parser
-    would hand it every word after the command unchanged and report the
-    words it leaves over, and this skips that outer pass.  A command line
-    that names no command (no words, ``-h``, an unknown or incomplete
-    command) goes to the top-level parser, which prints its help or error.
+    ``_table_parse``, so it never loads argparse.  Every other line goes to
+    the argparse parser, which reads it or prints its help or error.
     """
     words = tuple(argv[:2 if argv[:1] == ["gen"] else 1])
     if words in _COMMANDS:
         args = _table_parse(words, argv[len(words):])
         if args is not None:
             return args
-    parser, leaves = _parsers()
-    leaf = leaves.get(words)
-    if leaf is None:
-        args = parser.parse_args(argv)
-    else:
-        args, extra = leaf.parse_known_args(argv[len(words):])
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return SimpleNamespace(**vars(args))
+    return SimpleNamespace(**vars(build_parser().parse_args(argv)))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -4,8 +4,10 @@ All three formats are line oriented and whitespace tokenized; ``#`` starts a
 comment running to the end of the line.  Each file is read in one pass: the
 reader keeps the words of every non-blank line with its line number, and a
 1-based column is worked out from the raw line only when a parse error
-reports it.  A ``.rvp`` or ``.nbm`` parse keeps one table per file from the
-action or operation text of a ``trans`` line to its ``Action`` or
+reports it.  The ``trans SRC LABEL DST`` lines of a ``.rvp`` protocol and of
+a ``.nbm`` machine are read by one ``_Reader`` method, ``edges``, which
+checks both ends and keeps one table per file from the label text (an
+action, or an operation and its counter) to its ``Action`` or
 ``CounterOp``: a text is checked, and its object built, where it first
 occurs, and every later line with that text costs one lookup.  A ``.vas``
 vector is converted by one lookup per word in a table of the one-digit
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import re
 from itertools import compress
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .machines import (
     NBDEC,
@@ -28,7 +30,6 @@ from .machines import (
     OP_TEXT,
     CounterMachine,
     CounterOp,
-    MachineTransition,
     Vas,
 )
 from .model import (
@@ -36,8 +37,6 @@ from .model import (
     Action,
     Configuration,
     Protocol,
-    ProtocolError,
-    Transition,
     recv,
     send,
     tau,
@@ -114,6 +113,37 @@ class _Reader:
                 raise self.unexpected(n, words, "trans")
             yield n, words
 
+    def edges(self, places: set[str], noun: str, usage: str, arity: int,
+              read_label: Callable[[_Reader, int, list[str], set[str]], object],
+              names: set[str]) -> list[tuple]:
+        """The ``(SRC, label, DST)`` of each ``trans`` line after those taken.
+
+        A line has 4 or ``arity`` (at most 5) words, ``trans SRC ... DST``,
+        with SRC and DST among the ``noun`` names ``places``.  The words
+        between them are read by ``read_label(self, n, words, names)``, with
+        ``names`` the declared messages or counters, where their text first
+        occurs in the file, and looked up in a table after that.
+        """
+        labels: dict = {}
+        edges = []
+        for n, words in self.trans():
+            if len(words) == 4:
+                _trans, src, key, dst = words
+            elif len(words) == arity:
+                _trans, src, op, counter, dst = words
+                key = op, counter
+            else:
+                raise self.error(n, 0, f"'trans' takes {usage}")
+            if src not in places:
+                raise self.error(n, 1, f"{noun} {src!r} not declared")
+            if dst not in places:
+                raise self.error(n, len(words) - 1, f"{noun} {dst!r} not declared")
+            label = labels.get(key)
+            if label is None:
+                label = labels[key] = read_label(self, n, words, names)
+            edges.append((src, label, dst))
+        return edges
+
 
 def _ident(rd: _Reader, n: int, word: str, what: str) -> str:
     """``word``, the argument of line ``n``, which must be an identifier."""
@@ -131,8 +161,9 @@ def _idents(rd: _Reader, n: int, words: list[str], what: str) -> list[str]:
     return names
 
 
-def _action(rd: _Reader, n: int, act: str, msg_set: set[str]) -> Action:
+def _action(rd: _Reader, n: int, words: list[str], msg_set: set[str]) -> Action:
     """The action named by word 2 of ``trans`` line ``n``."""
+    act = words[2]
     if act == "tau":
         return tau()
     if act[0] in "!?":
@@ -164,25 +195,8 @@ def parse_protocol(text: str, file: str = "<string>") -> Protocol:
     if final not in state_set:
         raise rd.error(final_n, 1, f"final state {final!r} not declared")
 
-    actions: dict[str, Action] = {}  # by action text, each checked on first use
-    transitions: list[Transition] = []
-    for n, words in rd.trans():
-        if len(words) != 4:
-            raise rd.error(n, 0, "'trans' takes SRC ACTION DST")
-        _trans, src, act, dst = words
-        if src not in state_set:
-            raise rd.error(n, 1, f"state {src!r} not declared")
-        if dst not in state_set:
-            raise rd.error(n, 3, f"state {dst!r} not declared")
-        action = actions.get(act)
-        if action is None:
-            action = actions[act] = _action(rd, n, act, msg_set)
-        transitions.append((src, action, dst))
-
-    try:
-        return Protocol(name, states, messages, init, final, transitions)
-    except ProtocolError as exc:
-        raise ParseError(file, 1, 1, str(exc)) from exc
+    transitions = rd.edges(state_set, "state", "SRC ACTION DST", 4, _action, msg_set)
+    return Protocol(name, states, messages, init, final, transitions)
 
 
 def serialize_protocol(p: Protocol) -> str:
@@ -264,22 +278,7 @@ def parse_machine(text: str, file: str = "<string>") -> CounterMachine:
     if init not in loc_set:
         raise rd.error(init_n, 1, f"initial location {init!r} not declared")
 
-    ops: dict[tuple[str, ...], CounterOp] = {}  # by the words between SRC and DST
-    transitions: list[MachineTransition] = []
-    for n, words in rd.trans():
-        if len(words) not in (4, 5):
-            raise rd.error(n, 0, "'trans' takes SRC OP [COUNTER] DST")
-        src, dst = words[1], words[-1]
-        if src not in loc_set:
-            raise rd.error(n, 1, f"location {src!r} not declared")
-        if dst not in loc_set:
-            raise rd.error(n, len(words) - 1, f"location {dst!r} not declared")
-        key = tuple(words[2:-1])
-        op = ops.get(key)
-        if op is None:
-            op = ops[key] = _op(rd, n, words, ctr_set)
-        transitions.append((src, op, dst))
-
+    transitions = rd.edges(loc_set, "location", "SRC OP [COUNTER] DST", 5, _op, ctr_set)
     return CounterMachine(
         name=name,
         locations=locations,

@@ -302,8 +302,7 @@ def minsky_to_protocol(mm: CounterMachine, final: str) -> tuple[Protocol, Transl
                            "(no nbdec transitions, restore off)")
     if len(mm.counters) != 2:
         raise MachineError("a Minsky machine has exactly two counters")
-    if final not in mm.locations:
-        raise MachineError("init/final locations must be declared")
+    mm.target(final)
     for src, op, _dst in mm.transitions:
         if op.kind not in (INC, DEC, ZEROTEST):
             raise MachineError(f"op {op.kind!r} not allowed in a Minsky machine")

@@ -550,12 +550,13 @@ def outcome(argv: list[str]) -> tuple[object, str, str]:
 
 
 def nested_parse(argv: list[str]):
-    """The parse that ``main`` made before it dispatched to the command's parser."""
+    """The argparse parse of the whole line, with no command table in front."""
     return build_parser().parse_args(argv)
 
 
 class TestDispatch:
-    """``main`` parses a command line once, with the parser of the command it names."""
+    """``main`` reads a valid line from the command table and sends every other
+    line to the one top-level argparse parser, with the same outcome either way."""
 
     def test_same_outcome_as_nested_parse(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -583,6 +584,10 @@ class TestDispatch:
         for argv in DISPATCH_VALID:
             assert outcome(argv)[0] == EXIT_OK, argv
         assert calls == []
+        refused = ["check", "scover", P1, "--max-procs=3"]
+        assert outcome(refused) == (EXIT_OK, "RESULT YES\n", "")
+        assert calls == [(refused,)]
+        calls.clear()
         assert outcome(["frobnicate"])[0] == EXIT_PARSE
         assert calls == [(["frobnicate"],)]
 
@@ -638,15 +643,15 @@ def table_command_lines(seed: int, count: int) -> list[list[str]]:
 
 
 def leaf_parse(argv: list[str]) -> dict | None:
-    """``vars()`` of the parse of ``argv`` by the argparse parser of the
-    command it names, or None when that parser rejects it."""
-    words = 2 if argv[0] == "gen" else 1
-    leaf = cli._parsers()[1][tuple(argv[:words])]
+    """``vars()`` of the argparse parse of ``argv`` without its ``command``
+    key, or None when argparse rejects it."""
     with redirect_stderr(io.StringIO()):
         try:
-            return vars(leaf.parse_args(argv[words:]))
+            args = vars(build_parser().parse_args(argv))
         except SystemExit:
             return None
+    del args["command"]
+    return args
 
 
 def table_parse(argv: list[str]) -> dict | None:
@@ -656,8 +661,7 @@ def table_parse(argv: list[str]) -> dict | None:
 
 
 class TestCommandTable:
-    """A command line that ``cli._table_parse`` reads gives what the command's
-    own argparse parser gives."""
+    """A command line that ``cli._table_parse`` reads gives what argparse gives."""
 
     FIXED = [
         ["check", "scover", "--method", "explore", "p1.rvp"],
@@ -1042,7 +1046,7 @@ class TestErrorMap:
         (MINSKY_HEAD.format("off") + "trans l0 inc x1 lf\ntrans lf dec x1 l0\n",
          MINSKY2P + ["lf"], "the final location must have no outgoing transition"),
         (MINSKY_HEAD.format("off") + "trans l0 inc x1 lf\n",
-         MINSKY2P + ["zz"], "init/final locations must be declared"),
+         MINSKY2P + ["zz"], "unknown target location 'zz'"),
         (RESTORE_OFF_MACHINE, ["gen", "lipton", "IN", "OUT", "--levels", "0"],
          "need at least one level"),
         (None, ["gen", "rst", "OUT", "--levels", "1", "--level", "5"],

@@ -21,8 +21,16 @@ from nbrv.fileio import (
     serialize_vas,
     vector_text,
 )
-from nbrv.machines import Vas
+from nbrv.machines import INC, CounterOp, Vas
 from nbrv.model import Configuration
+
+
+def labels_by_text(transitions) -> dict[str, int]:
+    """The number of distinct label objects that carry each label text."""
+    ids: dict[str, set[int]] = {}
+    for _src, label, _dst in transitions:
+        ids.setdefault(str(label), set()).add(id(label))
+    return {text: len(objects) for text, objects in ids.items()}
 
 
 class TestProtocolFormat:
@@ -77,6 +85,13 @@ class TestProtocolFormat:
             parse_protocol("protocol 1p\nstates a\ninit a\nfinal a\nmessages\n")
         p = parse_protocol("protocol p\nstates q' _x\ninit q'\nfinal _x\nmessages\n")
         assert set(p.states) == {"q'", "_x"}
+
+    def test_recurring_action_text_is_read_once(self):
+        text = ("protocol p\nstates a b c\ninit a\nfinal c\nmessages m n\n"
+                "trans a !m b\ntrans b !m c\ntrans c ?m a\ntrans a !n c\ntrans b ?m a\n")
+        p = parse_protocol(text)
+        assert len(p.transitions) == 5
+        assert labels_by_text(p.transitions) == {"!m": 1, "?m": 1, "!n": 1}
 
     def test_round_trip(self):
         rng = random.Random(81)
@@ -139,6 +154,16 @@ class TestMachineFormat:
             m = random_machine(rng, restore=rng.random() < 0.5)
             assert parse_machine(serialize_machine(m)) == m
 
+    def test_ops_of_four_and_five_word_lines_are_read_once(self):
+        text = ("machine m\nlocations a b c\ninit a\ncounters x y\nrestore off\n"
+                "trans a nop b\ntrans b inc x c\ntrans c inc y a\n"
+                "trans b nop c\ntrans a inc x c\ntrans a inc y b\n")
+        m = parse_machine(text)
+        assert len(m.transitions) == 6
+        assert labels_by_text(m.transitions) == {"nop": 1, "inc x": 1, "inc y": 1}
+        ops = {str(op): op for _s, op, _d in m.transitions}
+        assert ops["inc x"] == CounterOp(INC, "x") != ops["inc y"] == CounterOp(INC, "y")
+
     def test_all_op_spellings(self):
         text = ("machine m\nlocations a b\ninit a\ncounters x\nrestore off\n"
                 "trans a nop b\ntrans a inc x b\ntrans a dec x b\n"
@@ -169,6 +194,17 @@ class TestMachineFormat:
         with pytest.raises(ParseError) as exc:
             parse_machine(text)
         assert exc.value.line == 6
+
+    @pytest.mark.parametrize("line, error", [
+        ("trans a nop zz", "6:13: location 'zz' not declared"),
+        ("trans a inc x zz", "6:15: location 'zz' not declared"),
+        ("trans zz inc x b", "6:7: location 'zz' not declared"),
+    ])
+    def test_undeclared_location_is_reported_at_its_word(self, line, error):
+        text = f"machine m\nlocations a b\ninit a\ncounters x\nrestore off\n{line}\n"
+        with pytest.raises(ParseError) as exc:
+            parse_machine(text, "x")
+        assert str(exc.value) == f"x:{error}"
 
     @pytest.mark.parametrize("op, error", [
         ("nop x", "6:9: operation 'nop' takes no counter"),
