@@ -202,8 +202,8 @@ def _cmd_abstract(args: SimpleNamespace) -> int:
     _gamma, trace = waitonly.fixpoint(p)
     shown = trace if args.trace else trace[-1:]
     for gamma in shown:
-        states = ",".join(gamma.sorted_states())
-        toks = ",".join(f"({q},{m})" for q, m in gamma.sorted_tokens())
+        states = ",".join(sorted(gamma.states))
+        toks = ",".join(f"({q},{m})" for q, m in sorted(gamma.tokens))
         print(f"S = {{{states}}} Toks = {{{toks}}}")
     return EXIT_OK
 

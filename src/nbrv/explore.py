@@ -118,9 +118,6 @@ class Witness(NamedTuple):
     initial: Any
     steps: tuple[tuple[Any, Any], ...]
 
-    def final(self) -> Any:
-        return self.steps[-1][1] if self.steps else self.initial
-
 
 class Verdict(namedtuple("Verdict", "answer witness explored_bound note stats")):
     """Outcome of a decision procedure.

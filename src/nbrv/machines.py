@@ -43,7 +43,7 @@ DEC = "dec"
 ZEROTEST = "zerotest"
 NBDEC = "nbdec"
 
-# The semantics of each op kind, in ``_mt_key`` order: the change the op
+# The semantics of each op kind, in ``transitions`` order: the change the op
 # makes to its counter when the counter is positive and when it is zero,
 # ``None`` where the op blocks.  ``nop`` has no counter.
 EFFECT: dict[str, tuple[int | None, int | None]] = {
@@ -56,10 +56,6 @@ OP_TEXT = {NOP: "nop", INC: "inc", DEC: "dec", ZEROTEST: "zero?", NBDEC: "nbdec"
 
 class MachineError(ValueError):
     """Structurally invalid counter machine."""
-
-
-class MalformedMachineConfigError(ValueError):
-    """Configuration does not fit the machine (bad location, negative value)."""
 
 
 class CounterOp(namedtuple("CounterOp", "kind counter")):
@@ -76,9 +72,6 @@ class CounterOp(namedtuple("CounterOp", "kind counter")):
             raise MachineError(f"{kind} needs a counter")
         return tuple.__new__(cls, (kind, counter))
 
-    def sort_key(self) -> tuple[int, str]:
-        return (_OP_ORDER[self.kind], self.counter or "")
-
     def __str__(self) -> str:
         text = OP_TEXT[self.kind]
         return text if self.counter is None else f"{text} {self.counter}"
@@ -88,10 +81,6 @@ MachineTransition = tuple[str, CounterOp, str]
 
 # The op of every restore jump.
 _RESTORE = CounterOp(NOP)
-
-
-def _mt_key(t: MachineTransition) -> tuple:
-    return (t[0], t[1].sort_key(), t[2])
 
 
 class MachineConfig(NamedTuple):
@@ -125,8 +114,8 @@ class CounterMachine:
         self.locations: tuple[str, ...] = tuple(sorted(set(locations)))
         self.counters: tuple[str, ...] = tuple(sorted(set(counters)))
         self.init = init
-        # Transitions are deduplicated and ordered on plain keys, the fields
-        # of ``_mt_key``, which hash and compare in C.
+        # Transitions are deduplicated and ordered on plain keys, (src, op
+        # rank, counter, dst), which hash and compare in C.
         keyed = {(src, _OP_ORDER[op.kind], op.counter or "", dst): op
                  for src, op, dst in transitions}
         order = sorted(keyed)
@@ -144,25 +133,8 @@ class CounterMachine:
                 raise MachineError(f"transition {src!r} -> {dst!r} uses undeclared location")
             if x and x not in ctrs:
                 raise MachineError(f"undeclared counter {x!r}")
-        self._index = {x: i for i, x in enumerate(self.counters)}
         self._moves: tuple[tuple[MachineTransition, ...], ...] | None = None
         self._table: MachineTable | None = None
-
-    def _key(self) -> tuple:
-        return (
-            self.name, self.locations, self.counters, self.init,
-            self.transitions, self.restore,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CounterMachine) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        kind = "NB-R-CM" if self.is_nbrcm else ("NB-CM" if self.is_test_free else "CM")
-        return f"CounterMachine({self.name!r}, {kind}, |L|={len(self.locations)})"
 
     @property
     def is_test_free(self) -> bool:
@@ -172,12 +144,6 @@ class CounterMachine:
     def is_nbrcm(self) -> bool:
         return self.is_test_free and self.restore
 
-    def index(self, counter: str) -> int:
-        try:
-            return self._index[counter]
-        except KeyError:
-            raise MalformedMachineConfigError(f"unknown counter {counter!r}") from None
-
     def target(self, loc: str) -> int:
         """The index of the target location ``loc``; ``MachineError`` if undeclared."""
         try:
@@ -185,26 +151,15 @@ class CounterMachine:
         except KeyError:
             raise MachineError(f"unknown target location {loc!r}") from None
 
-    def config(self, loc: str, valuation: dict[str, int] | None = None) -> MachineConfig:
-        """A checked configuration: where configurations enter the searches."""
-        valuation = valuation or {}
-        for x in valuation:
-            self.index(x)
-        if loc not in self.loc_index:
-            raise MalformedMachineConfigError(f"unknown location {loc!r}")
-        values = tuple(valuation.get(x, 0) for x in self.counters)
-        if values and min(values) < 0:
-            raise MalformedMachineConfigError("counter values must be non-negative")
-        return MachineConfig(loc, values)
-
     def initial_config(self) -> MachineConfig:
-        return self.config(self.init)
+        """The ``init`` location with every counter at 0: where the searches start."""
+        return MachineConfig(self.init, (0,) * len(self.counters))
 
     def moves(self) -> tuple[tuple[MachineTransition, ...], ...]:
         """The transitions out of each location, one row per location in
         ``locations`` order, restore jumps included.
 
-        Each row is in ``_mt_key`` order and holds each transition once: a
+        Each row is in ``transitions`` order and holds each transition once: a
         restore jump is a nop to ``init``, merged with an equal nop edge.
         The rows are built on first use; :class:`MachineTable` and
         ``reductions.machine_to_vas`` compile them.
@@ -247,7 +202,7 @@ class MachineTable(_Fields):
     field at ``shifts[i]``, for values up to ``cap + 1``: the most one step
     makes from a configuration within the cap, so no step sets a guard bit.
     ``rows[l]`` lists the moves out of the location of index ``l``, in
-    ``_mt_key`` order, as ``(transition, field, nonzero, zero)``: the move
+    ``transitions`` order, as ``(transition, field, nonzero, zero)``: the move
     adds ``nonzero`` when ``v & field`` is nonzero and ``zero`` when it is
     zero, and is blocked where that delta is ``None``.  The deltas are the
     op's ``EFFECT`` entries in the counter's field plus the change of
@@ -296,7 +251,7 @@ def machine_successors(t: MachineTable, v: int) -> list[tuple[MachineTransition,
 
     ``v`` holds the location index in its low bits and one guarded field
     per counter (see :class:`MachineTable`).  Each move of the location,
-    restore jumps included and in ``_mt_key`` order, is one test of its
+    restore jumps included and in ``transitions`` order, is one test of its
     counter's field and one addition of a precomputed delta that also
     moves the location.  ``v``'s counters must be within the cap ``t`` was
     compiled for, so that no result sets a guard bit.
@@ -314,10 +269,10 @@ def successors(
 ) -> list[tuple[MachineTransition, MachineConfig]]:
     """All enabled one-step moves, restore jumps included, in a fixed order.
 
-    The order is ``_mt_key``.  Each op changes its counter, or blocks, as
-    its ``EFFECT`` entry says; a restore jump is a ``nop``.  ``cfg`` is
-    trusted: it comes from :meth:`CounterMachine.config` or from an
-    earlier step, so it is not checked again.  This is
+    The moves come in ``transitions`` order.  Each op changes its counter,
+    or blocks, as its ``EFFECT`` entry says; a restore jump is a ``nop``.
+    ``cfg`` is trusted: it comes from :meth:`CounterMachine.initial_config`
+    or from an earlier step, so it is not checked again.  This is
     :func:`machine_successors` on the packed form of ``cfg``.
     """
     t = m.table(max(cfg.values, default=0))

@@ -60,8 +60,8 @@ _TAU_RANK, _SEND_RANK, _RECV_RANK = 0, 1, 2
 _KIND_ORDER = {TAU: _TAU_RANK, SEND: _SEND_RANK, RECV: _RECV_RANK}
 
 # The step kinds in label order: a tau step, then rendez-vous ``msg:<m>``,
-# then non-blocking ``nb:<m>``.  ``StepLabel.sort_key``, ``MoveTable.order``
-# and the rule order of ``reductions.protocol_to_machine`` all read it.
+# then non-blocking ``nb:<m>``.  ``MoveTable.order`` and the rule order of
+# ``reductions.protocol_to_machine`` read it.
 STEP_KINDS = ("tau", "msg", "nb")
 
 
@@ -176,21 +176,6 @@ class Protocol:
         self._rules: tuple[Rule, ...] | None = None
         self._moves: MoveTable | None = None
 
-    def _key(self) -> tuple:
-        return (self.name, self.states, self.messages, self.init, self.final, self.transitions)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Protocol) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"Protocol({self.name!r}, |Q|={len(self.states)}, |Sigma|={len(self.messages)}, "
-            f"|T|={len(self.transitions)})"
-        )
-
     @property
     def rules(self) -> tuple[Rule, ...]:
         """The step rules, each ``(kind, message, sources, destinations, blockers)``.
@@ -253,25 +238,11 @@ class Configuration(namedtuple("Configuration", "items")):
     def from_counts(cls, counts: Mapping[str, int]) -> "Configuration":
         return cls(tuple(sorted((s, n) for s, n in counts.items() if n != 0)))
 
-    def get(self, state: str) -> int:
-        for s, n in self.items:
-            if s == state:
-                return n
-        return 0
-
     def total(self) -> int:
         return sum(n for _, n in self.items)
 
-    def counts(self) -> dict[str, int]:
-        return dict(self.items)
-
     def states(self) -> tuple[str, ...]:
         return tuple(s for s, _ in self.items)
-
-    def covers(self, other: "Configuration") -> bool:
-        """Componentwise multiset ordering: ``self(q) >= other(q)`` for every ``q``."""
-        counts = self.counts()
-        return all(counts.get(s, 0) >= n for s, n in other.items)
 
     def __str__(self) -> str:
         return ",".join(s if n == 1 else f"{s}:{n}" for s, n in self.items)
@@ -290,9 +261,6 @@ class StepLabel(NamedTuple):
 
     kind: str
     message: str | None = None
-
-    def sort_key(self) -> tuple[int, str]:
-        return (STEP_KINDS.index(self.kind), self.message or "")
 
     def __str__(self) -> str:
         if self.kind == "tau":
@@ -378,9 +346,9 @@ class MoveTable(_Fields):
     ``v`` with that signature steps to ``v + delta`` under the label
     ``labels[rank]``.  ``order`` lists the labels in rank order, one
     ``(kind, message)`` pair per rank: the kinds in :data:`STEP_KINDS`
-    order, ``tau`` once and each send kind once per message in name order,
-    as ``StepLabel.sort_key`` sorts them.  A rule's rank is the index of its
-    pair there, and ``labels`` is built from it.
+    order, ``tau`` once and each send kind once per message in name order:
+    the label order of :func:`successors`.  A rule's rank is the index of
+    its pair there, and ``labels`` is built from it.
     """
 
     def __init__(self, p: Protocol, n: int) -> None:

@@ -77,12 +77,6 @@ class AbstractSet(namedtuple("AbstractSet", "states tokens")):
     def token_states(self) -> frozenset[str]:
         return frozenset(q for q, _ in self.tokens)
 
-    def sorted_states(self) -> list[str]:
-        return sorted(self.states)
-
-    def sorted_tokens(self) -> list[tuple[str, str]]:
-        return sorted(self.tokens)
-
 
 def partition(p: Protocol) -> WaitPartition:
     """Partition states by their outgoing actions; fail on mixed states.

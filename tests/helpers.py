@@ -14,6 +14,7 @@ from nbrv.explore import Problem, ResourceLimitError, Verdict, Witness, search
 from nbrv.gadgets import LevelContext, ProceduralMachine
 from nbrv.machines import (
     DEC,
+    EFFECT,
     INC,
     NBDEC,
     NOP,
@@ -24,10 +25,10 @@ from nbrv.machines import (
     MachineTable,
     Vas,
     VasError,
-    _mt_key,
     machine_successors,
 )
 from nbrv.model import (
+    STEP_KINDS,
     Configuration,
     MalformedConfigurationError,
     MoveTable,
@@ -50,6 +51,44 @@ RST_MACHINE = ("machine rst2\nlocations qin l1 l2 l3 lf\ninit qin\ncounters x y\
 MINSKY_MACHINE = ("machine mk2\nlocations l0 c0_1 l2 l3 lf\ninit l0\ncounters a b\n"
                   "restore off\ntrans l0 inc a c0_1\ntrans c0_1 zero? b l2\n"
                   "trans l2 dec a l3\ntrans l3 inc b l2\ntrans l2 zero? a lf\n")
+
+
+def covers(c: Configuration, d: Configuration) -> bool:
+    """The cover order: ``c(q) >= d(q)`` for every state ``q``."""
+    counts = dict(c.items)
+    return all(counts.get(q, 0) >= n for q, n in d.items)
+
+
+def label_key(label: StepLabel) -> tuple[int, str]:
+    """The label order: the kinds in ``STEP_KINDS`` order, then the message."""
+    return (STEP_KINDS.index(label.kind), label.message or "")
+
+
+def transition_key(t) -> tuple:
+    """The order of a machine's ``transitions``: source, then the op kind in
+    ``EFFECT`` order and its counter, then target."""
+    src, op, dst = t
+    return (src, list(EFFECT).index(op.kind), op.counter or "", dst)
+
+
+def machine_config(m: CounterMachine, loc: str, valuation: dict[str, int] | None = None
+                   ) -> MachineConfig:
+    """The configuration at ``loc`` with the counters of ``valuation``, 0 elsewhere."""
+    valuation = valuation or {}
+    assert loc in m.loc_index and valuation.keys() <= set(m.counters), (loc, valuation)
+    return MachineConfig(loc, tuple(valuation.get(x, 0) for x in m.counters))
+
+
+def model_key(x: Protocol | CounterMachine | Vas) -> tuple:
+    """All six fields of a protocol or machine, for comparing two of them.
+
+    A VAS is a named tuple, so it is its own key.
+    """
+    if isinstance(x, Protocol):
+        return (x.name, x.states, x.messages, x.init, x.final, x.transitions)
+    if isinstance(x, CounterMachine):
+        return (x.name, x.locations, x.counters, x.init, x.transitions, x.restore)
+    return x
 
 
 def initial(p: Protocol, n: int) -> Configuration:
@@ -137,7 +176,7 @@ def bad_witnesses(w: Witness, wrong_label) -> dict[str, Witness]:
         # A real run, from the first configuration after the start.
         "start-not-initial": Witness(first, tuple(rest)),
         "wrong-label": Witness(w.initial, ((wrong_label, first), *rest)),
-        "not-a-successor": Witness(w.initial, ((label, w.final()), *rest)),
+        "not-a-successor": Witness(w.initial, ((label, w.steps[-1][1]), *rest)),
         "step-dropped": Witness(w.initial, tuple(rest)),
     }
 
@@ -176,7 +215,7 @@ def spec_machine_successors(m: CounterMachine, cfg: MachineConfig) -> list:
 
     Every transition out of ``cfg.loc``, plus the restore jump to ``m.init``
     on a restore machine (once, even where a nop edge already makes it), in
-    ``_mt_key`` order.  ``inc`` adds one; ``dec`` subtracts one and is
+    ``transitions`` order.  ``inc`` adds one; ``dec`` subtracts one and is
     blocked at zero; ``nbdec`` subtracts one and leaves a zero as it is; a
     zero test fires only on zero; ``nop`` changes no counter.
     """
@@ -184,7 +223,7 @@ def spec_machine_successors(m: CounterMachine, cfg: MachineConfig) -> list:
     if m.restore:
         edges.add((cfg.loc, CounterOp(NOP), m.init))
     out = []
-    for t in sorted(edges, key=_mt_key):
+    for t in sorted(edges, key=transition_key):
         op, dst = t[1], t[2]
         vals = dict(zip(m.counters, cfg.values))
         if op.kind == INC:
@@ -197,7 +236,7 @@ def spec_machine_successors(m: CounterMachine, cfg: MachineConfig) -> list:
             vals[op.counter] = max(0, vals[op.counter] - 1)
         elif op.kind == ZEROTEST and vals[op.counter] != 0:
             continue
-        out.append((t, m.config(dst, vals)))
+        out.append((t, machine_config(m, dst, vals)))
     return out
 
 
@@ -206,9 +245,9 @@ def spec_successors(p: Protocol, c: Configuration) -> list[tuple[StepLabel, Conf
 
     A sparse reference for the compiled interpreter: it works on a count
     dict, pairs every send edge with every receive edge of its message, and
-    sorts by ``(label.sort_key(), items)``.
+    sorts by label order, then by ``items``.
     """
-    counts = Counter(c.counts())
+    counts = Counter(dict(c.items))
 
     def present(*states: str) -> bool:
         # Each listed state hosts its own process: a repeated state needs two.
@@ -237,7 +276,7 @@ def spec_successors(p: Protocol, c: Configuration) -> list[tuple[StepLabel, Conf
         others[src] -= 1
         if not any(others[q] > 0 for q, _qp in receptions):
             found.add((StepLabel("nb", act.message), moved((src, dst))))
-    return sorted(found, key=lambda pair: (pair[0].sort_key(), pair[1].items))
+    return sorted(found, key=lambda pair: (label_key(pair[0]), pair[1].items))
 
 
 def spec_violations(p: Protocol) -> tuple:
@@ -329,7 +368,7 @@ def reachable_packed(
     a counter above that cap is run again with twice the cap, so the set
     returned is complete; the table returned decodes it.
     """
-    start = pm.config(pm.init, entry_valuation)
+    start = machine_config(pm, pm.init, entry_valuation)
     overflow = f"budget {budget} exceeded while simulating {pm.name}"
     cap = max(start.values, default=0) + 1
     while True:
@@ -388,7 +427,7 @@ def backward_cover(p: Protocol, target: Configuration) -> bool:
         for src, op, dst in row:
             if op.kind == ZEROTEST:
                 raise ValueError("zero tests are not monotone")
-            x = m.index(op.counter) if op.counter else -1
+            x = m.counters.index(op.counter) if op.counter else -1
             pre.setdefault(dst, []).append((src, op.kind, x))
     zero = (0,) * len(m.counters)
     basis: dict[str, set[tuple[int, ...]]] = {loc: set() for loc in m.locations}

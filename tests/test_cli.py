@@ -895,7 +895,7 @@ class TestGen:
             _step, label, config = line.split()
             kind, _colon, message = label.partition(":")
             steps.append((StepLabel(kind, message or None), fileio.parse_config(config, p)))
-        assert steps[-1][1].get(p.final) >= 1
+        assert dict(steps[-1][1].items).get(p.final, 0) >= 1
         assert replay(p, Witness(initial(p, 10), tuple(steps)))
 
     def test_lipton_shell(self, capsys, tmp_path):

@@ -13,6 +13,7 @@ from conftest import PROTOCOL_DIR, load_protocol
 from helpers import (
     WITNESS_MUTATIONS,
     bad_witnesses,
+    covers,
     initial,
     ordered_decide_fixed,
     ordered_decide_sweep,
@@ -116,7 +117,8 @@ def signature(p: Protocol, c: Configuration) -> tuple[frozenset, frozenset]:
     """The occupied states of ``c``, and those of its states that send a
     message they also receive holding two processes or more."""
     shared = {q for q, m, _qp in p.sends if q in p.receivers_of[m]}
-    return frozenset(c.states()), frozenset(q for q in shared if c.get(q) >= 2)
+    counts = dict(c.items)
+    return frozenset(counts), frozenset(q for q in shared if counts.get(q, 0) >= 2)
 
 
 class TestLevels:
@@ -227,7 +229,7 @@ class TestDecideFixed:
                       fig1.transitions)
         verdict = decide_fixed(q2, Problem("synchro"), 2)
         assert verdict.is_yes()
-        assert verdict.witness.final() == cfg(q2=2)
+        assert verdict.witness.steps[-1][1] == cfg(q2=2)
 
     def test_initial_configuration_can_satisfy(self):
         p = Protocol("p", ["a"], [], "a", "a", [])
@@ -242,7 +244,7 @@ class TestDecideFixed:
             prob = Problem("ccover", target)
             for n in (1, 2, 3):
                 verdict = decide_fixed(p, prob, n)
-                scan = any(c.covers(target) for c in reached(p, n))
+                scan = any(covers(c, target) for c in reached(p, n))
                 assert verdict.is_yes() == scan
 
 
@@ -263,7 +265,7 @@ class TestDecideSweep:
         verdict = decide_sweep(fig1, Problem("ccover", cfg(q3=3)), 8)
         assert verdict.is_yes()
         assert replay(fig1, verdict.witness)
-        assert verdict.witness.final().covers(cfg(q3=3))
+        assert covers(verdict.witness.steps[-1][1], cfg(q3=3))
 
     def test_budget_ends_sweep_with_unknown(self, fig1):
         # Population 13 is the first whose search exceeds 300 nodes.
@@ -315,7 +317,8 @@ class TestWitnesses:
             verdict = decide_sweep(p, Problem("ccover", target), 4)
             if verdict.is_yes():
                 assert replay(p, verdict.witness)
-                assert verdict.witness.final().covers(target)
+                w = verdict.witness
+                assert covers(w.steps[-1][1] if w.steps else w.initial, target)
 
     def test_population_monotonicity_of_yes(self):
         rng = random.Random(24)

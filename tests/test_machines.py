@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from helpers import (
     WITNESS_MUTATIONS,
     bad_witnesses,
+    machine_config,
     random_machine,
     random_vas,
     spec_machine_cover,
@@ -17,6 +18,7 @@ from helpers import (
     spec_step_strict,
     spec_vas_cover,
     step_relaxed,
+    transition_key,
 )
 from nbrv.explore import ResourceLimitError
 from nbrv.machines import (
@@ -35,7 +37,6 @@ from nbrv.machines import (
     VasError,
     VasLayout,
     _candidates,
-    _mt_key,
     apply_strict,
     cover_bounded,
     replay_machine,
@@ -75,7 +76,8 @@ class TestOpSemantics:
         for value, after in enumerate(AFTER[kind]):
             change = EFFECT[kind][value == 0]
             assert (None if change is None else value + change) == after
-            got = [(c.loc, c.values) for _t, c in successors(m, m.config("l0", {"x": value}))]
+            cfg = machine_config(m, "l0", {"x": value})
+            got = [(c.loc, c.values) for _t, c in successors(m, cfg)]
             assert got == ([] if after is None else [("l1", (after,))])
             if image is not None:
                 (t,) = image
@@ -83,6 +85,13 @@ class TestOpSemantics:
 
 
 class TestMachineSuccessors:
+    @pytest.mark.parametrize("counters", [(), ("x",), ("y", "x", "z")])
+    def test_initial_config(self, counters):
+        # Every search starts at the init location with every counter at 0.
+        m = CounterMachine("m", ["b", "a"], counters, "b", [("b", CounterOp(NOP), "a")])
+        assert m.initial_config() == MachineConfig("b", (0,) * len(counters))
+        assert cover_bounded(m, "a", 0).witness.initial == m.initial_config()
+
     def test_nbdec_at_zero(self):
         m = simple([("l0", CounterOp(NBDEC, "x"), "l1")])
         succ = successors(m, m.initial_config())
@@ -94,21 +103,21 @@ class TestMachineSuccessors:
 
     def test_restore_jump_everywhere(self):
         m = simple([("l0", CounterOp(INC, "x"), "l1")], restore=True)
-        cfg = m.config("l1", {"x": 2})
+        cfg = machine_config(m, "l1", {"x": 2})
         succ = successors(m, cfg)
         assert any(c.loc == "l0" and c.values == (2,) for _t, c in succ)
 
     def test_zerotest_requires_zero(self):
         m = simple([("l0", CounterOp(ZEROTEST, "x"), "l1")])
-        assert successors(m, m.config("l0", {"x": 1})) == []
-        assert successors(m, m.config("l0", {"x": 0}))[0][1].loc == "l1"
+        assert successors(m, machine_config(m, "l0", {"x": 1})) == []
+        assert successors(m, machine_config(m, "l0", {"x": 0}))[0][1].loc == "l1"
 
     def test_nbdec_never_blocks(self):
         rng = random.Random(41)
         for _ in range(200):
             m = random_machine(rng)
-            cfg = m.config(rng.choice(m.locations),
-                           {x: rng.randint(0, 3) for x in m.counters})
+            cfg = machine_config(m, rng.choice(m.locations),
+                                 {x: rng.randint(0, 3) for x in m.counters})
             succ = successors(m, cfg)
             for src, op, dst in m.transitions:
                 if op.kind == NBDEC and src == cfg.loc:
@@ -118,8 +127,8 @@ class TestMachineSuccessors:
         rng = random.Random(42)
         for _ in range(200):
             m = random_machine(rng, restore=rng.random() < 0.5)
-            cfg = m.config(rng.choice(m.locations),
-                           {x: rng.randint(0, 3) for x in m.counters})
+            cfg = machine_config(m, rng.choice(m.locations),
+                                 {x: rng.randint(0, 3) for x in m.counters})
             for _t, nxt in successors(m, cfg):
                 assert all(v >= 0 for v in nxt.values)
 
@@ -127,8 +136,8 @@ class TestMachineSuccessors:
         rng = random.Random(43)
         for _ in range(100):
             m = random_machine(rng, restore=True)
-            cfg = m.config(rng.choice(m.locations),
-                           {x: rng.randint(0, 2) for x in m.counters})
+            cfg = machine_config(m, rng.choice(m.locations),
+                                 {x: rng.randint(0, 2) for x in m.counters})
             succ = successors(m, cfg)
             assert any(c.loc == m.init and c.values == cfg.values for _t, c in succ)
 
@@ -143,9 +152,9 @@ def with_zero_tests(rng: random.Random, m: CounterMachine) -> CounterMachine:
 
 def enabled(m: CounterMachine, op: CounterOp, values: tuple[int, ...]) -> bool:
     if op.kind == DEC:
-        return values[m.index(op.counter)] >= 1
+        return values[m.counters.index(op.counter)] >= 1
     if op.kind == ZEROTEST:
-        return values[m.index(op.counter)] == 0
+        return values[m.counters.index(op.counter)] == 0
     return True
 
 
@@ -159,11 +168,11 @@ class TestSuccessorOrder:
         for _ in range(400):
             m = with_zero_tests(rng, random_machine(rng, max_t=8,
                                                     restore=rng.random() < 0.5))
-            cfg = m.config(rng.choice(m.locations),
-                           {x: rng.randint(0, 2) for x in m.counters})
+            cfg = machine_config(m, rng.choice(m.locations),
+                                 {x: rng.randint(0, 2) for x in m.counters})
             succ = successors(m, cfg)
             trans = [t for t, _c in succ]
-            assert trans == sorted(trans, key=_mt_key)
+            assert trans == sorted(trans, key=transition_key)
             assert len(set(trans)) == len(trans)
             want = {t for t in m.transitions
                     if t[0] == cfg.loc and enabled(m, t[1], cfg.values)}
@@ -181,8 +190,8 @@ class TestSuccessorOrder:
         for _ in range(600):
             m = with_zero_tests(rng, random_machine(rng, max_t=8,
                                                     restore=rng.random() < 0.5))
-            cfg = m.config(rng.choice(m.locations),
-                           {x: rng.randint(0, 2) for x in m.counters})
+            cfg = machine_config(m, rng.choice(m.locations),
+                                 {x: rng.randint(0, 2) for x in m.counters})
             succ = successors(m, cfg)
             assert succ == spec_machine_successors(m, cfg)
             assert all(type(c) is MachineConfig for _t, c in succ)
@@ -203,7 +212,7 @@ class TestSuccessorOrder:
     def test_restore_jump_merges_with_nop_edge(self):
         m = simple([("l1", CounterOp(NOP), "l0"), ("l1", CounterOp(INC, "x"), "l0"),
                     ("l1", CounterOp(NBDEC, "x"), "l0")], restore=True)
-        succ = successors(m, m.config("l1", {"x": 1}))
+        succ = successors(m, machine_config(m, "l1", {"x": 1}))
         assert [(t[1].kind, c.values) for t, c in succ] == [
             (NOP, (1,)), (INC, (2,)), (NBDEC, (0,))]
 
@@ -339,7 +348,7 @@ class TestCoverBounded:
         m = CounterMachine("m", ["a", "b", "c", "d"], [], "a",
                            [("a", CounterOp(NOP), "b"), ("b", CounterOp(NOP), "c")],
                            restore=True)
-        assert successors(m, m.config("b")) == [
+        assert successors(m, machine_config(m, "b")) == [
             (("b", CounterOp(NOP), "a"), MachineConfig("a", ())),
             (("b", CounterOp(NOP), "c"), MachineConfig("c", ()))]
         for loc in m.locations:
@@ -347,7 +356,7 @@ class TestCoverBounded:
                 verdict = cover_bounded(m, loc, cap)
                 assert (verdict.answer, list(verdict.witness.steps) if verdict.witness else None,
                         verdict.stats) == spec_machine_cover(m, loc, cap, 100)
-        assert cover_bounded(m, "c", 0).witness.final() == MachineConfig("c", ())
+        assert cover_bounded(m, "c", 0).witness.steps[-1][1] == MachineConfig("c", ())
         assert cover_bounded(m, "d", 0).stats == {"visited": 3, "pruned": 0}
 
 

@@ -16,7 +16,6 @@ from nbrv.machines import (
     CounterMachine,
     CounterOp,
     MachineError,
-    MalformedMachineConfigError,
     Vas,
     VasError,
     cover_bounded,
@@ -124,10 +123,11 @@ def test_hash_is_the_hash_of_the_fields(record):
      "state 'zz' not in protocol fig1"),
     (CounterMachine, ("m", ["a"], ["x"], "b", []), MachineError,
      "initial location 'b' not declared"),
-    (CounterMachine.index, (MK, "zz"), MalformedMachineConfigError, "unknown counter 'zz'"),
-    (CounterMachine.config, (MK, "zz"), MalformedMachineConfigError, "unknown location 'zz'"),
-    (CounterMachine.config, (MK, "a", {"x": -1}), MalformedMachineConfigError,
-     "counter values must be non-negative"),
+    (CounterMachine, ("m", ["a"], [], "a", [("a", CounterOp("inc", "x"), "a")]), MachineError,
+     "undeclared counter 'x'"),
+    (CounterMachine, ("m", ["a"], [], "a", [("a", CounterOp("nop"), "b")]), MachineError,
+     "transition 'a' -> 'b' uses undeclared location"),
+    (CounterMachine.target, (MK, "zz"), MachineError, "unknown target location 'zz'"),
     (cover_bounded, (MK, "b", -1), ValueError, "cap must be non-negative"),
     (ProceduralMachine, ("f", ["a", "b"], ["x"], [], "a", ["c"]), MachineError,
      "outs must be declared locations"),

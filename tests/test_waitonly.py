@@ -192,7 +192,7 @@ class TestAdmits:
                 for _ in range(40):
                     c = random_config(rng, proto, max_items=3)
                     if admits(g, c, proto):
-                        counts = c.counts()
+                        counts = dict(c.items)
                         q = rng.choice(list(counts))
                         counts[q] -= 1
                         if sum(counts.values()) >= 1:
