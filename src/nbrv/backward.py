@@ -5,7 +5,8 @@ state.  :func:`first_population` computes the upward-closed set of
 configurations from which some run covers the target, as the antichain of
 its minimal elements, and answers with the smallest population ``n`` whose
 initial configuration ``n * init`` lies in that set, or NO when none does.
-:func:`decide` routes the ``check`` questions through it.
+:func:`decide` is the one decision procedure of ``nbrv check``: its
+docstring states which engine answers each method and problem.
 
 Why it is sound
 ---------------
@@ -70,9 +71,13 @@ from __future__ import annotations
 
 import heapq
 
-from . import explore
+from . import explore, waitonly
 from .explore import DEFAULT_BUDGET, SYNCHRO, Problem, ResourceLimitError, Verdict
 from .model import Configuration, Protocol, _Fields, check_configuration
+
+
+# The methods of :func:`decide`, as ``nbrv check --method`` offers them.
+METHODS = ("explore", "abstract", "backward", "auto")
 
 
 class EngineDisagreementError(RuntimeError):
@@ -197,21 +202,48 @@ def first_population(p: Protocol, target: Configuration,
 
 
 def decide(p: Protocol, prob: Problem, max_n: int,
-           budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Decide ``prob`` with :func:`first_population`, at most ``budget`` pops.
+           budget: int = DEFAULT_BUDGET, method: str = "backward") -> Verdict:
+    """Decide ``prob`` on ``p`` by ``method``: the routing of ``nbrv check``.
 
-    A NO is exact, and past ``budget`` pops the answer is UNKNOWN, noted
-    ``budget``.  The search asks for ``prob.cover(p)``.  A cover question
-    (``scover`` or ``ccover``) that the backward search answers YES at
-    population ``n <= max_n`` gets the verdict of the explorer's
-    label-ordered search at ``n`` (``explore.decide_ordered``), with its
-    witness; the explorer must agree.  At ``n > max_n`` the answer is
-    UNKNOWN.  For ``synchro`` the cover is necessary but not enough: a NO
-    is exact for it too, and a YES is swept from ``n``.  An explorer search
-    that runs out of ``budget`` nodes answers UNKNOWN, noted ``budget``.
-    Every verdict's ``stats`` carry the backward search's ``pops`` and
-    ``basis``.
+    ``max_n`` bounds the populations searched and ``budget`` every search.
+
+    - ``explore`` sweeps populations 1..``max_n``
+      (``explore.decide_sweep``): YES with a witness, else UNKNOWN.
+    - ``abstract`` sends a cover question (``scover``, ``ccover``) to the
+      wait-only abstraction (``waitonly.decide_cover``), which raises
+      ``NotWaitOnlyError`` on any other protocol.  It refuses ``synchro``
+      with a ``ValueError``.
+    - ``auto`` sends a cover question on a wait-only protocol there too,
+      and every other question to ``backward``.
+    - ``backward`` answers with :func:`first_population`, at most
+      ``budget`` pops: a NO is exact, and past ``budget`` pops the answer is
+      UNKNOWN, noted ``budget``.  The search asks for ``prob.cover(p)``.  A
+      cover question that it answers YES at population ``n <= max_n`` gets
+      the verdict of the explorer's label-ordered search at ``n``
+      (``explore.decide_ordered``), with its witness; the explorer must
+      agree.  At ``n > max_n`` the answer is UNKNOWN.  For ``synchro`` the
+      cover is necessary but not enough: a NO is exact for it too, and a
+      YES is swept from ``n``, each population of which
+      ``explore.decide_fixed`` decides from both ends while its
+      configurations fit in ``budget``.  An explorer search that runs out
+      of ``budget`` nodes answers UNKNOWN, noted ``budget``.  Every
+      verdict's ``stats`` carry the backward search's ``pops`` and
+      ``basis``.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "explore":
+        return explore.decide_sweep(p, prob, max_n, budget)
+    if method == "abstract" and prob.kind == SYNCHRO:
+        raise ValueError("the abstract analysis does not decide synchro")
+    if method != "backward" and prob.kind != SYNCHRO:
+        # The abstract engine partitions the protocol once; ``auto`` falls
+        # back to the backward engine when it is not wait-only.
+        try:
+            return waitonly.decide_cover(p, prob.cover(p))
+        except waitonly.NotWaitOnlyError:
+            if method != "auto":
+                raise
     found = first_population(p, prob.cover(p), budget)
     if not found.is_yes():
         return found

@@ -32,24 +32,13 @@ after, so there is no durability promise; if the operating system crashes
 during a write, OUT may hold a mix of old and new blocks rather than nothing.
 A write that fails exits 2, like a read.
 
-``check --method auto`` sends a cover question (``scover``, ``ccover``) on a
-wait-only protocol to the abstract engine (``waitonly``) and one on any
-other protocol to the backward engine (``backward``).  The backward engine
-gives an exact NO, or the smallest population ``n`` that covers the target:
-``n <= --max-procs`` prints the explorer's verdict at ``n``, with its
-witness, and a larger ``n`` prints ``RESULT UNKNOWN``.  ``synchro`` needs
-every process in ``final``, so under ``auto`` it answers an exact NO when
-``final`` cannot be covered, and is otherwise swept from ``n`` up to
-``--max-procs``.  A sweep decides each ``synchro`` population ``n`` by a
-search from both ends, forward from ``n * init`` and backward from ``n *
-final``, while the configurations of ``n`` processes, ``C(n + |Q| - 1,
-|Q| - 1)``, number at most ``--max-steps``: no search of that population
-can then run out of ``--max-steps``, so it prints what a forward search
-would.  ``--method backward`` sends every question to the
-backward engine, wait-only protocols included, ``--method abstract`` sends
-a cover question to the abstract engine alone, and ``--method explore``
-sweeps populations 1..``--max-procs``.  A ``--max-procs`` below 1 is
-refused on every method.
+``check`` makes one call, ``backward.decide``, whose docstring states which
+engine answers each ``--method`` and problem: ``auto`` (the default) sends
+a cover question on a wait-only protocol to the abstract engine
+(``waitonly``) and every other question to the backward engine
+(``backward``), ``abstract`` and ``backward`` name one engine, and
+``explore`` sweeps populations 1..``--max-procs``.  A ``--max-procs`` below
+1 is refused on every method.
 
 The first result line is ``RESULT YES|NO|UNKNOWN``, followed by the
 verdict's note when it has one (``RESULT NO within-cap``, ``RESULT UNKNOWN
@@ -177,22 +166,7 @@ def _cmd_check(args: SimpleNamespace) -> int:
             raise PreconditionError(f"{args.problem} takes no --target")
         problem = Problem(args.problem)
 
-    method = args.method
-    if method == "abstract" and args.problem == "synchro":
-        raise PreconditionError("the abstract analysis does not decide synchro")
-    if method == "explore":
-        verdict = explore.decide_sweep(p, problem, args.max_procs, args.max_steps)
-    elif method == "backward" or args.problem == "synchro":
-        verdict = backward.decide(p, problem, args.max_procs, args.max_steps)
-    else:
-        # The abstract engine partitions the protocol once; ``auto`` falls
-        # back to the backward engine when it is not wait-only.
-        try:
-            verdict = waitonly.decide_cover(p, problem.cover(p))
-        except waitonly.NotWaitOnlyError:
-            if method != "auto":
-                raise
-            verdict = backward.decide(p, problem, args.max_procs, args.max_steps)
+    verdict = backward.decide(p, problem, args.max_procs, args.max_steps, args.method)
     _print_verdict(verdict, lambda label, cfg: f"{label} {cfg}")
     return EXIT_OK
 
@@ -297,8 +271,7 @@ _COMMANDS = {
         ("problem", {"choices": ["scover", "ccover", "synchro"]}),
         ("file", {}),
         ("--target", {"help": "configuration literal for ccover"}),
-        ("--method", {"choices": ["explore", "abstract", "backward", "auto"],
-                      "default": "auto"}),
+        ("--method", {"choices": backward.METHODS, "default": "auto"}),
         ("--max-procs", {"type": int, "default": 8}),
         ("--max-steps", {"type": int, "default": explore.DEFAULT_BUDGET}),
     )),

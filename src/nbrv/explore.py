@@ -26,18 +26,18 @@ goal, depend on the order of successors: ``decide_ordered`` then searches
 the population again with ``search``, on the label-ordered successors.
 
 A ``synchro`` population ``n`` has one goal configuration, all ``n``
-processes in ``final``, so :func:`decide_sweep` decides it by a search from
+processes in ``final``, so :func:`decide_fixed` decides it by a search from
 both ends (:func:`_meets`): ``image`` levels forward from ``n * init`` and
 ``model.dense_preimage`` levels backward from ``n * final``, one level per
 round on the side with the smaller frontier, NO when either side closes
 and YES when they meet.  On the shipped ``fig1``, ``p1`` and ``p2``,
 ``n * final`` has no predecessor at all, so the backward side closes at
 once where the forward side would saturate every reachable configuration.
-The sweep takes this path only while the ``C(n + |Q| - 1, |Q| - 1)``
+It takes this path only while the ``C(n + |Q| - 1, |Q| - 1)``
 configurations of ``n`` processes fit in the budget: then no search of
-the population can run out of it, and the verdict is the one
-``decide_fixed`` gives, a YES being searched again by ``decide_ordered``
-for its witness.
+the population can run out of it, and the verdict is the one the
+level-by-level pass gives, a YES being searched again by
+``decide_ordered`` for its witness.
 """
 
 from __future__ import annotations
@@ -213,29 +213,33 @@ def _levels(t: MoveTable, start: int, n: int, budget: int,
         seen |= frontier
 
 
-def _meets(t: MoveTable, start: int, goal: int) -> bool:
+def _meets(t: MoveTable, start: int, goal: int) -> tuple[set[int], int] | None:
     """Whether ``goal`` is reachable from ``start``, by a search from both ends.
 
     The forward side saturates ``image`` levels from ``start``, the backward
     side ``preimage`` levels from ``goal``, and each round expands one level
     of the side whose frontier is smaller (the forward side on a tie).  The
     two seen sets stay disjoint until a new level meets the other side's
-    set: a run then passes through the configuration they share.  A side
-    whose new level is empty has closed, and has not met the other side, so
-    ``goal`` is unreachable.  Nothing bounds the work: the caller makes sure
-    that every configuration of the population fits in its budget.
+    set: a run then passes through the configuration they share, and the
+    answer is ``None``.  A side whose new level is empty has closed, and has
+    not met the other side, so ``goal`` is unreachable: the answer is then
+    ``(seen, depth)``, the configurations both sides reached and the levels
+    both expanded.  Nothing bounds the work: the caller makes sure that
+    every configuration of the population fits in its budget.
     """
     if start == goal:
-        return True
+        return None
     # Side 0 is the forward side, side 1 the backward one.
     steps, seen, fronts = (image, preimage), [{start}, {goal}], [(start,), (goal,)]
+    depth = 0
     while True:
         side = int(len(fronts[1]) < len(fronts[0]))
         new = steps[side](t, fronts[side]) - seen[side]
         if not new:
-            return False
+            return seen[0] | seen[1], depth
         if not new.isdisjoint(seen[1 - side]):
-            return True
+            return None
+        depth += 1
         seen[side] |= new
         fronts[side] = new
 
@@ -299,18 +303,25 @@ def decide_fixed(
 ) -> Verdict:
     """Decide ``prob`` exactly for initial configurations of size ``n``.
 
-    The population is first saturated level by level.  A NO carries
-    ``visited`` (the configurations reached), ``depth`` (the levels after
-    the initial one) and ``signatures`` (the size of the table's memo after
-    the search, which counts the signatures met by every search on that
-    table).  When a level meets the goal, or the budget runs out,
-    :func:`decide_ordered` answers instead.  ``Protocol.moves`` refuses
-    ``n < 1``.
+    A ``synchro`` population whose ``C(n + |Q| - 1, |Q| - 1)``
+    configurations fit in ``budget`` is decided from both ends
+    (:func:`_meets`); any other population is first saturated level by
+    level.  A NO carries ``visited`` (the configurations reached), ``depth``
+    (the levels expanded after the initial ones) and ``signatures`` (the
+    size of the table's memo after the search, which counts the signatures
+    met by every search on that table).  When the search meets the goal,
+    or the budget runs out, :func:`decide_ordered` answers instead: under
+    the bound above no search of the population can run out of budget, so
+    both paths give the same answer.  ``Protocol.moves`` refuses ``n < 1``.
     """
     t = p.moves(n)
-    goal = prob.goal(p, t, n)
+    start = n << t.shift[p.init]
+    places = len(p.states) - 1
     try:
-        found = _levels(t, n << t.shift[p.init], n, budget, goal)
+        if prob.kind == SYNCHRO and comb(n + places, places) <= budget:
+            found = _meets(t, start, n << t.shift[p.final])
+        else:
+            found = _levels(t, start, n, budget, prob.goal(p, t, n))
     except ResourceLimitError:
         found = None
     if found is not None:
@@ -325,30 +336,17 @@ def decide_sweep(
 ) -> Verdict:
     """Try population sizes start..max_n; YES at the first hit, else UNKNOWN.
 
-    ``start`` skips populations already known to give no YES.  A population
-    that exceeds ``budget`` ends the sweep with UNKNOWN, noted ``budget``,
-    whose ``explored_bound`` is the last population completed.  The move
-    table is compiled for ``max_n`` up front, so every population shares
-    one table, and ``Protocol.moves`` refuses a ``max_n`` below 1.
-
-    A ``synchro`` population ``n`` has one goal, all ``n`` processes in
-    ``final``, so while the ``C(n + |Q| - 1, |Q| - 1)`` configurations of
-    ``n`` processes fit in ``budget``, :func:`_meets` decides it from both
-    ends, and a YES gets its witness from :func:`decide_ordered`.  Under
-    that bound no search of the population can run out of budget, so the
-    verdict is the one :func:`decide_fixed` would give; above it,
-    :func:`decide_fixed` decides the population.
+    Each population is decided by :func:`decide_fixed`.  ``start`` skips
+    populations already known to give no YES.  A population that exceeds
+    ``budget`` ends the sweep with UNKNOWN, noted ``budget``, whose
+    ``explored_bound`` is the last population completed.  The move table is
+    compiled for ``max_n`` up front, so every population shares one table,
+    and ``Protocol.moves`` refuses a ``max_n`` below 1.
     """
-    t = p.moves(max_n)
-    places = len(p.states) - 1
+    p.moves(max_n)
     for n in range(start, max_n + 1):
         try:
-            if prob.kind == SYNCHRO and comb(n + places, places) <= budget:
-                if not _meets(t, n << t.shift[p.init], n << t.shift[p.final]):
-                    continue
-                verdict = decide_ordered(p, prob, n, budget)
-            else:
-                verdict = decide_fixed(p, prob, n, budget)
+            verdict = decide_fixed(p, prob, n, budget)
         except ResourceLimitError:
             return Verdict("unknown", explored_bound=n - 1, note="budget")
         if verdict.is_yes():

@@ -33,7 +33,7 @@ most ``(|Q|-1)*(|M|+1)`` times.  :func:`iterates` raises
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .explore import SCOVER, Problem, Verdict
 from .model import RECV, Configuration, Protocol, check_configuration
@@ -55,13 +55,6 @@ class AbstractionDivergenceError(RuntimeError):
     """The abstraction failed to stabilize within the round bound of :func:`iterates`."""
 
 
-class WaitPartition(NamedTuple):
-    """Split of the state set into initiating (active) and answering (waiting) states."""
-
-    active: frozenset[str]
-    waiting: frozenset[str]
-
-
 class AbstractSet(namedtuple("AbstractSet", "states tokens")):
     """Abstraction ``(S, Toks)`` of a set of reachable configurations."""
 
@@ -78,8 +71,8 @@ class AbstractSet(namedtuple("AbstractSet", "states tokens")):
         return frozenset(q for q, _ in self.tokens)
 
 
-def partition(p: Protocol) -> WaitPartition:
-    """Partition states by their outgoing actions; fail on mixed states.
+def partition(p: Protocol) -> None:
+    """Check that ``p`` is wait-only: raise ``NotWaitOnlyError`` on mixed states.
 
     A state with an outgoing reception is waiting; everything else
     (including transition-less states) is active.  A waiting state that
@@ -103,10 +96,6 @@ def partition(p: Protocol) -> WaitPartition:
         raise NotWaitOnlyError(p.name, tuple(
             (q, tuple(initiating + receptions)) for q, (initiating, receptions) in evidence.items()
         ))
-    return WaitPartition(
-        active=frozenset(set(p.states) - waiting),
-        waiting=frozenset(waiting),
-    )
 
 
 def conflict_free(gamma: AbstractSet, p: Protocol, q1: str, q2: str) -> bool:

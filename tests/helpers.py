@@ -470,7 +470,9 @@ def ordered_decide_fixed(p: Protocol, prob: Problem, n: int, budget: int) -> Ver
     A NO's ``depth`` is the distance of the deepest node; its
     ``signatures`` is read from the table's memo, which a complete search
     fills with the signature of every node it expands, whichever order it
-    expands them in.
+    expands them in.  A ``synchro`` population that ``decide_fixed``
+    decides from both ends gets the same answer and witness, but its NO
+    counts the work of that search.
     """
     t = p.moves(n)
     goal = prob.goal(p, t, n)

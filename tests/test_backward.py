@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from collections import Counter
 
 import pytest
 
+from conftest import PROTOCOL_DIR, load_protocol
 from helpers import (
     backward_cover,
     random_config,
@@ -14,7 +16,7 @@ from helpers import (
     wait_only_chain,
     with_self_rendezvous,
 )
-from nbrv import backward, explore, waitonly
+from nbrv import backward, cli, explore, fileio, waitonly
 from nbrv.backward import EngineDisagreementError, decide, first_population, saturation
 from nbrv.explore import Problem, Verdict, decide_sweep
 from nbrv.model import Configuration, Protocol, recv, tau
@@ -166,3 +168,53 @@ class TestDecide:
         monkeypatch.setattr(explore, "decide_ordered", lambda *args: Verdict("no"))
         with pytest.raises(EngineDisagreementError):
             backward.decide(fig1, Problem("ccover", cfg(q6=2)), 8)
+
+
+NOT_WAIT_ONLY = "error: protocol fig1 is not wait-only (mixed states: q5, q_in)"
+NO_SYNCHRO = "error: the abstract analysis does not decide synchro"
+# The first line ``nbrv check`` prints, by protocol and problem, for the
+# methods explore, abstract, backward and auto.
+CHECK_FIRST_LINES = {
+    ("p1.rvp", "scover"): ("RESULT YES", "RESULT YES", "RESULT YES", "RESULT YES"),
+    ("p1.rvp", "ccover"): ("RESULT UNKNOWN", "RESULT NO", "RESULT NO", "RESULT NO"),
+    ("p1.rvp", "synchro"): ("RESULT UNKNOWN", NO_SYNCHRO, "RESULT UNKNOWN", "RESULT UNKNOWN"),
+    ("fig1.rvp", "scover"): ("RESULT YES", NOT_WAIT_ONLY, "RESULT YES", "RESULT YES"),
+    ("fig1.rvp", "ccover"): ("RESULT YES", NOT_WAIT_ONLY, "RESULT YES", "RESULT YES"),
+    ("fig1.rvp", "synchro"): ("RESULT UNKNOWN", NO_SYNCHRO, "RESULT UNKNOWN", "RESULT UNKNOWN"),
+}
+
+
+class TestMethod:
+    """``decide`` with a method is the decision of ``nbrv check --method``."""
+
+    @pytest.mark.parametrize("method", backward.METHODS)
+    @pytest.mark.parametrize("kind", ["scover", "ccover", "synchro"])
+    @pytest.mark.parametrize("name, target", [("p1.rvp", "q1,q3"), ("fig1.rvp", "q6:2")])
+    def test_gives_the_check_verdict(self, name, target, kind, method, capsys):
+        argv = ["check", kind, str(PROTOCOL_DIR / name), "--method", method]
+        if kind == "ccover":
+            argv += ["--target", target]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        want = dict(zip(("explore", "abstract", "backward", "auto"), CHECK_FIRST_LINES[name, kind]))
+        assert (out or err).splitlines()[0] == want[method]
+        p = load_protocol(name)
+        prob = Problem(kind, fileio.parse_config(target, p) if kind == "ccover" else None)
+        try:
+            verdict = decide(p, prob, 8, method=method)
+        except ValueError as exc:
+            assert (code, out, err) == (3, "", f"error: {exc}\n")
+            return
+        cli._print_verdict(verdict, lambda label, c: f"{label} {c}")
+        assert (code, err, capsys.readouterr().out) == (0, "", out)
+
+    def test_refusals_keep_their_messages(self, p1, fig1):
+        with pytest.raises(ValueError, match="^the abstract analysis does not decide synchro$"):
+            decide(p1, Problem("synchro"), 8, method="abstract")
+        message = "protocol fig1 is not wait-only (mixed states: q5, q_in)"
+        with pytest.raises(waitonly.NotWaitOnlyError, match=f"^{re.escape(message)}$"):
+            decide(fig1, Problem("scover"), 8, method="abstract")
+
+    def test_unknown_method(self, p1):
+        with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+            decide(p1, Problem("scover"), 8, method="bogus")

@@ -30,7 +30,7 @@ from nbrv.model import (
     tau,
 )
 from nbrv.reductions import TranslationReport, protocol_to_machine
-from nbrv.waitonly import AbstractSet, WaitPartition, conflict_free, decide_cover
+from nbrv.waitonly import AbstractSet, conflict_free, decide_cover
 
 C = Configuration((("q1", 2), ("q5", 1)))
 FIG1 = load_protocol("fig1.rvp")
@@ -52,8 +52,6 @@ REPRS = [
     (CounterOp("inc", "x"), "CounterOp(kind='inc', counter='x')"),
     (Vas("v", 2, (((0, -1), (1, 0)),), (0, 1), (1, 0)),
      "Vas(name='v', dim=2, transitions=(((0, -1), (1, 0)),), v_init=(0, 1), v_target=(1, 0))"),
-    (WaitPartition(frozenset({"q_in"}), frozenset()),
-     "WaitPartition(active=frozenset({'q_in'}), waiting=frozenset())"),
     (AbstractSet(frozenset({"q_in"}), frozenset({("q1", "a")})),
      "AbstractSet(states=frozenset({'q_in'}), tokens=frozenset({('q1', 'a')}))"),
     (LevelContext.create(1, ("x",)),
@@ -90,50 +88,69 @@ def test_hash_is_the_hash_of_the_fields(record):
     assert hash(record) == hash(tuple(getattr(record, f) for f in record._fields))
 
 
-@pytest.mark.parametrize("cls, args, error, message", [
-    (Action, ("wait",), ProtocolError, "unknown action kind 'wait'"),
-    (Action, ("tau", "a"), ProtocolError, "internal actions carry no message"),
-    (Action, ("send",), ProtocolError, "send action needs a message"),
-    (Action, ("recv", ""), ProtocolError, "recv action needs a message"),
-    (Configuration, ((),), MalformedConfigurationError, "configuration must be non-empty"),
-    (Configuration, ((("q", 0),),), MalformedConfigurationError, "count for 'q' must be positive"),
-    (Configuration, ((("b", 1), ("a", 1)),), MalformedConfigurationError,
+# Each row names its test by the callable, a tag fixed in the row, the
+# error type and the message, so that adding or removing a row renames no
+# other test.  The tags of the rows below are the names they were first
+# reported under.
+VALIDATION_ERRORS = [
+    ("args0", Action, ("wait",), ProtocolError, "unknown action kind 'wait'"),
+    ("args1", Action, ("tau", "a"), ProtocolError, "internal actions carry no message"),
+    ("args2", Action, ("send",), ProtocolError, "send action needs a message"),
+    ("args3", Action, ("recv", ""), ProtocolError, "recv action needs a message"),
+    ("args4", Configuration, ((),), MalformedConfigurationError, "configuration must be non-empty"),
+    ("args5", Configuration, ((("q", 0),),), MalformedConfigurationError,
+     "count for 'q' must be positive"),
+    ("args6", Configuration, ((("b", 1), ("a", 1)),), MalformedConfigurationError,
      "configuration items must be sorted and unique"),
-    (Configuration, ((("a", 1), ("a", 1)),), MalformedConfigurationError,
+    ("args7", Configuration, ((("a", 1), ("a", 1)),), MalformedConfigurationError,
      "configuration items must be sorted and unique"),
-    (Problem, ("cover",), ValueError, "unknown problem kind 'cover'"),
-    (Problem, ("ccover",), ValueError, "ccover needs a target configuration"),
-    (Problem, ("scover", C), ValueError, "scover takes no target configuration"),
-    (CounterOp, ("mul", "x"), MachineError, "unknown counter op 'mul'"),
-    (CounterOp, ("nop", "x"), MachineError, "nop takes no counter"),
-    (CounterOp, ("inc",), MachineError, "inc needs a counter"),
-    (Vas, ("v", 0, (), (), ()), VasError, "dimension must be at least 1"),
-    (Vas, ("v", 2, (), (0,), (0, 0)), VasError, "vector arity mismatch"),
-    (Vas, ("v", 2, (), (0, -1), (0, 0)), VasError, "init/target vectors must be non-negative"),
-    (Vas, ("v", 2, (((0,), (0, 0)),), (0, 0), (0, 0)), VasError, "transition arity mismatch"),
-    (Vas, ("v", 2, (((0, 0), (0, -1)),), (0, 0), (0, 0)), VasError,
+    ("args8", Problem, ("cover",), ValueError, "unknown problem kind 'cover'"),
+    ("args9", Problem, ("ccover",), ValueError, "ccover needs a target configuration"),
+    ("args10", Problem, ("scover", C), ValueError, "scover takes no target configuration"),
+    ("args11", CounterOp, ("mul", "x"), MachineError, "unknown counter op 'mul'"),
+    ("args12", CounterOp, ("nop", "x"), MachineError, "nop takes no counter"),
+    ("args13", CounterOp, ("inc",), MachineError, "inc needs a counter"),
+    ("args14", Vas, ("v", 0, (), (), ()), VasError, "dimension must be at least 1"),
+    ("args15", Vas, ("v", 2, (), (0,), (0, 0)), VasError, "vector arity mismatch"),
+    ("args16", Vas, ("v", 2, (), (0, -1), (0, 0)), VasError,
+     "init/target vectors must be non-negative"),
+    ("args17", Vas, ("v", 2, (((0,), (0, 0)),), (0, 0), (0, 0)), VasError,
+     "transition arity mismatch"),
+    ("args18", Vas, ("v", 2, (((0, 0), (0, -1)),), (0, 0), (0, 0)), VasError,
      "the non-blocking part must be non-negative"),
-    (AbstractSet, (frozenset({"q1", "q2"}), frozenset({("q2", "a"), ("q1", "b")})), ValueError,
-     "token states may not be unbounded states: ['q1', 'q2']"),
-    (Protocol, ("p", ["a"], [], "a", "a", [("a", tau(), "b")]), ProtocolError,
+    ("args19", AbstractSet, (frozenset({"q1", "q2"}), frozenset({("q2", "a"), ("q1", "b")})),
+     ValueError, "token states may not be unbounded states: ['q1', 'q2']"),
+    ("args20", Protocol, ("p", ["a"], [], "a", "a", [("a", tau(), "b")]), ProtocolError,
      "transition 'a' -> 'b' uses undeclared state"),
-    (first_population, (FIG1, ZZ), MalformedConfigurationError, "state 'zz' not in protocol fig1"),
-    (decide_cover, (FIG1, ZZ), MalformedConfigurationError, "state 'zz' not in protocol fig1"),
-    (protocol_to_machine, (FIG1, ZZ), MalformedConfigurationError,
+    ("args21", first_population, (FIG1, ZZ), MalformedConfigurationError,
      "state 'zz' not in protocol fig1"),
-    (CounterMachine, ("m", ["a"], ["x"], "b", []), MachineError,
+    ("args22", decide_cover, (FIG1, ZZ), MalformedConfigurationError,
+     "state 'zz' not in protocol fig1"),
+    ("args23", protocol_to_machine, (FIG1, ZZ), MalformedConfigurationError,
+     "state 'zz' not in protocol fig1"),
+    ("args24", CounterMachine, ("m", ["a"], ["x"], "b", []), MachineError,
      "initial location 'b' not declared"),
-    (CounterMachine, ("m", ["a"], [], "a", [("a", CounterOp("inc", "x"), "a")]), MachineError,
-     "undeclared counter 'x'"),
-    (CounterMachine, ("m", ["a"], [], "a", [("a", CounterOp("nop"), "b")]), MachineError,
+    ("args25", CounterMachine, ("m", ["a"], [], "a", [("a", CounterOp("inc", "x"), "a")]),
+     MachineError, "undeclared counter 'x'"),
+    ("args26", CounterMachine, ("m", ["a"], [], "a", [("a", CounterOp("nop"), "b")]), MachineError,
      "transition 'a' -> 'b' uses undeclared location"),
-    (CounterMachine.target, (MK, "zz"), MachineError, "unknown target location 'zz'"),
-    (cover_bounded, (MK, "b", -1), ValueError, "cap must be non-negative"),
-    (ProceduralMachine, ("f", ["a", "b"], ["x"], [], "a", ["c"]), MachineError,
+    ("args27", CounterMachine.target, (MK, "zz"), MachineError, "unknown target location 'zz'"),
+    ("args28", cover_bounded, (MK, "b", -1), ValueError, "cap must be non-negative"),
+    ("args29", ProceduralMachine, ("f", ["a", "b"], ["x"], [], "a", ["c"]), MachineError,
      "outs must be declared locations"),
-    (conflict_free, (AbstractSet(frozenset({"q_in"}), frozenset({("q1", "a")})), FIG1, "q1", "q2"),
+    ("args30", conflict_free,
+     (AbstractSet(frozenset({"q_in"}), frozenset({("q1", "a")})), FIG1, "q1", "q2"),
      ValueError, "'q1' and 'q2' must both carry tokens"),
-])
+]
+
+
+def validation_id(row) -> str:
+    tag, cls, _args, error, message = row
+    return f"{cls.__name__}-{tag}-{error.__name__}-{message}"
+
+
+@pytest.mark.parametrize("cls, args, error, message", [row[1:] for row in VALIDATION_ERRORS],
+                         ids=[validation_id(row) for row in VALIDATION_ERRORS])
 def test_validation_errors(cls, args, error, message):
     with pytest.raises(error) as info:
         cls(*args)

