@@ -26,6 +26,12 @@ directly, so it never loads ``argparse``.  Every other line (``-h``, ``--``,
 command at all) goes to the one top-level argparse parser, built from the
 same table, which reads it or prints its usage, help or error.
 
+The module imports only the protocol stack (``model``, ``explore``,
+``waitonly``, ``backward``, ``fileio``), which ``check``, ``abstract`` and
+``explore protocol`` run on.  The counter-machine stack is imported by the
+handler that runs it, through :func:`_submodule`: ``explore machine|vas``
+imports ``machines``, ``translate`` ``reductions`` and ``gen`` ``gadgets``.
+
 ``translate`` and ``gen`` write OUT in place as UTF-8: an existing file is
 overwritten and then cut to the new length.  Nothing is fsynced, before or
 after, so there is no durability promise; if the operating system crashes
@@ -58,11 +64,15 @@ import functools
 import os
 import stat
 import sys
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
+from typing import TYPE_CHECKING
 
-from . import backward, explore, fileio, gadgets, machines, reductions, waitonly
+from . import backward, explore, fileio, waitonly
 from .explore import Problem, Verdict
 from .model import Protocol
+
+if TYPE_CHECKING:
+    from . import machines
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -71,6 +81,18 @@ EXIT_PRECONDITION = 3
 
 class PreconditionError(Exception):
     """Raised for bad flag combinations or wrong model classes."""
+
+
+@functools.cache
+def _submodule(name: str) -> ModuleType:
+    """The module ``nbrv.<name>``, imported on the first call.
+
+    Later calls are one cache lookup.  An import statement in each handler
+    would run the import machinery on every call instead: 2-3 µs once a
+    query has left the caches cold.
+    """
+    # ``from nbrv import <name>``, without loading ``importlib``.
+    return getattr(__import__(__package__, fromlist=[name]), name)
 
 
 def _read_text(path: str) -> str:
@@ -191,6 +213,7 @@ def _cmd_explore(args: SimpleNamespace) -> int:
             for c in sorted(map(table.decode, configs), key=lambda c: c.items):
                 print(f"CONFIG {c}")
         return EXIT_OK
+    machines = _submodule("machines")
     if args.kind == "machine":
         m = _load_machine(args.file)
         if args.loc is None:
@@ -215,6 +238,7 @@ def _cmd_explore(args: SimpleNamespace) -> int:
 
 
 def _cmd_translate(args: SimpleNamespace) -> int:
+    reductions = _submodule("reductions")
     kind = args.kind
     if kind == "p2cm":
         if args.target is None:
@@ -246,6 +270,7 @@ def _cmd_translate(args: SimpleNamespace) -> int:
 
 
 def _cmd_gen(args: SimpleNamespace) -> int:
+    gadgets = _submodule("gadgets")
     if args.kind == "lipton":
         m = _load_machine(args.infile)
         target = m.init if args.target_loc is None else args.target_loc

@@ -16,22 +16,21 @@ time; an error names the first bad value.  A vector is written with its
 zero entries as one shared ``"0"`` and only its nonzero entries converted.
 Serializers emit a canonical form (sorted states, messages and
 transitions) so that parse/serialize round-trips are stable.
+
+Only the protocol stack (``model``) is imported with the module.  The
+counter machine and VAS functions reach ``machines`` through
+:func:`_machines`, which imports it on the first call, so reading and
+writing protocols never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from itertools import compress
-from typing import Callable, Iterator
+from types import ModuleType
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from .machines import (
-    NBDEC,
-    NOP,
-    OP_TEXT,
-    CounterMachine,
-    CounterOp,
-    Vas,
-)
 from .model import (
     IDENTIFIER_RE,
     Action,
@@ -42,7 +41,23 @@ from .model import (
     tau,
 )
 
+if TYPE_CHECKING:
+    from .machines import CounterMachine, CounterOp, Vas
+
 _IDENT = re.compile(IDENTIFIER_RE)
+
+
+@functools.cache
+def _machines() -> ModuleType:
+    """The module ``nbrv.machines``, imported on the first call.
+
+    Later calls are one cache lookup.  An import statement in each machine
+    or VAS function would run the import machinery on every call instead:
+    2-3 µs once a query has left the caches cold.
+    """
+    from . import machines
+
+    return machines
 
 
 class ParseError(ValueError):
@@ -241,22 +256,19 @@ def parse_config(text: str, p: Protocol, file: str = "<config>") -> Configuratio
     return Configuration.from_counts(counts)
 
 
-# The op kind of each op text: the inverse of ``machines.OP_TEXT``.
-_OP_KIND = {text: kind for kind, text in OP_TEXT.items()}
-
-
 def _op(rd: _Reader, n: int, words: list[str], ctr_set: set[str]) -> CounterOp:
     """The operation named by the words between SRC and DST of ``trans`` line ``n``."""
-    kind = _OP_KIND.get(words[2])
+    machines = _machines()
+    kind = machines.OP_KIND.get(words[2])
     counter = words[3] if len(words) == 5 else None
     if kind is None:
         raise rd.error(n, 2, f"unknown operation {words[2]!r}")
-    if (kind == NOP) != (counter is None):
+    if (kind == machines.NOP) != (counter is None):
         need = "takes no" if counter else "needs a"
         raise rd.error(n, 2, f"operation {words[2]!r} {need} counter")
     if counter is not None and counter not in ctr_set:
         raise rd.error(n, 3, f"counter {counter!r} not declared")
-    return CounterOp(kind, counter)
+    return machines.CounterOp(kind, counter)
 
 
 def parse_machine(text: str, file: str = "<string>") -> CounterMachine:
@@ -279,7 +291,7 @@ def parse_machine(text: str, file: str = "<string>") -> CounterMachine:
         raise rd.error(init_n, 1, f"initial location {init!r} not declared")
 
     transitions = rd.edges(loc_set, "location", "SRC OP [COUNTER] DST", 5, _op, ctr_set)
-    return CounterMachine(
+    return _machines().CounterMachine(
         name=name,
         locations=locations,
         counters=counters,
@@ -291,6 +303,7 @@ def parse_machine(text: str, file: str = "<string>") -> CounterMachine:
 
 def serialize_machine(m: CounterMachine) -> str:
     """The canonical ``.nbm`` text: ``nbdec`` lines last, each group in machine order."""
+    nbdec = _machines().NBDEC
     lines = [
         f"machine {m.name}",
         "locations " + " ".join(m.locations),
@@ -298,7 +311,7 @@ def serialize_machine(m: CounterMachine) -> str:
         ("counters " + " ".join(m.counters)).rstrip(),
         f"restore {'on' if m.restore else 'off'}",
     ]
-    for src, op, dst in sorted(m.transitions, key=lambda t: t[1].kind == NBDEC):
+    for src, op, dst in sorted(m.transitions, key=lambda t: t[1].kind == nbdec):
         lines.append(f"trans {src} {op} {dst}")
     return "\n".join(lines) + "\n"
 
@@ -358,8 +371,8 @@ def parse_vas(text: str, file: str = "<string>") -> Vas:
         t_nb = _values(rd, n, words, split + 1, len(words), dim, "non-blocking", signed=False)
         transitions.append((t_b, t_nb))
 
-    return Vas(name=name, dim=dim, transitions=tuple(sorted(set(transitions))),
-               v_init=v_init, v_target=v_target)
+    return _machines().Vas(name=name, dim=dim, transitions=tuple(sorted(set(transitions))),
+                           v_init=v_init, v_target=v_target)
 
 
 def vector_text(xs: tuple[int, ...]) -> str:

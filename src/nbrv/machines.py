@@ -50,8 +50,10 @@ EFFECT: dict[str, tuple[int | None, int | None]] = {
     NOP: (0, 0), INC: (1, 1), DEC: (-1, None), ZEROTEST: (None, 0), NBDEC: (-1, 0)}
 _OP_ORDER = {kind: rank for rank, kind in enumerate(EFFECT)}
 
-# The text of each op kind in ``.nbm`` files and witnesses, before its counter.
+# The text of each op kind in ``.nbm`` files and witnesses, before its counter,
+# and the op kind of each text, which ``fileio`` parses.
 OP_TEXT = {NOP: "nop", INC: "inc", DEC: "dec", ZEROTEST: "zero?", NBDEC: "nbdec"}
+OP_KIND = {text: kind for kind, text in OP_TEXT.items()}
 
 
 class MachineError(ValueError):

@@ -23,13 +23,14 @@ compiles the rules into a :class:`MoveTable` for populations up to ``n``,
 whose configurations are packed into one int, one count field per state,
 in the layout of :class:`_Fields`: the one packed layout of every engine
 of the package, whose guard bits make each move one addition.  Which moves
-a configuration has depends only on its signature: the states it
-occupies, and whether each state that sends a message it also receives
-holds two processes or more.  The table memoises the moves of each
-signature it meets; the code that fills that memo is the one interpreter of
-the rules.  :func:`dense_moves` is then one lookup and one addition
-per move, and :func:`dense_image` expands a whole frontier of packed
-configurations at once.  :func:`dense_preimage` goes one step backward: it
+a configuration has depends only on its signature: which of the states
+that some rule reads (as a source or a blocker) it occupies, and whether
+each state that sends a message it also receives holds two processes or
+more.  The table memoises the moves of each signature it meets; the code
+that fills that memo is the one interpreter of the rules.
+:func:`dense_moves` is then one lookup and one addition per move, and
+:func:`dense_image` expands a whole frontier of packed configurations at
+once.  :func:`dense_preimage` goes one step backward: it
 keeps a candidate predecessor only when the memo lists the move among the
 moves of the candidate's signature, so it states no rule of its own.
 
@@ -334,13 +335,16 @@ class MoveTable(_Fields):
     compiled for ``n`` serves every population below its ``guard``: no
     count can then reach a guard bit, so each move is one addition.
 
-    The moves of a configuration depend only on its signature: which states
-    it occupies and, for each state that sends a message it also receives,
-    whether that state holds two processes or more.  ``(v + ones) & high``
-    has the guard bit of every occupied field, and ``((v + twos) &
-    self_high) >> 1`` the bit below the guard of every such shared state
-    with a count of 2 or more (``twos`` holds ``guard - 2`` in their
-    fields); the signature ors the two.
+    The moves of a configuration depend only on its signature: which of the
+    states that some rule reads, as a source or a blocker, it occupies and,
+    for each state that sends a message it also receives, whether that
+    state holds two processes or more.  ``(v + ones) & read_high`` has the
+    guard bit of every occupied field that a rule reads (``read_high`` has
+    the guard bits of those states), and ``((v + twos) & self_high) >> 1``
+    the bit below the guard of every such shared state with a count of 2
+    or more (``twos`` holds ``guard - 2`` in their fields); the signature
+    ors the two.  A state no rule reads is left out, so the memo does not
+    hold one entry per occupancy of such states.
     ``memo`` maps each signature met so far to the ``(rank, delta)`` moves
     it enables, one per enabled rule of ``Protocol.rules``: a configuration
     ``v`` with that signature steps to ``v + delta`` under the label
@@ -378,7 +382,9 @@ class MoveTable(_Fields):
             read |= need | block
             groups.setdefault(guard[s], []).append(
                 (need | block, need, (rank[kind, m], delta)))
-        # The shared states are those read by their two-or-more bit.
+        # The signature keeps the guard bits of the states a rule reads; the
+        # shared states are those read by their two-or-more bit.
+        self.read_high = read & self.high
         self.self_high = (read & (self.high >> 1)) << 1
         self.twos = self.self_high - (self.self_high >> (self.width - 2))
         self.memo = _Moves(tuple([(bit, tuple(rules)) for bit, rules in groups.items()]))
@@ -472,7 +478,7 @@ def dense_moves(t: MoveTable, v: int) -> list[tuple[int, int]]:
     as they are, and :func:`dense_successors` orders them.  ``v`` must hold
     fewer than ``t.guard`` processes.
     """
-    moves = t.memo[((v + t.ones) & t.high) | (((v + t.twos) & t.self_high) >> 1)]
+    moves = t.memo[((v + t.ones) & t.read_high) | (((v + t.twos) & t.self_high) >> 1)]
     return [(rank, v + delta) for rank, delta in moves]
 
 
@@ -482,10 +488,10 @@ def dense_image(t: MoveTable, frontier: Iterable[int]) -> set[int]:
     The moves of :func:`dense_moves`, over a whole frontier at once, without
     ranks or order.
     """
-    memo, ones, high, twos, self_high = t.memo, t.ones, t.high, t.twos, t.self_high
+    memo, ones, read_high, twos, self_high = t.memo, t.ones, t.read_high, t.twos, t.self_high
     return {v + delta
             for v in frontier
-            for _rank, delta in memo[((v + ones) & high) | (((v + twos) & self_high) >> 1)]}
+            for _rank, delta in memo[((v + ones) & read_high) | (((v + twos) & self_high) >> 1)]}
 
 
 def dense_preimage(t: MoveTable, frontier: Iterable[int]) -> set[int]:
@@ -502,11 +508,11 @@ def dense_preimage(t: MoveTable, frontier: Iterable[int]) -> set[int]:
     step rules are read from the one interpreter that fills the memo.
     Each ``c`` must hold fewer than ``t.guard`` processes.
     """
-    memo, ones, high, twos, self_high = t.memo, t.ones, t.high, t.twos, t.self_high
-    back = t.back
+    memo, ones, high, read_high = t.memo, t.ones, t.high, t.read_high
+    twos, self_high, back = t.twos, t.self_high, t.back
     return {u for c in frontier for delta, move in back
             if not (u := c - delta) & high
-            and move in memo[((u + ones) & high) | (((u + twos) & self_high) >> 1)]}
+            and move in memo[((u + ones) & read_high) | (((u + twos) & self_high) >> 1)]}
 
 
 def dense_successors(t: MoveTable, v: int) -> list[tuple[StepLabel, int]]:

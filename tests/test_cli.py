@@ -1126,6 +1126,59 @@ def test_cold_start_loads_no_dataclasses(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, f"{[EXIT_OK] * 6} []\n")
 
 
+MACHINE_STACK = ("nbrv.machines", "nbrv.reductions", "nbrv.gadgets")
+
+
+def machine_stack_loaded(workdir: Path, lines: list[list[str]]) -> list[str]:
+    """Runs ``lines`` in turn through ``nbrv.cli.main`` in a fresh ``python
+    -S`` interpreter in ``workdir``.  One line per step, after the import
+    and after each command line: the exit code (``-`` for the import) and
+    the modules of ``MACHINE_STACK`` then loaded."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nbrv.__file__).parent.parent))
+    code = ("import sys, nbrv.cli\n"
+            "def report(code):\n"
+            f"    print(code, [m for m in {MACHINE_STACK!r} if m in sys.modules], file=sys.stderr)\n"
+            "report('-')\n"
+            f"for argv in {lines!r}:\n"
+            "    report(nbrv.cli.main(argv))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=workdir, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()
+
+
+def test_protocol_commands_load_no_machine_stack(tmp_path):
+    """``import nbrv.cli`` and the protocol commands (``check`` under
+    ``auto`` on a wait-only and on a mixed protocol and under ``explore``,
+    ``abstract``, ``explore protocol``) never import the counter-machine
+    stack: they would pay its import and never run it."""
+    dispatch_inputs(tmp_path)
+    lines = [
+        ["check", "scover", "p1.rvp"],  # the abstract engine
+        ["check", "scover", "fig1.rvp"],  # the backward engine
+        ["check", "ccover", "fig1.rvp", "--target", "q6:2", "--method", "explore"],
+        ["check", "synchro", "p2.rvp", "--max-procs", "2"],
+        ["abstract", "p2.rvp", "--trace"],
+        ["explore", "protocol", "fig1.rvp", "--procs", "2", "--list"],
+    ]
+    assert machine_stack_loaded(tmp_path, lines) == ["- []"] + ["0 []"] * len(lines)
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["explore", "vas", "v.vas", "--cap", "2"], MACHINE_STACK[:1]),
+    (["explore", "machine", "m.nbm", "--loc", "lf", "--cap", "1", "--budget", "50"],
+     MACHINE_STACK[:1]),
+    (["translate", "cm2vas", "m.nbm", "out", "--target-loc", "lf"], MACHINE_STACK[:2]),
+    (["gen", "rst", "out", "--levels", "1", "--level", "0"], MACHINE_STACK),
+], ids=["explore-vas", "explore-machine", "translate-cm2vas", "gen-rst"])
+def test_machine_commands_load_what_they_run(tmp_path, argv, loads):
+    """A machine command imports the part of the counter-machine stack it
+    runs, in its own handler: ``machines`` for a search, ``reductions`` to
+    translate and ``gadgets`` to generate (each imports the ones before)."""
+    dispatch_inputs(tmp_path)
+    assert machine_stack_loaded(tmp_path, [argv]) == ["- []", f"0 {list(loads)}"]
+
+
 def readme_examples() -> list[tuple[list[str], str]]:
     """The ``$ nbrv`` commands of README.md, each with the output shown under it."""
     examples = []

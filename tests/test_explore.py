@@ -5,6 +5,7 @@ import random
 import weakref
 from collections import Counter, deque
 from functools import cache, partial
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -51,6 +52,7 @@ from nbrv.model import (
     Protocol,
     StepLabel,
     dense_moves,
+    dense_preimage,
     recv,
     send,
     tau,
@@ -114,11 +116,14 @@ def spec_reached(p: Protocol, n: int, budget: int) -> set[Configuration] | None:
 
 
 def signature(p: Protocol, c: Configuration) -> tuple[frozenset, frozenset]:
-    """The occupied states of ``c``, and those of its states that send a
-    message they also receive holding two processes or more."""
+    """The occupied states of ``c`` that some rule of ``p.rules`` names as a
+    source or a blocker, and those of its states that send a message they
+    also receive holding two processes or more."""
+    read = {q for _kind, _m, src, _dst, blockers in p.rules for q in (*src, *blockers)}
     shared = {q for q, m, _qp in p.sends if q in p.receivers_of[m]}
     counts = dict(c.items)
-    return frozenset(counts), frozenset(q for q in shared if counts.get(q, 0) >= 2)
+    return (frozenset(counts.keys() & read),
+            frozenset(q for q in shared if counts.get(q, 0) >= 2))
 
 
 class TestLevels:
@@ -158,7 +163,7 @@ class TestLevels:
         assert verdict.stats == {"visited": len(dist), "depth": max(dist.values()),
                                  "signatures": len({signature(p, c) for c in dist})}
         if n == 5:
-            assert verdict.stats == {"visited": 35, "depth": 8, "signatures": 26}
+            assert verdict.stats == {"visited": 35, "depth": 8, "signatures": 9}
 
 
 class TestPackedWidth:
@@ -463,6 +468,25 @@ class TestSearchFromBothEnds:
                 assert got.stats.keys() == want.stats.keys()
                 seen[got.answer] += 1
         assert min(seen.values()) > 1000, seen
+
+    def test_preimage_is_the_inverse_of_one_step(self):
+        # Every configuration of n processes, with the set of those that
+        # step to it.  A move into a state that no rule reads borrows from
+        # that state's field, which the memo's signature does not see.
+        checked = 0
+        for p in synchro_protocols()[:300]:
+            for n in range(1, 4):
+                t = p.moves(n)
+                steps_to = {Configuration.from_counts(Counter(states)): set()
+                            for states in combinations_with_replacement(p.states, n)}
+                for u in steps_to:
+                    for _label, c in spec_successors(p, u):
+                        steps_to[c].add(u)
+                for c, want in steps_to.items():
+                    got = dense_preimage(t, {t.encode(c)})
+                    assert set(map(t.decode, got)) == want, (p, c)
+                    checked += bool(want)
+        assert checked > 5000, checked
 
     def test_mutant_without_lone_sends_fails(self, monkeypatch):
         # A lone non-blocking send has a rank above every rendez-vous rank.
